@@ -725,6 +725,12 @@ type parJob struct {
 	rc     Reconciler
 	merged []obs.Event
 
+	// refs counts the holders of the job: the caller plus every queue
+	// entry offered to a worker. A worker can dequeue an entry after the
+	// pass has finished; the job returns to the free list only when the
+	// last holder lets go, so a late worker never sees it re-initialized.
+	refs atomic.Int32
+
 	link *parJob // free-list link
 }
 
@@ -756,23 +762,33 @@ func ensureParWorkers() {
 		go func() {
 			for j := range parQueue {
 				j.run()
+				releaseParJob(j)
 			}
 		}()
 	}
 }
 
+// acquireParJob returns a free job held once, by the caller.
 func acquireParJob() *parJob {
 	parMu.Lock()
 	defer parMu.Unlock()
-	if j := parFreeJob; j != nil {
+	j := parFreeJob
+	if j != nil {
 		parFreeJob = j.link
 		j.link = nil
-		return j
+	} else {
+		j = &parJob{}
 	}
-	return &parJob{}
+	j.refs.Store(1)
+	return j
 }
 
+// releaseParJob drops one hold on j, parking it on the free list when it
+// was the last.
 func releaseParJob(j *parJob) {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
 	// Drop the pass-specific references so a parked job cannot pin a
 	// Compiled image or a captured stream; the scratch buffers are the
 	// point of the pool and stay.
@@ -852,9 +868,11 @@ func (j *parJob) dispatch() {
 	}
 offer:
 	for i := 0; i < helpers; i++ {
+		j.refs.Add(1) // the worker that dequeues this entry releases it
 		select {
 		case parQueue <- j:
 		default:
+			j.refs.Add(-1)
 			break offer // queue full; the caller scans the rest itself
 		}
 	}

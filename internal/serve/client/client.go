@@ -14,6 +14,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"math/rand"
@@ -86,8 +87,9 @@ type Client struct {
 	cfg  Config
 	rng  *rand.Rand
 	conn net.Conn
+	br   *bufio.Reader // buffered frame reads over conn
 	rbuf []byte
-	wbuf []byte
+	wbuf []byte // frame write buffer, reused: header then payload
 }
 
 // New creates a client over cfg.Dial.
@@ -129,8 +131,13 @@ func (c *Client) ensure() error {
 		return err
 	}
 	c.conn = conn
+	if c.br == nil {
+		c.br = bufio.NewReaderSize(conn, serve.ReadBufferSize)
+	} else {
+		c.br.Reset(conn)
+	}
 	hello := serve.Hello{Version: serve.ProtoVersion, Tenant: c.cfg.Tenant}
-	typ, body, err := c.roundTrip(hello.Append(c.wbuf[:0]))
+	typ, body, err := c.roundTrip(hello.Append(c.begin()))
 	if err != nil {
 		c.drop()
 		return err
@@ -154,17 +161,27 @@ func (c *Client) drop() {
 	}
 }
 
-// roundTrip writes one frame and reads the response frame, both under the
-// configured timeout. A FrameError response is parsed into *serve.Error
-// and returned as the error with frame type FrameError.
-func (c *Client) roundTrip(payload []byte) (serve.FrameType, []byte, error) {
-	c.wbuf = payload
+// begin empties the write buffer down to a reserved frame header; the
+// message appends its payload after it and roundTrip seals the frame.
+func (c *Client) begin() []byte {
+	return append(c.wbuf[:0], make([]byte, serve.FrameHeaderLen)...)
+}
+
+// roundTrip seals a frame built on begin, sends it in one Write and reads
+// the response frame, both under the configured timeout. A FrameError
+// response is parsed into *serve.Error and returned as the error with
+// frame type FrameError.
+func (c *Client) roundTrip(frame []byte) (serve.FrameType, []byte, error) {
+	c.wbuf = frame
+	if err := serve.SealFrame(frame); err != nil {
+		return 0, nil, err
+	}
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout))
-	if err := serve.WriteFrame(c.conn, payload); err != nil {
+	if _, err := c.conn.Write(frame); err != nil {
 		return 0, nil, err
 	}
 	_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout))
-	resp, err := serve.ReadFrame(c.conn, c.rbuf)
+	resp, err := serve.ReadFrame(c.br, c.rbuf)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -266,7 +283,7 @@ func (c *Client) replayOnce(image string, edges []core.Edge, batch int, sessionI
 		return nil, core.NTE, err
 	}
 	open := serve.Open{Image: image, Resume: *sessionID, Src: *src}
-	typ, body, err := c.roundTrip(open.Append(c.wbuf[:0]))
+	typ, body, err := c.roundTrip(open.Append(c.begin()))
 	if err != nil {
 		return nil, core.NTE, err
 	}
@@ -291,7 +308,7 @@ func (c *Client) replayOnce(image string, edges []core.Edge, batch int, sessionI
 		if end > uint64(len(edges)) {
 			end = uint64(len(edges))
 		}
-		payload := serve.AppendEdges(c.wbuf[:0], edges[*sent:end], int64(*sent))
+		payload := serve.AppendEdges(c.begin(), edges[*sent:end], int64(*sent))
 		typ, body, err := c.roundTrip(payload)
 		if err != nil {
 			return nil, core.NTE, err
@@ -309,7 +326,7 @@ func (c *Client) replayOnce(image string, edges []core.Edge, batch int, sessionI
 		*sent = eack.Watermark
 	}
 
-	closeFrame := append(c.wbuf[:0], byte(serve.FrameClose))
+	closeFrame := append(c.begin(), byte(serve.FrameClose))
 	typ, body, err = c.roundTrip(closeFrame)
 	if err != nil {
 		return nil, core.NTE, err
@@ -355,7 +372,7 @@ func (c *Client) publishOnce(image string, data []byte) (uint64, error) {
 		return 0, err
 	}
 	pub := serve.Publish{Image: image, Data: data}
-	typ, body, err := c.roundTrip(pub.Append(c.wbuf[:0]))
+	typ, body, err := c.roundTrip(pub.Append(c.begin()))
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -334,10 +335,18 @@ type connHandler struct {
 	tenant *tenant
 	sess   *session // currently attached session, nil between sessions
 
-	rbuf    []byte      // frame read buffer, reused
-	wbuf    []byte      // frame write buffer, reused
-	edgeBuf []core.Edge // parsed-edge scratch, reused
+	br      *bufio.Reader // buffered frame reads: one transport read per frame
+	rbuf    []byte        // frame read buffer, reused
+	wbuf    []byte        // frame write buffer, reused: header then payload
+	edgeBuf []core.Edge   // parsed-edge scratch, reused
 }
+
+// ReadBufferSize sizes the per-connection read buffer on both ends of the
+// wire: large enough that a typical Edges batch and its header arrive in
+// one transport read, small enough that a connection costs a few tens of
+// KiB. Larger frames bypass the buffer and read straight into the frame
+// buffer.
+const ReadBufferSize = 32 << 10
 
 // ServeConn drives one connection to completion. It is safe to call
 // directly with one end of a net.Pipe (the chaos tests do); Serve calls it
@@ -348,7 +357,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
-	h := &connHandler{s: s, conn: conn}
+	h := &connHandler{s: s, conn: conn, br: bufio.NewReaderSize(conn, ReadBufferSize)}
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.panics.Add(1)
@@ -384,7 +393,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 // readFrame reads one frame under the idle deadline.
 func (h *connHandler) readFrame() ([]byte, error) {
 	_ = h.conn.SetReadDeadline(time.Now().Add(h.s.cfg.IdleTimeout))
-	payload, err := ReadFrame(h.conn, h.rbuf)
+	payload, err := ReadFrame(h.br, h.rbuf)
 	if err != nil {
 		return nil, err
 	}
@@ -393,18 +402,29 @@ func (h *connHandler) readFrame() ([]byte, error) {
 	return payload, nil
 }
 
-// write sends one frame under the idle deadline — a peer that stops
-// reading cannot wedge the handler, it gets its connection closed.
-func (h *connHandler) write(payload []byte) error {
+// begin empties the write buffer down to a reserved frame header; the
+// message appends its payload after it and write seals the frame.
+func (h *connHandler) begin() []byte {
+	return append(h.wbuf[:0], make([]byte, FrameHeaderLen)...)
+}
+
+// write seals a frame built on begin and sends it in one Write under the
+// idle deadline — a peer that stops reading cannot wedge the handler, it
+// gets its connection closed.
+func (h *connHandler) write(frame []byte) error {
+	h.wbuf = frame
+	if err := SealFrame(frame); err != nil {
+		return err
+	}
 	_ = h.conn.SetWriteDeadline(time.Now().Add(h.s.cfg.IdleTimeout))
-	h.s.m.bytesOut.Add(uint64(len(payload)))
-	return WriteFrame(h.conn, payload)
+	h.s.m.bytesOut.Add(uint64(len(frame) - FrameHeaderLen))
+	_, err := h.conn.Write(frame)
+	return err
 }
 
 // sendError writes a structured error frame (best effort).
 func (h *connHandler) sendError(serr *Error) error {
-	h.wbuf = AppendError(h.wbuf[:0], serr)
-	return h.write(h.wbuf)
+	return h.write(AppendError(h.begin(), serr))
 }
 
 // handshake performs Hello/HelloAck and resolves the tenant.
@@ -432,8 +452,7 @@ func (h *connHandler) handshake() bool {
 	h.tenant.conns++
 	h.s.mu.Unlock()
 	ack := HelloAck{Version: ProtoVersion}
-	h.wbuf = ack.Append(h.wbuf[:0])
-	return h.write(h.wbuf) == nil
+	return h.write(ack.Append(h.begin())) == nil
 }
 
 // serveFrame reads and dispatches one frame; false ends the connection.
@@ -548,8 +567,7 @@ func (h *connHandler) handleOpen(body []byte) bool {
 	s.event(obs.EvSessionOpen, src, 0, img.Gen)
 
 	ack := OpenAck{Session: sess.id, Gen: img.Gen, Src: src}
-	h.wbuf = ack.Append(h.wbuf[:0])
-	return h.write(h.wbuf) == nil
+	return h.write(ack.Append(h.begin())) == nil
 }
 
 // resume re-attaches a parked session. The token must name a session of
@@ -593,8 +611,7 @@ func (h *connHandler) resume(token string) bool {
 	s.event(obs.EvSessionResume, sess.src, sess.edges, sess.edges)
 
 	ack := OpenAck{Session: sess.id, Gen: sess.img.Gen, Watermark: sess.edges, Src: sess.src}
-	h.wbuf = ack.Append(h.wbuf[:0])
-	return h.write(h.wbuf) == nil
+	return h.write(ack.Append(h.begin())) == nil
 }
 
 // handleEdges replays one batch on the attached session.
@@ -650,8 +667,7 @@ func (h *connHandler) handleEdges(body []byte) bool {
 	h.tenant.m.edges.Add(uint64(len(edges)))
 
 	ack := EdgesAck{Watermark: sess.edges}
-	h.wbuf = ack.Append(h.wbuf[:0])
-	return h.write(h.wbuf) == nil
+	return h.write(ack.Append(h.begin())) == nil
 }
 
 // handleClose finalizes the attached session and returns its stats. A
@@ -673,10 +689,10 @@ func (h *connHandler) handleClose() bool {
 		_ = h.sendError(serr)
 		return true
 	}
-	h.wbuf = sess.final.Append(h.wbuf[:0])
+	frame := sess.final.Append(h.begin())
 	h.sess = nil
 	h.parkSession(sess)
-	return h.write(h.wbuf) == nil
+	return h.write(frame) == nil
 }
 
 // handlePublish admits a new image generation under bounded concurrency.
@@ -702,8 +718,7 @@ func (h *connHandler) handlePublish(body []byte) bool {
 	}
 	h.s.m.publishes.Add(1)
 	ack := PublishAck{Gen: gen}
-	h.wbuf = ack.Append(h.wbuf[:0])
-	return h.write(h.wbuf) == nil
+	return h.write(ack.Append(h.begin())) == nil
 }
 
 // asError coerces any error into the structured taxonomy (parse helpers

@@ -59,10 +59,10 @@ func NewStore(lookup core.LookupConfig, breakerThreshold int, breakerCooldown ti
 // statically verified before admission — the store never serves an image
 // it cannot prove; the same gate guards Publish and breaker readmission.
 func (s *Store) Add(name string, p *isa.Program, a *core.Automaton) error {
-	if err := s.admitVerify(a, p); err != nil {
-		return err
+	c, serr := s.admitVerify(a, p)
+	if serr != nil {
+		return serr
 	}
-	c := core.Compile(a, s.lookup)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.images[name]; ok {
@@ -75,18 +75,18 @@ func (s *Store) Add(name string, p *isa.Program, a *core.Automaton) error {
 }
 
 // admitVerify is the static admission gate: automaton rules against the
-// program image plus the full compiled-form audit.
-func (s *Store) admitVerify(a *core.Automaton, p *isa.Program) error {
+// program image plus the full compiled-form audit. It returns the compiled
+// form the audit proved, so admission never compiles twice.
+func (s *Store) admitVerify(a *core.Automaton, p *isa.Program) (*core.Compiled, *Error) {
 	var cache *cfg.Cache
 	if p != nil {
 		cache = cfg.NewCache(p, cfg.StarDBT)
 	}
-	r := verify.Automaton(a, cache)
-	r.Merge(verify.Compiled(core.Compile(a, s.lookup)))
+	c, r := verify.AdmitAutomaton(a, cache, s.lookup)
 	if err := r.Err(); err != nil {
-		return errf(CodeBadImage, "verification failed: %v", err)
+		return nil, errf(CodeBadImage, "verification failed: %v", err)
 	}
-	return nil
+	return c, nil
 }
 
 // lookupEntry returns the entry for name.
@@ -116,7 +116,8 @@ func (s *Store) Get(name string) (*Image, *Error) {
 	if !ok {
 		if verifyDue {
 			img := e.cur.Load()
-			clean := s.admitVerify(img.Automaton, e.program) == nil
+			_, verr := s.admitVerify(img.Automaton, e.program)
+			clean := verr == nil
 			e.brk.verdict(clean)
 			if clean {
 				return img, nil
@@ -150,16 +151,12 @@ func (s *Store) Publish(name string, data []byte) (uint64, *Error) {
 	if serr != nil {
 		return 0, serr
 	}
-	cache := cfg.NewCache(e.program, cfg.StarDBT)
-	if r := verify.Image(data, cache, s.lookup); r.Err() != nil {
-		return 0, errf(CodeBadImage, "publish rejected: %v", r.Err())
+	// The generation swapped in is exactly the automaton and compiled form
+	// the verifier proved: one decode, one compile.
+	a, c, r := verify.AdmitImage(data, cfg.NewCache(e.program, cfg.StarDBT), s.lookup)
+	if err := r.Err(); err != nil {
+		return 0, errf(CodeBadImage, "publish rejected: %v", err)
 	}
-	// Decode again for the automaton itself; verify.Image proved it decodes.
-	a, err := core.Decode(data, cfg.NewCache(e.program, cfg.StarDBT))
-	if err != nil {
-		return 0, errf(CodeBadImage, "publish decode: %v", err)
-	}
-	c := core.Compile(a, s.lookup)
 
 	s.mu.Lock()
 	old := e.cur.Load()

@@ -109,14 +109,24 @@ func (t FrameType) String() string {
 	return "FrameType(?)"
 }
 
+// FrameHeaderLen is the size of the length and checksum prefix that
+// precedes every frame payload.
+const FrameHeaderLen = 8
+
+// putHeader fills hdr[:FrameHeaderLen] with payload's length prefix and
+// checksum.
+func putHeader(hdr, payload []byte) {
+	binary.BigEndian.PutUint32(hdr[:4], uint32(4+len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:FrameHeaderLen], crc32.ChecksumIEEE(payload))
+}
+
 // WriteFrame writes one length-prefixed, checksummed frame payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return errf(CodeProto, "frame payload %d exceeds MaxFrame", len(payload))
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(4+len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	var hdr [FrameHeaderLen]byte
+	putHeader(hdr[:], payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -124,17 +134,40 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// SealFrame completes a frame built in place: frame[:FrameHeaderLen] is
+// space reserved for the header, and the payload follows it. SealFrame
+// fills in the length prefix and checksum, so the whole frame can go out in
+// one Write — the connection paths build every frame this way, and a
+// message-passing transport like net.Pipe then pays one rendezvous per
+// frame instead of two.
+func SealFrame(frame []byte) error {
+	if len(frame) < FrameHeaderLen {
+		return errf(CodeProto, "frame of %d bytes has no room for its header", len(frame))
+	}
+	payload := frame[FrameHeaderLen:]
+	if len(payload) > MaxFrame {
+		return errf(CodeProto, "frame payload %d exceeds MaxFrame", len(payload))
+	}
+	putHeader(frame, payload)
+	return nil
+}
+
 // ReadFrame reads one frame payload, reusing buf when it is large enough.
 // A declared length beyond MaxFrame, a length too short to hold the
 // checksum, or a checksum mismatch is a protocol violation (*Error,
 // CodeCorrupt); a short read surfaces as the transport's error (typically
-// io.EOF or io.ErrUnexpectedEOF on truncation).
+// io.EOF or io.ErrUnexpectedEOF on truncation). The header is read into
+// buf itself, so a reused buffer makes the read allocation-free.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < FrameHeaderLen {
+		buf = make([]byte, FrameHeaderLen)
+	}
+	hdr := buf[:FrameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
+	sum := binary.BigEndian.Uint32(hdr[4:])
 	if n < 4 {
 		return nil, errf(CodeCorrupt, "frame length %d below checksum size", n)
 	}
@@ -149,7 +182,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	if sum := crc32.ChecksumIEEE(buf); sum != binary.BigEndian.Uint32(hdr[4:]) {
+	if crc32.ChecksumIEEE(buf) != sum {
 		return nil, errf(CodeCorrupt, "frame checksum mismatch")
 	}
 	return buf, nil
@@ -404,11 +437,18 @@ func AppendEdges(dst []byte, edges []core.Edge, clock int64) []byte {
 // drive allocation. The returned clock is the sender's stream clock, or
 // NoClock for frames without one (the field is optional-trailing, so old
 // corpus frames still parse).
+//
+// The body is decoded in one pass. Label deltas and instruction counts are
+// almost always one or two bytes long, so each value tries a one-byte path
+// inline, then a two-byte path, and falls back to binary.Uvarint only for
+// longer (or malformed) encodings. Every failure is the same structured CodeProto error the
+// wireReader cursor reports: "truncated <field> at offset <n>" for a short
+// or overlong varint, the count bounds, the clock range and trailing
+// bytes.
 func ParseEdges(body []byte, dst []core.Edge) ([]core.Edge, int64, error) {
-	r := wireReader{data: body}
-	count, err := r.uvarint("edge count")
-	if err != nil {
-		return nil, NoClock, err
+	count, off := uvarintAt(body, 0)
+	if off < 0 {
+		return nil, NoClock, errf(CodeProto, "truncated edge count at offset 0")
 	}
 	if count > MaxBatchEdges {
 		return nil, NoClock, errf(CodeProto, "edge count %d exceeds MaxBatchEdges", count)
@@ -421,30 +461,63 @@ func ParseEdges(body []byte, dst []core.Edge) ([]core.Edge, int64, error) {
 	}
 	dst = dst[:count]
 	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, err := r.varint("label delta")
-		if err != nil {
-			return nil, NoClock, err
+	for i := range dst {
+		var zz, instrs uint64
+		if off < len(body) && body[off] < 0x80 {
+			zz = uint64(body[off])
+			off++
+		} else {
+			at := off
+			if zz, off = uvarintAt(body, off); off < 0 {
+				return nil, NoClock, errf(CodeProto, "truncated label delta at offset %d", at)
+			}
 		}
-		prev += uint64(delta)
-		instrs, err := r.uvarint("instrs")
-		if err != nil {
-			return nil, NoClock, err
+		if off < len(body) && body[off] < 0x80 {
+			instrs = uint64(body[off])
+			off++
+		} else {
+			at := off
+			if instrs, off = uvarintAt(body, off); off < 0 {
+				return nil, NoClock, errf(CodeProto, "truncated instrs at offset %d", at)
+			}
 		}
+		// Zigzag decode, as binary.Varint does.
+		prev += uint64(int64(zz>>1) ^ -int64(zz&1))
 		dst[i] = core.Edge{Label: prev, Instrs: instrs}
 	}
 	clock := NoClock
-	if r.off < len(r.data) {
-		c, err := r.uvarint("stream clock")
-		if err != nil {
-			return nil, NoClock, err
+	if off < len(body) {
+		c, next := uvarintAt(body, off)
+		if next < 0 {
+			return nil, NoClock, errf(CodeProto, "truncated stream clock at offset %d", off)
 		}
 		if c > 1<<62 {
 			return nil, NoClock, errf(CodeProto, "stream clock %d out of range", c)
 		}
-		clock = int64(c)
+		clock, off = int64(c), next
 	}
-	return dst, clock, r.done("Edges")
+	if off != len(body) {
+		return nil, NoClock, errf(CodeProto, "%d trailing bytes after Edges", len(body)-off)
+	}
+	return dst, clock, nil
+}
+
+// uvarintAt decodes the uvarint at body[off:] and returns it with the
+// offset just past it, or a negative offset when the bytes there are
+// truncated or overflow 64 bits. One- and two-byte values are decoded
+// without the general loop.
+func uvarintAt(body []byte, off int) (uint64, int) {
+	if off < len(body) && body[off] < 0x80 {
+		return uint64(body[off]), off + 1
+	}
+	if off+1 < len(body) && body[off+1] < 0x80 {
+		return uint64(body[off]&0x7f) | uint64(body[off+1])<<7, off + 2
+	}
+	v, n := binary.Uvarint(body[off:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, off + n
 }
 
 // EdgesAck acknowledges a batch with the session's cumulative watermark.

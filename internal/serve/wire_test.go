@@ -2,13 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/faultinject"
+	"github.com/lsc-tea/tea/internal/pin"
+	"github.com/lsc-tea/tea/internal/teatool"
+	"github.com/lsc-tea/tea/internal/workload"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -23,6 +32,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload round trip: got %x want %x", got, payload)
+	}
+
+	// A frame sealed in place is byte-identical to WriteFrame's output.
+	frame := append(make([]byte, FrameHeaderLen), payload...)
+	if err := SealFrame(frame); err != nil {
+		t.Fatalf("SealFrame: %v", err)
+	}
+	var want bytes.Buffer
+	_ = WriteFrame(&want, payload)
+	if !bytes.Equal(frame, want.Bytes()) {
+		t.Fatalf("sealed frame %x, WriteFrame wrote %x", frame, want.Bytes())
+	}
+	if err := SealFrame(make([]byte, FrameHeaderLen+MaxFrame+1)); err == nil {
+		t.Fatal("SealFrame accepted a payload beyond MaxFrame")
+	}
+	if err := SealFrame(make([]byte, FrameHeaderLen-1)); err == nil {
+		t.Fatal("SealFrame accepted a frame shorter than its header")
 	}
 }
 
@@ -137,6 +163,171 @@ func TestEdgesRoundTrip(t *testing.T) {
 			t.Fatalf("edge %d: %+v want %+v", i, got[i], edges[i])
 		}
 	}
+}
+
+// TestEdgesRoundTripVarintMix: random batches mixing one-byte and
+// multi-byte encodings — label deltas of every sign and magnitude up to
+// full 64-bit wraps, instruction counts straddling 0x7f/0x80 up to
+// math.MaxUint64, batch sizes up to MaxBatchEdges — survive AppendEdges →
+// ParseEdges unchanged, clock included.
+func TestEdgesRoundTripVarintMix(t *testing.T) {
+	magnitudes := []uint64{0, 1, 0x3f, 0x40, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 32, math.MaxUint64}
+	value := func(r *rand.Rand) uint64 {
+		m := magnitudes[r.Intn(len(magnitudes))]
+		switch {
+		case r.Intn(2) == 0:
+			return m
+		case m == math.MaxUint64:
+			return r.Uint64()
+		}
+		return r.Uint64() % (m + 1)
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(600)
+		if r.Intn(8) == 0 {
+			n = MaxBatchEdges
+		}
+		edges := make([]core.Edge, n)
+		label := uint64(0x400000)
+		for i := range edges {
+			switch r.Intn(3) {
+			case 0:
+				label += value(r)
+			case 1:
+				label -= value(r) // a negative delta
+			default:
+				label = r.Uint64()
+			}
+			edges[i] = core.Edge{Label: label, Instrs: value(r)}
+		}
+		clock := NoClock
+		if r.Intn(2) == 0 {
+			clock = int64(value(r) >> 2) // within the 1<<62 clock range
+		}
+		body := AppendEdges(nil, edges, clock)[1:]
+		got, gotClock, err := ParseEdges(body, nil)
+		if err != nil || gotClock != clock || len(got) != len(edges) {
+			t.Logf("seed %d: %d edges, clock %d → %d edges, clock %d, %v", seed, n, clock, len(got), gotClock, err)
+			return false
+		}
+		for i := range edges {
+			if got[i] != edges[i] {
+				t.Logf("seed %d: edge %d: %+v want %+v", seed, i, got[i], edges[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parseEdgesReference is the straightforward cursor-based Edges decoder
+// ParseEdges replaced: one wireReader call per field. It is the oracle the
+// one-pass decoder is fuzzed against.
+func parseEdgesReference(body []byte, dst []core.Edge) ([]core.Edge, int64, error) {
+	r := wireReader{data: body}
+	count, err := r.uvarint("edge count")
+	if err != nil {
+		return nil, NoClock, err
+	}
+	if count > MaxBatchEdges {
+		return nil, NoClock, errf(CodeProto, "edge count %d exceeds MaxBatchEdges", count)
+	}
+	if count > uint64(len(body))/2+1 {
+		return nil, NoClock, errf(CodeProto, "edge count %d exceeds frame size", count)
+	}
+	if uint64(cap(dst)) < count {
+		dst = make([]core.Edge, count)
+	}
+	dst = dst[:count]
+	prev := uint64(0)
+	for i := uint64(0); i < count; i++ {
+		delta, err := r.varint("label delta")
+		if err != nil {
+			return nil, NoClock, err
+		}
+		prev += uint64(delta)
+		instrs, err := r.uvarint("instrs")
+		if err != nil {
+			return nil, NoClock, err
+		}
+		dst[i] = core.Edge{Label: prev, Instrs: instrs}
+	}
+	clock := NoClock
+	if r.off < len(r.data) {
+		c, err := r.uvarint("stream clock")
+		if err != nil {
+			return nil, NoClock, err
+		}
+		if c > 1<<62 {
+			return nil, NoClock, errf(CodeProto, "stream clock %d out of range", c)
+		}
+		clock = int64(c)
+	}
+	return dst, clock, r.done("Edges")
+}
+
+// FuzzParseEdges differentially checks the one-pass Edges decoder against
+// the reference cursor decoder: on every body, the fast decoder returns
+// the same edges and clock when the reference accepts, and the same
+// structured *Error when it rejects.
+func FuzzParseEdges(f *testing.F) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "wire_corpus"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata", "wire_corpus", e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(data) > FrameHeaderLen && FrameType(data[FrameHeaderLen]) == FrameEdges {
+			f.Add(data[FrameHeaderLen+1:])
+		}
+	}
+	// Values straddling the one-byte fast path, 10-byte varints, and
+	// overflowing or unterminated encodings.
+	straddle := []core.Edge{{Label: 0x3f, Instrs: 0x7f}, {Label: 0x7f, Instrs: 0x80}, {Label: 0x40, Instrs: 0x3fff}, {Label: 0, Instrs: 0x4000}}
+	f.Add(AppendEdges(nil, straddle, 0x7f)[1:])
+	f.Add(AppendEdges(nil, straddle, 0x80)[1:])
+	f.Add(AppendEdges(nil, []core.Edge{{Label: math.MaxUint64, Instrs: math.MaxUint64}, {Label: 1, Instrs: 1 << 63}}, NoClock)[1:])
+	ten := binary.AppendUvarint(nil, math.MaxUint64)
+	f.Add(append(append([]byte{1}, ten...), ten...))
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00}) // 10th byte overflows
+	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // 11 bytes
+	f.Add([]byte{1, 0x80})                                                             // truncated delta
+	f.Add([]byte{1, 0x02, 0x80})                                                       // truncated instrs
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})             // clock out of range
+	f.Add([]byte{0, 0x05, 0x00})                                                       // trailing byte
+	f.Add([]byte{0x81})                                                                // truncated count
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantClock, wantErr := parseEdgesReference(body, nil)
+		got, gotClock, gotErr := ParseEdges(body, make([]core.Edge, 0, 4))
+		if wantErr != nil {
+			var serr *Error
+			if !errors.As(gotErr, &serr) {
+				t.Fatalf("reference rejects (%v), ParseEdges returned %v", wantErr, gotErr)
+			}
+			if serr.Error() != wantErr.Error() {
+				t.Fatalf("error text %q, reference %q", serr.Error(), wantErr.Error())
+			}
+			return
+		}
+		if gotErr != nil {
+			t.Fatalf("reference accepts, ParseEdges rejects: %v", gotErr)
+		}
+		if gotClock != wantClock || len(got) != len(want) {
+			t.Fatalf("clock %d, %d edges; reference clock %d, %d edges", gotClock, len(got), wantClock, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("edge %d: %+v, reference %+v", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 func TestParseEdgesRejectsForgedCount(t *testing.T) {
@@ -264,4 +455,52 @@ func TestTraceContextOptionalFields(t *testing.T) {
 	if perr != nil || clock != NoClock {
 		t.Fatalf("clockless Edges: clock %d, %v", clock, perr)
 	}
+}
+
+// wireBenchBatches cuts a captured 176.gcc block stream into the 512-edge
+// batches a serve session sends, encoded as Edges frame payloads.
+func wireBenchBatches(b *testing.B) ([][]core.Edge, [][]byte) {
+	b.Helper()
+	spec, _ := workload.ByName("176.gcc")
+	p, err := workload.Generate(spec, 500_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tool := teatool.NewCaptureTool()
+	if _, err := pin.New().Run(p, tool, 0); err != nil {
+		b.Fatal(err)
+	}
+	stream := tool.Stream()
+	var batches [][]core.Edge
+	var payloads [][]byte
+	for off := 0; off+512 <= len(stream); off += 512 {
+		batches = append(batches, stream[off:off+512])
+		payloads = append(payloads, AppendEdges(nil, stream[off:off+512], int64(off)))
+	}
+	return batches, payloads
+}
+
+// BenchmarkParseEdges times the Edges decode layer on captured batches.
+func BenchmarkParseEdges(b *testing.B) {
+	_, payloads := wireBenchBatches(b)
+	dst := make([]core.Edge, 512)
+	b.SetBytes(int64(len(payloads[0])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ParseEdges(payloads[i%len(payloads)][1:], dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/edge")
+}
+
+// BenchmarkAppendEdges times the Edges encode layer on captured batches.
+func BenchmarkAppendEdges(b *testing.B) {
+	batches, _ := wireBenchBatches(b)
+	var buf []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendEdges(buf[:0], batches[i%len(batches)], int64(i))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/edge")
 }

@@ -51,36 +51,35 @@ func Automaton(a *core.Automaton, cache *cfg.Cache) *Report {
 	seen := make(map[*trace.TBB]core.StateID, n)
 	for id := core.StateID(1); int(id) < n; id++ {
 		st := a.State(id)
-		locus := stateLocus(id, st)
 		if st.TBB == nil {
-			r.errf("A-STATE", id, locus, "non-NTE state has no TBB")
+			r.errf("A-STATE", id, stateLocus(id, st), "non-NTE state has no TBB")
 			continue
 		}
 		if prev, dup := seen[st.TBB]; dup {
-			r.errf("A-STATE", id, locus, "TBB %s already owned by state %d (Property 1)", st.TBB, prev)
+			r.errf("A-STATE", id, stateLocus(id, st), "TBB %s already owned by state %d (Property 1)", st.TBB, prev)
 		}
 		seen[st.TBB] = id
 
 		labels, targets := st.Labels(), st.Targets()
 		for i, label := range labels {
 			if i > 0 && labels[i-1] >= label {
-				r.errf("A-DET", id, locus, "labels not strictly sorted at index %d (0x%x after 0x%x)", i, label, labels[i-1])
+				r.errf("A-DET", id, stateLocus(id, st), "labels not strictly sorted at index %d (0x%x after 0x%x)", i, label, labels[i-1])
 			}
 			tgt := targets[i]
 			if tgt <= 0 || int(tgt) >= n {
-				r.errf("A-TARGET", id, locus, "transition on 0x%x targets invalid state %d", label, tgt)
+				r.errf("A-TARGET", id, stateLocus(id, st), "transition on 0x%x targets invalid state %d", label, tgt)
 				continue
 			}
 			to := a.State(tgt)
 			if to.TBB == nil {
-				r.errf("A-TARGET", id, locus, "transition on 0x%x targets NTE-shaped state %d", label, tgt)
+				r.errf("A-TARGET", id, stateLocus(id, st), "transition on 0x%x targets NTE-shaped state %d", label, tgt)
 				continue
 			}
 			if to.TBB.Block.Head != label {
-				r.errf("A-LABEL", id, locus, "label 0x%x does not match target %s head 0x%x", label, to.TBB, to.TBB.Block.Head)
+				r.errf("A-LABEL", id, stateLocus(id, st), "label 0x%x does not match target %s head 0x%x", label, to.TBB, to.TBB.Block.Head)
 			}
 			if st.TBB != nil && to.TBB.Trace != st.TBB.Trace {
-				r.errf("A-LABEL", id, locus, "in-trace transition crosses traces: %s -> %s", st.TBB, to.TBB)
+				r.errf("A-LABEL", id, stateLocus(id, st), "in-trace transition crosses traces: %s -> %s", st.TBB, to.TBB)
 			}
 		}
 	}
@@ -99,7 +98,10 @@ func Automaton(a *core.Automaton, cache *cfg.Cache) *Report {
 	return r
 }
 
-// stateLocus renders the canonical locus of a state finding.
+// stateLocus renders the canonical locus of a state finding. Rendering
+// resolves the state's symbol through the program's label map, so rules
+// call it only on the branch that reports a finding: a clean image renders
+// no names.
 func stateLocus(id core.StateID, st *core.State) string {
 	if st == nil {
 		return fmt.Sprintf("state %d", id)
@@ -116,15 +118,14 @@ func checkTraces(r *Report, a *core.Automaton, set *trace.Set) {
 			continue
 		}
 		for i, tbb := range t.TBBs {
-			locus := fmt.Sprintf("T%d.TBBs[%d]", t.ID, i)
 			if tbb.Index != i {
-				r.errf("A-LIN", -1, locus, "TBB index %d at position %d", tbb.Index, i)
+				r.errf("A-LIN", -1, fmt.Sprintf("T%d.TBBs[%d]", t.ID, i), "TBB index %d at position %d", tbb.Index, i)
 			}
 			if tbb.Trace != t {
-				r.errf("A-LIN", -1, locus, "TBB back-pointer names %v, owner is T%d", tbb.Trace, t.ID)
+				r.errf("A-LIN", -1, fmt.Sprintf("T%d.TBBs[%d]", t.ID, i), "TBB back-pointer names %v, owner is T%d", tbb.Trace, t.ID)
 			}
 			if _, ok := a.StateFor(tbb); !ok {
-				r.errf("A-STATE", -1, locus, "TBB %s has no state (Property 1)", tbb)
+				r.errf("A-STATE", -1, fmt.Sprintf("T%d.TBBs[%d]", t.ID, i), "TBB %s has no state (Property 1)", tbb)
 			}
 		}
 	}
@@ -315,19 +316,18 @@ func checkImage(r *Report, a *core.Automaton, cache *cfg.Cache) {
 			continue
 		}
 		rec := st.TBB.Block
-		locus := stateLocus(id, st)
 		img, ok := checked[rec.Head]
 		if !ok {
 			var err error
 			img, err = cache.BlockAt(rec.Head)
 			if err != nil {
-				r.errf("A-IMG", id, locus, "recorded block head 0x%x is not a block in the image: %v", rec.Head, err)
+				r.errf("A-IMG", id, stateLocus(id, st), "recorded block head 0x%x is not a block in the image: %v", rec.Head, err)
 				checked[rec.Head] = nil
 				continue
 			}
 			checked[rec.Head] = img
 			if img.NumInstrs != rec.NumInstrs || img.Bytes != rec.Bytes || img.End != rec.End || img.Term.Op != rec.Term.Op {
-				r.errf("A-IMG", id, locus, "recorded block %v does not match image block %v", rec, img)
+				r.errf("A-IMG", id, stateLocus(id, st), "recorded block %v does not match image block %v", rec, img)
 			}
 		}
 		if img == nil {
@@ -340,12 +340,12 @@ func checkImage(r *Report, a *core.Automaton, cache *cfg.Cache) {
 		for _, label := range st.Labels() {
 			if term.IsIndirect() {
 				if _, ok := prog.At(label); !ok {
-					r.errf("A-CFG", id, locus, "indirect successor 0x%x is not an instruction in the image", label)
+					r.errf("A-CFG", id, stateLocus(id, st), "indirect successor 0x%x is not an instruction in the image", label)
 				}
 				continue
 			}
 			if !plausibleLabel(img, label) {
-				r.errf("A-CFG", id, locus, "label 0x%x is not a successor of %v in the image CFG", label, img)
+				r.errf("A-CFG", id, stateLocus(id, st), "label 0x%x is not a successor of %v in the image CFG", label, img)
 			}
 		}
 	}

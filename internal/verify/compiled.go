@@ -235,26 +235,25 @@ func compiledStructural(r *Report, v core.CompiledAudit, a *core.Automaton, cfg 
 
 	for i := 0; i < n; i++ {
 		id := core.StateID(i)
-		locus := fmt.Sprintf("state %d", i)
 		span := v.Labels[v.Off[i]:v.Off[i+1]]
 		tgts := v.Targets[v.Off[i]:v.Off[i+1]]
 
 		for k, label := range span {
 			if k > 0 && span[k-1] >= label {
-				r.errf("C-SPAN", id, locus, "span labels not strictly sorted at %d (0x%x after 0x%x)", k, label, span[k-1])
+				r.errf("C-SPAN", id, idLocus(id), "span labels not strictly sorted at %d (0x%x after 0x%x)", k, label, span[k-1])
 			}
 			if tgts[k] <= 0 || int(tgts[k]) >= n {
-				r.errf("C-SPAN", id, locus, "span target %d invalid on label 0x%x", tgts[k], label)
+				r.errf("C-SPAN", id, idLocus(id), "span target %d invalid on label 0x%x", tgts[k], label)
 			}
 		}
 		want := a.State(id)
 		wl, wt := want.Labels(), want.Targets()
 		if len(wl) != len(span) {
-			r.errf("C-SPAN", id, locus, "span has %d transitions, automaton state has %d", len(span), len(wl))
+			r.errf("C-SPAN", id, idLocus(id), "span has %d transitions, automaton state has %d", len(span), len(wl))
 		} else {
 			for k := range span {
 				if span[k] != wl[k] || tgts[k] != wt[k] {
-					r.errf("C-SPAN", id, locus, "span[%d] = (0x%x -> %d), automaton has (0x%x -> %d)", k, span[k], tgts[k], wl[k], wt[k])
+					r.errf("C-SPAN", id, idLocus(id), "span[%d] = (0x%x -> %d), automaton has (0x%x -> %d)", k, span[k], tgts[k], wl[k], wt[k])
 				}
 			}
 		}
@@ -263,20 +262,20 @@ func compiledStructural(r *Report, v core.CompiledAudit, a *core.Automaton, cfg 
 		switch {
 		case len(span) >= 2:
 			if rec.Lab0 != span[0] || rec.Tgt0 != tgts[0] || rec.Lab1 != span[1] || rec.Tgt1 != tgts[1] {
-				r.errf("C-SLOT", id, locus, "fast slots (0x%x->%d, 0x%x->%d) disagree with span head (0x%x->%d, 0x%x->%d)",
+				r.errf("C-SLOT", id, idLocus(id), "fast slots (0x%x->%d, 0x%x->%d) disagree with span head (0x%x->%d, 0x%x->%d)",
 					rec.Lab0, rec.Tgt0, rec.Lab1, rec.Tgt1, span[0], tgts[0], span[1], tgts[1])
 			}
 		case len(span) == 1:
 			if rec.Lab0 != span[0] || rec.Tgt0 != tgts[0] || rec.Lab1 != span[0] || rec.Tgt1 != tgts[0] {
-				r.errf("C-SLOT", id, locus, "single transition 0x%x->%d not duplicated into both fast slots", span[0], tgts[0])
+				r.errf("C-SLOT", id, idLocus(id), "single transition 0x%x->%d not duplicated into both fast slots", span[0], tgts[0])
 			}
 		default:
 			if rec.Lab0 != core.ImpossibleLabel || rec.Lab1 != core.ImpossibleLabel {
-				r.errf("C-SLOT", id, locus, "empty state's fast slots hold 0x%x/0x%x, want impossible-label fill", rec.Lab0, rec.Lab1)
+				r.errf("C-SLOT", id, idLocus(id), "empty state's fast slots hold 0x%x/0x%x, want impossible-label fill", rec.Lab0, rec.Lab1)
 			}
 		}
 
-		checkPlausFields(r, id, locus, rec, want)
+		checkPlausFields(r, id, rec, want)
 	}
 
 	checkEntryTable(r, v, a)
@@ -293,9 +292,13 @@ func compiledStructural(r *Report, v core.CompiledAudit, a *core.Automaton, cfg 
 	}
 }
 
+// idLocus renders the plain locus of a compiled-state finding; like
+// stateLocus it is called only on the branch that reports one.
+func idLocus(id core.StateID) string { return fmt.Sprintf("state %d", id) }
+
 // checkPlausFields proves C-PLAUS: the 64-byte record's desync-check fields
 // must equal what Compile derives from the state's block terminator.
-func checkPlausFields(r *Report, id core.StateID, locus string, rec core.StateAudit, want *core.State) {
+func checkPlausFields(r *Report, id core.StateID, rec core.StateAudit, want *core.State) {
 	var flags uint8
 	var btgt, fthru uint64
 	if want.TBB != nil {
@@ -312,13 +315,13 @@ func checkPlausFields(r *Report, id core.StateID, locus string, rec core.StateAu
 		}
 	}
 	if rec.Flags != flags {
-		r.errf("C-PLAUS", id, locus, "flags 0x%x, block terminator implies 0x%x", rec.Flags, flags)
+		r.errf("C-PLAUS", id, idLocus(id), "flags 0x%x, block terminator implies 0x%x", rec.Flags, flags)
 	}
 	if rec.BranchTarget != btgt {
-		r.errf("C-PLAUS", id, locus, "branch target 0x%x, block terminator implies 0x%x", rec.BranchTarget, btgt)
+		r.errf("C-PLAUS", id, idLocus(id), "branch target 0x%x, block terminator implies 0x%x", rec.BranchTarget, btgt)
 	}
 	if rec.FallThrough != fthru {
-		r.errf("C-PLAUS", id, locus, "fall-through 0x%x, block implies 0x%x", rec.FallThrough, fthru)
+		r.errf("C-PLAUS", id, idLocus(id), "fall-through 0x%x, block implies 0x%x", rec.FallThrough, fthru)
 	}
 }
 
@@ -436,7 +439,6 @@ func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.Compil
 	for i := 0; i < n; i++ {
 		id := core.StateID(i)
 		st := a.State(id)
-		locus := stateLocus(id, st)
 
 		alphabet := make(map[uint64]bool)
 		for _, l := range st.Labels() {
@@ -461,7 +463,7 @@ func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.Compil
 			wantTgt, wantOK := st.Next(label)
 			gotTgt, gotOK := c.NextState(id, label)
 			if wantOK != gotOK || (wantOK && wantTgt != gotTgt) {
-				r.errf("C-EQ", id, locus, "transition on 0x%x: compiled (%d,%v) != automaton (%d,%v)", label, gotTgt, gotOK, wantTgt, wantOK)
+				r.errf("C-EQ", id, stateLocus(id, st), "transition on 0x%x: compiled (%d,%v) != automaton (%d,%v)", label, gotTgt, gotOK, wantTgt, wantOK)
 			}
 		}
 
@@ -469,7 +471,7 @@ func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.Compil
 			wantPl := plausibleByTerm(st, alphabet)
 			for label, want := range wantPl {
 				if got := auditPlausible(v.States[i], label); got != want {
-					r.errf("C-EQ", id, locus, "plausibility of 0x%x: compiled %v != block terminator %v", label, got, want)
+					r.errf("C-EQ", id, stateLocus(id, st), "plausibility of 0x%x: compiled %v != block terminator %v", label, got, want)
 				}
 			}
 		}

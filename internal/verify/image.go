@@ -18,7 +18,15 @@ import (
 // gate handle "rejected" and "decoded but structurally bad" through one
 // interface.
 func Image(data []byte, cache *cfg.Cache, cfg core.LookupConfig) *Report {
-	r := &Report{}
+	_, _, r := AdmitImage(data, cache, cfg)
+	return r
+}
+
+// AdmitImage is Image returning the artifacts it verified as well: the
+// decoded automaton and the compiled form the C-* rules audited (both nil
+// when decoding failed). An admission gate swaps in exactly what was
+// proven instead of decoding and compiling the image a second time.
+func AdmitImage(data []byte, cache *cfg.Cache, cfg core.LookupConfig) (*core.Automaton, *core.Compiled, *Report) {
 	a, err := core.Decode(data, cache)
 	if err != nil {
 		f := Finding{Rule: "W-DEC", Severity: Error, State: -1, Offset: -1,
@@ -27,11 +35,19 @@ func Image(data []byte, cache *cfg.Cache, cfg core.LookupConfig) *Report {
 			f.Offset = de.Offset
 			f.Locus = fmt.Sprintf("offset %d (%s)", de.Offset, de.Field)
 		}
-		r.add(f)
-		return r
+		return nil, nil, &Report{Findings: []Finding{f}}
 	}
-	r.Merge(Automaton(a, cache))
-	r.Merge(Compiled(core.Compile(a, cfg)))
+	c, r := AdmitAutomaton(a, cache, cfg)
+	return a, c, r
+}
+
+// AdmitAutomaton runs every automaton rule (the CFG rules too when cache
+// is non-nil) and the full compiled-form audit over an in-memory
+// automaton, returning the compiled form it audited with the report.
+func AdmitAutomaton(a *core.Automaton, cache *cfg.Cache, cfg core.LookupConfig) (*core.Compiled, *Report) {
+	c := core.Compile(a, cfg)
+	r := Automaton(a, cache)
+	r.Merge(Compiled(c))
 	r.normalize()
-	return r
+	return c, r
 }

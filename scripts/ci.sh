@@ -29,6 +29,7 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeEvents -fuzztime=10s ./internal/obs
 go test -run='^$' -fuzz=FuzzDecodeFlight -fuzztime=10s ./internal/obs
+go test -run='^$' -fuzz=FuzzParseEdges -fuzztime=10s ./internal/serve
 
 # Serving-layer gate: the wire/session/breaker suites and the chaos matrix
 # under the race detector — including the flight-recorder suffix check, which
