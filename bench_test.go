@@ -389,27 +389,6 @@ func BenchmarkCompiledReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelReplay shards the captured stream across goroutines. The
-// equality guard makes the bench double as a correctness check: every shard
-// count must produce the sequential replay's exact stats.
-func BenchmarkParallelReplay(b *testing.B) {
-	f := streamFor(b, "176.gcc")
-	compiled := core.Compile(f.a, core.ConfigGlobalNoLocal)
-	want, wantCur := core.SequentialReplay(compiled, f.stream)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st, cur := core.ParallelReplay(compiled, f.stream, shards)
-				if st != want || cur != wantCur {
-					b.Fatalf("shards=%d diverged from sequential replay", shards)
-				}
-			}
-			reportPerEdge(b, uint64(b.N)*uint64(len(f.stream)))
-		})
-	}
-}
-
 // BenchmarkStateTransLookup ablates per-state transition storage: the
 // sorted-slice State.Next versus a map (DESIGN.md §5.4). Trace states have
 // very few transitions, which is why the automaton uses the slice.

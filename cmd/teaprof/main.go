@@ -10,7 +10,7 @@
 //	teaprof -bench mcf -replay out.tea -profile     # + per-trace profile
 //	teaprof -bench mcf -replay out.tea -compiled    # batched compiled replay
 //	teaprof -bench mcf -replay out.tea -layout      # SoA/stride-table layout report
-//	teaprof -bench mcf -replay out.tea -shards 4    # sharded parallel replay
+//	teaprof -bench mcf -replay out.tea -pipeline -workers 4  # sharded replay
 //	teaprof -asm prog.s -record out.tea             # use an assembly file
 //	teaprof -bench gcc -record out.tea -strategy tt # TT instead of MRET
 //
@@ -43,13 +43,12 @@ func main() {
 	top := flag.Int("top", 5, "with -profile: how many hottest traces to print")
 	compiled := flag.Bool("compiled", false, "with -replay: replay through the compiled flat automaton")
 	layout := flag.Bool("layout", false, "with -replay: print the compiled form's memory-layout report (SoA residency, stride-table occupancy, cycle hit rate)")
-	shards := flag.Int("shards", 1, "with -replay: capture the block stream and replay it in N parallel shards")
 	pipelineFlag := flag.Bool("pipeline", false, "decouple capture from processing: sequenced chunks, scan workers, reconciling drain (works with -record and -replay)")
-	workers := flag.Int("workers", 0, "with -pipeline: scan worker count (0 = GOMAXPROCS)")
-	chunkEdges := flag.Int("chunk", 0, "with -pipeline: edges per chunk (0 = default 4096)")
+	workers := flag.Int("workers", 0, "with -pipeline or -serve: scan worker count (0 = GOMAXPROCS)")
+	chunkEdges := flag.Int("chunk", 0, "with -pipeline or -serve: edges per chunk (0 = default 4096)")
 	obsFlag := flag.Bool("obs", false, "attach the observability layer and print Prometheus metrics after the run")
 	eventsOut := flag.String("events", "", "with -obs: write the drained binary event log to this file (decode with teadump -events)")
-	serve := flag.String("serve", "", "with -replay: replay the stream in a loop and serve /metrics, /metrics.json, /debug/events and /debug/pprof on this address")
+	serve := flag.String("serve", "", "with -replay: replay the stream in a loop through the pipeline and serve /metrics, /metrics.json, /debug/events and /debug/pprof on this address")
 	flag.Parse()
 
 	prog, err := cli.LoadProgram("teaprof", *bench, *asmFile, *target)
@@ -114,7 +113,7 @@ func main() {
 			fail(err)
 		}
 		if *serve != "" {
-			serveObs(prog, a, o, *shards, *serve)
+			serveObs(prog, a, pcfg, *serve)
 			return
 		}
 		if *layout {
@@ -143,19 +142,6 @@ func main() {
 			fmt.Printf("pipeline replay: %d chunks drained\n", pm.Drained)
 			printStats(stats)
 			printPipeMetrics(pm)
-			emitObs(o, *eventsOut)
-			return
-		}
-		if *shards > 1 {
-			stream, tail, err := tea.CaptureStream(prog)
-			if err != nil {
-				fail(err)
-			}
-			c := tea.Compile(a, tea.ConfigGlobalLocal)
-			stats, final := tea.ParallelReplayObs(c, stream, *shards, o)
-			stats.AccountTail(final, tail)
-			fmt.Printf("parallel replay: %d edges in %d shards\n", len(stream), *shards)
-			printStats(&stats)
 			emitObs(o, *eventsOut)
 			return
 		}
@@ -227,22 +213,25 @@ func emitObs(o *tea.Obs, eventsOut string) {
 	}
 }
 
-// serveObs replays the captured stream in a loop while serving the
-// observability endpoints; it blocks until the process is killed.
-func serveObs(prog *tea.Program, a *tea.Automaton, o *tea.Obs, shards int, addr string) {
+// serveObs replays the captured stream in a loop through one persistent
+// replay pipeline while serving the observability endpoints; it blocks
+// until the process is killed.
+func serveObs(prog *tea.Program, a *tea.Automaton, pcfg tea.PipelineConfig, addr string) {
 	stream, _, err := tea.CaptureStream(prog)
 	if err != nil {
 		fail(err)
 	}
-	c := tea.Compile(a, tea.ConfigGlobalLocal)
+	pl := tea.NewReplayPipeline(tea.Compile(a, tea.ConfigGlobalNoLocal), pcfg)
 	go func() {
 		for {
-			tea.ParallelReplayObs(c, stream, shards, o)
+			pl.Feed(stream)
+			pl.Barrier()
+			pl.Reset()
 		}
 	}()
-	fmt.Printf("serving /metrics, /metrics.json, /debug/events, /debug/pprof on %s (replaying %d edges in a loop, %d shard(s))\n",
-		addr, len(stream), shards)
-	if err := http.ListenAndServe(addr, tea.ObsHandler(o)); err != nil {
+	fmt.Printf("serving /metrics, /metrics.json, /debug/events, /debug/pprof on %s (replaying %d edges in a loop through the pipeline)\n",
+		addr, len(stream))
+	if err := http.ListenAndServe(addr, tea.ObsHandler(pcfg.Obs)); err != nil {
 		fail(err)
 	}
 }

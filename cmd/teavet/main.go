@@ -12,8 +12,8 @@
 //	            against cmd/teavet/wirelock.json: renumbering or removing
 //	            a wire value is a hard failure, appending updates the
 //	            golden via -update;
-//	failsem   — the old tealint panic-site / exported-no-error ratchet,
-//	            ported onto typed analysis.
+//	failsem   — the panic-site / exported-no-error ratchet, on typed
+//	            analysis.
 //
 // hotalloc, atomicmix and failsem findings are ratcheted against
 // cmd/teavet/baseline.txt ("key count" lines): only findings beyond the

@@ -1,7 +1,6 @@
-// Package failsem is the typed port of the old cmd/tealint go/ast walker:
-// it enforces the repository's failure-semantics conventions in the
-// packages that own them (the panic→error conversion work of PR 1 keeps
-// regressing risk otherwise):
+// Package failsem is the typed failure-semantics ratchet: it enforces the
+// repository's failure-semantics conventions in the packages that own them
+// (without it, the panic→error conversion keeps regressing):
 //
 //	panic   — a call to the predeclared panic inside a guarded package;
 //	noerror — an exported function or method in a guarded package whose

@@ -46,8 +46,8 @@ var (
 //
 // A Compiled is immutable after Compile and safe for concurrent readers;
 // all mutable replay state (cursor, stats, local caches) lives in
-// CompiledReplayer, which is what lets ParallelReplay shard one Compiled
-// across goroutines without synchronization.
+// CompiledReplayer, which is what lets the replay pipeline shard one
+// Compiled across goroutines without synchronization.
 type Compiled struct {
 	a *Automaton
 

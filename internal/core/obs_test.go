@@ -246,79 +246,6 @@ func TestBatchEventsMatchSequentialObs(t *testing.T) {
 	eventsEqual(t, "batch vs sequential", batchEvents, seqEvents)
 }
 
-// TestParallelObsMatchesSequentialObs is the shard-merge property test:
-// for several shard counts, the parallel replay's summed per-shard
-// counters, merged event stream, derived histograms, Stats and final state
-// all equal the sequential replay's on the same stream — including streams
-// with desyncs landing near shard boundaries.
-func TestParallelObsMatchesSequentialObs(t *testing.T) {
-	a, m := buildTestAutomaton(t)
-	base := captureTestStream(t, m)
-
-	for _, streamCase := range []struct {
-		name   string
-		stream []Edge
-	}{
-		{"clean", base},
-		{"desyncs", perturb(base, 5)},
-		{"desync-heavy", perturb(base, 2)},
-	} {
-		seqO := obs.NewWith(obs.NewRegistry(), 1<<16)
-		c := Compile(a, ConfigGlobalNoLocal)
-		seqSt, seqCur := SequentialReplayObs(c, streamCase.stream, seqO)
-		seqEvents, _ := seqO.Tracer.Snapshot()
-
-		for _, shards := range []int{2, 3, 4, 7} {
-			parO := obs.NewWith(obs.NewRegistry(), 1<<16)
-			parSt, parCur := ParallelReplayObs(c, streamCase.stream, shards, parO)
-			if parSt != seqSt || parCur != seqCur {
-				t.Fatalf("%s/%d shards: stats diverge:\nseq %+v cur=%d\npar %+v cur=%d",
-					streamCase.name, shards, seqSt, seqCur, parSt, parCur)
-			}
-			if got, want := replayCounters(parO), replayCounters(seqO); got != want {
-				t.Fatalf("%s/%d shards: summed per-shard counters diverge:\nseq %+v\npar %+v",
-					streamCase.name, shards, want, got)
-			}
-			parEvents, _ := parO.Tracer.Snapshot()
-			eventsEqual(t, streamCase.name, seqEvents, parEvents)
-			for _, h := range []struct {
-				name string
-				s, p *obs.Histogram
-			}{
-				{"probe", seqO.Replay.ProbeDepth, parO.Replay.ProbeDepth},
-				{"visit", seqO.Replay.VisitEdges, parO.Replay.VisitEdges},
-				{"gap", seqO.Replay.ResyncGap, parO.Replay.ResyncGap},
-			} {
-				sb, sc, ss := h.s.Buckets()
-				pb, pc, ps := h.p.Buckets()
-				if sc != pc || ss != ps {
-					t.Fatalf("%s/%d shards: %s histogram count/sum diverge: %d/%d vs %d/%d",
-						streamCase.name, shards, h.name, sc, ss, pc, ps)
-				}
-				for i := range sb {
-					if sb[i] != pb[i] {
-						t.Fatalf("%s/%d shards: %s bucket %d diverges: %d vs %d",
-							streamCase.name, shards, h.name, i, sb[i], pb[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelObsNilDelegates checks the nil-context fast path returns the
-// plain parallel result.
-func TestParallelObsNilDelegates(t *testing.T) {
-	a, m := buildTestAutomaton(t)
-	stream := captureTestStream(t, m)
-	c := Compile(a, ConfigGlobalNoLocal)
-	wantSt, wantCur := ParallelReplay(c, stream, 4)
-	gotSt, gotCur := ParallelReplayObs(c, stream, 4, nil)
-	if gotSt != wantSt || gotCur != wantCur {
-		t.Fatal("ParallelReplayObs(nil) diverges from ParallelReplay")
-	}
-}
-
 // TestEventLogRoundTripFromReplay drains a real replay's ring into the
 // binary log and back — the teadump -events contract end to end.
 func TestEventLogRoundTripFromReplay(t *testing.T) {

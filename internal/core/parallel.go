@@ -1,10 +1,7 @@
 package core
 
-import (
-	"runtime"
-)
-
-// This file implements sharded parallel replay over a Compiled automaton.
+// This file holds the memoryless transition function sharded replay rests
+// on, and the sequential reference replay built from it.
 //
 // The exactness argument (see DESIGN.md §9): with the local caches out of
 // the picture, consuming one stream edge is a *memoryless* function — the
@@ -19,8 +16,9 @@ import (
 // for the rest of the segment by induction, so the merged Stats are
 // byte-identical to a sequential replay. Local caches are excluded because
 // their hit/miss counters depend on unboundedly old history, which no
-// bounded re-replay can reconstruct; ParallelReplay always uses the
-// cache-less transition function, matching SequentialReplay.
+// bounded re-replay can reconstruct; sharded replay (internal/pipeline)
+// always uses the cache-less transition function, matching
+// SequentialReplay.
 
 // step consumes one edge with the memoryless (cache-less) transition
 // function, charging the increments to st and returning the post-state.
@@ -78,8 +76,8 @@ func (c *Compiled) step(cur StateID, desynced bool, label, instrs uint64, st *St
 
 // SequentialReplay replays the stream in order from NTE with the
 // memoryless (cache-less) transition function and returns the stats and
-// final state. It is the reference ParallelReplay must match byte for byte,
-// and equals a CompiledReplayer over a Local-less Compile of the same
+// final state. It is the reference sharded replay (internal/pipeline) must
+// match byte for byte, and equals a CompiledReplayer over a Local-less Compile of the same
 // automaton.
 func SequentialReplay(c *Compiled, stream []Edge) (Stats, StateID) {
 	var st Stats
@@ -87,31 +85,6 @@ func SequentialReplay(c *Compiled, stream []Edge) (Stats, StateID) {
 	for k := range stream {
 		cur, desynced = c.step(cur, desynced, stream[k].Label, stream[k].Instrs, &st)
 	}
-	return st, cur
-}
-
-// ParallelReplay shards the stream into contiguous segments replayed
-// concurrently and merges the results. The merged Stats and final state are
-// byte-identical to SequentialReplay on the same stream (the reconciliation
-// argument above); the speed-up comes from the speculative segment replays
-// running on all cores with reconciliation touching only the short
-// non-converged prefix of each junction. The scans run on the persistent
-// shard worker pool and every per-pass buffer is pooled (shard.go), so the
-// steady state allocates nothing.
-//
-// shards <= 1 (or a stream shorter than the shard count) falls back to
-// SequentialReplay; shards <= 0 selects GOMAXPROCS.
-func ParallelReplay(c *Compiled, stream []Edge, shards int) (Stats, StateID) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > len(stream) {
-		shards = len(stream)
-	}
-	if shards <= 1 {
-		return SequentialReplay(c, stream)
-	}
-	st, cur, _ := parallelReplay(c, stream, shards, nil, nil)
 	return st, cur
 }
 

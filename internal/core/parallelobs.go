@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"github.com/lsc-tea/tea/internal/obs"
 )
 
@@ -18,10 +16,10 @@ import (
 // a private slice (its per-shard sink — no synchronization on the hot
 // path); reconciliation splices true-prefix events with post-convergence
 // speculative events; and the merged, edge-ordered stream is folded
-// through the same Obs emitters the sequential path uses. Counters are
-// charged to per-shard cells (obs.Counter.AddShard), so concurrent shards
-// never contend on a cache line and the aggregate equals the sequential
-// fold by the byte-identical-Stats theorem of DESIGN.md §9.
+// through the same Obs emitters the sequential path uses. The pipeline
+// drain charges each chunk's counter delta to one per-shard cell
+// (obs.Counter.AddShard), and the aggregate equals the sequential fold by
+// the byte-identical-Stats theorem of DESIGN.md §9.
 
 // stepObs is step with event collection: identical Stats increments and
 // post-state for every input, additionally appending the edge's events
@@ -104,32 +102,5 @@ func SequentialReplayObs(c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID
 	o.AdvanceEdges(uint64(len(stream)))
 	obsFoldReplay(o, 0, &st)
 	o.IngestReplay(evs)
-	return st, cur
-}
-
-// ParallelReplayObs is ParallelReplay with observability. The merged Stats
-// and final state stay byte-identical to SequentialReplay; additionally the
-// merged event stream — and therefore the ring contents and every derived
-// histogram — is identical to what SequentialReplayObs produces on the same
-// stream, because reconciliation splices speculative-prefix events out
-// exactly where it swaps speculative-prefix Stats out. Counter updates land
-// in per-shard cells, the shard scans run SpecReplayObs's call-free loop on
-// the persistent pool, and the event sinks, trajectories and junction
-// scratch are all pooled (shard.go) — obs=on parallel replay allocates
-// nothing in the steady state. A nil context delegates to ParallelReplay.
-func ParallelReplayObs(c *Compiled, stream []Edge, shards int, o *obs.Obs) (Stats, StateID) {
-	if o == nil {
-		return ParallelReplay(c, stream, shards)
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > len(stream) {
-		shards = len(stream)
-	}
-	if shards <= 1 {
-		return SequentialReplayObs(c, stream, o)
-	}
-	st, cur, _ := parallelReplay(c, stream, shards, o, nil)
 	return st, cur
 }

@@ -444,8 +444,8 @@ func (r *Replayer) account(state StateID, instrs uint64) {
 
 // AccountTail folds instrs executed without an automaton transition into s,
 // attributed to state cur — what AccountOnly does through a replayer, made
-// available to callers that hold only a Stats (e.g. after ParallelReplay,
-// to account a run's unreported tail from pin's Fini callback).
+// available to callers that hold only a Stats (e.g. after a pipeline
+// Barrier, to account a run's unreported tail from pin's Fini callback).
 func (s *Stats) AccountTail(cur StateID, instrs uint64) {
 	if instrs == 0 {
 		// The initial pseudo-edge carries no finished block.

@@ -1,21 +1,14 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/obs"
 )
 
-// This file factors the sharded-replay machinery of parallel.go into
-// reusable primitives: speculative segment scans (SpecReplay, SpecReplayObs,
-// SpecRecord), junction reconciliation (Reconciler), and a persistent
-// worker pool with pooled per-pass buffers. ParallelReplay,
-// ParallelReplayObs and ParallelReplayContext are thin entry points over
-// these, and internal/pipeline runs the same scans on sequence-stamped
-// chunks of a *live* stream — the decoupled capture→process pipeline.
+// This file holds the sharded-replay primitives: speculative segment scans
+// (SpecReplay, SpecReplayObs, SpecRecord) and junction reconciliation
+// (Reconciler). internal/pipeline is the one executor that drives them
+// across goroutines, on sequence-stamped chunks of a stream (DESIGN.md §14).
 //
 // Two properties carry everything (DESIGN.md §9, §14):
 //
@@ -30,12 +23,8 @@ import (
 //     Stats (and events, and record-mode candidate decisions) are
 //     byte-identical to a sequential pass.
 //
-// The pool exists for the zero-alloc invariant: `go func` closures, per-pass
-// result slices and per-junction event scratch all allocate, which is why
-// BENCH_obs.json used to show ~0.0007–0.003 allocs/edge on the parallel
-// rows. Persistent workers fed job pointers over a channel, a mutex-guarded
-// job free list (immune to GC clearing, unlike sync.Pool), and SpecResults
-// that reuse their buffers bring the steady state to exactly 0 allocs/edge.
+// SpecResults and the Reconciler reuse their buffers, so a caller that
+// recycles them (the pipeline's chunk ring does) replays at 0 allocs/edge.
 
 // SpecResult is one segment's speculative scan result: the Stats charged
 // from the guessed (NTE, in-sync) entry, the post-state trajectory
@@ -53,9 +42,6 @@ type SpecResult struct {
 	// Miss are a record scan's trace-side global-container searches, replayed
 	// against the live index at drain time for probe-depth observability.
 	Miss []ProbeRec
-
-	// abandoned marks a cancelled scan (context path); the merge is skipped.
-	abandoned bool
 }
 
 // Reset prepares the result for a segment of n edges, reusing capacity.
@@ -71,7 +57,6 @@ func (r *SpecResult) Reset(n int) {
 	r.Evs = r.Evs[:0]
 	r.Cands = r.Cands[:0]
 	r.Miss = r.Miss[:0]
-	r.abandoned = false
 }
 
 // RecCand is one recording head candidate observed by a speculative record
@@ -184,23 +169,6 @@ func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
 		desyn[k] = des
 		k++
 	}
-}
-
-// specReplayCancel is SpecReplay with cancellation polling; it reports
-// whether the scan ran to completion.
-func (c *Compiled) specReplayCancel(seg []Edge, r *SpecResult, cancelled *atomic.Bool) bool {
-	r.Reset(len(seg))
-	cur, des := NTE, false
-	for k := range seg {
-		if k%cancelStride == 0 && cancelled.Load() {
-			r.abandoned = true
-			return false
-		}
-		cur, des = c.step(cur, des, seg[k].Label, seg[k].Instrs, &r.Stats)
-		r.Curs[k] = cur
-		r.Desyn[k] = des
-	}
-	return true
 }
 
 // SpecReplayObs is SpecReplay with event collection: identical Stats and
@@ -671,8 +639,8 @@ func (rc *Reconciler) MergeRecord(c *Compiled, edges []cfg.Edge, instrs []uint64
 }
 
 // FoldReplayObs charges a Stats delta to the replay counter set under the
-// given shard's cells — the exported form of the fold the parallel and
-// pipeline drains use at sequence boundaries.
+// given shard's cells — the exported form of the fold the pipeline drains
+// use at sequence boundaries.
 func FoldReplayObs(o *obs.Obs, shard int, d *Stats) { obsFoldReplay(o, shard, d) }
 
 // ReplayProbeEvents re-issues the trace-side global-container searches a
@@ -698,235 +666,4 @@ func (r *Replayer) ReplayProbeEvents(misses []ProbeRec, base uint64) {
 	o.Tracer.EmitBatch(evs)
 	o.SetEdge(evs[len(evs)-1].Edge)
 	r.probeEvs = evs
-}
-
-// ---------------------------------------------------------------------------
-// Persistent shard worker pool.
-
-// parJob is one parallel replay pass: the descriptor the persistent workers
-// and the calling goroutine both draw shards from, plus every buffer the
-// pass needs. Jobs recycle through a free list so the steady state
-// allocates nothing.
-type parJob struct {
-	c      *Compiled
-	stream []Edge
-	bounds []int
-	res    []SpecResult
-	nshard int
-	useObs bool
-	base   uint64
-	cancel *atomic.Bool
-
-	// next is the shard-claim ticket; its Store in init publishes the fields
-	// above to the workers that observe it.
-	next atomic.Int32
-	wg   sync.WaitGroup
-
-	rc     Reconciler
-	merged []obs.Event
-
-	// refs counts the holders of the job: the caller plus every queue
-	// entry offered to a worker. A worker can dequeue an entry after the
-	// pass has finished; the job returns to the free list only when the
-	// last holder lets go, so a late worker never sees it re-initialized.
-	refs atomic.Int32
-
-	link *parJob // free-list link
-}
-
-var (
-	parMu      sync.Mutex
-	parFreeJob *parJob
-	parQueue   chan *parJob
-	parSpawned atomic.Int32
-)
-
-// parMaxWorkers caps the persistent helper pool; the calling goroutine
-// always participates, so shard counts beyond the cap still complete.
-const parMaxWorkers = 16
-
-// ensureParWorkers lazily spawns the persistent shard workers, sized to the
-// host (GOMAXPROCS-1 helpers; the caller is the final worker).
-func ensureParWorkers() {
-	parMu.Lock()
-	defer parMu.Unlock()
-	want := runtime.GOMAXPROCS(0) - 1
-	if want > parMaxWorkers {
-		want = parMaxWorkers
-	}
-	if parQueue == nil {
-		parQueue = make(chan *parJob, 64)
-	}
-	for int(parSpawned.Load()) < want {
-		parSpawned.Add(1)
-		go func() {
-			for j := range parQueue {
-				j.run()
-				releaseParJob(j)
-			}
-		}()
-	}
-}
-
-// acquireParJob returns a free job held once, by the caller.
-func acquireParJob() *parJob {
-	parMu.Lock()
-	defer parMu.Unlock()
-	j := parFreeJob
-	if j != nil {
-		parFreeJob = j.link
-		j.link = nil
-	} else {
-		j = &parJob{}
-	}
-	j.refs.Store(1)
-	return j
-}
-
-// releaseParJob drops one hold on j, parking it on the free list when it
-// was the last.
-func releaseParJob(j *parJob) {
-	if j.refs.Add(-1) != 0 {
-		return
-	}
-	// Drop the pass-specific references so a parked job cannot pin a
-	// Compiled image or a captured stream; the scratch buffers are the
-	// point of the pool and stay.
-	j.c = nil
-	j.stream = nil
-	j.cancel = nil
-	parMu.Lock()
-	j.link = parFreeJob
-	parFreeJob = j
-	parMu.Unlock()
-}
-
-// init prepares the job for one pass. Field writes happen before the
-// next.Store(0) publication; workers claim shards with next.Add, which
-// synchronizes with the store.
-func (j *parJob) init(c *Compiled, stream []Edge, shards int, useObs bool, base uint64, cancel *atomic.Bool) {
-	j.c = c
-	j.stream = stream
-	j.nshard = shards
-	j.useObs = useObs
-	j.base = base
-	j.cancel = cancel
-	if cap(j.bounds) < shards+1 {
-		j.bounds = make([]int, shards+1)
-	} else {
-		j.bounds = j.bounds[:shards+1]
-	}
-	for i := 0; i <= shards; i++ {
-		j.bounds[i] = i * len(stream) / shards
-	}
-	if cap(j.res) < shards {
-		nr := make([]SpecResult, shards)
-		copy(nr, j.res[:cap(j.res)])
-		j.res = nr
-	} else {
-		j.res = j.res[:shards]
-	}
-	j.wg.Add(shards)
-	j.next.Store(0)
-}
-
-// run claims and scans shards until none remain. Both the persistent
-// workers and the calling goroutine run this; a worker that receives the
-// job after every shard is claimed (a stale queue entry) returns
-// immediately.
-func (j *parJob) run() {
-	for {
-		k := int(j.next.Add(1)) - 1
-		if k >= j.nshard {
-			return
-		}
-		j.scanShard(k)
-		j.wg.Done()
-	}
-}
-
-func (j *parJob) scanShard(k int) {
-	seg := j.stream[j.bounds[k]:j.bounds[k+1]]
-	r := &j.res[k]
-	switch {
-	case j.cancel != nil:
-		j.c.specReplayCancel(seg, r, j.cancel)
-	case j.useObs:
-		j.c.SpecReplayObs(seg, j.base+uint64(j.bounds[k]), r)
-	default:
-		j.c.SpecReplay(seg, r)
-	}
-}
-
-// dispatch offers the job to idle persistent workers (never blocking the
-// caller: a full queue just means the caller scans more shards itself),
-// participates, and waits for every shard.
-func (j *parJob) dispatch() {
-	helpers := j.nshard - 1
-	if n := int(parSpawned.Load()); helpers > n {
-		helpers = n
-	}
-offer:
-	for i := 0; i < helpers; i++ {
-		j.refs.Add(1) // the worker that dequeues this entry releases it
-		select {
-		case parQueue <- j:
-		default:
-			j.refs.Add(-1)
-			break offer // queue full; the caller scans the rest itself
-		}
-	}
-	j.run()
-	j.wg.Wait()
-}
-
-// parallelReplay is the engine behind ParallelReplay, ParallelReplayObs and
-// ParallelReplayContext: speculative shard scans on the persistent pool,
-// then left-to-right junction reconciliation. The caller guarantees
-// 2 <= shards <= len(stream). Returns ok=false when cancelled.
-func parallelReplay(c *Compiled, stream []Edge, shards int, o *obs.Obs, cancel *atomic.Bool) (Stats, StateID, bool) {
-	ensureParWorkers()
-	j := acquireParJob()
-	var base uint64
-	if o != nil {
-		base = o.EdgeBase()
-	}
-	j.init(c, stream, shards, o != nil, base, cancel)
-	j.dispatch()
-	if cancel != nil && cancel.Load() {
-		releaseParJob(j)
-		return Stats{}, NTE, false
-	}
-
-	var total Stats
-	cur, des := NTE, false
-	if o == nil {
-		for i := 0; i < shards; i++ {
-			seg := stream[j.bounds[i]:j.bounds[i+1]]
-			d, c2, d2 := j.rc.Merge(c, seg, cur, des, &j.res[i])
-			total.add(&d)
-			cur, des = c2, d2
-		}
-		releaseParJob(j)
-		return total, cur, true
-	}
-
-	// Junction reconciliation is the only sequential section, so it carries
-	// the profiling span; counters fold per shard into per-shard cells and
-	// the merged, edge-ordered event stream feeds the shared ingest path.
-	sp := obs.StartSpan(o, "parallel_reconcile")
-	j.merged = j.merged[:0]
-	for i := 0; i < shards; i++ {
-		seg := stream[j.bounds[i]:j.bounds[i+1]]
-		ebase := base + uint64(j.bounds[i])
-		d, c2, d2 := j.rc.MergeObs(c, seg, ebase, cur, des, &j.res[i], &j.merged)
-		obsFoldReplay(o, i, &d)
-		total.add(&d)
-		cur, des = c2, d2
-	}
-	sp.End()
-	o.AdvanceEdges(uint64(len(stream)))
-	o.IngestReplay(j.merged)
-	releaseParJob(j)
-	return total, cur, true
 }

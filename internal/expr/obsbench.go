@@ -44,8 +44,8 @@ type ObsBenchResult struct {
 const obsBenchRounds = 3
 
 // RunObsBench measures the enabled and disabled cost of the observability
-// layer on the two replay fast paths: the compiled batched replayer and
-// the sharded parallel replayer. Like RunReplayBench it defaults to a
+// layer on the compiled replay kernels (batched and stride-specialized) and
+// on the wire serve path. Like RunReplayBench it defaults to a
 // representative set: the (mcf, gcc) pair plus the 901.steady cycle
 // workload, where the stride kernel's obs-off/obs-on split matters most.
 func RunObsBench(opts Options) (*ObsBenchResult, error) {
@@ -102,8 +102,6 @@ func RunObsBench(opts Options) (*ObsBenchResult, error) {
 // observability context over one captured stream.
 func obsBenchStream(name string, a *core.Automaton, stream []core.Edge) ([]ObsBenchRow, error) {
 	compiled := core.Compile(a, core.ConfigGlobalLocal)
-	compiledNoCache := core.Compile(a, core.ConfigGlobalNoLocal)
-
 	specialized := core.Specialize(compiled, stream)
 
 	// A single long-lived context per enabled case: counters and histograms
@@ -111,7 +109,6 @@ func obsBenchStream(name string, a *core.Automaton, stream []core.Edge) ([]ObsBe
 	// serve loop, so the measurement includes steady-state ring overwrites.
 	batchObs := obs.New()
 	strideObs := obs.New()
-	parObs := obs.New()
 
 	// The batch cursors live across iterations (Reset per pass), matching
 	// BENCH_replay.json's compiled-batch rows: the steady-state loop itself
@@ -146,12 +143,6 @@ func obsBenchStream(name string, a *core.Automaton, stream []core.Edge) ([]ObsBe
 		{"compiled-stride", "on", func() {
 			strideOn.Reset()
 			strideOn.AdvanceBatch(stream)
-		}},
-		{fmt.Sprintf("parallel-%d", replayBenchShards), "off", func() {
-			core.ParallelReplay(compiledNoCache, stream, replayBenchShards)
-		}},
-		{fmt.Sprintf("parallel-%d", replayBenchShards), "on", func() {
-			core.ParallelReplayObs(compiledNoCache, stream, replayBenchShards, parObs)
 		}},
 	}
 

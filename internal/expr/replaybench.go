@@ -36,13 +36,10 @@ type ReplayBenchResult struct {
 	Rows   []ReplayBenchRow `json:"rows"`
 }
 
-// replayBenchShards is the shard count the parallel configuration uses.
-const replayBenchShards = 4
-
 // RunReplayBench measures ns/edge and allocs/edge for the reference
 // replayer (hash and B+ tree containers), the compiled replayer (single-edge,
-// batched, SoA-global and stride-specialized) and the sharded parallel
-// replayer, on a captured dynamic block stream per benchmark. When opts
+// batched, SoA-global and stride-specialized), on a captured dynamic block
+// stream per benchmark. When opts
 // names no benchmark subset it runs a representative set — the (mcf, gcc)
 // SPEC-like pair plus the steady-state cycle workloads the stride kernel
 // targets — instead of all benchmarks; wall-clock benchmarks are serial by
@@ -173,11 +170,6 @@ func benchStream(name string, a *core.Automaton, stream []core.Edge) ([]ReplayBe
 				r.AdvanceBatch(stream)
 			}
 		}},
-		{fmt.Sprintf("parallel-%d", replayBenchShards), seqCoverage(compiledNoCache, stream), 0, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.ParallelReplay(compiledNoCache, stream, replayBenchShards)
-			}
-		}},
 	}
 
 	rows := make([]ReplayBenchRow, 0, len(cases))
@@ -207,11 +199,6 @@ func coverageOf(c *core.Compiled, stream []core.Edge) float64 {
 	r := core.NewCompiledReplayer(c)
 	r.AdvanceBatch(stream)
 	return r.Stats().Coverage()
-}
-
-func seqCoverage(c *core.Compiled, stream []core.Edge) float64 {
-	st, _ := core.SequentialReplay(c, stream)
-	return st.Coverage()
 }
 
 // Render prints the replay benchmark as a table.

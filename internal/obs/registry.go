@@ -29,10 +29,9 @@ import (
 )
 
 // NumShards is the number of independent cells each counter and histogram
-// spreads its updates over. Writers that own a shard (one goroutine per
-// shard in ParallelReplay) update without contending; readers sum all the
-// cells. 8 covers the shard counts the parallel replayer uses in practice;
-// higher shard indices wrap.
+// spreads its updates over. Writers that own a shard update without
+// contending; readers sum all the cells. The replay pipeline drain charges
+// chunk seq to cell seq % NumShards; higher shard indices wrap.
 const NumShards = 8
 
 // cell is one padded counter cell: the value plus enough padding that two

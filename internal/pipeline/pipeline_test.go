@@ -3,14 +3,18 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/cpu"
+	"github.com/lsc-tea/tea/internal/faultinject"
 	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/obs"
 	"github.com/lsc-tea/tea/internal/trace"
@@ -20,7 +24,16 @@ import (
 // testProgram builds the seeded synthetic program the identity tests run.
 func testProgram(t testing.TB, seed int64) *isa.Program {
 	t.Helper()
-	spec, _ := workload.ByName("181.mcf")
+	return workloadProgram(t, "181.mcf", seed)
+}
+
+// workloadProgram builds the named workload at a small fixed scale.
+func workloadProgram(t testing.TB, name string, seed int64) *isa.Program {
+	t.Helper()
+	spec, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("no workload %s", name)
+	}
 	spec.Seed = seed
 	spec.WorkScale = 8
 	return workload.Program(spec)
@@ -153,73 +166,129 @@ func feedAll(p *ReplayPipeline, stream []core.Edge) {
 	}
 }
 
-// TestReplayPipelineMatchesSequential: Stats, final cursor and desync flag
-// equal SequentialReplay for a grid of worker counts, chunk sizes and ring
-// depths, on clean and desyncing streams.
-func TestReplayPipelineMatchesSequential(t *testing.T) {
-	p := testProgram(t, 1)
+// replayCase is one input of the replay identity tables: a compiled image
+// and the stream replayed against it.
+type replayCase struct {
+	name   string
+	c      *core.Compiled
+	stream []core.Edge
+}
+
+// replayCases builds the identity-table inputs: on the seeded test program,
+// clean and desyncing streams (periodic and desync-heavy perturbation), an
+// empty stream and a stream shorter than the largest worker count; on the
+// 901.steady loop nest, a Specialize'd image whose stride tables fire.
+func replayCases(t *testing.T, seed int64, period int) []replayCase {
+	t.Helper()
+	c, base := replayFixture(t, testProgram(t, seed))
+	sc, steady := replayFixture(t, workloadProgram(t, "901.steady", seed))
+	spec := core.Specialize(sc, steady)
+	// Not vacuous: a compiled replayer over the same image must consume
+	// edges through fused stride-table cycles.
+	r := core.NewCompiledReplayer(spec)
+	r.AdvanceBatch(steady)
+	if r.StrideEdges() == 0 {
+		t.Fatal("Specialize admitted no stride cycle that fires on the stream")
+	}
+	return []replayCase{
+		{"clean", c, base},
+		{"desyncs", c, perturb(base, period)},
+		{"desync-heavy", c, perturb(base, 2)},
+		{"empty", c, nil},
+		{"short", c, base[:3]},
+		{"specialized", spec, steady},
+		{"specialized-desyncs", spec, perturb(steady, period)},
+	}
+}
+
+// replayFixture records p's automaton, compiles it cache-less and captures
+// its label stream.
+func replayFixture(t *testing.T, p *isa.Program) (*core.Compiled, []core.Edge) {
+	t.Helper()
 	a := buildAutomaton(t, p)
 	edges, instrs := captureEdges(t, p)
-	base, _ := labelStream(edges, instrs)
-	c := core.Compile(a, core.ConfigGlobalNoLocal)
+	stream, _ := labelStream(edges, instrs)
+	return core.Compile(a, core.ConfigGlobalNoLocal), stream
+}
 
-	for _, sc := range []struct {
-		name   string
-		stream []core.Edge
-	}{
-		{"clean", base},
-		{"desyncs", perturb(base, 5)},
-	} {
-		wantSt, wantCur := core.SequentialReplay(c, sc.stream)
-		for _, cfgCase := range []Config{
-			{Workers: 1, ChunkEdges: 64, Depth: 4},
-			{Workers: 2, ChunkEdges: 256, Depth: 8},
-			{Workers: 4, ChunkEdges: 1000, Depth: 32},
-			{Workers: 3, ChunkEdges: 1 << 14, Depth: 4},
-		} {
-			pl := NewReplay(c, cfgCase)
-			feedAll(pl, sc.stream)
-			gotSt, gotCur := pl.Barrier()
-			m := pl.Metrics()
-			pl.Close()
-			if gotSt != wantSt || gotCur != wantCur {
+// TestReplayPipelineMatchesSequential: Stats, final cursor and desync flag
+// equal SequentialReplay for a grid of worker counts, chunk sizes and ring
+// depths, on every replayCases input plus a faultinject-perturbed stream.
+// The grid's pipelines run concurrently over one shared Compiled, so under
+// -race the test also proves the image is safely shared read-only.
+func TestReplayPipelineMatchesSequential(t *testing.T) {
+	cases := replayCases(t, 1, 5)
+	cases = append(cases, replayCase{"faultinject", cases[0].c, faultStream(cases[0].stream, 7)})
+
+	grid := []Config{
+		{Workers: 1, ChunkEdges: 64, Depth: 4},
+		{Workers: 2, ChunkEdges: 256, Depth: 8},
+		{Workers: 4, ChunkEdges: 1000, Depth: 32},
+		{Workers: 3, ChunkEdges: 1 << 14, Depth: 4},
+	}
+	type result struct {
+		st  core.Stats
+		cur core.StateID
+		m   Metrics
+	}
+	for _, sc := range cases {
+		wantSt, wantCur := core.SequentialReplay(sc.c, sc.stream)
+		got := make([]result, len(grid))
+		var wg sync.WaitGroup
+		for i, cfgCase := range grid {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pl := NewReplay(sc.c, cfgCase)
+				feedAll(pl, sc.stream)
+				got[i].st, got[i].cur = pl.Barrier()
+				got[i].m = pl.Metrics()
+				pl.Close()
+			}()
+		}
+		wg.Wait()
+		for i, cfgCase := range grid {
+			if got[i].st != wantSt || got[i].cur != wantCur {
 				t.Fatalf("%s %+v: diverges:\nseq  %+v cur=%d\npipe %+v cur=%d",
-					sc.name, cfgCase, wantSt, wantCur, gotSt, gotCur)
+					sc.name, cfgCase, wantSt, wantCur, got[i].st, got[i].cur)
 			}
-			if m.Published != m.Drained {
+			if m := got[i].m; m.Published != m.Drained {
 				t.Fatalf("%s %+v: published %d != drained %d", sc.name, cfgCase, m.Published, m.Drained)
 			}
 		}
 	}
 }
 
+// faultStream applies the fault injector's seeded drop/duplicate/swap mix
+// to a stream.
+func faultStream(stream []core.Edge, seed int64) []core.Edge {
+	events := make([]faultinject.BlockEvent, len(stream))
+	for i, e := range stream {
+		events[i] = faultinject.BlockEvent(e)
+	}
+	events = faultinject.New(seed).PerturbStream(events)
+	out := make([]core.Edge, len(events))
+	for i, e := range events {
+		out[i] = core.Edge(e)
+	}
+	return out
+}
+
 // TestReplayPipelineObsIdentity: with observability attached, the folded
 // registry, ingested event stream, Stats and cursor are byte-identical to
-// SequentialReplayObs.
+// SequentialReplayObs, on every replayCases input.
 func TestReplayPipelineObsIdentity(t *testing.T) {
-	p := testProgram(t, 2)
-	a := buildAutomaton(t, p)
-	edges, instrs := captureEdges(t, p)
-	base, _ := labelStream(edges, instrs)
-	c := core.Compile(a, core.ConfigGlobalNoLocal)
-
-	for _, sc := range []struct {
-		name   string
-		stream []core.Edge
-	}{
-		{"clean", base},
-		{"desyncs", perturb(base, 4)},
-	} {
+	for _, sc := range replayCases(t, 2, 4) {
 		seqO := obs.NewWith(obs.NewRegistry(), 1<<16)
 		seedLabelSeries(seqO)
-		wantSt, wantCur := core.SequentialReplayObs(c, sc.stream, seqO)
+		wantSt, wantCur := core.SequentialReplayObs(sc.c, sc.stream, seqO)
 		wantEvents, _ := seqO.Tracer.Snapshot()
 		wantJSON := registryComparable(t, seqO, false)
 
 		for _, workers := range []int{1, 2, 4} {
 			o := obs.NewWith(obs.NewRegistry(), 1<<16)
 			seedLabelSeries(o)
-			pl := NewReplay(c, Config{Workers: workers, ChunkEdges: 300, Depth: 8, Obs: o})
+			pl := NewReplay(sc.c, Config{Workers: workers, ChunkEdges: 300, Depth: 8, Obs: o})
 			feedAll(pl, sc.stream)
 			gotSt, gotCur := pl.Barrier()
 			pl.Close()
@@ -309,6 +378,48 @@ func TestReplayPipelineReset(t *testing.T) {
 				pass, wantSt, wantCur, gotSt, gotCur)
 		}
 		pl.Reset()
+	}
+}
+
+// TestReplayPipelineCloseAbandons is how a caller cancels a replay: it stops
+// feeding and calls Close without a Barrier. Close must return after
+// draining only what was already published — at most Depth chunks were in
+// flight — and every worker and drain goroutine must exit.
+func TestReplayPipelineCloseAbandons(t *testing.T) {
+	p := testProgram(t, 13)
+	a := buildAutomaton(t, p)
+	edges, instrs := captureEdges(t, p)
+	base, _ := labelStream(edges, instrs)
+	c := core.Compile(a, core.ConfigGlobalNoLocal)
+	var long []core.Edge
+	for len(long) < 1<<18 {
+		long = append(long, base...)
+	}
+	fed := len(long)/3 + 17 // leaves a partial chunk open at Close
+
+	before := runtime.NumGoroutine()
+	cfg := Config{Workers: 4, ChunkEdges: 512, Depth: 8}
+	pl := NewReplay(c, cfg)
+	pl.Feed(long[:fed])
+	closed := make(chan struct{})
+	go func() {
+		pl.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	m := pl.Metrics()
+	if want := uint64((fed + cfg.ChunkEdges - 1) / cfg.ChunkEdges); m.Published != want || m.Drained != want {
+		t.Fatalf("published %d / drained %d chunks, want %d: Close must drain exactly what was fed", m.Published, m.Drained, want)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewReplay", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

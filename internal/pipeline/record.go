@@ -16,13 +16,14 @@ import (
 // candidates, probe records). The drain then merges chunks in sequence
 // order:
 //
-//   - A *quiet* chunk — scanned against the current snapshot, automaton
-//     unchanged since, recorder in the Executing state, no trace being
-//     recorded, strategy cursor in lockstep — is accepted by replaying only
-//     the strategy's candidate policy (QuietObserver.CountCandidate per cold
-//     candidate) over the reconciled candidate list. The recorder's per-edge
-//     machinery is bypassed entirely; this is the scaling path once the
-//     trace set saturates.
+//   - A *quiet* chunk — a current snapshot exists (automaton unchanged
+//     since it was compiled; a chunk a worker scanned against an older one
+//     is rescanned on the drain), recorder in the Executing state, no
+//     trace being recorded, strategy cursor in lockstep — is accepted by
+//     replaying only the strategy's candidate policy
+//     (QuietObserver.CountCandidate per cold candidate) over the reconciled
+//     candidate list. The recorder's per-edge machinery is bypassed
+//     entirely; this is the scaling path once the trace set saturates.
 //
 //   - The first *hot* candidate in a chunk triggers a handoff: the true
 //     prefix before it is accounted from the reconciled scan, and the
@@ -30,7 +31,7 @@ import (
 //     machinery — so trace creation, automaton sync and entry insertion
 //     happen precisely as a sequential recorder would.
 //
-//   - Anything else (stale snapshot, mid-recording, strategy without
+//   - Anything else (no current snapshot, mid-recording, strategy without
 //     QuietObserver) falls back to ObserveBatch for the whole chunk.
 //
 // Because the quiet path's candidate decisions are reconciled to the true
@@ -41,7 +42,7 @@ import (
 //
 // The recorder is built cache-less (core.ConfigGlobalNoLocal): memoryless
 // transitions are what make speculative chunk scans reconcilable, exactly
-// as in ParallelReplay.
+// as in ReplayPipeline.
 type RecordPipeline struct {
 	pipe
 	rec   *core.Recorder
@@ -89,9 +90,13 @@ func NewRecord(strat trace.Strategy, cfg Config) *RecordPipeline {
 // Touch it only at a barrier.
 func (p *RecordPipeline) Recorder() *core.Recorder { return p.rec }
 
+// scanChunk scans against the snapshot current when the worker picks the
+// chunk up — the freshest one a worker can see, since the drain replaces
+// snapshots while chunks wait in the ring.
 func (p *RecordPipeline) scanChunk(c *chunk) {
-	if s := c.snap; s != nil {
-		s.c.SpecRecord(c.redges, c.rinstr, &c.res)
+	c.snap = p.snap.Load()
+	if c.snap != nil {
+		c.snap.c.SpecRecord(c.redges, c.rinstr, &c.res)
 	}
 }
 
@@ -141,14 +146,23 @@ func (p *RecordPipeline) noteVersion(a *core.Automaton) {
 
 func (p *RecordPipeline) drainChunk(c *chunk) {
 	a := p.rec.Automaton()
-	s := c.snap
+	s := p.snap.Load()
 	n := len(c.redges)
 
-	if s != nil && p.q != nil && s == p.snap.Load() && s.ver == a.Version() &&
+	if s != nil && p.q != nil && s.ver == a.Version() &&
 		p.rec.State() == core.RecExecuting && !p.strat.Recording() &&
 		(p.repStale || p.q.CursorTBB() == tbbOf(a, p.fcur)) {
-		// The scan is against the live transition function. Reconcile it to
-		// the true entry state and replay the candidate policy.
+		// The current snapshot is the live transition function. A worker
+		// that ran ahead of the drain scanned against an older snapshot (or
+		// none); rescan here, so whether a chunk takes the quiet path
+		// depends only on the drained history, not on how far the producer
+		// ran ahead. The rescan is still far cheaper than the sequential
+		// recorder it replaces.
+		if c.snap != s {
+			s.c.SpecRecord(c.redges, c.rinstr, &c.res)
+		}
+		// Reconcile the scan to the true entry state and replay the
+		// candidate policy.
 		m := p.rc.MergeRecord(s.c, c.redges, c.rinstr, p.fcur, p.fdes, &c.res)
 		hot := -1
 		for i := range m.Cands {
@@ -220,7 +234,6 @@ func (p *RecordPipeline) FeedEdge(e cfg.Edge, instrs uint64) {
 		c = p.getChunk()
 		c.redges = c.ownE[:0]
 		c.rinstr = c.ownI[:0]
-		c.snap = p.snap.Load()
 		p.cur = c
 	}
 	c.redges = append(c.redges, e)
@@ -257,7 +270,6 @@ func (p *RecordPipeline) Feed(edges []cfg.Edge, instrs []uint64) {
 		c := p.getChunk()
 		c.redges = edges[:ce:ce]
 		c.rinstr = instrs[:ce:ce]
-		c.snap = p.snap.Load()
 		p.publish(c, ce)
 		edges, instrs = edges[ce:], instrs[ce:]
 	}
@@ -266,7 +278,6 @@ func (p *RecordPipeline) Feed(edges []cfg.Edge, instrs []uint64) {
 		c := p.getChunk()
 		c.redges = append(c.ownE[:0], edges...)
 		c.rinstr = append(c.ownI[:0], instrs...)
-		c.snap = p.snap.Load()
 		p.cur = c
 	}
 }

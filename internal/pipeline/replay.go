@@ -13,9 +13,10 @@ import (
 // counters and the ingested event stream are byte-identical to
 // core.SequentialReplay(Obs) on the same stream.
 //
-// Like ParallelReplay, the replay semantics are memoryless (local caches
-// excluded); the Compiled image is treated as immutable for the pipeline's
-// lifetime. Feeding is single-producer: one goroutine calls Feed/FeedEdge/
+// This is the one executor that drives the speculative scans and junction
+// reconciliation of internal/core across goroutines. The replay semantics
+// are memoryless (local caches excluded); the Compiled image is treated as
+// immutable for the pipeline's lifetime. Feeding is single-producer: one goroutine calls Feed/FeedEdge/
 // Flush/Barrier. Everything downstream is concurrent.
 type ReplayPipeline struct {
 	pipe

@@ -114,7 +114,7 @@ func (t *CompiledReplayTool) Stats() *core.Stats {
 
 // CaptureTool records the dynamic block stream of a run as replay currency:
 // one core.Edge per reported edge plus the unreported tail, ready to feed
-// AdvanceBatch, SequentialReplay or ParallelReplay.
+// AdvanceBatch, SequentialReplay or a replay pipeline.
 type CaptureTool struct {
 	events []core.Edge
 	tail   uint64

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repository verification gate: static checks, the full test suite under the
-# race detector (which covers the sharded parallel-replay tests), a
+# race detector (which covers the sharded replay-pipeline tests), a
 # one-iteration smoke of every benchmark so the bench code cannot rot
 # silently, a short fuzz run over the wire-format decoder (the robustness
 # surface most exposed to hostile input), the teavet typed-analysis suite
@@ -24,7 +24,6 @@ fi
 
 go vet ./...
 go test -race ./...
-go test -race -run 'Parallel' . ./internal/core
 go test -run='^$' -bench=. -benchtime=1x ./...
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeEvents -fuzztime=10s ./internal/obs

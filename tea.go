@@ -25,6 +25,12 @@
 // *DecodeError, never a panic — and the long-running entry points have
 // *Context variants that honor cancellation and deadlines.
 //
+// To replay a captured stream slice on several cores, feed it to
+// NewReplayPipeline and read the answer at Barrier: it is byte-identical
+// to SequentialReplay(Obs) on the same slice. The pipeline is the one
+// sharded executor; a caller cancels it by no longer feeding and calling
+// Close (DESIGN.md §14).
+//
 // The deeper machinery is exported through aliases below; see the package
 // documentation of the internal packages for the full design discussion.
 package tea
@@ -313,8 +319,8 @@ func VerifyStrideTable(a *Automaton, c LookupConfig, tab []StrideEntry) *VerifyR
 
 // CaptureStream re-executes the program under the Pin-like engine recording
 // its dynamic block stream as replay currency: the edges to feed
-// AdvanceBatch or ParallelReplay, plus the unreported trailing instruction
-// count (fold it in with ReplayStats.AccountTail).
+// AdvanceBatch or a replay pipeline, plus the unreported trailing
+// instruction count (fold it in with ReplayStats.AccountTail).
 func CaptureStream(p *Program) ([]StreamEdge, uint64, error) {
 	tool := teatool.NewCaptureTool()
 	if _, err := pin.New().Run(p, tool, 0); err != nil {
@@ -336,34 +342,10 @@ func ReplayCompiled(p *Program, a *Automaton, c LookupConfig) (*ReplayStats, err
 }
 
 // SequentialReplay replays a captured stream in order with the memoryless
-// cache-less transition function — the byte-exact reference for
-// ParallelReplay.
+// cache-less transition function — the byte-exact reference for a replay
+// pipeline (NewReplayPipeline) fed the same stream.
 func SequentialReplay(c *Compiled, stream []StreamEdge) (ReplayStats, StateID) {
 	return core.SequentialReplay(c, stream)
-}
-
-// ParallelReplay shards a captured stream across goroutines and merges the
-// results; the merged stats and final state are byte-identical to
-// SequentialReplay (see DESIGN.md §9 for the reconciliation argument).
-// shards <= 0 selects GOMAXPROCS.
-func ParallelReplay(c *Compiled, stream []StreamEdge, shards int) (ReplayStats, StateID) {
-	return core.ParallelReplay(c, stream, shards)
-}
-
-// SequentialReplayContext is SequentialReplay honoring cancellation: it
-// polls ctx every few thousand edges and returns ctx.Err() with zero stats
-// if the context ends first (a prefix's stats are not the sequential
-// answer, so partial accounting is deliberately withheld).
-func SequentialReplayContext(ctx context.Context, c *Compiled, stream []StreamEdge) (ReplayStats, StateID, error) {
-	return core.SequentialReplayContext(ctx, c, stream)
-}
-
-// ParallelReplayContext is ParallelReplay honoring cancellation: every
-// shard worker polls a shared flag and abandons its slice when the context
-// ends, so a cancelled replay releases its goroutines promptly instead of
-// finishing the stream.
-func ParallelReplayContext(ctx context.Context, c *Compiled, stream []StreamEdge, shards int) (ReplayStats, StateID, error) {
-	return core.ParallelReplayContext(ctx, c, stream, shards)
 }
 
 // Pipeline (decoupled online capture→process; DESIGN.md §14).
@@ -459,8 +441,8 @@ func CapturePipeline(ctx context.Context, p *Program, maxSteps uint64, tool PinT
 type (
 	// Obs is an observability context: a metrics registry, a bounded event
 	// ring and the logical edge clock. Attach one with Replayer.SetObs /
-	// CompiledReplayer.SetObs / Recorder.SetObs, or pass it to
-	// SequentialReplayObs / ParallelReplayObs. All hooks are disabled — and
+	// CompiledReplayer.SetObs / Recorder.SetObs, pass it to
+	// SequentialReplayObs, or set it as PipelineConfig.Obs. All hooks are disabled — and
 	// free — when no context is attached.
 	Obs = obs.Obs
 	// ObsRegistry is the metric registry behind an Obs context.
@@ -500,14 +482,6 @@ func DecodeFlight(data []byte) (FlightRecord, error) { return obs.DecodeFlight(d
 // into o (nil o delegates to SequentialReplay).
 func SequentialReplayObs(c *Compiled, stream []StreamEdge, o *Obs) (ReplayStats, StateID) {
 	return core.SequentialReplayObs(c, stream, o)
-}
-
-// ParallelReplayObs is ParallelReplay with observability: the merged event
-// stream and all derived metrics are identical to SequentialReplayObs on
-// the same stream, with counters charged to per-shard cells (nil o
-// delegates to ParallelReplay).
-func ParallelReplayObs(c *Compiled, stream []StreamEdge, shards int, o *Obs) (ReplayStats, StateID) {
-	return core.ParallelReplayObs(c, stream, shards, o)
 }
 
 // ReplayObs is Replay with an observability context attached to the

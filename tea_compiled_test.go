@@ -1,9 +1,7 @@
 // Differential tests for the compiled flat automaton: the CompiledReplayer
 // must reproduce the reference Replayer's Stats exactly — including the
 // Desyncs/Resyncs degradation counters — on clean streams, on
-// fault-injected streams, and on perturbed programs; and ParallelReplay
-// must merge to byte-identical Stats with SequentialReplay at every shard
-// count.
+// fault-injected streams, and on perturbed programs.
 package tea_test
 
 import (
@@ -206,60 +204,6 @@ func TestReplayCompiledMatchesReplay(t *testing.T) {
 		}
 		if *ref != *got {
 			t.Fatalf("%s: facade stats diverge\nReplay         %+v\nReplayCompiled %+v", bench, *ref, *got)
-		}
-	}
-}
-
-// TestParallelReplayMatchesSequential is the sharding acceptance criterion:
-// merged parallel stats must be byte-identical to the sequential replay at
-// every shard count, on clean and on perturbed streams.
-func TestParallelReplayMatchesSequential(t *testing.T) {
-	fx := newCompiledFixture(t, "gcc")
-	c := tea.Compile(fx.a, tea.ConfigGlobalNoLocal)
-
-	streams := map[string][]tea.StreamEdge{"clean": fx.stream}
-	inj := faultinject.New(7)
-	streams["perturbed"] = fromEvents(inj.PerturbStream(toEvents(fx.stream)))
-
-	for name, stream := range streams {
-		want, wantCur := tea.SequentialReplay(c, stream)
-		for _, shards := range []int{2, 3, 7, 16} {
-			got, gotCur := tea.ParallelReplay(c, stream, shards)
-			if got != want || gotCur != wantCur {
-				t.Fatalf("%s/shards=%d: parallel replay diverged\nsequential %+v cur=%d\nparallel   %+v cur=%d",
-					name, shards, want, wantCur, got, gotCur)
-			}
-		}
-	}
-
-	// Degenerate shapes: empty stream, more shards than edges.
-	if st, cur := tea.ParallelReplay(c, nil, 4); st != (tea.ReplayStats{}) || cur != 0 {
-		t.Fatalf("empty stream: %+v cur=%d", st, cur)
-	}
-	tiny := fx.stream[:3]
-	want, wantCur := tea.SequentialReplay(c, tiny)
-	if got, gotCur := tea.ParallelReplay(c, tiny, 16); got != want || gotCur != wantCur {
-		t.Fatalf("tiny stream: parallel diverged")
-	}
-}
-
-// TestParallelReplayRace exercises concurrent shard replay over one shared
-// Compiled from many goroutines; run under -race (scripts/ci.sh does) it
-// proves the compiled form is safely shared read-only.
-func TestParallelReplayRace(t *testing.T) {
-	fx := newCompiledFixture(t, "mcf")
-	c := tea.Compile(fx.a, tea.ConfigGlobalNoLocal)
-	want, _ := tea.SequentialReplay(c, fx.stream)
-	done := make(chan tea.ReplayStats, 4)
-	for i := 0; i < 4; i++ {
-		go func(shards int) {
-			st, _ := tea.ParallelReplay(c, fx.stream, shards)
-			done <- st
-		}(2 + i*3)
-	}
-	for i := 0; i < 4; i++ {
-		if st := <-done; st != want {
-			t.Fatalf("concurrent parallel replay diverged: %+v vs %+v", st, want)
 		}
 	}
 }
