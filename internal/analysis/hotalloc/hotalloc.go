@@ -434,9 +434,18 @@ func (w *walker) boxed(dst types.Type, src ast.Expr) {
 }
 
 // callee resolves a call to the *types.Func it invokes when that is
-// statically known (plain function or concrete method).
+// statically known (plain function or concrete method). An explicitly
+// instantiated generic call — f[T](x) or f[T, U](x) — resolves through the
+// index expression to f.
 func (w *walker) callee(n *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(n.Fun).(type) {
+	fun := ast.Unparen(n.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := w.info.Uses[fun].(*types.Func); ok {
 			return fn

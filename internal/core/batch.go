@@ -49,11 +49,12 @@ type CompiledReplayer struct {
 	desynced bool
 	stats    Stats
 
-	// obs is the (nil when disabled) observability sink. AdvanceBatch folds
-	// counters once per batch from the stats delta and emits events from its
-	// slow branches; when nil the loop body is the PR 4 fast path plus one
-	// predicted-not-taken branch per slow-path edge.
+	// obs is the (nil when disabled) observability sink. With it attached,
+	// AdvanceBatch runs the obsOn kernel instances, which stage events in
+	// evs (reused across batches) for one ingest per batch, and folds the
+	// counters once from the batch's stats delta.
 	obs *obs.Obs
+	evs []obs.Event
 
 	// strideEdges counts edges consumed through fused stride-table hits. It
 	// lives outside Stats on purpose: Stats must stay byte-identical to the
@@ -133,7 +134,7 @@ func (r *CompiledReplayer) AccountOnly(instrs uint64) {
 	if o := r.obs; o != nil {
 		d := r.stats
 		d.sub(&prev)
-		obsFoldReplay(o, 0, &d)
+		FoldReplayObs(o, 0, &d)
 	}
 }
 
@@ -150,19 +151,50 @@ func (r *CompiledReplayer) AccountOnly(instrs uint64) {
 // Specialize only admits cycles whose every transition is an in-trace hit —
 // so Stats, cursor and desync behaviour are unchanged.
 //
-// With an observability context attached the batch routes through the
-// instrumented twin; the disabled path below carries no obs code at all
-// (not even nil checks inside the loop), so its code generation is exactly
-// the pre-observability fast path.
+// With an observability context attached the batch runs the obsOn instance
+// of the same kernel: events stamped base+k are staged from its slow
+// branches and ingested once, and the counters fold once from the batch's
+// stats delta, so enabled mode adds no per-edge atomics or locks. The
+// obsOff instance carries no obs code at all (obsmode.go).
 //
 //tea:hotpath
 func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
-	if r.obs != nil {
-		return r.advanceBatchObs(edges)
+	specialized := len(r.c.stride) != 0
+	o := r.obs
+	if o == nil {
+		if specialized {
+			return advanceBatchStride[obsOff](r, edges, 0)
+		}
+		return advanceBatchPlain[obsOff](r, edges, 0)
 	}
-	if len(r.c.stride) == 0 {
-		return r.advanceBatchPlain(edges)
+	prev := r.stats
+	base := o.EdgeBase()
+	r.evs = r.evs[:0]
+	var cur StateID
+	if specialized {
+		cur = advanceBatchStride[obsOn](r, edges, base)
+	} else {
+		cur = advanceBatchPlain[obsOn](r, edges, base)
 	}
+	o.AdvanceEdges(uint64(len(edges)))
+	d := r.stats
+	d.sub(&prev)
+	FoldReplayObs(o, 0, &d)
+	o.IngestReplay(r.evs)
+	return cur
+}
+
+// advanceBatchStride is the specialized batch kernel: the per-edge kernel
+// behind a fused stride-table probe at every in-sync trace state. In the
+// obsOn instance only miss-free entries fuse: every miss position — warm
+// trace link, trace exit or NTE crossing — emits events on the per-edge
+// path (EntryTableHit fires even on warm local hits), and a fused traversal
+// must suppress nothing. Pure in-trace traversals emit nothing.
+//
+//tea:hotpath
+func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
 	c := r.c
 	cur, desynced := r.cur, r.desynced
 	st := r.stats
@@ -187,6 +219,7 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 		if cur == NTE {
 			// From NTE every transition searches the global container.
 			label, instrs := edges[k].Label, edges[k].Instrs
+			eidx := base + uint64(k)
 			k++
 			if instrs != 0 {
 				st.Blocks++
@@ -196,9 +229,15 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 			if t, ok := c.entry(label); ok {
 				st.GlobalHits++
 				st.TraceEnters++
+				if emitting {
+					emit(&r.evs, eidx, label, t, obs.EvTraceEnter)
+				}
 				if desynced {
 					desynced = false
 					st.Resyncs++
+					if emitting {
+						emit(&r.evs, eidx, label, t, obs.EvResync)
+					}
 				}
 				cur = t
 			}
@@ -224,7 +263,7 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 			for si >= 0 {
 				p := &probes[si]
 				m := int(p.m)
-				if m > n-k || edges[k] != p.first {
+				if m > n-k || edges[k] != p.first || emitting && p.miss != 0 {
 					si = p.next
 					continue
 				}
@@ -310,6 +349,7 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 				// The Stats delta of runs traversals is the simulated
 				// per-traversal delta scaled: the warm-cache expansion when
 				// embedded caches are live, the cache-less one otherwise.
+				// (Miss-free entries have the same delta either way.)
 				if localSize > 0 {
 					st.addScaled(&e.DeltaLocal, runs)
 				} else {
@@ -327,6 +367,7 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 		// Account the finished block to the state that covered it. The
 		// initial pseudo-edge carries no finished block (instrs == 0).
 		label, instrs := edges[k].Label, edges[k].Instrs
+		eidx := base + uint64(k)
 		k++
 		if instrs != 0 {
 			st.Blocks++
@@ -354,47 +395,64 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 			if !cold[cur].plausible(label) {
 				st.Desyncs++
 				desynced = true
+				if emitting {
+					emit(&r.evs, eidx, label, cur, obs.EvDesync)
+				}
 			}
 			// Trace exit or trace-to-trace link: local cache (when
 			// compiled in) in front of the flat entry table, caching
 			// negative results exactly like the reference resolve.
+			var slot *cacheSlot
 			if localSize > 0 {
-				slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
-				if slot.label == label {
-					st.LocalHits++
-					next = slot.tgt
-				} else {
+				slot = &cache[int(cur)*localSize+int((label>>1)&localMask)]
+			}
+			if slot != nil && slot.label == label {
+				st.LocalHits++
+				next = slot.tgt
+			} else {
+				if slot != nil {
 					st.LocalMisses++
-					st.GlobalLookups++
-					if t, ok := c.entry(label); ok {
-						st.GlobalHits++
-						next = t
-					} else {
-						next = NTE
-					}
+				}
+				st.GlobalLookups++
+				var t StateID
+				var ok bool
+				if emitting {
+					var depth uint64
+					t, ok, depth = c.entryProbes(label)
+					emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
+				} else {
+					t, ok = c.entry(label)
+				}
+				next = NTE
+				if ok {
+					st.GlobalHits++
+					next = t
+				}
+				if slot != nil {
 					slot.label = label
 					slot.tgt = next
 					cacheGen++
 				}
-			} else {
-				st.GlobalLookups++
-				if t, ok := c.entry(label); ok {
-					st.GlobalHits++
-					next = t
-				} else {
-					next = NTE
-				}
 			}
 			if next == NTE {
 				st.TraceExits++
+				if emitting {
+					emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
+				}
 			} else {
 				st.TraceLinks++
+				if emitting {
+					emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
+				}
 			}
 		}
 
 		if next != NTE && desynced {
 			desynced = false
 			st.Resyncs++
+			if emitting {
+				emit(&r.evs, eidx, label, next, obs.EvResync)
+			}
 		}
 		cur = next
 	}
@@ -410,11 +468,13 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 // iteration, no stride probes. A form without a stride table can never hit
 // one, and measurement showed the specialized loop's per-edge stride check
 // and irregular advance cost an unspecialized replay ~25% on slot-stable
-// streams — so the dispatch above keeps the two shapes separate instead of
+// streams — so AdvanceBatch keeps the two shapes separate instead of
 // paying for the table that isn't there.
 //
 //tea:hotpath
-func (r *CompiledReplayer) advanceBatchPlain(edges []Edge) StateID {
+func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
 	c := r.c
 	cur, desynced := r.cur, r.desynced
 	st := r.stats
@@ -432,6 +492,7 @@ func (r *CompiledReplayer) advanceBatchPlain(edges []Edge) StateID {
 
 	for k := range edges {
 		label, instrs := edges[k].Label, edges[k].Instrs
+		eidx := base + uint64(k)
 
 		// Account the finished block to the state that covered it. The
 		// initial pseudo-edge carries no finished block (instrs == 0).
@@ -461,40 +522,54 @@ func (r *CompiledReplayer) advanceBatchPlain(edges []Edge) StateID {
 				if !cold[cur].plausible(label) {
 					st.Desyncs++
 					desynced = true
+					if emitting {
+						emit(&r.evs, eidx, label, cur, obs.EvDesync)
+					}
 				}
 				// Trace exit or trace-to-trace link: local cache (when
 				// compiled in) in front of the flat entry table, caching
 				// negative results exactly like the reference resolve.
+				var slot *cacheSlot
 				if localSize > 0 {
-					slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
-					if slot.label == label {
-						st.LocalHits++
-						next = slot.tgt
-					} else {
-						st.LocalMisses++
-						st.GlobalLookups++
-						if t, ok := c.entry(label); ok {
-							st.GlobalHits++
-							next = t
-						} else {
-							next = NTE
-						}
-						slot.label = label
-						slot.tgt = next
-					}
+					slot = &cache[int(cur)*localSize+int((label>>1)&localMask)]
+				}
+				if slot != nil && slot.label == label {
+					st.LocalHits++
+					next = slot.tgt
 				} else {
+					if slot != nil {
+						st.LocalMisses++
+					}
 					st.GlobalLookups++
-					if t, ok := c.entry(label); ok {
+					var t StateID
+					var ok bool
+					if emitting {
+						var depth uint64
+						t, ok, depth = c.entryProbes(label)
+						emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
+					} else {
+						t, ok = c.entry(label)
+					}
+					next = NTE
+					if ok {
 						st.GlobalHits++
 						next = t
-					} else {
-						next = NTE
+					}
+					if slot != nil {
+						slot.label = label
+						slot.tgt = next
 					}
 				}
 				if next == NTE {
 					st.TraceExits++
+					if emitting {
+						emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
+					}
 				} else {
 					st.TraceLinks++
+					if emitting {
+						emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
+					}
 				}
 			}
 		} else {
@@ -504,6 +579,9 @@ func (r *CompiledReplayer) advanceBatchPlain(edges []Edge) StateID {
 				st.GlobalHits++
 				next = t
 				st.TraceEnters++
+				if emitting {
+					emit(&r.evs, eidx, label, next, obs.EvTraceEnter)
+				}
 			} else {
 				next = NTE
 			}
@@ -512,241 +590,15 @@ func (r *CompiledReplayer) advanceBatchPlain(edges []Edge) StateID {
 		if next != NTE && desynced {
 			desynced = false
 			st.Resyncs++
+			if emitting {
+				emit(&r.evs, eidx, label, next, obs.EvResync)
+			}
 		}
 		cur = next
 	}
 
 	r.cur, r.desynced = cur, desynced
 	r.stats = st
-	return cur
-}
-
-// advanceBatchObs is AdvanceBatch's instrumented twin, entered only with a
-// context attached: identical Stats, cursor and desync behaviour, plus
-// events stamped base+k on the slow branches and one counter fold from the
-// batch's stats delta in the epilogue. Kept structurally parallel to the
-// disabled loop above — including the fused stride fast path, which emits
-// no events because a fused traversal is all in-trace hits and the per-edge
-// kernel only emits from slow branches; the differential tests hold the two
-// against each other.
-//
-//tea:hotpath
-func (r *CompiledReplayer) advanceBatchObs(edges []Edge) StateID {
-	c := r.c
-	cur, desynced := r.cur, r.desynced
-	st := r.stats
-	strideEdges := r.strideEdges
-	localSize := c.localSize
-	var localMask uint64
-	if localSize > 0 {
-		localMask = uint64(localSize - 1)
-	}
-	hot := c.hot
-	cold := c.cold
-	strides := c.stride
-	probes := c.strideProbe
-	cache := r.cache
-	n := len(edges)
-
-	// Events carry base+k as their logical timestamp and the counters fold
-	// once from the batch's stats delta in the epilogue, so even enabled
-	// mode adds no per-edge atomics for counter maintenance.
-	o := r.obs
-	base := o.EdgeBase()
-	prev := st
-
-	for k := 0; k < n; {
-		if cur == NTE {
-			label, instrs := edges[k].Label, edges[k].Instrs
-			kAt := uint64(k)
-			k++
-			if instrs != 0 {
-				st.Blocks++
-				st.Instrs += instrs
-			}
-			st.GlobalLookups++
-			if t, ok := c.entry(label); ok {
-				st.GlobalHits++
-				st.TraceEnters++
-				o.SetEdge(base + kAt)
-				o.TraceEnter(int32(t), label)
-				if desynced {
-					desynced = false
-					st.Resyncs++
-					o.SetEdge(base + kAt)
-					o.ResyncEvent(int32(t), label)
-				}
-				cur = t
-			}
-			continue
-		}
-
-		rec := &hot[cur]
-
-		if si := rec.stride; si >= 0 && !desynced {
-			matched := false
-			for si >= 0 {
-				p := &probes[si]
-				m := int(p.m)
-				// The instrumented twin fuses only miss-free patterns: every
-				// miss position — warm trace link, trace exit or NTE crossing
-				// — emits an event on the per-edge path (EntryTableHit fires
-				// even on warm local hits), and a fused traversal must
-				// suppress nothing. Pure in-trace traversals emit nothing.
-				if p.miss != 0 || m > n-k || edges[k] != p.first {
-					si = p.next
-					continue
-				}
-				if m == 1 && p.first.Instrs != 0 {
-					runs := uint64(1)
-					k++
-					pe := p.first
-					for k+4 <= n && edges[k] == pe && edges[k+1] == pe && edges[k+2] == pe && edges[k+3] == pe {
-						runs += 4
-						k += 4
-						if k+strideLookahead < n {
-							prefetchT0(unsafe.Pointer(&edges[k+strideLookahead]))
-						}
-					}
-					for k < n && edges[k] == pe {
-						runs++
-						k++
-					}
-					st.Blocks += runs
-					st.TraceBlocks += runs
-					st.Instrs += pe.Instrs * runs
-					st.TraceInstrs += pe.Instrs * runs
-					st.InTraceHits += runs
-					strideEdges += runs
-					matched = true
-					break
-				}
-				e := &strides[si]
-				if m > 1 && !edgesEqual(edges[k:k+m], e.Pattern) {
-					si = p.next
-					continue
-				}
-				runs := uint64(1)
-				k += m
-				if m == 1 {
-					pe := e.Pattern[0]
-					for k < n && edges[k] == pe {
-						runs++
-						k++
-					}
-				} else {
-					for m <= n-k && edgesEqual(edges[k:k+m], e.Pattern) {
-						runs++
-						k += m
-						if runs == 4 {
-							if tl := len(e.Tile); tl != 0 {
-								for tl <= n-k && edgesEqual(edges[k:k+tl], e.Tile) {
-									runs += e.TileReps
-									k += tl
-								}
-							}
-						}
-					}
-				}
-				// Miss-free traversals have identical deltas under every
-				// cache configuration (no slow-path counters at all).
-				st.addScaled(&e.DeltaGlobal, runs)
-				strideEdges += e.Edges * runs
-				matched = true
-				break
-			}
-			if matched {
-				continue
-			}
-		}
-
-		label, instrs := edges[k].Label, edges[k].Instrs
-		kAt := uint64(k)
-		k++
-		if instrs != 0 {
-			st.Blocks++
-			st.Instrs += instrs
-			st.TraceBlocks++
-			st.TraceInstrs += instrs
-		}
-
-		hit0 := rec.lab0 == label
-		next := rec.tgt1
-		if hit0 {
-			next = rec.tgt0
-		}
-		if hit0 || rec.lab1 == label {
-			st.InTraceHits++
-		} else if t, ok := c.nextSlow(cur, label); ok {
-			st.InTraceHits++
-			next = t
-		} else {
-			if !cold[cur].plausible(label) {
-				st.Desyncs++
-				desynced = true
-				o.SetEdge(base + kAt)
-				o.DesyncEvent(int32(cur), label)
-			}
-			if localSize > 0 {
-				slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
-				if slot.label == label {
-					st.LocalHits++
-					next = slot.tgt
-				} else {
-					st.LocalMisses++
-					st.GlobalLookups++
-					t, ok, depth := c.entryProbes(label)
-					o.SetEdge(base + kAt)
-					o.CacheMissProbe(int32(cur), depth)
-					if ok {
-						st.GlobalHits++
-						next = t
-					} else {
-						next = NTE
-					}
-					slot.label = label
-					slot.tgt = next
-					r.cacheGen++
-				}
-			} else {
-				st.GlobalLookups++
-				t, ok, depth := c.entryProbes(label)
-				o.SetEdge(base + kAt)
-				o.CacheMissProbe(int32(cur), depth)
-				if ok {
-					st.GlobalHits++
-					next = t
-				} else {
-					next = NTE
-				}
-			}
-			if next == NTE {
-				st.TraceExits++
-				o.SetEdge(base + kAt)
-				o.TraceExit(int32(cur), label)
-			} else {
-				st.TraceLinks++
-				o.SetEdge(base + kAt)
-				o.EntryTableHit(int32(next), label)
-			}
-		}
-
-		if next != NTE && desynced {
-			desynced = false
-			st.Resyncs++
-			o.SetEdge(base + kAt)
-			o.ResyncEvent(int32(next), label)
-		}
-		cur = next
-	}
-
-	r.cur, r.desynced = cur, desynced
-	r.stats = st
-	r.strideEdges = strideEdges
-	o.AdvanceEdges(uint64(len(edges)))
-	d := st
-	d.sub(&prev)
-	obsFoldReplay(o, 0, &d)
 	return cur
 }
 

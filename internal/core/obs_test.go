@@ -222,30 +222,6 @@ func eventsEqual(t *testing.T, label string, a, b []obs.Event) {
 	}
 }
 
-// TestBatchEventsMatchSequentialObs pins the event-policy agreement between
-// the cache-less batched replayer and the memoryless SequentialReplayObs:
-// identical streams in, identical event logs out.
-func TestBatchEventsMatchSequentialObs(t *testing.T) {
-	a, m := buildTestAutomaton(t)
-	stream := perturb(captureTestStream(t, m), 5)
-	c := Compile(a, LookupConfig{Global: GlobalHash})
-
-	ob := obs.NewWith(obs.NewRegistry(), 1<<16)
-	rb := NewCompiledReplayer(c)
-	rb.SetObs(ob)
-	rb.AdvanceBatch(stream)
-	batchEvents, _ := ob.Tracer.Snapshot()
-
-	os := obs.NewWith(obs.NewRegistry(), 1<<16)
-	seqSt, seqCur := SequentialReplayObs(c, stream, os)
-	seqEvents, _ := os.Tracer.Snapshot()
-
-	if seqSt != *rb.Stats() || seqCur != rb.Cur() {
-		t.Fatalf("stats diverge:\nbatch %+v cur=%d\nseq   %+v cur=%d", *rb.Stats(), rb.Cur(), seqSt, seqCur)
-	}
-	eventsEqual(t, "batch vs sequential", batchEvents, seqEvents)
-}
-
 // TestEventLogRoundTripFromReplay drains a real replay's ring into the
 // binary log and back — the teadump -events contract end to end.
 func TestEventLogRoundTripFromReplay(t *testing.T) {

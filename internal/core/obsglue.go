@@ -9,12 +9,13 @@ import (
 // the counter fold lives here: replay counters are not incremented on the
 // hot path but folded in from Stats deltas at batch boundaries (AdvanceBatch
 // epilogue, FlushObs, shard reconciliation), which keeps the enabled-mode
-// per-edge cost at zero atomics for counter maintenance and the
-// disabled-mode cost at a nil check on the slow branches only.
+// per-edge cost at zero atomics for counter maintenance. The compiled
+// kernels' disabled mode carries no obs code at all (obsmode.go); the
+// reference Replayer pays a nil check on its slow branches.
 
-// obsFoldReplay charges a Stats delta to the replay counter set under the
-// given shard's cells.
-func obsFoldReplay(o *obs.Obs, shard int, d *Stats) {
+// FoldReplayObs charges a Stats delta to the replay counter set under the
+// given shard's cells; the pipeline drains call it at sequence boundaries.
+func FoldReplayObs(o *obs.Obs, shard int, d *Stats) {
 	m := o.Replay
 	m.Blocks.AddShard(shard, d.Blocks)
 	m.Instrs.AddShard(shard, d.Instrs)
@@ -66,7 +67,7 @@ func (r *Replayer) FlushObs() {
 	d := r.stats
 	d.sub(&r.obsFolded)
 	r.obsFolded = r.stats
-	obsFoldReplay(o, 0, &d)
+	FoldReplayObs(o, 0, &d)
 }
 
 // lookupGlobalFrom is resolve's global search with observability: the
@@ -85,8 +86,9 @@ func (r *Replayer) lookupGlobalFrom(from StateID, label uint64) StateID {
 }
 
 // SetObs attaches an observability context to the compiled replayer.
-// AdvanceBatch folds counters once per batch and emits events from its
-// slow branches only; with a nil context the batch loop is untouched.
+// AdvanceBatch then runs its kernels' obsOn instances, which stage events
+// from slow branches only, and ingests the events and folds the counters
+// once per batch; with a nil context it runs the obsOff instances.
 func (r *CompiledReplayer) SetObs(o *obs.Obs) { r.obs = o }
 
 // Obs returns the attached observability context (nil when disabled).

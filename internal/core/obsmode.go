@@ -1,0 +1,37 @@
+package core
+
+import "github.com/lsc-tea/tea/internal/obs"
+
+// The compiled replay kernels (step, specReplay, merge, sequentialReplay,
+// advanceBatchPlain, advanceBatchStride) are each one source body generic
+// over an observability mode. obsOff and obsOn have different GC shapes — a
+// zero-size struct and a one-byte one — so the compiler stencils a separate
+// body for each, and inside a kernel
+//
+//	var mode M
+//	emitting := unsafe.Sizeof(mode) != 0
+//
+// is a constant per body: the obsOff instance carries no event code and no
+// guard, the obsOn instance appends events to a reused buffer on the slow
+// branches (misses, desyncs, resyncs, trace entry) only. The hit path is the
+// same in both. scripts/obsasm holds the obsOff instances to that by
+// inspecting the compiled code (DESIGN.md §12).
+//
+// A kernel calls step per edge through its concrete instances, under
+// `if emitting`, not as step[M]: a call through the type parameter loads a
+// sub-dictionary from the caller's dictionary on every call, which cost
+// SpecReplay's per-edge loop 5–13% when timed in one process.
+type (
+	obsOff  struct{}
+	obsOn   struct{ _ byte }
+	obsMode interface{ obsOff | obsOn }
+)
+
+// emit appends one replay event to an obsOn kernel's staging buffer — the
+// one event-append site of the compiled kernels. The buffer is ingested in
+// order through obs.IngestReplay once per call (or, for pipeline scans, at
+// the drain), never per event. This file holds nothing else, so any
+// instruction attributed to it in an obsOff body is an obs leak.
+func emit(evs *[]obs.Event, edge, aux uint64, state StateID, kind obs.EventKind) {
+	*evs = append(*evs, obs.Event{Edge: edge, Aux: aux, State: int32(state), Kind: kind})
+}

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"unsafe"
+
+	"github.com/lsc-tea/tea/internal/obs"
+)
+
 // This file holds the memoryless transition function sharded replay rests
 // on, and the sequential reference replay built from it.
 //
@@ -21,8 +27,15 @@ package core
 // SequentialReplay.
 
 // step consumes one edge with the memoryless (cache-less) transition
-// function, charging the increments to st and returning the post-state.
-func (c *Compiled) step(cur StateID, desynced bool, label, instrs uint64, st *Stats) (StateID, bool) {
+// function, charging the increments to st and returning the post-state. The
+// obsOn instance also appends the edge's events, stamped eidx, to evs:
+// events, like Stats increments, are pure functions of (pre-state, edge), so
+// junction reconciliation swaps a speculative prefix's events for the true
+// prefix's exactly as it swaps the Stats (DESIGN.md §9, §14). The obsOff
+// instance ignores evs and eidx.
+func step[M obsMode](c *Compiled, cur StateID, desynced bool, label, instrs uint64, st *Stats, evs *[]obs.Event, eidx uint64) (StateID, bool) {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
 	if instrs != 0 {
 		st.Blocks++
 		st.Instrs += instrs
@@ -47,16 +60,34 @@ func (c *Compiled) step(cur StateID, desynced bool, label, instrs uint64, st *St
 			if !c.cold[cur].plausible(label) {
 				st.Desyncs++
 				desynced = true
+				if emitting {
+					emit(evs, eidx, label, cur, obs.EvDesync)
+				}
 			}
 			st.GlobalLookups++
-			if t, ok := c.entry(label); ok {
+			var t StateID
+			var ok bool
+			if emitting {
+				var depth uint64
+				t, ok, depth = c.entryProbes(label)
+				emit(evs, eidx, depth, cur, obs.EvCacheMissProbe)
+			} else {
+				t, ok = c.entry(label)
+			}
+			if ok {
 				st.GlobalHits++
 				next = t
 			}
 			if next == NTE {
 				st.TraceExits++
+				if emitting {
+					emit(evs, eidx, label, cur, obs.EvTraceExit)
+				}
 			} else {
 				st.TraceLinks++
+				if emitting {
+					emit(evs, eidx, label, next, obs.EvEntryTableHit)
+				}
 			}
 		}
 	} else {
@@ -65,11 +96,17 @@ func (c *Compiled) step(cur StateID, desynced bool, label, instrs uint64, st *St
 			st.GlobalHits++
 			next = t
 			st.TraceEnters++
+			if emitting {
+				emit(evs, eidx, label, next, obs.EvTraceEnter)
+			}
 		}
 	}
 	if next != NTE && desynced {
 		desynced = false
 		st.Resyncs++
+		if emitting {
+			emit(evs, eidx, label, next, obs.EvResync)
+		}
 	}
 	return next, desynced
 }
@@ -77,13 +114,45 @@ func (c *Compiled) step(cur StateID, desynced bool, label, instrs uint64, st *St
 // SequentialReplay replays the stream in order from NTE with the
 // memoryless (cache-less) transition function and returns the stats and
 // final state. It is the reference sharded replay (internal/pipeline) must
-// match byte for byte, and equals a CompiledReplayer over a Local-less Compile of the same
-// automaton.
+// match byte for byte, and equals a CompiledReplayer over a Local-less
+// Compile of the same automaton.
 func SequentialReplay(c *Compiled, stream []Edge) (Stats, StateID) {
+	return sequentialReplay[obsOff](c, stream, nil)
+}
+
+// SequentialReplayObs is SequentialReplay with observability: identical
+// Stats and final state, with the events collected per edge, the counters
+// folded once, and the events and derived histograms fed through the
+// shared ingest path. A nil context runs the plain SequentialReplay.
+func SequentialReplayObs(c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID) {
+	if o == nil {
+		return SequentialReplay(c, stream)
+	}
+	return sequentialReplay[obsOn](c, stream, o)
+}
+
+func sequentialReplay[M obsMode](c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID) {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
 	var st Stats
+	var evs []obs.Event
+	var base uint64
+	if emitting {
+		evs = make([]obs.Event, 0, 256)
+		base = o.EdgeBase()
+	}
 	cur, desynced := NTE, false
 	for k := range stream {
-		cur, desynced = c.step(cur, desynced, stream[k].Label, stream[k].Instrs, &st)
+		if emitting {
+			cur, desynced = step[obsOn](c, cur, desynced, stream[k].Label, stream[k].Instrs, &st, &evs, base+uint64(k))
+		} else {
+			cur, desynced = step[obsOff](c, cur, desynced, stream[k].Label, stream[k].Instrs, &st, nil, 0)
+		}
+	}
+	if emitting {
+		o.AdvanceEdges(uint64(len(stream)))
+		FoldReplayObs(o, 0, &st)
+		o.IngestReplay(evs)
 	}
 	return st, cur
 }

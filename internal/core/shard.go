@@ -1,14 +1,17 @@
 package core
 
 import (
+	"unsafe"
+
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/obs"
 )
 
 // This file holds the sharded-replay primitives: speculative segment scans
-// (SpecReplay, SpecReplayObs, SpecRecord) and junction reconciliation
-// (Reconciler). internal/pipeline is the one executor that drives them
-// across goroutines, on sequence-stamped chunks of a stream (DESIGN.md §14).
+// (SpecReplay with its obs instance SpecReplayObs, and SpecRecord) and
+// junction reconciliation (Reconciler). internal/pipeline is the one
+// executor that drives them across goroutines, on sequence-stamped chunks
+// of a stream (DESIGN.md §14).
 //
 // Two properties carry everything (DESIGN.md §9, §14):
 //
@@ -89,18 +92,44 @@ type ProbeRec struct {
 //
 //tea:hotpath
 func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
+	specReplay[obsOff](c, seg, 0, r)
+}
+
+// SpecReplayObs is SpecReplay with event collection: identical Stats and
+// trajectory, with the segment's events appended to r.Evs stamped
+// ebase+offset.
+//
+//tea:hotpath
+func (c *Compiled) SpecReplayObs(seg []Edge, ebase uint64, r *SpecResult) {
+	specReplay[obsOn](c, seg, ebase, r)
+}
+
+// specReplay is the one body of SpecReplay and SpecReplayObs. In the obsOn
+// instance only miss-free stride entries fuse: miss positions emit events
+// on the per-edge path (probe, entry-table-hit, exit records), while a
+// miss-free traversal is all in-trace hits, which emit nothing, so fusing
+// leaves the event stream untouched.
+//
+//tea:hotpath
+func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult) {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
+	r.Reset(len(seg))
+	st := &r.Stats
+	evs := &r.Evs
 	if len(c.stride) == 0 {
-		r.Reset(len(seg))
 		cur, des := NTE, false
 		for k := range seg {
-			cur, des = c.step(cur, des, seg[k].Label, seg[k].Instrs, &r.Stats)
+			if emitting {
+				cur, des = step[obsOn](c, cur, des, seg[k].Label, seg[k].Instrs, st, evs, ebase+uint64(k))
+			} else {
+				cur, des = step[obsOff](c, cur, des, seg[k].Label, seg[k].Instrs, st, nil, 0)
+			}
 			r.Curs[k] = cur
 			r.Desyn[k] = des
 		}
 		return
 	}
-	r.Reset(len(seg))
-	st := &r.Stats
 	hot := c.hot
 	strides := c.stride
 	probes := c.strideProbe
@@ -114,7 +143,7 @@ func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
 				for si >= 0 {
 					p := &probes[si]
 					m := int(p.m)
-					if m > n-k || seg[k] != p.first {
+					if m > n-k || seg[k] != p.first || emitting && p.miss != 0 {
 						si = p.next
 						continue
 					}
@@ -164,151 +193,15 @@ func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
 				}
 			}
 		}
-		cur, des = c.step(cur, des, seg[k].Label, seg[k].Instrs, st)
-		curs[k] = cur
-		desyn[k] = des
-		k++
-	}
-}
-
-// SpecReplayObs is SpecReplay with event collection: identical Stats and
-// trajectory, with the segment's events appended to r.Evs stamped
-// ebase+offset. The hot loop is written out manually (rather than calling
-// stepObs per edge) so the common in-trace path stays branch-light and
-// call-free — this loop is what removes the parallel obs=on cliff.
-//
-//tea:hotpath
-func (c *Compiled) SpecReplayObs(seg []Edge, ebase uint64, r *SpecResult) {
-	r.Reset(len(seg))
-	evs := r.Evs
-	st := &r.Stats
-	hot := c.hot
-	cold := c.cold
-	strides := c.stride
-	probes := c.strideProbe
-	specialized := len(strides) > 0
-	curs, desyn := r.Curs, r.Desyn
-	cur, des := NTE, false
-	n := len(seg)
-	for k := 0; k < n; {
-		// Fused stride fast path, mirroring SpecReplay's — except that miss
-		// positions emit events on this scan's per-edge path (probe,
-		// entry-table-hit, exit records), so only miss-free entries fuse
-		// here: their traversals are all in-trace hits, which emit nothing,
-		// and the event stream is untouched by fusing.
-		if specialized && cur != NTE && !des {
-			if si := hot[cur].stride; si >= 0 {
-				matched := false
-				for si >= 0 {
-					p := &probes[si]
-					m := int(p.m)
-					if p.miss != 0 || m > n-k || seg[k] != p.first {
-						si = p.next
-						continue
-					}
-					e := &strides[si]
-					runs := uint64(0)
-					if m == 1 {
-						pe := e.Pattern[0]
-						s0 := e.States[0]
-						for k < n && seg[k] == pe {
-							curs[k] = s0
-							desyn[k] = false
-							k++
-							runs++
-						}
-					} else {
-						if !edgesEqual(seg[k:k+m], e.Pattern) {
-							si = p.next
-							continue
-						}
-						for {
-							copy(curs[k:k+m], e.States)
-							for j := k; j < k+m; j++ {
-								desyn[j] = false
-							}
-							k += m
-							runs++
-							if m > n-k || !edgesEqual(seg[k:k+m], e.Pattern) {
-								break
-							}
-						}
-					}
-					if runs != 0 {
-						st.addScaled(&e.DeltaGlobal, runs)
-						matched = true
-						break
-					}
-					si = p.next
-				}
-				if matched {
-					continue
-				}
-			}
-		}
-		label, instrs := seg[k].Label, seg[k].Instrs
-		if instrs != 0 {
-			st.Blocks++
-			st.Instrs += instrs
-			if cur != NTE {
-				st.TraceBlocks++
-				st.TraceInstrs += instrs
-			}
-		}
-		var next StateID
-		if cur != NTE {
-			rec := &hot[cur]
-			if rec.lab0 == label {
-				st.InTraceHits++
-				next = rec.tgt0
-			} else if rec.lab1 == label {
-				st.InTraceHits++
-				next = rec.tgt1
-			} else if t, ok := c.nextSlow(cur, label); ok {
-				st.InTraceHits++
-				next = t
-			} else {
-				eidx := ebase + uint64(k)
-				if !cold[cur].plausible(label) {
-					st.Desyncs++
-					des = true
-					evs = append(evs, obs.Event{Edge: eidx, Aux: label, State: int32(cur), Kind: obs.EvDesync})
-				}
-				st.GlobalLookups++
-				t, ok, depth := c.entryProbes(label)
-				evs = append(evs, obs.Event{Edge: eidx, Aux: depth, State: int32(cur), Kind: obs.EvCacheMissProbe})
-				if ok {
-					st.GlobalHits++
-					next = t
-				}
-				if next == NTE {
-					st.TraceExits++
-					evs = append(evs, obs.Event{Edge: eidx, Aux: label, State: int32(cur), Kind: obs.EvTraceExit})
-				} else {
-					st.TraceLinks++
-					evs = append(evs, obs.Event{Edge: eidx, Aux: label, State: int32(next), Kind: obs.EvEntryTableHit})
-				}
-			}
+		if emitting {
+			cur, des = step[obsOn](c, cur, des, seg[k].Label, seg[k].Instrs, st, evs, ebase+uint64(k))
 		} else {
-			st.GlobalLookups++
-			if t, ok := c.entry(label); ok {
-				st.GlobalHits++
-				next = t
-				st.TraceEnters++
-				evs = append(evs, obs.Event{Edge: ebase + uint64(k), Aux: label, State: int32(next), Kind: obs.EvTraceEnter})
-			}
+			cur, des = step[obsOff](c, cur, des, seg[k].Label, seg[k].Instrs, st, nil, 0)
 		}
-		if next != NTE && des {
-			des = false
-			st.Resyncs++
-			evs = append(evs, obs.Event{Edge: ebase + uint64(k), Aux: label, State: int32(next), Kind: obs.EvResync})
-		}
-		cur = next
 		curs[k] = cur
 		desyn[k] = des
 		k++
 	}
-	r.Evs = evs
 }
 
 // recStep consumes one record-mode edge: the memoryless transition (exactly
@@ -464,7 +357,6 @@ type RecMerge struct {
 // across batches; the zero value is ready to use.
 type Reconciler struct {
 	trueEvs []obs.Event
-	specEvs []obs.Event
 	cands   []RecCand
 	miss    []ProbeRec
 }
@@ -474,18 +366,45 @@ type Reconciler struct {
 // state. When the entry state matches the speculation's (NTE, in-sync) the
 // speculative result is exact and is returned without re-replay.
 func (rc *Reconciler) Merge(c *Compiled, seg []Edge, cur StateID, des bool, r *SpecResult) (Stats, StateID, bool) {
+	return merge[obsOff](rc, c, seg, 0, cur, des, r, nil)
+}
+
+// MergeObs is Merge with event splicing: the reconciled segment's events are
+// appended to *merged — the true prefix's events followed by the
+// speculative suffix's — so the concatenation over all segments equals the
+// sequential event stream.
+func (rc *Reconciler) MergeObs(c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
+	return merge[obsOn](rc, c, seg, ebase, cur, des, r, merged)
+}
+
+// merge is the one body of Merge and MergeObs: re-replay from the true entry
+// state until the trajectories touch, then swap the speculative prefix's
+// charges (and, in the obsOn instance, its events) for the true prefix's.
+func merge[M obsMode](rc *Reconciler, c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
 	n := len(seg)
 	if n == 0 {
 		return Stats{}, cur, des
 	}
 	if cur == NTE && !des {
+		if emitting {
+			*merged = append(*merged, r.Evs...)
+		}
 		return r.Stats, r.Curs[n-1], r.Desyn[n-1]
 	}
 	var trueSt Stats
+	if emitting {
+		rc.trueEvs = rc.trueEvs[:0]
+	}
 	tcur, tdes := cur, des
 	conv := -1
 	for j := 0; j < n; j++ {
-		tcur, tdes = c.step(tcur, tdes, seg[j].Label, seg[j].Instrs, &trueSt)
+		if emitting {
+			tcur, tdes = step[obsOn](c, tcur, tdes, seg[j].Label, seg[j].Instrs, &trueSt, &rc.trueEvs, ebase+uint64(j))
+		} else {
+			tcur, tdes = step[obsOff](c, tcur, tdes, seg[j].Label, seg[j].Instrs, &trueSt, nil, 0)
+		}
 		if tcur == r.Curs[j] && tdes == r.Desyn[j] {
 			conv = j
 			break
@@ -494,61 +413,28 @@ func (rc *Reconciler) Merge(c *Compiled, seg []Edge, cur StateID, des bool, r *S
 	if conv < 0 {
 		// The trajectories never touched (degenerate tiny segments): the true
 		// re-replay covered the whole segment and replaces the speculation.
-		return trueSt, tcur, tdes
-	}
-	var specSt Stats
-	scur, sdes := NTE, false
-	for j := 0; j <= conv; j++ {
-		scur, sdes = c.step(scur, sdes, seg[j].Label, seg[j].Instrs, &specSt)
-	}
-	out := r.Stats
-	out.sub(&specSt)
-	out.add(&trueSt)
-	return out, r.Curs[n-1], r.Desyn[n-1]
-}
-
-// MergeObs is Merge with event splicing: the reconciled segment's events are
-// appended to *merged — the true prefix's events followed by the
-// speculative suffix's — so the concatenation over all segments equals the
-// sequential event stream.
-func (rc *Reconciler) MergeObs(c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
-	n := len(seg)
-	if n == 0 {
-		return Stats{}, cur, des
-	}
-	if cur == NTE && !des {
-		*merged = append(*merged, r.Evs...)
-		return r.Stats, r.Curs[n-1], r.Desyn[n-1]
-	}
-	var trueSt Stats
-	rc.trueEvs = rc.trueEvs[:0]
-	tcur, tdes := cur, des
-	conv := -1
-	for j := 0; j < n; j++ {
-		tcur, tdes = c.stepObs(tcur, tdes, seg[j].Label, seg[j].Instrs, &trueSt, &rc.trueEvs, ebase+uint64(j))
-		if tcur == r.Curs[j] && tdes == r.Desyn[j] {
-			conv = j
-			break
+		if emitting {
+			*merged = append(*merged, rc.trueEvs...)
 		}
-	}
-	if conv < 0 {
-		*merged = append(*merged, rc.trueEvs...)
 		return trueSt, tcur, tdes
 	}
+	// The speculative prefix's events are cut from r.Evs by stamp below, so
+	// its re-replay needs only the Stats.
 	var specSt Stats
-	rc.specEvs = rc.specEvs[:0]
 	scur, sdes := NTE, false
 	for j := 0; j <= conv; j++ {
-		scur, sdes = c.stepObs(scur, sdes, seg[j].Label, seg[j].Instrs, &specSt, &rc.specEvs, ebase+uint64(j))
+		scur, sdes = step[obsOff](c, scur, sdes, seg[j].Label, seg[j].Instrs, &specSt, nil, 0)
 	}
 	out := r.Stats
 	out.sub(&specSt)
 	out.add(&trueSt)
-	// Speculative events stamped past the junction edge are the kept suffix.
-	junction := ebase + uint64(conv)
-	cut := evsAfter(r.Evs, junction)
-	*merged = append(*merged, rc.trueEvs...)
-	*merged = append(*merged, r.Evs[cut:]...)
+	if emitting {
+		// Speculative events stamped past the junction edge are the kept
+		// suffix.
+		cut := evsAfter(r.Evs, ebase+uint64(conv))
+		*merged = append(*merged, rc.trueEvs...)
+		*merged = append(*merged, r.Evs[cut:]...)
+	}
 	return out, r.Curs[n-1], r.Desyn[n-1]
 }
 
@@ -637,11 +523,6 @@ func (rc *Reconciler) MergeRecord(c *Compiled, edges []cfg.Edge, instrs []uint64
 	m.ExitCur, m.ExitDes = r.Curs[n-1], r.Desyn[n-1]
 	return m
 }
-
-// FoldReplayObs charges a Stats delta to the replay counter set under the
-// given shard's cells — the exported form of the fold the pipeline drains
-// use at sequence boundaries.
-func FoldReplayObs(o *obs.Obs, shard int, d *Stats) { obsFoldReplay(o, shard, d) }
 
 // ReplayProbeEvents re-issues the trace-side global-container searches a
 // speculative record scan resolved against the compiled snapshot: one live

@@ -90,7 +90,7 @@ type StrideEntry struct {
 	Edges  uint64
 	Instrs uint64
 	// DeltaGlobal is the Stats delta of one traversal under the cache-less
-	// transition function (c.step): misses from non-NTE states charge
+	// transition function (step): misses from non-NTE states charge
 	// GlobalLookups (+GlobalHits when resolved). DeltaLocal is the same
 	// traversal under warm embedded local caches: those misses charge
 	// LocalHits instead. Both are produced — and proved — by simulation.
@@ -417,7 +417,7 @@ func strideSampleFused(spec *Compiled, sample []Edge) uint64 {
 				}
 			}
 		}
-		cur, des = spec.step(cur, des, sample[k].Label, sample[k].Instrs, &sink)
+		cur, des = step[obsOff](spec, cur, des, sample[k].Label, sample[k].Instrs, &sink, nil, 0)
 		k++
 	}
 	return fusedTotal
@@ -476,7 +476,7 @@ func selectBySample(c *Compiled, buckets map[StateID][]StrideEntry, sample []Edg
 			}
 		}
 		var sink Stats
-		cur, des = c.step(cur, des, sample[k].Label, sample[k].Instrs, &sink)
+		cur, des = step[obsOff](c, cur, des, sample[k].Label, sample[k].Instrs, &sink, nil, 0)
 		k++
 	}
 	for a, b := range buckets {
@@ -648,7 +648,7 @@ func buildStrideEntry(c *Compiled, anchor StateID, pat []Edge) (StrideEntry, boo
 				inTrace = true
 			}
 		}
-		cur, des = c.step(cur, des, lbl, ins, &e.DeltaGlobal)
+		cur, des = step[obsOff](c, cur, des, lbl, ins, &e.DeltaGlobal, nil, 0)
 		if des {
 			return StrideEntry{}, false
 		}
@@ -719,7 +719,7 @@ func mineStrideEntries(c *Compiled, sample []Edge, buckets map[StateID][]StrideE
 	k := 0
 	for k < n {
 		if cur == NTE || des {
-			cur, des = c.step(cur, des, sample[k].Label, sample[k].Instrs, &sink)
+			cur, des = step[obsOff](c, cur, des, sample[k].Label, sample[k].Instrs, &sink, nil, 0)
 			k++
 			continue
 		}
@@ -760,7 +760,7 @@ func mineStrideEntries(c *Compiled, sample []Edge, buckets map[StateID][]StrideE
 			}
 		}
 		for j := 0; j < consumed; j++ {
-			cur, des = c.step(cur, des, sample[k].Label, sample[k].Instrs, &sink)
+			cur, des = step[obsOff](c, cur, des, sample[k].Label, sample[k].Instrs, &sink, nil, 0)
 			k++
 		}
 	}

@@ -82,7 +82,7 @@ func TestSpecializeFindsCycles(t *testing.T) {
 				t.Fatalf("entry %d edge %d: miss classification mismatch (in-trace=%v, MissPos says %v)",
 					i, j, inTrace, miss[int32(j)])
 			}
-			cur, des = spec.step(cur, des, p.Label, p.Instrs, &delta)
+			cur, des = step[obsOff](spec, cur, des, p.Label, p.Instrs, &delta, nil, 0)
 			if des {
 				t.Fatalf("entry %d edge %d: pattern desyncs under simulation", i, j)
 			}

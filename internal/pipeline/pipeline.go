@@ -9,13 +9,15 @@
 // watermark — every chunk buffer in flight — which is surfaced as a counter
 // (Metrics.BackpressureWaits), never a per-edge lock. Scan workers pop
 // chunks in any order and run the speculative segment scans from
-// internal/core (SpecReplay / SpecReplayObs / SpecRecord) against an
-// immutable compiled snapshot. A single drain consumes scan results in
-// sequence order and merges them with the PR 2 junction-reconciliation
-// logic, so the final automaton, Stats and desync/resync accounting are
-// byte-identical to a sequential pass. Observability folds per chunk into
-// per-shard registry cells and the merged event stream only at sequence
-// boundaries — workers never touch the registry.
+// internal/core against an immutable compiled snapshot: SpecRecord, or the
+// one SpecReplay kernel in its obs-off instance (SpecReplay) or its
+// event-collecting obs-on instance (SpecReplayObs). A single drain consumes
+// scan results in sequence order and merges them with core's junction
+// reconciliation (Merge / MergeObs, again one kernel), so the final
+// automaton, Stats and desync/resync accounting are byte-identical to a
+// sequential pass. Observability folds per chunk into per-shard registry
+// cells and the merged event stream only at sequence boundaries — workers
+// never touch the registry.
 package pipeline
 
 import (

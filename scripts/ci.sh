@@ -4,7 +4,8 @@
 # one-iteration smoke of every benchmark so the bench code cannot rot
 # silently, a short fuzz run over the wire-format decoder (the robustness
 # surface most exposed to hostile input), the teavet typed-analysis suite
-# (with a negative self-test proving the analyzers still flag), and the
+# (with a negative self-test proving the analyzers still flag), the obs-off
+# codegen check (scripts/obsasm, with its own negative self-test), and the
 # static-verifier gate: every checked-in valid corpus image must verify with
 # zero findings, and the known-bad image (decodes cleanly, CFG-impossible
 # link) must be flagged. Run from the repo root:
@@ -70,6 +71,28 @@ for analyzer in hotalloc atomicmix wirelock failsem; do
     fi
 done
 echo "ci: teavet gate ok"
+
+# Obs-off codegen gate: each replay kernel in internal/core is one generic
+# body with an obsOff and an obsOn instance (DESIGN.md §12). obsasm compiles
+# the package with -gcflags=-S and fails if any obsOff instance carries
+# emitter or internal/obs code. Negative self-test, as for teavet: the same
+# check over the obsOn instances must flag every kernel (exit 1).
+go build -o "$bin/obsasm" ./scripts/obsasm
+"$bin/obsasm"
+rc=0
+"$bin/obsasm" -mode on > "$bin/obsasm.out" || rc=$?
+if [ "$rc" -ne 1 ]; then
+    echo "ci: obsasm selftest should exit 1 (leaks), got $rc" >&2
+    cat "$bin/obsasm.out" >&2
+    exit 1
+fi
+for kernel in step specReplay merge sequentialReplay advanceBatchPlain advanceBatchStride; do
+    if ! grep -q "^$kernel:" "$bin/obsasm.out"; then
+        echo "ci: obsasm selftest found no obs code in the obsOn $kernel" >&2
+        exit 1
+    fi
+done
+echo "ci: obsasm gate ok"
 
 # Static-verifier gate. Built as a binary so the exact exit code is visible
 # (`go run` collapses every nonzero status to 1).

@@ -1,0 +1,124 @@
+// Command obsasm checks that observability code stays out of the obs-off
+// replay kernels. Each compiled kernel in internal/core is one generic body
+// instantiated in two modes (internal/core/obsmode.go); the obsOff instance
+// must compile to a body with no event code in it. obsasm compiles the
+// package with -gcflags=-S and, for every kernel, scans the instance of the
+// selected mode. A line is a leak when it
+//
+//   - is attributed to obsmode.go (the event emitter, inlined or not) or to
+//     any file of internal/obs,
+//   - calls or references a symbol of internal/obs or the emitter, or
+//   - calls an obsOn-shaped instance of any function.
+//
+// Every kernel's instance must be present in the listing, so a rename
+// cannot make the check pass vacuously.
+//
+// Usage, from the repository root:
+//
+//	go run ./scripts/obsasm            # obsOff instances: exit 0 when clean
+//	go run ./scripts/obsasm -mode on   # negative self-test: must exit 1
+//
+// Exit status: 0 clean, 1 leaks found, 2 usage or build error.
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"strings"
+)
+
+const pkg = "github.com/lsc-tea/tea/internal/core"
+
+// kernels are the folded replay kernels, one generic body each.
+var kernels = []string{
+	"step", "specReplay", "merge", "sequentialReplay",
+	"advanceBatchPlain", "advanceBatchStride",
+}
+
+// Shape suffixes of the two mode types in compiled symbol names.
+const (
+	shapeOff = "[go.shape.struct {}]"
+	shapeOn  = "[go.shape.struct { " + pkg + "._ uint8 }]"
+)
+
+func main() {
+	mode := flag.String("mode", "off", "which instances to scan: off (the gate) or on (negative self-test)")
+	flag.Parse()
+	shape := map[string]string{"off": shapeOff, "on": shapeOn}[*mode]
+	if shape == "" {
+		fmt.Fprintf(os.Stderr, "obsasm: -mode must be off or on, got %q\n", *mode)
+		os.Exit(2)
+	}
+	cmd := exec.Command("go", "build", "-o", os.DevNull, "-gcflags="+pkg+"=-S", pkg)
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	if err := cmd.Run(); err != nil {
+		fmt.Fprintf(os.Stderr, "obsasm: go build: %v\n%s", err, out.Bytes())
+		os.Exit(2)
+	}
+	leaks, missing := scan(out.Bytes(), shape)
+	if len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "obsasm: no %s instance in the listing for: %s\n", *mode, strings.Join(missing, ", "))
+		os.Exit(2)
+	}
+	for _, l := range leaks {
+		fmt.Println(l)
+	}
+	if len(leaks) > 0 {
+		fmt.Printf("obsasm: %d obs lines in obs-%s kernel instances\n", len(leaks), *mode)
+		os.Exit(1)
+	}
+	fmt.Printf("obsasm: %d obs-%s kernel instances carry no obs code\n", len(kernels), *mode)
+}
+
+// scan walks a -S listing and returns the leak lines of the kernels'
+// instances of the given shape (each prefixed with its kernel name), plus
+// the kernels whose instance never appeared.
+func scan(listing []byte, shape string) (leaks, missing []string) {
+	targets := make(map[string]string, len(kernels))
+	for _, k := range kernels {
+		targets[pkg+"."+k+shape+"(SB)"] = k
+	}
+	seen := make(map[string]bool)
+	cur := ""
+	sc := bufio.NewScanner(bytes.NewReader(listing))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		// "\t0x0000 00000 (file:line)\tTEXT\tsym(SB), flags": the
+		// symbol itself may contain spaces.
+		if f := strings.Split(line, "\t"); len(f) >= 4 && f[2] == "TEXT" {
+			sym, _, _ := strings.Cut(f[3], ", ")
+			cur = targets[sym]
+			if cur != "" {
+				seen[cur] = true
+			}
+			continue
+		}
+		if cur != "" && strings.HasPrefix(line, "\t0x") && leak(line) {
+			leaks = append(leaks, cur+":"+line)
+		}
+	}
+	for _, k := range kernels {
+		if !seen[k] {
+			missing = append(missing, k)
+		}
+	}
+	return leaks, missing
+}
+
+// leak reports whether one instruction line of a -S listing carries obs
+// code: a source position in the emitter's file or the obs package, a
+// reference to either, or a call into an obsOn instance.
+func leak(line string) bool {
+	return strings.Contains(line, "/internal/core/obsmode.go:") ||
+		strings.Contains(line, "/internal/obs/") ||
+		strings.Contains(line, "tea/internal/obs.") ||
+		strings.Contains(line, pkg+".emit") ||
+		strings.Contains(line, "CALL") && strings.Contains(line, shapeOn)
+}
