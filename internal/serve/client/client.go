@@ -5,12 +5,20 @@
 // through retry with jittered exponential backoff and idempotent session
 // resume.
 //
-// Idempotency contract: every batch is acknowledged with the session's
+// Edge batches travel in windows: the client asks for a windowed
+// connection in its Hello, then sends as many Edges frames as fit in
+// serve.ReadBufferSize bytes, closed by a Sync, in one Write, and reads one
+// EdgesAck per window. The client is single-goroutine: it never writes and
+// reads at once.
+//
+// Idempotency contract: every window is acknowledged with the session's
 // cumulative accepted-edge watermark, and a resumed session's OpenAck
 // carries the same watermark, so after any interruption the client
-// re-sends exactly the un-acknowledged suffix. A replay therefore consumes
-// each edge exactly once server-side no matter how many times the
-// connection died in between.
+// re-sends exactly the un-acknowledged suffix. Each Edges frame carries the
+// watermark it starts at, and the server accepts a frame only at its own
+// watermark, so a frame lost or reordered inside a window cannot apply
+// edges out of order. A replay therefore consumes each edge exactly once
+// server-side no matter how many times the connection died in between.
 package client
 
 import (
@@ -41,7 +49,9 @@ type Config struct {
 	// floored by any server-provided retry-after hint.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Timeout bounds each frame read/write (0 selects DefaultTimeout).
+	// Timeout bounds each frame read/write: a server silent for Timeout
+	// fails the operation, at the latest 9/8 of it after going silent
+	// (0 selects DefaultTimeout).
 	Timeout time.Duration
 	// Seed makes the jitter deterministic for tests; 0 derives from time.
 	Seed int64
@@ -84,12 +94,28 @@ func (c Config) withDefaults() Config {
 // Client is a wire client bound to one tenant identity. It is not safe for
 // concurrent use; open one Client per concurrent session.
 type Client struct {
-	cfg  Config
-	rng  *rand.Rand
-	conn net.Conn
-	br   *bufio.Reader // buffered frame reads over conn
-	rbuf []byte
-	wbuf []byte // frame write buffer, reused: header then payload
+	cfg      Config
+	rng      *rand.Rand
+	conn     net.Conn
+	br       *bufio.Reader // buffered frame reads over conn
+	rbuf     []byte
+	wbuf     []byte       // frame write buffer, reused: header then payload
+	rdl, wdl idleDeadline // sparse read and write deadline refresh on conn
+}
+
+// idleDeadline refreshes one direction's deadline on a connection at most
+// once per timeout/8, to now + timeout + timeout/8, so a silent server is
+// given up on between timeout and 9/8 of it after going silent while a
+// busy connection pays one SetDeadline per timeout/8.
+type idleDeadline struct{ last time.Time }
+
+// due reports whether the deadline needs a refresh at now, and to when.
+func (d *idleDeadline) due(now time.Time, timeout time.Duration) (time.Time, bool) {
+	if now.Sub(d.last) < timeout/8 {
+		return time.Time{}, false
+	}
+	d.last = now
+	return now.Add(timeout + timeout/8), true
 }
 
 // New creates a client over cfg.Dial.
@@ -131,12 +157,13 @@ func (c *Client) ensure() error {
 		return err
 	}
 	c.conn = conn
+	c.rdl, c.wdl = idleDeadline{}, idleDeadline{}
 	if c.br == nil {
 		c.br = bufio.NewReaderSize(conn, serve.ReadBufferSize)
 	} else {
 		c.br.Reset(conn)
 	}
-	hello := serve.Hello{Version: serve.ProtoVersion, Tenant: c.cfg.Tenant}
+	hello := serve.Hello{Version: serve.ProtoVersion, Tenant: c.cfg.Tenant, Windowed: true}
 	typ, body, err := c.roundTrip(hello.Append(c.begin()))
 	if err != nil {
 		c.drop()
@@ -146,9 +173,14 @@ func (c *Client) ensure() error {
 		c.drop()
 		return &serve.Error{Code: serve.CodeProto, Msg: "expected HelloAck, got " + typ.String()}
 	}
-	if _, err := serve.ParseHelloAck(body); err != nil {
+	ack, err := serve.ParseHelloAck(body)
+	if err != nil {
 		c.drop()
 		return err
+	}
+	if !ack.Windowed {
+		c.drop()
+		return &serve.Error{Code: serve.CodeProto, Msg: "server did not grant windowed batches"}
 	}
 	return nil
 }
@@ -167,20 +199,29 @@ func (c *Client) begin() []byte {
 	return append(c.wbuf[:0], make([]byte, serve.FrameHeaderLen)...)
 }
 
-// roundTrip seals a frame built on begin, sends it in one Write and reads
-// the response frame, both under the configured timeout. A FrameError
-// response is parsed into *serve.Error and returned as the error with
-// frame type FrameError.
+// roundTrip seals a frame built on begin, sends it and reads the response
+// frame.
 func (c *Client) roundTrip(frame []byte) (serve.FrameType, []byte, error) {
-	c.wbuf = frame
 	if err := serve.SealFrame(frame); err != nil {
 		return 0, nil, err
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout))
-	if _, err := c.conn.Write(frame); err != nil {
+	return c.exchange(frame)
+}
+
+// exchange sends sealed frames in one Write and reads the response frame,
+// both under the configured timeout. A FrameError response is parsed into
+// *serve.Error and returned as the error with frame type FrameError.
+func (c *Client) exchange(frames []byte) (serve.FrameType, []byte, error) {
+	c.wbuf = frames
+	if at, ok := c.wdl.due(time.Now(), c.cfg.Timeout); ok {
+		_ = c.conn.SetWriteDeadline(at)
+	}
+	if _, err := c.conn.Write(frames); err != nil {
 		return 0, nil, err
 	}
-	_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout))
+	if at, ok := c.rdl.due(time.Now(), c.cfg.Timeout); ok {
+		_ = c.conn.SetReadDeadline(at)
+	}
 	resp, err := serve.ReadFrame(c.br, c.rbuf)
 	if err != nil {
 		return 0, nil, err
@@ -304,26 +345,9 @@ func (c *Client) replayOnce(image string, edges []core.Edge, batch int, sessionI
 	}
 
 	for *sent < uint64(len(edges)) {
-		end := *sent + uint64(batch)
-		if end > uint64(len(edges)) {
-			end = uint64(len(edges))
-		}
-		payload := serve.AppendEdges(c.begin(), edges[*sent:end], int64(*sent))
-		typ, body, err := c.roundTrip(payload)
-		if err != nil {
+		if err := c.window(edges, batch, sent); err != nil {
 			return nil, core.NTE, err
 		}
-		if typ != serve.FrameEdgesAck {
-			return nil, core.NTE, &serve.Error{Code: serve.CodeProto, Msg: "expected EdgesAck, got " + typ.String()}
-		}
-		eack, err := serve.ParseEdgesAck(body)
-		if err != nil {
-			return nil, core.NTE, err
-		}
-		if eack.Watermark < *sent || eack.Watermark > uint64(len(edges)) {
-			return nil, core.NTE, &serve.Error{Code: serve.CodeProto, Msg: "server watermark regressed"}
-		}
-		*sent = eack.Watermark
 	}
 
 	closeFrame := append(c.begin(), byte(serve.FrameClose))
@@ -340,6 +364,59 @@ func (c *Client) replayOnce(image string, edges []core.Edge, batch int, sessionI
 	}
 	stats := msg.Stats
 	return &stats, msg.Final, nil
+}
+
+// window sends the next window of the stream — Edges frames of batch
+// edges from *sent on, as many as fit in serve.ReadBufferSize bytes with
+// the closing Sync — in one Write, and advances *sent to the watermark the
+// server acknowledges for it.
+func (c *Client) window(edges []core.Edge, batch int, sent *uint64) error {
+	const syncLen = serve.FrameHeaderLen + 1
+	buf := c.wbuf[:0]
+	next := *sent
+	for next < uint64(len(edges)) {
+		end := min(next+uint64(batch), uint64(len(edges)))
+		at := len(buf)
+		buf = append(buf, make([]byte, serve.FrameHeaderLen)...)
+		buf = serve.AppendEdges(buf, edges[next:end], int64(next))
+		if at > 0 && len(buf)+syncLen > serve.ReadBufferSize {
+			buf = buf[:at] // the frame opens the next window
+			break
+		}
+		if err := serve.SealFrame(buf[at:]); err != nil {
+			return err
+		}
+		next = end
+	}
+	at := len(buf)
+	buf = append(buf, make([]byte, serve.FrameHeaderLen)...)
+	buf = append(buf, byte(serve.FrameSync))
+	if err := serve.SealFrame(buf[at:]); err != nil {
+		return err
+	}
+	typ, body, err := c.exchange(buf)
+	if err != nil {
+		return err
+	}
+	if typ != serve.FrameEdgesAck {
+		return &serve.Error{Code: serve.CodeProto, Msg: "expected EdgesAck, got " + typ.String()}
+	}
+	ack, err := serve.ParseEdgesAck(body)
+	if err != nil {
+		return err
+	}
+	switch {
+	case ack.Watermark < *sent || ack.Watermark > next:
+		return &serve.Error{Code: serve.CodeProto, Msg: "server watermark outside the window"}
+	case ack.Watermark < next:
+		// Some of the window's frames never reached the server in order:
+		// the link lost or reordered them. A reordered frame may still be
+		// in flight, so continuing on this connection could replay it;
+		// a fresh connection resumes from the server's watermark.
+		return &serve.Error{Code: serve.CodeCorrupt, Msg: "window acknowledged short: frames lost in flight"}
+	}
+	*sent = next
+	return nil
 }
 
 // Publish uploads a serialized TEA (core.Encode bytes) as image's next

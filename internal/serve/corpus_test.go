@@ -44,6 +44,8 @@ func parseBody(t FrameType, body []byte) error {
 	case FramePublishAck:
 		_, err := ParsePublishAck(body)
 		return err
+	case FrameSync:
+		return parseSync(body)
 	}
 	return errf(CodeProto, "unknown frame type %d", t)
 }

@@ -30,8 +30,9 @@ type Config struct {
 	// readmission attempt (0 selects DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// IdleTimeout bounds every single read and write on a connection, so a
-	// stalled or half-dead peer can never wedge a handler goroutine
-	// (0 selects DefaultIdleTimeout).
+	// stalled or half-dead peer can never wedge a handler goroutine: a peer
+	// silent for IdleTimeout loses its connection, at the latest 9/8 of it
+	// after going silent (0 selects DefaultIdleTimeout).
 	IdleTimeout time.Duration
 	// MaxPublishInFlight bounds concurrent publish admissions server-wide;
 	// beyond it publishes are rejected with CodeBackpressure (0 selects
@@ -339,13 +340,41 @@ type connHandler struct {
 	rbuf    []byte        // frame read buffer, reused
 	wbuf    []byte        // frame write buffer, reused: header then payload
 	edgeBuf []core.Edge   // parsed-edge scratch, reused
+
+	rdl, wdl idleDeadline // sparse read and write deadline refresh
+
+	// windowed is set by the handshake when the client asked for windowed
+	// batches: Edges frames go unacknowledged and each Sync gets one
+	// cumulative EdgesAck.
+	windowed bool
+	// held is a session-ending error raised in mid-window. It is sent at
+	// the window's Sync, and the window's remaining Edges frames are
+	// discarded until then: the client may still be writing them.
+	held *Error
+}
+
+// idleDeadline refreshes one direction's deadline on a connection at most
+// once per idle/8, to now + idle + idle/8. A peer silent since time t is
+// then cut off between t + idle and t + 9·idle/8 — never sooner than with
+// a deadline reset on every frame — while a busy connection pays one
+// SetDeadline per idle/8 instead of one per frame.
+type idleDeadline struct{ last time.Time }
+
+// due reports whether the deadline needs a refresh at now, and to when.
+func (d *idleDeadline) due(now time.Time, idle time.Duration) (time.Time, bool) {
+	if now.Sub(d.last) < idle/8 {
+		return time.Time{}, false
+	}
+	d.last = now
+	return now.Add(idle + idle/8), true
 }
 
 // ReadBufferSize sizes the per-connection read buffer on both ends of the
 // wire: large enough that a typical Edges batch and its header arrive in
 // one transport read, small enough that a connection costs a few tens of
-// KiB. Larger frames bypass the buffer and read straight into the frame
-// buffer.
+// KiB. It also bounds a client's window of Edges frames and its Sync, so a
+// window arrives in one read too. Larger frames bypass the buffer and read
+// straight into the frame buffer.
 const ReadBufferSize = 32 << 10
 
 // ServeConn drives one connection to completion. It is safe to call
@@ -392,7 +421,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 // readFrame reads one frame under the idle deadline.
 func (h *connHandler) readFrame() ([]byte, error) {
-	_ = h.conn.SetReadDeadline(time.Now().Add(h.s.cfg.IdleTimeout))
+	if at, ok := h.rdl.due(time.Now(), h.s.cfg.IdleTimeout); ok {
+		_ = h.conn.SetReadDeadline(at)
+	}
 	payload, err := ReadFrame(h.br, h.rbuf)
 	if err != nil {
 		return nil, err
@@ -416,7 +447,9 @@ func (h *connHandler) write(frame []byte) error {
 	if err := SealFrame(frame); err != nil {
 		return err
 	}
-	_ = h.conn.SetWriteDeadline(time.Now().Add(h.s.cfg.IdleTimeout))
+	if at, ok := h.wdl.due(time.Now(), h.s.cfg.IdleTimeout); ok {
+		_ = h.conn.SetWriteDeadline(at)
+	}
 	h.s.m.bytesOut.Add(uint64(len(frame) - FrameHeaderLen))
 	_, err := h.conn.Write(frame)
 	return err
@@ -451,7 +484,8 @@ func (h *connHandler) handshake() bool {
 	h.tenant = h.s.tenantLocked(hello.Tenant)
 	h.tenant.conns++
 	h.s.mu.Unlock()
-	ack := HelloAck{Version: ProtoVersion}
+	h.windowed = hello.Windowed
+	ack := HelloAck{Version: ProtoVersion, Windowed: h.windowed}
 	return h.write(ack.Append(h.begin())) == nil
 }
 
@@ -469,7 +503,18 @@ func (h *connHandler) serveFrame() bool {
 		_ = h.sendError(asError(perr))
 		return false
 	}
+	if h.held != nil && typ != FrameSync {
+		if typ == FrameEdges {
+			return true // the rest of a window whose session already ended
+		}
+		_ = h.sendError(errf(CodeProto, "%s inside a failed window", typ))
+		return false
+	}
 	switch typ {
+	case FrameSync:
+		if h.windowed {
+			return h.handleSync(body)
+		}
 	case FrameOpen:
 		return h.handleOpen(body)
 	case FrameEdges:
@@ -478,10 +523,9 @@ func (h *connHandler) serveFrame() bool {
 		return h.handleClose()
 	case FramePublish:
 		return h.handlePublish(body)
-	default:
-		_ = h.sendError(errf(CodeProto, "unexpected frame %s", typ))
-		return false
 	}
+	_ = h.sendError(errf(CodeProto, "unexpected frame %s", typ))
+	return false
 }
 
 // handleOpen admits a new session or resumes a parked one.
@@ -614,7 +658,8 @@ func (h *connHandler) resume(token string) bool {
 	return h.write(ack.Append(h.begin())) == nil
 }
 
-// handleEdges replays one batch on the attached session.
+// handleEdges replays one batch on the attached session. On a windowed
+// connection the batch goes unacknowledged; the window's Sync acks it.
 func (h *connHandler) handleEdges(body []byte) bool {
 	sess := h.sess
 	if sess == nil {
@@ -629,26 +674,32 @@ func (h *connHandler) handleEdges(body []byte) bool {
 		h.failSession(errf(CodeDeadline, "session %s exceeded its deadline", sess.id))
 		return true
 	}
-	if serr := sess.chargeBytes(uint64(len(body)), h.s.cfg.Quota); serr != nil {
-		h.s.m.rejQuota.Add(1)
-		h.s.event(obs.EvQuotaReject, sess.src, sess.edges, uint64(serr.Code))
-		h.failSession(serr)
-		return true
-	}
 	edges, clock, err := ParseEdges(body, h.edgeBuf)
 	if err != nil {
 		_ = h.sendError(asError(err))
 		return false
 	}
 	h.edgeBuf = edges[:cap(edges)]
-	// Trace-context clock check: a batch that claims a watermark other than
-	// the session's accepted one means the sender's stream cursor desynced
-	// from the server's (a confused retry loop would otherwise replay edges
-	// twice or skip a suffix silently). Frames without a clock skip the
-	// check — old clients stay valid.
+	// Trace-context clock check: the clock orders the stream. A batch
+	// claiming a watermark ahead of the session's is a gap — an earlier
+	// frame of the window was lost or reordered in flight — so the
+	// connection closes and the session parks: the client resumes from the
+	// accepted watermark. A batch behind it is a replay, a sender whose
+	// stream cursor desynced from the server's; it would apply edges twice,
+	// so the session fails. Frames without a clock skip the check — old
+	// clients stay valid.
 	if clock != NoClock && uint64(clock) != sess.edges {
+		if uint64(clock) > sess.edges {
+			return false
+		}
 		h.failSession(errf(CodeProto,
 			"stream clock skew: batch claims watermark %d, session %s at %d", clock, sess.id, sess.edges))
+		return true
+	}
+	if serr := sess.chargeBytes(uint64(len(body)), h.s.cfg.Quota); serr != nil {
+		h.s.m.rejQuota.Add(1)
+		h.s.event(obs.EvQuotaReject, sess.src, sess.edges, uint64(serr.Code))
+		h.failSession(serr)
 		return true
 	}
 	if serr := sess.chargeEdges(uint64(len(edges)), h.s.cfg.Quota); serr != nil {
@@ -666,7 +717,30 @@ func (h *connHandler) handleEdges(body []byte) bool {
 	h.s.m.edges.Add(uint64(len(edges)))
 	h.tenant.m.edges.Add(uint64(len(edges)))
 
+	if h.windowed {
+		return true
+	}
 	ack := EdgesAck{Watermark: sess.edges}
+	return h.write(ack.Append(h.begin())) == nil
+}
+
+// handleSync closes a window on a windowed connection: it sends the error
+// held from a session that ended in mid-window, or else one EdgesAck with
+// the attached session's cumulative watermark.
+func (h *connHandler) handleSync(body []byte) bool {
+	if err := parseSync(body); err != nil {
+		_ = h.sendError(asError(err))
+		return false
+	}
+	if serr := h.held; serr != nil {
+		h.held = nil
+		return h.sendError(serr) == nil
+	}
+	if h.sess == nil {
+		_ = h.sendError(errf(CodeProto, "Sync without an open session"))
+		return false
+	}
+	ack := EdgesAck{Watermark: h.sess.edges}
 	return h.write(ack.Append(h.begin())) == nil
 }
 
@@ -733,11 +807,16 @@ func asError(err error) *Error {
 
 // failSession terminates the attached session with a structured error
 // frame; the connection survives (the tenant may open another session).
+// On a windowed connection the frame is held until the window's Sync.
 func (h *connHandler) failSession(serr *Error) {
 	sess := h.sess
 	h.finishSession(serr)
 	h.sess = nil
 	h.parkSession(sess)
+	if h.windowed {
+		h.held = serr
+		return
+	}
 	_ = h.sendError(serr)
 }
 

@@ -35,6 +35,18 @@ import (
 // Any server-detected failure crosses as an Error frame; protocol
 // violations additionally close the connection (parked sessions survive
 // and can be resumed on a new connection).
+//
+// Windowed connections: a Hello with Windowed set, granted by the
+// HelloAck, replaces the per-frame EdgesAck with one per window. The
+// client sends a window of Edges frames closed by a Sync, in one Write,
+// and the server answers only the Sync: (Edges* → Sync → EdgesAck)*. The
+// server never writes while the client may still be writing its window,
+// so a synchronous transport such as net.Pipe cannot deadlock, and a
+// session-ending error in mid-window is held back and sent at the Sync.
+// The Edges clocks order the stream: a clock ahead of the session's
+// watermark is a gap (a frame was lost or reordered in flight) and closes
+// the connection, so the client resumes from the watermark; a clock
+// behind it is a replay and fails the session with CodeProto.
 
 // ProtoVersion is the wire protocol version carried in Hello.
 const ProtoVersion = 1
@@ -66,7 +78,8 @@ const (
 	FrameOpenAck
 	// FrameEdges streams a batch of dynamic block-stream edges.
 	FrameEdges
-	// FrameEdgesAck acknowledges a batch with the cumulative watermark.
+	// FrameEdgesAck acknowledges a batch — on a windowed connection, a
+	// window — with the cumulative watermark.
 	FrameEdgesAck
 	// FrameClose ends the session and requests final statistics.
 	FrameClose
@@ -78,6 +91,10 @@ const (
 	FramePublish
 	// FramePublishAck acknowledges a publish with the new generation.
 	FramePublishAck
+	// FrameSync closes a window of Edges frames on a windowed connection;
+	// the server answers it with one cumulative EdgesAck. The body is
+	// empty.
+	FrameSync
 )
 
 // String returns the stable name of the frame type.
@@ -105,6 +122,8 @@ func (t FrameType) String() string {
 		return "Publish"
 	case FramePublishAck:
 		return "PublishAck"
+	case FrameSync:
+		return "Sync"
 	}
 	return "FrameType(?)"
 }
@@ -261,17 +280,21 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// Hello is the connection-opening frame body.
+// Hello is the connection-opening frame body. Windowed asks for windowed
+// Edges batches; the field is optional-trailing and written only when set,
+// so a legacy Hello is byte-for-byte what pre-window clients send.
 type Hello struct {
-	Version uint64
-	Tenant  string
+	Version  uint64
+	Tenant   string
+	Windowed bool
 }
 
 // Append serializes the message after a FrameHello type byte.
 func (m *Hello) Append(dst []byte) []byte {
 	dst = append(dst, byte(FrameHello))
 	dst = binary.AppendUvarint(dst, m.Version)
-	return appendString(dst, m.Tenant)
+	dst = appendString(dst, m.Tenant)
+	return appendWindowed(dst, m.Windowed)
 }
 
 // ParseHello parses a FrameHello body.
@@ -288,18 +311,24 @@ func ParseHello(body []byte) (Hello, error) {
 	if m.Tenant == "" {
 		return m, errf(CodeProto, "empty tenant")
 	}
+	if m.Windowed, err = r.windowed(); err != nil {
+		return m, err
+	}
 	return m, r.done("Hello")
 }
 
-// HelloAck acknowledges Hello.
+// HelloAck acknowledges Hello. Windowed grants a Hello's request for
+// windowed batches; like Hello.Windowed it is written only when set.
 type HelloAck struct {
-	Version uint64
+	Version  uint64
+	Windowed bool
 }
 
 // Append serializes the message after a FrameHelloAck type byte.
 func (m *HelloAck) Append(dst []byte) []byte {
 	dst = append(dst, byte(FrameHelloAck))
-	return binary.AppendUvarint(dst, m.Version)
+	dst = binary.AppendUvarint(dst, m.Version)
+	return appendWindowed(dst, m.Windowed)
 }
 
 // ParseHelloAck parses a FrameHelloAck body.
@@ -310,7 +339,41 @@ func ParseHelloAck(body []byte) (HelloAck, error) {
 	if m.Version, err = r.uvarint("version"); err != nil {
 		return m, err
 	}
+	if m.Windowed, err = r.windowed(); err != nil {
+		return m, err
+	}
 	return m, r.done("HelloAck")
+}
+
+// appendWindowed appends the optional-trailing windowed flag of Hello and
+// HelloAck: a uvarint 1 when set, nothing otherwise.
+func appendWindowed(dst []byte, windowed bool) []byte {
+	if !windowed {
+		return dst
+	}
+	return append(dst, 1)
+}
+
+// windowed reads the optional-trailing windowed flag: absent or 0 is false,
+// 1 is true, anything else a protocol violation.
+func (r *wireReader) windowed() (bool, error) {
+	if r.off == len(r.data) {
+		return false, nil
+	}
+	v, err := r.uvarint("windowed flag")
+	if err != nil {
+		return false, err
+	}
+	if v > 1 {
+		return false, errf(CodeProto, "windowed flag %d out of range", v)
+	}
+	return v == 1, nil
+}
+
+// parseSync checks a FrameSync body, which is empty.
+func parseSync(body []byte) error {
+	r := wireReader{data: body}
+	return r.done("Sync")
 }
 
 // Open opens a new session (Resume == "") or resumes a parked one. Src is

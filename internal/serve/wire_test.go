@@ -356,6 +356,9 @@ func TestParsersSurviveMutation(t *testing.T) {
 		hello.Append(nil), open.Append(nil), sm.Append(nil), edges,
 		AppendError(nil, errf(CodeInternal, "x")),
 		(&Publish{Image: "i", Data: []byte{1}}).Append(nil),
+		(&Hello{Version: 1, Tenant: "t", Windowed: true}).Append(nil),
+		(&HelloAck{Version: 1, Windowed: true}).Append(nil),
+		{byte(FrameSync)},
 	}
 	for _, seed := range seeds {
 		for round := 0; round < 200; round++ {
@@ -368,6 +371,10 @@ func TestParsersSurviveMutation(t *testing.T) {
 			switch typ {
 			case FrameHello:
 				_, perr = ParseHello(body)
+			case FrameHelloAck:
+				_, perr = ParseHelloAck(body)
+			case FrameSync:
+				perr = parseSync(body)
 			case FrameOpen:
 				_, perr = ParseOpen(body)
 			case FrameOpenAck:
@@ -454,6 +461,49 @@ func TestTraceContextOptionalFields(t *testing.T) {
 	_, clock, perr := ParseEdges(body, nil)
 	if perr != nil || clock != NoClock {
 		t.Fatalf("clockless Edges: clock %d, %v", clock, perr)
+	}
+}
+
+// TestWindowedFlagOptional: the windowed flag on Hello and HelloAck
+// round-trips, is written only when set — so a legacy Hello or HelloAck
+// keeps its exact bytes — and parses as false when absent or 0. Any other
+// value is a protocol violation, and Sync's body must be empty.
+func TestWindowedFlagOptional(t *testing.T) {
+	legacy := Hello{Version: ProtoVersion, Tenant: "acme"}
+	win := legacy
+	win.Windowed = true
+	lb, wb := legacy.Append(nil), win.Append(nil)
+	if !bytes.Equal(wb[:len(lb)], lb) || len(wb) != len(lb)+1 {
+		t.Fatalf("windowed Hello %x does not extend legacy %x by one byte", wb, lb)
+	}
+	for _, m := range []Hello{legacy, win} {
+		if got, err := ParseHello(m.Append(nil)[1:]); err != nil || got != m {
+			t.Fatalf("Hello round trip: %+v, %v", got, err)
+		}
+	}
+	if got, err := ParseHello(append(lb[1:len(lb):len(lb)], 0)); err != nil || got != legacy {
+		t.Fatalf("Hello with flag 0: %+v, %v", got, err)
+	}
+	var serr *Error
+	if _, err := ParseHello(append(lb[1:len(lb):len(lb)], 2)); !errors.As(err, &serr) || serr.Code != CodeProto {
+		t.Fatalf("Hello with flag 2: %v, want a protocol error", err)
+	}
+
+	for _, m := range []HelloAck{{Version: ProtoVersion}, {Version: ProtoVersion, Windowed: true}} {
+		b := m.Append(nil)
+		if m.Windowed != (len(b) == 3) {
+			t.Fatalf("HelloAck %+v encodes as %x", m, b)
+		}
+		if got, err := ParseHelloAck(b[1:]); err != nil || got != m {
+			t.Fatalf("HelloAck round trip: %+v, %v", got, err)
+		}
+	}
+
+	if err := parseSync(nil); err != nil {
+		t.Fatalf("empty Sync: %v", err)
+	}
+	if err := parseSync([]byte{0}); !errors.As(err, &serr) || serr.Code != CodeProto {
+		t.Fatalf("Sync with a body: %v, want a protocol error", err)
 	}
 }
 

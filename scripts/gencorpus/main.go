@@ -210,6 +210,9 @@ func writeWireCorpus() error {
 		{"error", serve.AppendError(nil, &serve.Error{Code: serve.CodeBackpressure, Msg: "corpus", RetryAfter: 50 * time.Millisecond})},
 		{"publish", (&serve.Publish{Image: "figure2", Data: []byte{1, 2, 3, 4}}).Append(nil)},
 		{"publishack", (&serve.PublishAck{Gen: 2}).Append(nil)},
+		{"hello-windowed", (&serve.Hello{Version: serve.ProtoVersion, Tenant: "corpus", Windowed: true}).Append(nil)},
+		{"helloack-windowed", (&serve.HelloAck{Version: serve.ProtoVersion, Windowed: true}).Append(nil)},
+		{"sync", []byte{byte(serve.FrameSync)}},
 	}
 	for _, seed := range seeds {
 		var frame bytes.Buffer
