@@ -20,6 +20,7 @@ import (
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/dbt"
+	"github.com/lsc-tea/tea/internal/obs"
 	"github.com/lsc-tea/tea/internal/pin"
 	"github.com/lsc-tea/tea/internal/teatool"
 	"github.com/lsc-tea/tea/internal/trace"
@@ -320,71 +321,74 @@ func streamFor(b *testing.B, name string) *streamFixture {
 	return f
 }
 
-// BenchmarkCompiledReplay is the tentpole's headline: the raw transition
-// function over a pre-captured stream (no engine in the timed region),
-// reference replayer versus the compiled flat automaton, single-edge and
-// batched. allocs/op must read 0 for the compiled paths in steady state;
-// ns/edge is the comparable across configurations.
+// BenchmarkCompiledReplay is the raw transition function over a
+// pre-captured stream (no engine in the timed region): the reference
+// replayer versus the compiled flat automaton, single-edge, batched, with
+// local caches off (compiled-soa), stride-specialized, and with an
+// observability context attached (-obs). 901.steady and 902.stream are the
+// cycle workloads where the stride kernel fuses. ns/edge is the comparable
+// across rows; tests in internal/core hold the zero-alloc claims.
 func BenchmarkCompiledReplay(b *testing.B) {
-	for _, wl := range []string{"181.mcf", "176.gcc"} {
-		f := streamFor(b, wl)
-		compiled := core.Compile(f.a, core.ConfigGlobalLocal)
-		b.Run(wl+"/reference-hash", func(b *testing.B) {
-			r := core.NewReplayer(f.a, core.LookupConfig{Global: core.GlobalHash, Local: true})
+	for _, wl := range []string{"181.mcf", "176.gcc", "901.steady", "902.stream"} {
+		b.Run(wl, func(b *testing.B) { compiledReplayRows(b, streamFor(b, wl)) })
+	}
+}
+
+// compiledReplayRows runs BenchmarkCompiledReplay's rows over one fixture.
+func compiledReplayRows(b *testing.B, f *streamFixture) {
+	compiled := core.Compile(f.a, core.ConfigGlobalLocal)
+	stride := core.Specialize(compiled, f.stream)
+	reference := func(lc core.LookupConfig) func() {
+		r := core.NewReplayer(f.a, lc)
+		return func() {
+			r.Reset()
+			for _, e := range f.stream {
+				r.Advance(e.Label, e.Instrs)
+			}
+		}
+	}
+	replayer := func(c *core.Compiled, o *obs.Obs) *core.CompiledReplayer {
+		r := core.NewCompiledReplayer(c)
+		r.SetObs(o)
+		return r
+	}
+	batch := func(r *core.CompiledReplayer) func() {
+		return func() {
+			r.Reset()
+			r.AdvanceBatch(f.stream)
+		}
+	}
+	single := replayer(compiled, nil)
+	strideOff, strideOn := replayer(stride, nil), replayer(stride, obs.New())
+	rows := []struct {
+		name   string
+		pass   func()
+		stride *core.CompiledReplayer
+	}{
+		{"reference-hash", reference(core.LookupConfig{Global: core.GlobalHash, Local: true}), nil},
+		{"reference-btree", reference(core.ConfigGlobalLocal), nil},
+		{"compiled", func() {
+			single.Reset()
+			for _, e := range f.stream {
+				single.Advance(e.Label, e.Instrs)
+			}
+		}, nil},
+		{"compiled-batch", batch(replayer(compiled, nil)), nil},
+		{"compiled-soa", batch(replayer(core.Compile(f.a, core.ConfigGlobalNoLocal), nil)), nil},
+		{"compiled-stride", batch(strideOff), strideOff},
+		{"compiled-batch-obs", batch(replayer(compiled, obs.New())), nil},
+		{"compiled-stride-obs", batch(strideOn), strideOn},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Reset()
-				for _, e := range f.stream {
-					r.Advance(e.Label, e.Instrs)
-				}
+				row.pass()
 			}
 			reportPerEdge(b, uint64(b.N)*uint64(len(f.stream)))
-		})
-		b.Run(wl+"/reference-btree", func(b *testing.B) {
-			r := core.NewReplayer(f.a, core.ConfigGlobalLocal)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset()
-				for _, e := range f.stream {
-					r.Advance(e.Label, e.Instrs)
-				}
+			if row.stride != nil {
+				b.ReportMetric(float64(row.stride.StrideEdges())/float64(len(f.stream)), "cycle-hit-rate")
 			}
-			reportPerEdge(b, uint64(b.N)*uint64(len(f.stream)))
-		})
-		b.Run(wl+"/compiled", func(b *testing.B) {
-			r := core.NewCompiledReplayer(compiled)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset()
-				for _, e := range f.stream {
-					r.Advance(e.Label, e.Instrs)
-				}
-			}
-			reportPerEdge(b, uint64(b.N)*uint64(len(f.stream)))
-		})
-		b.Run(wl+"/compiled-batch", func(b *testing.B) {
-			r := core.NewCompiledReplayer(compiled)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset()
-				r.AdvanceBatch(f.stream)
-			}
-			reportPerEdge(b, uint64(b.N)*uint64(len(f.stream)))
-		})
-		b.Run(wl+"/compiled-stride", func(b *testing.B) {
-			r := core.NewCompiledReplayer(core.Specialize(compiled, f.stream))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset()
-				r.AdvanceBatch(f.stream)
-			}
-			reportPerEdge(b, uint64(b.N)*uint64(len(f.stream)))
-			b.ReportMetric(float64(r.StrideEdges())/float64(len(f.stream)), "cycle-hit-rate")
 		})
 	}
 }

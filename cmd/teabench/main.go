@@ -11,10 +11,10 @@
 //	teabench -target 500000      # dynamic instructions per benchmark
 //	teabench -bench gcc,swim     # subset of benchmarks
 //	teabench -threshold 50       # hot threshold
-//	teabench -replaybench BENCH_replay.json  # replay hot-path ns/edge + allocs/edge
-//	teabench -recordbench BENCH_record.json  # recording hot-path ns/edge + allocs/edge
-//	teabench -obsbench BENCH_obs.json        # observability layer overhead (off vs on)
-//	teabench -pipebench BENCH_pipeline.json  # capture→process pipeline scaling + allocs
+//
+// The hot-path micro-benchmarks (replay, recording, observability, the
+// pipeline and serve sessions) are `go test -bench` benchmarks beside the
+// code they time; see README.md.
 package main
 
 import (
@@ -38,10 +38,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
 	list := flag.Bool("list", false, "list the synthetic benchmarks and exit")
-	replayBench := flag.String("replaybench", "", "run the replay micro-benchmark and write machine-readable results to this file (e.g. BENCH_replay.json)")
-	recordBench := flag.String("recordbench", "", "run the recording micro-benchmark and write machine-readable results to this file (e.g. BENCH_record.json)")
-	obsBench := flag.String("obsbench", "", "run the observability overhead micro-benchmark and write machine-readable results to this file (e.g. BENCH_obs.json)")
-	pipeBench := flag.String("pipebench", "", "run the capture→process pipeline micro-benchmark and write machine-readable results to this file (e.g. BENCH_pipeline.json)")
 	flag.Parse()
 	emitJSON = *jsonOut
 
@@ -69,90 +65,6 @@ func main() {
 			}
 			opts.Benchmarks = append(opts.Benchmarks, spec)
 		}
-	}
-
-	if *replayBench != "" {
-		res, err := expr.RunReplayBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*replayBench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("=== Replay hot path: ns/edge and allocs/edge ===\n")
-		fmt.Println(res.Render())
-		fmt.Fprintf(os.Stderr, "teabench: wrote %s\n", *replayBench)
-		return
-	}
-
-	if *recordBench != "" {
-		res, err := expr.RunRecordBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*recordBench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("=== Recording hot path: ns/edge and allocs/edge ===\n")
-		fmt.Println(res.Render())
-		fmt.Fprintf(os.Stderr, "teabench: wrote %s\n", *recordBench)
-		return
-	}
-
-	if *obsBench != "" {
-		res, err := expr.RunObsBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*obsBench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("=== Observability layer: enabled vs disabled ns/edge ===\n")
-		fmt.Println(res.Render())
-		fmt.Fprintf(os.Stderr, "teabench: wrote %s\n", *obsBench)
-		return
-	}
-
-	if *pipeBench != "" {
-		res, err := expr.RunPipeBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*pipeBench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("=== Capture→process pipeline: modeled scaling and allocs/edge ===\n")
-		fmt.Println(res.Render())
-		fmt.Fprintf(os.Stderr, "teabench: wrote %s\n", *pipeBench)
-		return
 	}
 
 	want := func(n string) bool { return *table == "all" || *table == n }

@@ -1,8 +1,9 @@
 // Package hotalloc flags allocation-inducing constructs inside the
 // repository's declared hot paths — the static complement to the runtime
-// zero-alloc gates (testing.AllocsPerRun assertions and the benchdiff
-// -zero-allocs CI checks), which prove the steady state but only for the
-// schedules and inputs a bench happens to drive.
+// zero-alloc gates (testing.AllocsPerRun and malloc-count tests such as
+// TestBatchZeroAllocSteadyState and TestRecordPipelineZeroAllocSteadyState),
+// which prove the steady state but only for the schedules and inputs a test
+// happens to drive.
 //
 // A function is hot when its doc comment carries the //tea:hotpath
 // directive, or when it is statically reachable from a hot function through

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -294,4 +295,45 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	close(snaps)
 	wg.Wait()
+}
+
+// TestRecorderBatchZeroAllocSteadyState: once the bounded trace set
+// saturates (the automaton's Version survives three passes), a batched
+// recording pass allocates nothing, for mret and ctt, on mcf and on the
+// first 32k edges of gcc (its full stream is ten times longer). Mallocs are
+// counted over 200 passes, with a slack of one per ten for the runtime.
+func TestRecorderBatchZeroAllocSteadyState(t *testing.T) {
+	tc := trace.Config{HotThreshold: DefaultHotThreshold, MaxSetBlocks: 4096}
+	for _, name := range []string{"181.mcf", "176.gcc"} {
+		spec, _ := workload.ByName(name)
+		p, edges, instrs := captureBench(t, spec, 300_000)
+		if n := 32 << 10; len(edges) > n {
+			edges, instrs = edges[:n], instrs[:n]
+		}
+		for _, strat := range []string{"mret", "ctt"} {
+			rec := newDiffRecorder(t, strat, p, tc)
+			for stable, last, i := 0, uint64(0), 0; stable < 3; i++ {
+				if i == 64 {
+					t.Fatalf("%s/%s: automaton still growing after %d passes", name, strat, i)
+				}
+				rec.ObserveBatch(edges, instrs)
+				if v := rec.Automaton().Version(); v == last {
+					stable++
+				} else {
+					stable, last = 0, v
+				}
+			}
+			const passes = 200
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < passes; i++ {
+				rec.ObserveBatch(edges, instrs)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n > passes/10 {
+				t.Errorf("%s/%s: %d allocations over %d steady-state passes, want ~0", name, strat, n, passes)
+			}
+		}
+	}
 }

@@ -10,7 +10,7 @@
 // (trace enter/exit, desync, global lookup) — the in-trace fast path and
 // the batched replay loop are untouched, which is what keeps compiled
 // batched replay at 0 allocs/edge with observability compiled in (see
-// BENCH_obs.json).
+// TestBatchZeroAllocSteadyState in internal/core).
 //
 // Metric naming follows the Prometheus exposition conventions; the metric
 // set is stable and golden-tested so scrapes can be diffed across runs and

@@ -6,6 +6,7 @@ import (
 
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/obs"
+	"github.com/lsc-tea/tea/internal/trace"
 )
 
 // TestReplayPipelineObsZeroAllocSteadyState: with the observability layer
@@ -39,6 +40,30 @@ func TestReplayPipelineObsZeroAllocSteadyState(t *testing.T) {
 	}
 	if n := mallocs() - before; n > passes/10 {
 		t.Fatalf("%d allocations over %d obs-on passes, want ~0", n, passes)
+	}
+}
+
+// TestRecordPipelineZeroAllocSteadyState: once saturated, a record pass
+// allocates nothing, obs off and on, counted as above.
+func TestRecordPipelineZeroAllocSteadyState(t *testing.T) {
+	p := benchProgram()
+	edges, instrs := captureEdges(t, p)
+	for _, o := range []*obs.Obs{nil, obs.New()} {
+		strat, _ := trace.NewStrategy("mret", p, benchTraceCfg)
+		pl := NewRecord(strat, Config{Workers: 2, Obs: o})
+		saturate(pl, edges, instrs)
+		runtime.GC()
+		const passes = 200
+		before := mallocs()
+		for i := 0; i < passes; i++ {
+			pl.Feed(edges, instrs)
+			pl.Barrier()
+		}
+		n := mallocs() - before
+		pl.Close()
+		if n > passes/10 {
+			t.Errorf("obs=%v: %d allocations over %d saturated passes, want ~0", o != nil, n, passes)
+		}
 	}
 }
 

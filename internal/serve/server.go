@@ -45,7 +45,8 @@ type Config struct {
 	// DisableSessionEvents turns off the per-session trace events
 	// (open/resume/close/fail/quota/backpressure) stamped into the event
 	// ring. The flight recorder still trips; only the steady-state event
-	// stream is silenced, which is the obs-off serve row in BENCH_obs.json.
+	// stream is silenced, which is the events=off row of
+	// BenchmarkServeSession.
 	DisableSessionEvents bool
 	// Obs receives the server's metrics and health; nil creates a private
 	// context (reachable via Server.Obs for scraping).

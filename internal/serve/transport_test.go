@@ -304,3 +304,42 @@ func BenchmarkSessionTCP(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(img.edges)), "ns/edge")
 }
+
+// BenchmarkServeSession times whole client.Replay sessions over net.Pipe
+// into Server.ServeConn, at batch 512 on each chaos image repeated to 16k
+// edges, with the per-session trace events off (Config.DisableSessionEvents)
+// and on, and reports ns/edge. The off/on pair prices the session event
+// stream; ci.sh pairs both rows against the parent commit.
+func BenchmarkServeSession(b *testing.B) {
+	for _, img := range chaosFixture(b) {
+		img = repeated(img, 16<<10)
+		for _, events := range []string{"off", "on"} {
+			b.Run(img.name+"/events="+events, func(b *testing.B) {
+				s := serve.NewServer(serve.Config{DisableSessionEvents: events == "off"})
+				if err := s.Host(img.name, img.prog, img.auto); err != nil {
+					b.Fatalf("Host: %v", err)
+				}
+				cl, err := client.New(client.Config{Tenant: "bench", Seed: 1, Dial: func() (net.Conn, error) {
+					cli, srv := net.Pipe()
+					go s.ServeConn(srv)
+					return cli, nil
+				}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer cl.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					stats, final, err := cl.Replay(context.Background(), img.name, img.edges, 512)
+					if err != nil {
+						b.Fatalf("Replay: %v", err)
+					}
+					if *stats != img.want || final != img.final {
+						b.Fatalf("stats diverged from sequential replay")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(img.edges)), "ns/edge")
+			})
+		}
+	}
+}

@@ -1,291 +1,364 @@
-// Command benchdiff compares two machine-readable benchmark files
-// (BENCH_replay.json / BENCH_record.json / BENCH_obs.json /
-// BENCH_pipeline.json — all share the {target, rows[]} shape keyed by
-// bench+config, plus the obs mode and pipeline worker count where the file
-// distinguishes them) and fails when the new run regresses.
+// Command benchdiff reads `go test -bench` output and checks it. A run is
+// the output of one benchmark process in one file. A row is a benchmark
+// name without its -GOMAXPROCS suffix, and its value in a run is the median
+// of its ns/edge over the run's lines (ns/op when the row reports no
+// ns/edge), so -count repeats inside a run damp short host noise.
 //
-// Checks:
+// Paired mode compares two directories of runs taken interleaved on the
+// same host, one file per run, the parent's and HEAD's:
 //
-//   - With -base: every (bench, config) row of the baseline must exist in
-//     the new file, and — when the two files were produced with the same
-//     dynamic-instruction target, so the numbers are comparable — its
-//     ns/edge must not exceed the baseline by more than -max-regress
-//     percent. Differing targets skip the timing comparison with a notice,
-//     so a quick smoke run can still be checked for the structural
-//     invariants below.
+//	benchdiff parent/ head/
 //
-//   - With -zero-allocs: every row whose config contains the substring must
-//     report exactly 0 allocs/edge. This is the recording fast path's
-//     hard invariant (steady-state batch recording performs no heap
-//     allocation per edge), checked unconditionally on the new file.
+// It prints each row's median and interquartile range (IQR) over the runs
+// on both sides.
+// A row fails when HEAD's first quartile lies above the parent's third
+// quartile and HEAD's median is more than 25% above the parent's. A row
+// whose parent IQR is wider than 25% of its median is unresolved: the
+// parent's own spread hides a regression of that size, so it is reported
+// and does not fail. Rows present on one side only are listed, not failed;
+// a pair of files sharing no row fails, since it compared nothing.
 //
-//   - With -gate <pct>: CI-gate mode. Replaces the default baseline
-//     comparison with a hard one: ns/edge is compared on the rows the two
-//     files share even when their targets differ (ns/edge is normalized
-//     per edge, so a subset smoke run is still comparable), rows present
-//     only in one file are ignored (a smoke run legitimately measures a
-//     subset), and any shared row regressing by more than <pct> percent
-//     fails the run.
+// The within-run modes check one file:
 //
-//   - With -faster fast:slow:ratio:bench1,bench2: a speedup gate inside
-//     the new file alone. On every named benchmark, the fast config's
-//     ns/edge must be at least ratio× lower than the slow config's on the
-//     same (obs, workers) row. This is how CI holds the stride kernel to
-//     its promise (compiled-stride ≥ 1.5× compiled-batch on the
-//     steady-state workloads) without depending on the host's absolute
-//     speed.
+//	benchdiff -faster compiled-stride:compiled-batch:1.5:901.steady,902.stream run.txt
 //
-// Usage:
+// On every row naming one of the benchmarks as a path element, the slow
+// config's value must be at least ratio× the fast config's, where the fast
+// row is the slow row's name with the config element swapped.
 //
-//	go run ./scripts/benchdiff -base BENCH_record.json -new fresh.json
-//	go run ./scripts/benchdiff -new fresh.json -zero-allocs batch
-//	go run ./scripts/benchdiff -base BENCH_replay.json -new smoke.json -gate 25
-//	go run ./scripts/benchdiff -new fresh.json -faster compiled-stride:compiled-batch:1.5:901.steady,902.stream
+//	benchdiff -scaling BenchmarkRecordPipeline/obs=off/scan:BenchmarkRecordPipeline/obs=off/workers=1:4:3 run.txt
+//
+// Modeled scaling of the record pipeline. The scan row times the
+// worker-parallel speculative scan, the wall row one worker's whole pass;
+// drain = wall − scan is the serial residue. The modeled cost at W workers
+// is max(drain, scan/W) (Amdahl on the measured split), and the modeled
+// speedup max(drain, scan) / max(drain, scan/W) must reach the ratio.
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 )
 
-// row is the shared row shape of the BENCH_*.json files; fields not listed
-// here (edges, traces, coverage) do not take part in the comparison.
-type row struct {
-	Bench    string  `json:"bench"`
-	Config   string  `json:"config"`
-	Obs      string  `json:"obs"`     // BENCH_obs.json only: "off"/"on"; empty elsewhere
-	Workers  int     `json:"workers"` // BENCH_pipeline.json only; zero elsewhere
-	NsPerOp  float64 `json:"ns_per_edge"`
-	AllocsPO float64 `json:"allocs_per_edge"`
-}
-
-type file struct {
-	Target uint64 `json:"target"`
-	Rows   []row  `json:"rows"`
-}
-
-func load(path string) (*file, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f file
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(f.Rows) == 0 {
-		return nil, fmt.Errorf("%s: no rows", path)
-	}
-	return &f, nil
-}
-
-func key(r row) string {
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d", r.Bench, r.Config, r.Obs, r.Workers)
-}
-
-// label names a row in failure messages, including the obs mode and worker
-// count when the file distinguishes them.
-func label(r row) string {
-	l := r.Bench + "/" + r.Config
-	if r.Obs != "" {
-		l += "/obs-" + r.Obs
-	}
-	if r.Workers != 0 {
-		l += fmt.Sprintf("/w%d", r.Workers)
-	}
-	return l
-}
+// bound is the paired gate's regression bound: HEAD's median more than 25%
+// above the parent's, and the widest parent IQR that can still resolve it.
+const bound = 0.25
 
 func main() {
-	basePath := flag.String("base", "", "baseline BENCH_*.json (omit to only run the structural checks on -new)")
-	newPath := flag.String("new", "", "new BENCH_*.json to check (required)")
-	maxRegress := flag.Float64("max-regress", 25, "maximum allowed ns/edge regression over the baseline, in percent")
-	zeroAllocs := flag.String("zero-allocs", "", "require allocs/edge == 0 for every row whose config contains this substring")
-	gate := flag.Float64("gate", 0, "CI-gate mode: compare ns/edge on shared rows even across differing targets, failing above this percent (0 = off; requires -base)")
-	faster := flag.String("faster", "", "speedup gate fast:slow:ratio:bench1,bench2 — fast config must be ratio× faster than slow on the named benches of -new")
+	faster := flag.String("faster", "", "within-run speedup check fast:slow:ratio:bench1,bench2 on one file")
+	scaling := flag.String("scaling", "", "within-run modeled-scaling check scanRow:wallRow:workers:ratio on one file")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff parent/ head/ | benchdiff -faster spec run.txt | benchdiff -scaling spec run.txt")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	if *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -new is required")
+	var err error
+	switch {
+	case (*faster != "" || *scaling != "") && flag.NArg() == 1:
+		err = within(flag.Arg(0), *faster, *scaling, os.Stdout)
+	case *faster == "" && *scaling == "" && flag.NArg() == 2:
+		err = paired(flag.Arg(0), flag.Arg(1), os.Stdout)
+	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *gate > 0 && *basePath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -gate requires -base")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*basePath, *newPath, *maxRegress, *zeroAllocs, *gate, *faster); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
 }
 
-// fasterSpec is the parsed -faster directive.
-type fasterSpec struct {
-	fast, slow string
-	ratio      float64
-	benches    []string
+// result is one parsed benchmark line: the row name and every value/unit
+// pair the line reports (ns/op, B/op, allocs/op and custom metrics such as
+// ns/edge or cycle-hit-rate).
+type result struct {
+	name    string
+	metrics map[string]float64
 }
 
-func parseFaster(s string) (fasterSpec, error) {
-	parts := strings.SplitN(s, ":", 4)
-	if len(parts) != 4 {
-		return fasterSpec{}, fmt.Errorf("-faster wants fast:slow:ratio:bench1,bench2, got %q", s)
-	}
-	var ratio float64
-	if _, err := fmt.Sscanf(parts[2], "%g", &ratio); err != nil || ratio <= 0 {
-		return fasterSpec{}, fmt.Errorf("-faster ratio %q is not a positive number", parts[2])
-	}
-	benches := strings.Split(parts[3], ",")
-	if len(benches) == 0 || benches[0] == "" {
-		return fasterSpec{}, fmt.Errorf("-faster names no benchmarks in %q", s)
-	}
-	return fasterSpec{fast: parts[0], slow: parts[1], ratio: ratio, benches: benches}, nil
-}
+var procSuffix = regexp.MustCompile(`-\d+$`)
 
-// checkFaster enforces the speedup gate on the new file: for every named
-// benchmark, every (obs, workers) row of the slow config must have a fast
-// twin at least ratio× quicker.
-func checkFaster(nf *file, spec fasterSpec) []string {
-	var failures []string
-	for _, bench := range spec.benches {
-		matched := false
-		for _, slow := range nf.Rows {
-			if slow.Bench != bench || slow.Config != spec.slow || slow.NsPerOp <= 0 {
-				continue
-			}
-			fastKey := slow
-			fastKey.Config = spec.fast
-			var fast *row
-			for i := range nf.Rows {
-				if key(nf.Rows[i]) == key(fastKey) {
-					fast = &nf.Rows[i]
-					break
-				}
-			}
-			if fast == nil {
-				failures = append(failures, fmt.Sprintf(
-					"%s: no %s row to compare against %s", bench, spec.fast, spec.slow))
-				continue
-			}
-			matched = true
-			if got := slow.NsPerOp / fast.NsPerOp; got < spec.ratio {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %s %.2f ns/edge is only %.2f× faster than %s %.2f (gate %.2f×)",
-					bench, spec.fast, fast.NsPerOp, got, spec.slow, slow.NsPerOp, spec.ratio))
-			}
+// parse reads the benchmark lines of `go test -bench` output, skipping
+// everything else (goos, PASS, ok, log output).
+func parse(r io.Reader) ([]result, error) {
+	var out []result
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
-		if !matched {
-			failures = append(failures, fmt.Sprintf(
-				"%s: no %s rows found; speedup gate compared nothing", bench, spec.slow))
+		if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+			continue // not an iteration count
+		}
+		res := result{name: procSuffix.ReplaceAllString(f[0], ""), metrics: map[string]float64{}}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad value %q for %s", f[0], f[i], f[i+1])
+			}
+			res.metrics[f[i+1]] = v
+		}
+		out = append(out, res)
+	}
+	return out, sc.Err()
+}
+
+// run loads one run: each row's median value over its lines.
+func run(path string) (map[string]float64, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer fh.Close()
+	results, err := parse(fh)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	lines := map[string][]float64{}
+	for _, r := range results {
+		v, ok := r.metrics["ns/edge"]
+		if !ok {
+			v, ok = r.metrics["ns/op"]
+		}
+		if ok {
+			lines[r.name] = append(lines[r.name], v)
 		}
 	}
-	return failures
+	rows := make(map[string]float64, len(lines))
+	for n, xs := range lines {
+		_, rows[n], _ = quartiles(xs)
+	}
+	return rows, nil
 }
 
-func run(basePath, newPath string, maxRegress float64, zeroAllocs string, gate float64, faster string) error {
-	nf, err := load(newPath)
+// runs loads every run in dir: each row's values, one per run that has it.
+// A run may hold no rows: a benchmark the parent commit does not have yet.
+func runs(dir string) (map[string][]float64, error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	rows := map[string][]float64{}
+	for _, f := range files {
+		r, err := run(filepath.Join(dir, f.Name()))
+		if err != nil {
+			return nil, err
+		}
+		for n, v := range r {
+			rows[n] = append(rows[n], v)
+		}
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark rows in any run", dir)
+	}
+	return rows, nil
+}
+
+// quartiles returns the first quartile, median and third quartile of xs,
+// interpolating linearly between order statistics.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(math.Floor(pos))
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+// verdict applies the paired rule to one row's parent and HEAD samples.
+func verdict(parent, head []float64) string {
+	p1, pm, p3 := quartiles(parent)
+	h1, hm, _ := quartiles(head)
+	switch {
+	case p3-p1 > bound*pm:
+		return "unresolved"
+	case h1 > p3 && hm > pm*(1+bound):
+		return "FAIL"
+	}
+	return "ok"
+}
+
+// paired compares every row of the two directories of runs and fails on
+// any FAIL verdict.
+func paired(parentDir, headDir string, w io.Writer) error {
+	parent, err := runs(parentDir)
 	if err != nil {
 		return err
 	}
+	head, err := runs(headDir)
+	if err != nil {
+		return err
+	}
+	names := map[string]bool{}
+	for n := range parent {
+		names[n] = true
+	}
+	for n := range head {
+		names[n] = true
+	}
+	sorted := make([]string, 0, len(names))
+	for n := range names {
+		sorted = append(sorted, n)
+	}
+	sort.Strings(sorted)
 
+	var failed []string
+	shared := 0
+	for _, n := range sorted {
+		p, h := parent[n], head[n]
+		switch {
+		case h == nil:
+			fmt.Fprintf(w, "%-60s parent only\n", n)
+			continue
+		case p == nil:
+			fmt.Fprintf(w, "%-60s head only\n", n)
+			continue
+		}
+		shared++
+		p1, pm, p3 := quartiles(p)
+		h1, hm, h3 := quartiles(h)
+		v := verdict(p, h)
+		fmt.Fprintf(w, "%-60s parent %9.2f [%.2f, %.2f] head %9.2f [%.2f, %.2f] %+6.1f%% %s\n",
+			n, pm, p1, p3, hm, h1, h3, (hm/pm-1)*100, v)
+		if v == "FAIL" {
+			failed = append(failed, n)
+		}
+	}
+	if shared == 0 {
+		return fmt.Errorf("no rows shared between %s and %s; the gate compared nothing", parentDir, headDir)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d row(s) regressed beyond the parent's IQR and +%.0f%%: %s",
+			len(failed), bound*100, strings.Join(failed, ", "))
+	}
+	fmt.Fprintf(w, "benchdiff: %d shared rows, none regressed\n", shared)
+	return nil
+}
+
+// within runs the within-run checks on one file.
+func within(path, faster, scaling string, w io.Writer) error {
+	rows, err := run(path)
+	if err != nil {
+		return err
+	}
 	var failures []string
-
 	if faster != "" {
-		spec, err := parseFaster(faster)
+		f, err := checkFaster(rows, faster)
 		if err != nil {
 			return err
 		}
-		failures = append(failures, checkFaster(nf, spec)...)
+		failures = append(failures, f...)
 	}
-
-	if zeroAllocs != "" {
-		matched := 0
-		for _, r := range nf.Rows {
-			if !strings.Contains(r.Config, zeroAllocs) {
-				continue
-			}
-			matched++
-			if r.AllocsPO != 0 {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.4f allocs/edge, want 0", label(r), r.AllocsPO))
-			}
-		}
-		if matched == 0 {
-			failures = append(failures, fmt.Sprintf(
-				"no row's config contains %q; zero-alloc check matched nothing", zeroAllocs))
-		}
-	}
-
-	if basePath != "" {
-		bf, err := load(basePath)
+	if scaling != "" {
+		f, err := checkScaling(rows, scaling, w)
 		if err != nil {
 			return err
 		}
-		newByKey := make(map[string]row, len(nf.Rows))
-		for _, r := range nf.Rows {
-			newByKey[key(r)] = r
-		}
-		if gate > 0 {
-			// CI-gate mode: shared rows only, compared regardless of target
-			// (ns/edge is per-edge normalized), hard threshold.
-			shared := 0
-			for _, b := range bf.Rows {
-				n, ok := newByKey[key(b)]
-				if !ok || b.NsPerOp <= 0 {
-					continue
-				}
-				shared++
-				if n.NsPerOp > b.NsPerOp*(1+gate/100) {
-					failures = append(failures, fmt.Sprintf(
-						"%s: %.1f ns/edge vs baseline %.1f (+%.0f%%, gate +%.0f%%)",
-						label(b), n.NsPerOp, b.NsPerOp,
-						(n.NsPerOp/b.NsPerOp-1)*100, gate))
-				}
-			}
-			if shared == 0 {
-				failures = append(failures, fmt.Sprintf(
-					"no rows shared between %s and %s; gate compared nothing", basePath, newPath))
-			}
-		} else {
-			compareNs := bf.Target == nf.Target
-			if !compareNs {
-				fmt.Printf("benchdiff: targets differ (%d vs %d); skipping ns/edge comparison\n",
-					bf.Target, nf.Target)
-			}
-			for _, b := range bf.Rows {
-				n, ok := newByKey[key(b)]
-				if !ok {
-					// A baseline row the new run no longer produces is only a
-					// failure when the runs cover the same benchmarks; a subset
-					// smoke run legitimately measures fewer rows.
-					if compareNs {
-						failures = append(failures, fmt.Sprintf(
-							"%s: present in baseline, missing from %s", label(b), newPath))
-					}
-					continue
-				}
-				if !compareNs || b.NsPerOp <= 0 {
-					continue
-				}
-				limit := b.NsPerOp * (1 + maxRegress/100)
-				if n.NsPerOp > limit {
-					failures = append(failures, fmt.Sprintf(
-						"%s: %.1f ns/edge vs baseline %.1f (+%.0f%%, limit +%.0f%%)",
-						label(b), n.NsPerOp, b.NsPerOp,
-						(n.NsPerOp/b.NsPerOp-1)*100, maxRegress))
-				}
-			}
-		}
+		failures = append(failures, f...)
 	}
-
 	if len(failures) > 0 {
 		return fmt.Errorf("%d check(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("benchdiff: %s ok (%d rows)\n", newPath, len(nf.Rows))
+	fmt.Fprintf(w, "benchdiff: %s ok\n", path)
 	return nil
+}
+
+// checkFaster holds, on every named benchmark, each slow-config row to a
+// fast twin at least ratio× quicker.
+func checkFaster(rows map[string]float64, spec string) ([]string, error) {
+	parts := strings.SplitN(spec, ":", 4)
+	if len(parts) != 4 {
+		return nil, fmt.Errorf("-faster wants fast:slow:ratio:bench1,bench2, got %q", spec)
+	}
+	fast, slow := parts[0], parts[1]
+	ratio, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil || ratio <= 0 {
+		return nil, fmt.Errorf("-faster ratio %q is not a positive number", parts[2])
+	}
+	if parts[3] == "" {
+		return nil, fmt.Errorf("-faster names no benchmarks in %q", spec)
+	}
+	names := make([]string, 0, len(rows))
+	for n := range rows {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	var failures []string
+	for _, bench := range strings.Split(parts[3], ",") {
+		matched := false
+		for _, n := range names {
+			elems := strings.Split(n, "/")
+			at := slices.Index(elems, slow)
+			if at < 0 || !slices.Contains(elems, bench) {
+				continue
+			}
+			elems[at] = fast
+			twin := strings.Join(elems, "/")
+			fv, ok := rows[twin]
+			if !ok {
+				failures = append(failures, fmt.Sprintf("%s: no %s row to compare against %s", n, twin, slow))
+				continue
+			}
+			matched = true
+			if got := rows[n] / fv; got < ratio {
+				failures = append(failures, fmt.Sprintf("%s: %.2f is only %.2f× faster than %s %.2f (want %.2f×)",
+					twin, fv, got, n, rows[n], ratio))
+			}
+		}
+		if !matched {
+			failures = append(failures, fmt.Sprintf("%s: no %s rows found; the speedup check compared nothing", bench, slow))
+		}
+	}
+	return failures, nil
+}
+
+// checkScaling applies the modeled-scaling check.
+func checkScaling(rows map[string]float64, spec string, w io.Writer) ([]string, error) {
+	parts := strings.Split(spec, ":")
+	if len(parts) != 4 {
+		return nil, fmt.Errorf("-scaling wants scanRow:wallRow:workers:ratio, got %q", spec)
+	}
+	workers, err := strconv.Atoi(parts[2])
+	if err != nil || workers < 1 {
+		return nil, fmt.Errorf("-scaling workers %q is not a positive integer", parts[2])
+	}
+	ratio, err := strconv.ParseFloat(parts[3], 64)
+	if err != nil || ratio <= 0 {
+		return nil, fmt.Errorf("-scaling ratio %q is not a positive number", parts[3])
+	}
+	scan, ok := rows[parts[0]]
+	if !ok {
+		return []string{"no row " + parts[0]}, nil
+	}
+	wall, ok := rows[parts[1]]
+	if !ok {
+		return []string{"no row " + parts[1]}, nil
+	}
+	drain := math.Max(wall-scan, 0)
+	got := math.Max(drain, scan) / math.Max(drain, scan/float64(workers))
+	fmt.Fprintf(w, "benchdiff: modeled scaling 1→%d workers %.2f× (scan %.2f, drain %.2f)\n", workers, got, scan, drain)
+	if got < ratio {
+		return []string{fmt.Sprintf("modeled scaling 1→%d workers is %.2f×, below %.1f× (scan %.2f, drain %.2f)",
+			workers, got, ratio, scan, drain)}, nil
+	}
+	return nil, nil
 }

@@ -1,208 +1,221 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func writeBench(t *testing.T, name, content string) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
+// line renders one `go test -bench` line reporting v as ns/edge beside an
+// unrelated ns/op, under the -2 GOMAXPROCS suffix.
+func line(name string, v float64) string {
+	return fmt.Sprintf("%s-2   \t    1000\t   %.0f ns/op\t  %.2f ns/edge\n", name, v*1e4, v)
 }
 
-const baseJSON = `{"target": 300000, "rows": [
-  {"bench": "mcf", "config": "compiled-batch", "ns_per_edge": 6.0, "allocs_per_edge": 0},
-  {"bench": "gcc", "config": "compiled-batch", "ns_per_edge": 10.0, "allocs_per_edge": 0}
-]}`
+// write stores one run's output, framed as `go test` frames it, at path.
+func write(t *testing.T, path, content string) string {
+	t.Helper()
+	if err := os.WriteFile(path, []byte("goos: linux\ngoarch: amd64\n"+content+"PASS\nok  \tpkg\t1.0s\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
-func TestGatePassesOnSharedRowsAcrossTargets(t *testing.T) {
-	base := writeBench(t, "base.json", baseJSON)
-	// Subset smoke run at a different target, within the gate.
-	smoke := writeBench(t, "smoke.json", `{"target": 100000, "rows": [
-	  {"bench": "mcf", "config": "compiled-batch", "ns_per_edge": 6.5, "allocs_per_edge": 0}
-	]}`)
-	if err := run(base, smoke, 25, "", 10, ""); err != nil {
-		t.Fatalf("gate failed on a subset within threshold: %v", err)
+// rowVals holds each row's value per run.
+type rowVals map[string][]float64
+
+// side writes a directory of runs: run i holds one line per row, valued
+// vals[row][i].
+func side(t *testing.T, vals rowVals) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i := 0; i < 10; i++ {
+		var b strings.Builder
+		for name, xs := range vals {
+			b.WriteString(line(name, xs[i]))
+		}
+		write(t, filepath.Join(dir, fmt.Sprintf("run%02d", i)), b.String())
+	}
+	return dir
+}
+
+// pair runs paired mode on two sides and returns its report and error.
+func pair(t *testing.T, parent, head rowVals) (string, error) {
+	t.Helper()
+	var out strings.Builder
+	err := paired(side(t, parent), side(t, head), &out)
+	return out.String(), err
+}
+
+var (
+	steady = []float64{10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.3, 9.7, 10.1, 9.9}
+	slower = []float64{14.0, 14.2, 13.8, 14.1, 13.9, 14.0, 14.3, 13.7, 14.1, 13.9}
+)
+
+func TestParseGoBenchLines(t *testing.T) {
+	in := "pkg: github.com/lsc-tea/tea\n" +
+		"BenchmarkCompiledReplay/901.steady/compiled-stride-2 \t 1932\t 612345 ns/op\t 0.3500 cycle-hit-rate\t 3.55 ns/edge\t 0 B/op\t 0 allocs/op\n" +
+		"BenchmarkEncode\t 52\t 22222 ns/op\t 3.25 bytes/TBB\n" +
+		"--- BENCH: BenchmarkSomething\n    bench_test.go:10: a log line\n"
+	got, err := parse(strings.NewReader(in))
+	if err != nil || len(got) != 2 {
+		t.Fatalf("parsed %+v, %v; want 2 rows", got, err)
+	}
+	want := map[string]float64{"ns/op": 612345, "cycle-hit-rate": 0.35, "ns/edge": 3.55, "B/op": 0, "allocs/op": 0}
+	if got[0].name != "BenchmarkCompiledReplay/901.steady/compiled-stride" || fmt.Sprint(got[0].metrics) != fmt.Sprint(want) {
+		t.Fatalf("row %+v, want name without -2, metrics %v", got[0], want)
+	}
+	// A run's row value is the median of its lines; ns/edge wins over
+	// ns/op, and a row without it falls back to ns/op.
+	in += line("BenchmarkX", 5) + line("BenchmarkX", 9) + line("BenchmarkX", 6)
+	r, err := run(write(t, filepath.Join(t.TempDir(), "run"), in))
+	if err != nil || r["BenchmarkCompiledReplay/901.steady/compiled-stride"] != 3.55 || r["BenchmarkEncode"] != 22222 || r["BenchmarkX"] != 6 {
+		t.Fatalf("row values %v, %v", r, err)
 	}
 }
 
 func TestGateFailsOnRegression(t *testing.T) {
-	base := writeBench(t, "base.json", baseJSON)
-	slow := writeBench(t, "slow.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "compiled-batch", "ns_per_edge": 9.0, "allocs_per_edge": 0}
-	]}`)
-	err := run(base, slow, 25, "", 10, "")
-	if err == nil || !strings.Contains(err.Error(), "gate +10%") {
-		t.Fatalf("gate accepted a +50%% regression: %v", err)
+	out, err := pair(t, rowVals{"BenchmarkX/a": steady}, rowVals{"BenchmarkX/a": slower})
+	if err == nil || !strings.Contains(out, "FAIL") || !strings.Contains(err.Error(), "BenchmarkX/a") {
+		t.Fatalf("separated IQRs at +40%% passed: %v\n%s", err, out)
+	}
+}
+
+func TestGatePassesOnOverlapOrWithinBound(t *testing.T) {
+	// Overlapping IQRs pass even when HEAD's median is far worse: a wide
+	// HEAD spread is noise, not a resolved regression.
+	wide := []float64{9.5, 10, 30, 31, 32, 9.8, 29, 30, 33, 10.1}
+	if out, err := pair(t, rowVals{"BenchmarkX/a": steady}, rowVals{"BenchmarkX/a": wide}); err != nil {
+		t.Fatalf("overlapping IQRs failed: %v\n%s", err, out)
+	}
+	// Separated IQRs but only +10%: within the bound.
+	var near []float64
+	for _, v := range steady {
+		near = append(near, v*1.1)
+	}
+	if out, err := pair(t, rowVals{"BenchmarkX/a": steady}, rowVals{"BenchmarkX/a": near}); err != nil || !strings.Contains(out, " ok") {
+		t.Fatalf("+10%% failed: %v\n%s", err, out)
+	}
+}
+
+func TestGateUnresolvedOnWideParent(t *testing.T) {
+	noisy := []float64{6, 14, 7, 13, 8, 12, 6, 14, 10, 10}
+	out, err := pair(t, rowVals{"BenchmarkX/a": noisy}, rowVals{"BenchmarkX/a": slower})
+	if err != nil || !strings.Contains(out, "unresolved") {
+		t.Fatalf("a parent IQR wider than the bound must read unresolved and pass: %v\n%s", err, out)
+	}
+}
+
+func TestGateListsOneSidedRows(t *testing.T) {
+	parent := side(t, rowVals{"BenchmarkX/a": steady, "BenchmarkX/gone": steady})
+	// A run with no rows, as from a package whose benchmarks the parent
+	// does not have yet, is skipped.
+	write(t, filepath.Join(parent, "empty"), "")
+	var b strings.Builder
+	err := paired(parent, side(t, rowVals{"BenchmarkX/a": steady, "BenchmarkX/new": slower}), &b)
+	out := b.String()
+	if err != nil || !strings.Contains(out, "BenchmarkX/gone") || !strings.Contains(out, "parent only") ||
+		!strings.Contains(out, "BenchmarkX/new") || !strings.Contains(out, "head only") {
+		t.Fatalf("one-sided rows must be listed, not failed: %v\n%s", err, out)
 	}
 }
 
 func TestGateFailsWhenNothingShared(t *testing.T) {
-	base := writeBench(t, "base.json", baseJSON)
-	other := writeBench(t, "other.json", `{"target": 300000, "rows": [
-	  {"bench": "swim", "config": "reference-hash-local", "ns_per_edge": 30.0, "allocs_per_edge": 0}
-	]}`)
-	err := run(base, other, 25, "", 10, "")
-	if err == nil || !strings.Contains(err.Error(), "gate compared nothing") {
+	_, err := pair(t, rowVals{"BenchmarkX/a": steady}, rowVals{"BenchmarkX/b": steady})
+	if err == nil || !strings.Contains(err.Error(), "compared nothing") {
 		t.Fatalf("gate passed with zero shared rows: %v", err)
 	}
 }
 
+// keyedRegression: of two rows that differ in one path element, only the
+// regressing one may be named.
+func keyedRegression(t *testing.T, healthy, regressing string) {
+	t.Helper()
+	out, err := pair(t, rowVals{healthy: steady, regressing: steady}, rowVals{healthy: steady, regressing: slower})
+	if err == nil || !strings.Contains(err.Error(), regressing) || strings.Contains(err.Error(), healthy) {
+		t.Fatalf("want only %s named: %v\n%s", regressing, err, out)
+	}
+}
+
 func TestGateKeysOnObsMode(t *testing.T) {
-	// Off/on rows share bench+config; the obs field must keep them from
-	// being compared against each other.
-	base := writeBench(t, "base.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "off", "ns_per_edge": 6.0, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "on", "ns_per_edge": 9.0, "allocs_per_edge": 0}
-	]}`)
-	fresh := writeBench(t, "fresh.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "off", "ns_per_edge": 6.1, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "on", "ns_per_edge": 9.1, "allocs_per_edge": 0}
-	]}`)
-	if err := run(base, fresh, 25, "", 10, ""); err != nil {
-		t.Fatalf("obs-keyed rows misrouted: %v", err)
-	}
-	// The on-row regressing must name its obs mode.
-	slow := writeBench(t, "slow.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "off", "ns_per_edge": 6.0, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "on", "ns_per_edge": 20.0, "allocs_per_edge": 0}
-	]}`)
-	err := run(base, slow, 25, "", 10, "")
-	if err == nil || !strings.Contains(err.Error(), "mcf/compiled-batch/obs-on") {
-		t.Fatalf("regressing obs-on row not identified: %v", err)
-	}
+	keyedRegression(t, "BenchmarkReplayPipeline/obs=off/workers=2", "BenchmarkReplayPipeline/obs=on/workers=2")
 }
 
 func TestGateKeysOnWorkers(t *testing.T) {
-	// Pipeline rows share bench+config and differ only in the worker count;
-	// the workers field must keep a w1 row from being compared against w4.
-	base := writeBench(t, "base.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "pipe", "workers": 1, "ns_per_edge": 12.0, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "pipe", "workers": 4, "ns_per_edge": 4.0, "allocs_per_edge": 0}
-	]}`)
-	fresh := writeBench(t, "fresh.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "pipe", "workers": 1, "ns_per_edge": 12.5, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "pipe", "workers": 4, "ns_per_edge": 4.1, "allocs_per_edge": 0}
-	]}`)
-	if err := run(base, fresh, 25, "", 10, ""); err != nil {
-		t.Fatalf("workers-keyed rows misrouted: %v", err)
-	}
-	// Only the w4 row regresses; the failure must name it via the /w4 label
-	// and leave the healthy w1 row out of it.
-	slow := writeBench(t, "slow.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "pipe", "workers": 1, "ns_per_edge": 12.0, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "pipe", "workers": 4, "ns_per_edge": 9.0, "allocs_per_edge": 0}
-	]}`)
-	err := run(base, slow, 25, "", 10, "")
-	if err == nil || !strings.Contains(err.Error(), "mcf/pipe/w4") {
-		t.Fatalf("regressing w4 row not identified: %v", err)
-	}
-	if strings.Contains(err.Error(), "mcf/pipe/w1") {
-		t.Fatalf("healthy w1 row dragged into the failure: %v", err)
-	}
+	keyedRegression(t, "BenchmarkReplayPipeline/obs=off/workers=1", "BenchmarkReplayPipeline/obs=off/workers=4")
 }
 
-func TestMissingWorkersRowFailsAtSameTarget(t *testing.T) {
-	// At equal targets the default comparison demands every baseline row;
-	// dropping one worker-count row must fail and name it.
-	base := writeBench(t, "base.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "pipe", "workers": 1, "ns_per_edge": 12.0, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "pipe", "workers": 4, "ns_per_edge": 4.0, "allocs_per_edge": 0}
-	]}`)
-	fresh := writeBench(t, "fresh.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "pipe", "workers": 1, "ns_per_edge": 12.0, "allocs_per_edge": 0}
-	]}`)
-	err := run(base, fresh, 25, "", 0, "")
-	if err == nil || !strings.Contains(err.Error(), "mcf/pipe/w4") || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("dropped w4 row not reported: %v", err)
-	}
+// checkWithin runs the within-run modes on one run's output.
+func checkWithin(t *testing.T, content, faster, scaling string) error {
+	t.Helper()
+	return within(write(t, filepath.Join(t.TempDir(), "run"), content), faster, scaling, io.Discard)
 }
 
-func TestZeroAllocsStillExact(t *testing.T) {
-	leaky := writeBench(t, "leaky.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "compiled-batch", "obs": "off", "ns_per_edge": 6.0, "allocs_per_edge": 0.0001}
-	]}`)
-	err := run("", leaky, 25, "compiled-batch", 0, "")
-	if err == nil || !strings.Contains(err.Error(), "want 0") {
-		t.Fatalf("zero-alloc check accepted a nonzero row: %v", err)
-	}
-}
+const strideRun = "BenchmarkCompiledReplay/901.steady/compiled-batch-2 100 1 ns/op 3.2 ns/edge\n" +
+	"BenchmarkCompiledReplay/901.steady/compiled-stride-2 100 1 ns/op 0.4 ns/edge\n" +
+	"BenchmarkCompiledReplay/902.stream/compiled-batch-2 100 1 ns/op 4.1 ns/edge\n" +
+	"BenchmarkCompiledReplay/902.stream/compiled-stride-2 100 1 ns/op 1.5 ns/edge\n" +
+	"BenchmarkCompiledReplay/181.mcf/compiled-batch-2 100 1 ns/op 6.4 ns/edge\n"
 
-func TestZeroAllocsScopedToMatchingConfigs(t *testing.T) {
-	// Only rows whose config contains the substring are held to zero; a
-	// reference row may allocate freely.
-	mixed := writeBench(t, "mixed.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "batch", "workers": 2, "ns_per_edge": 6.0, "allocs_per_edge": 0},
-	  {"bench": "mcf", "config": "reference-hash-local", "ns_per_edge": 30.0, "allocs_per_edge": 2.5}
-	]}`)
-	if err := run("", mixed, 25, "batch", 0, ""); err != nil {
-		t.Fatalf("zero-alloc check leaked onto non-matching rows: %v", err)
-	}
-}
-
-func TestZeroAllocsFailsWhenMatchingNothing(t *testing.T) {
-	// A typo'd (or renamed-away) config substring must fail loudly instead
-	// of silently checking zero rows.
-	fresh := writeBench(t, "fresh.json", `{"target": 300000, "rows": [
-	  {"bench": "mcf", "config": "pipe", "workers": 2, "ns_per_edge": 6.0, "allocs_per_edge": 0}
-	]}`)
-	err := run("", fresh, 25, "no-such-config", 0, "")
-	if err == nil || !strings.Contains(err.Error(), "matched nothing") {
-		t.Fatalf("empty zero-alloc match not reported: %v", err)
-	}
-}
-
-const strideJSON = `{"target": 300000, "rows": [
-  {"bench": "901.steady", "config": "compiled-batch", "ns_per_edge": 3.2, "allocs_per_edge": 0},
-  {"bench": "901.steady", "config": "compiled-stride", "ns_per_edge": 0.4, "allocs_per_edge": 0},
-  {"bench": "902.stream", "config": "compiled-batch", "ns_per_edge": 4.1, "allocs_per_edge": 0},
-  {"bench": "902.stream", "config": "compiled-stride", "ns_per_edge": 1.5, "allocs_per_edge": 0}
-]}`
+const strideSpec = "compiled-stride:compiled-batch:1.5:901.steady,902.stream"
 
 func TestFasterGatePasses(t *testing.T) {
-	f := writeBench(t, "stride.json", strideJSON)
-	if err := run("", f, 25, "", 0, "compiled-stride:compiled-batch:1.5:901.steady,902.stream"); err != nil {
-		t.Fatalf("speedup gate failed on 8x/2.7x margins: %v", err)
+	if err := checkWithin(t, strideRun, strideSpec, ""); err != nil {
+		t.Fatalf("speedup check failed on 8x/2.7x margins: %v", err)
 	}
 }
 
 func TestFasterGateFailsBelowRatio(t *testing.T) {
-	f := writeBench(t, "slow.json", `{"target": 300000, "rows": [
-	  {"bench": "901.steady", "config": "compiled-batch", "ns_per_edge": 3.2, "allocs_per_edge": 0},
-	  {"bench": "901.steady", "config": "compiled-stride", "ns_per_edge": 3.0, "allocs_per_edge": 0}
-	]}`)
-	err := run("", f, 25, "", 0, "compiled-stride:compiled-batch:1.5:901.steady")
-	if err == nil || !strings.Contains(err.Error(), "gate 1.50") {
-		t.Fatalf("speedup gate accepted a 1.07x ratio: %v", err)
+	run := strings.Replace(strideRun, "0.4 ns/edge", "3.0 ns/edge", 1)
+	err := checkWithin(t, run, strideSpec, "")
+	if err == nil || !strings.Contains(err.Error(), "901.steady/compiled-stride") || !strings.Contains(err.Error(), "want 1.50") {
+		t.Fatalf("speedup check accepted a 1.07x ratio: %v", err)
 	}
 }
 
 func TestFasterGateFailsOnMissingRows(t *testing.T) {
-	f := writeBench(t, "nofast.json", `{"target": 300000, "rows": [
-	  {"bench": "901.steady", "config": "compiled-batch", "ns_per_edge": 3.2, "allocs_per_edge": 0}
-	]}`)
-	err := run("", f, 25, "", 0, "compiled-stride:compiled-batch:1.5:901.steady")
-	if err == nil || !strings.Contains(err.Error(), "no compiled-stride row") {
-		t.Fatalf("gate passed without the fast config's rows: %v", err)
+	run := strings.Replace(strideRun, "901.steady/compiled-stride", "901.steady/other", 1)
+	err := checkWithin(t, run, strideSpec, "")
+	if err == nil || !strings.Contains(err.Error(), "no BenchmarkCompiledReplay/901.steady/compiled-stride row") {
+		t.Fatalf("check passed without the fast config's row: %v", err)
 	}
-	empty := writeBench(t, "nobench.json", strideJSON)
-	err = run("", empty, 25, "", 0, "compiled-stride:compiled-batch:1.5:equake")
+	err = checkWithin(t, strideRun, "compiled-stride:compiled-batch:1.5:183.equake", "")
 	if err == nil || !strings.Contains(err.Error(), "compared nothing") {
-		t.Fatalf("gate passed on a benchmark with no rows: %v", err)
+		t.Fatalf("check passed on a benchmark with no rows: %v", err)
 	}
 }
 
 func TestFasterGateRejectsBadSpec(t *testing.T) {
-	f := writeBench(t, "any.json", strideJSON)
 	for _, bad := range []string{"a:b:1.5", "a:b:zero:mcf", "a:b:-1:mcf", "a:b:1.5:"} {
-		if err := run("", f, 25, "", 0, bad); err == nil {
+		if err := checkWithin(t, strideRun, bad, ""); err == nil {
 			t.Fatalf("malformed -faster %q accepted", bad)
 		}
+	}
+}
+
+func TestScalingCheck(t *testing.T) {
+	run := func(scan, wall1 float64) string {
+		return line("BenchmarkRecordPipeline/obs=off/scan", scan) + line("BenchmarkRecordPipeline/obs=off/workers=1", wall1)
+	}
+	const spec = "BenchmarkRecordPipeline/obs=off/scan:BenchmarkRecordPipeline/obs=off/workers=1:4:3"
+	// Scan 16, drain 1.4: max(1.4, 16) / max(1.4, 4) = 4×.
+	if err := checkWithin(t, run(16, 17.4), "", spec); err != nil {
+		t.Fatalf("4x modeled scaling failed: %v", err)
+	}
+	// Scan 20, drain 200: the serial residue dominates, 1×.
+	err := checkWithin(t, run(20, 220), "", spec)
+	if err == nil || !strings.Contains(err.Error(), "1.00×") {
+		t.Fatalf("1x modeled scaling passed: %v", err)
+	}
+	for _, bad := range []string{"a:b:4", "a:b:0:3", "a:b:4:x"} {
+		if err := checkWithin(t, run(16, 17.4), "", bad); err == nil {
+			t.Fatalf("malformed -scaling %q accepted", bad)
+		}
+	}
+	if err := checkWithin(t, line("BenchmarkRecordPipeline/obs=off/scan", 16), "", spec); err == nil {
+		t.Fatal("scaling check passed without its wall row")
 	}
 }

@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # Repository verification gate: static checks, the full test suite under the
-# race detector (which covers the sharded replay-pipeline tests), a
-# one-iteration smoke of every benchmark so the bench code cannot rot
-# silently, a short fuzz run over the wire-format decoder (the robustness
-# surface most exposed to hostile input), the teavet typed-analysis suite
-# (with a negative self-test proving the analyzers still flag), the obs-off
-# codegen check (scripts/obsasm, with its own negative self-test), and the
-# static-verifier gate: every checked-in valid corpus image must verify with
-# zero findings, and the known-bad image (decodes cleanly, CFG-impossible
-# link) must be flagged. Run from the repo root:
+# race detector (which covers the sharded replay-pipeline tests and the
+# zero-allocation tests of every compiled, batch, pipeline and recorder hot
+# path), a one-iteration smoke of every benchmark so the bench code cannot
+# rot silently, a short fuzz run over the wire-format decoder (the
+# robustness surface most exposed to hostile input), the teavet
+# typed-analysis suite (with a negative self-test proving the analyzers
+# still flag), the obs-off codegen check (scripts/obsasm, with its own
+# negative self-test), and the static-verifier gate: every checked-in valid
+# corpus image must verify with zero findings, and the known-bad image
+# (decodes cleanly, CFG-impossible link) must be flagged. Then the timing
+# checks, none of which reads a checked-in number: the paired gate runs the
+# timing benchmarks of the parent commit and of this tree interleaved on
+# this host (scripts/paired.sh; its negative self-test is benchdiff's unit
+# tests), and two within-run ratio checks hold the stride speedup and the
+# record pipeline's modeled scaling. Run from the repo root:
 #
 #   ./scripts/ci.sh
 set -euo pipefail
@@ -123,63 +129,33 @@ if [ "$rc" -ne 3 ]; then
 fi
 echo "ci: verify gate ok"
 
-# Recording fast-path gate: a quick recordbench run must hold the batched
-# recorder's hard invariant — zero steady-state allocations per edge. The
-# instruction target is deliberately small (the smoke is about allocs, not
-# timing), so benchdiff skips the ns/edge comparison against the checked-in
-# baseline; rerun teabench with the baseline's target before trusting a
-# timing diff.
-go run ./cmd/teabench -recordbench "$bin/record.json" -target 300000 -bench gcc
-go run ./scripts/benchdiff -base BENCH_record.json -new "$bin/record.json" -zero-allocs batch
-echo "ci: recordbench gate ok"
+# Paired timing gate: every timing row the retired best-of-N harness gates
+# compared (replay kernels obs off and on, serve sessions, both pipelines)
+# runs in 10 interleaved pairs against the parent commit on this host. The
+# parent is HEAD when the working tree differs from it, else HEAD~1; its
+# tree is extracted with git archive, so nothing is left in .git. Rows that
+# exist on one side only are listed, not failed.
+if [ -n "$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi
+mkdir "$bin/parent"
+git archive "$parent" | tar -x -C "$bin/parent"
+./scripts/paired.sh "$bin/parent" .
+echo "ci: paired gate ok (parent $parent)"
 
-# Replay fast-path gate: a one-benchmark smoke run of the replay
-# micro-benchmark is compared row-by-row against the checked-in baseline
-# (-gate compares ns/edge on the shared rows only, so the mcf subset is
-# fine). The exact zero-alloc claim is checked by the obsbench gate below,
-# whose allocs come from testing.AllocsPerRun; replaybench's are averaged
-# out of the timing loop and legitimately show stray one-time allocations.
-go run ./cmd/teabench -replaybench "$bin/replay.json" -target 300000 -bench mcf
-go run ./scripts/benchdiff -base BENCH_replay.json -new "$bin/replay.json" -gate 25
-echo "ci: replaybench gate ok"
-
-# Stride speedup gate: on the steady-state cycle workloads the fused
+# Stride speedup check: on the steady-state cycle workloads the fused
 # trace-cycle kernel must deliver at least 1.5× over the plain batched
-# kernel. The gate is a ratio inside one run, so host speed drops out; the
-# measured margin is ~8× (901.steady) and ~2.7× (902.stream), leaving
-# honest headroom for a throttled runner. The exact zero-alloc claim for
-# the stride kernel is checked by the obsbench gate below (AllocsPerRun is
-# precise; replaybench's loop-averaged allocs legitimately show stray
-# one-time allocations).
-go run ./cmd/teabench -replaybench "$bin/stride.json" -target 300000 -bench 901.steady,902.stream
-go run ./scripts/benchdiff -new "$bin/stride.json" \
-    -faster compiled-stride:compiled-batch:1.5:901.steady,902.stream
-echo "ci: stride gate ok"
+# kernel. The ratio is taken inside one run, so host speed drops out.
+go test -run='^$' -bench='CompiledReplay/^90[12]\./^compiled-(batch|stride)$' . > "$bin/stride.txt"
+go run ./scripts/benchdiff -faster compiled-stride:compiled-batch:1.5:901.steady,902.stream "$bin/stride.txt"
+echo "ci: stride check ok"
 
-# Observability gate: with no context attached the instrumented fast paths
-# must stay at their BENCH_obs.json numbers — in particular every compiled
-# kernel (batch and stride) stays exactly zero allocs/edge in both modes —
-# and enabling the layer must not regress past its own checked-in baseline.
-# The serve-session rows ride the same gate: a full wire Replay per pass,
-# session events off (DisableSessionEvents) vs on, so the cost of the
-# session event stream is regression-tested alongside the replay kernels.
-go run ./cmd/teabench -obsbench "$bin/obs.json" -target 300000 -bench mcf
-go run ./scripts/benchdiff -base BENCH_obs.json -new "$bin/obs.json" -gate 30 -zero-allocs compiled
-# Same claims where the stride kernel actually fuses: on 901.steady the
-# fused runs dominate (~99.9% of the stream), so this is the row that holds
-# the stride consume loops — prefetch included — to zero allocations.
-go run ./cmd/teabench -obsbench "$bin/obs9.json" -target 300000 -bench 901.steady
-go run ./scripts/benchdiff -base BENCH_obs.json -new "$bin/obs9.json" -gate 40 -zero-allocs compiled
-echo "ci: obsbench gate ok"
-
-# Pipeline gate: the decoupled capture→process pipeline must stay
-# byte-identical to sequential under the race detector (the property test
-# randomizes worker counts and chunk sizes), and a one-benchmark smoke of
-# the pipeline micro-benchmark must hold both hard claims — zero
-# steady-state allocs/edge on every pipe row, and the ≥3× modeled recording
-# scaling self-gate inside RunPipeBench — without regressing the shared
-# rows of the checked-in baseline.
-go test -race ./internal/pipeline
-go run ./cmd/teabench -pipebench "$bin/pipe.json" -target 300000 -bench mcf
-go run ./scripts/benchdiff -base BENCH_pipeline.json -new "$bin/pipe.json" -gate 30 -zero-allocs pipe
-echo "ci: pipebench gate ok"
+# Modeled record-scaling check, the last step: from the saturated record
+# pipeline's one-worker wall and its SpecRecord scan, the modeled speedup at
+# 4 workers must reach 3× (benchdiff -scaling states the model). The
+# pipeline's serial residue (wall minus scan) measures about as large as the
+# scan, so on a 2-vCPU x86 host this reads 1.0–1.2× and fails. It
+# retires with the speculative record path it models, or becomes a measured
+# two-worker gate (ROADMAP item 4).
+go test -run='^$' -bench='RecordPipeline/^obs=off$/^(scan|workers=1)$' ./internal/pipeline > "$bin/scaling.txt"
+go run ./scripts/benchdiff \
+    -scaling 'BenchmarkRecordPipeline/obs=off/scan:BenchmarkRecordPipeline/obs=off/workers=1:4:3' "$bin/scaling.txt"
+echo "ci: modeled scaling check ok"

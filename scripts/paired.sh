@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Paired timing gate. Builds the timing benchmarks of two source trees with
+# `go test -c`, runs them in 10 interleaved pairs on the same host,
+# alternating which tree runs first, and has benchdiff compare each row's
+# runs: a row fails only when the IQRs of the two sides separate and HEAD's
+# median is more than 25% worse (scripts/benchdiff states the rule). Run
+# from the repo root:
+#
+#   ./scripts/paired.sh PARENT_TREE HEAD_TREE
+#
+# ci.sh passes the parent commit's tree and the working tree. Passing one
+# tree as both sides is the gate's false-positive check: no row may fail.
+set -euo pipefail
+declare -A tree=([parent]="$(cd "$1" && pwd)" [head]="$(cd "$2" && pwd)")
+cd "$(dirname "$0")/.."
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+
+# Package directory and -bench pattern: the rows the retired best-of-N
+# harness gates compared (replay kernels on mcf and the 901.steady cycle
+# workload, obs off and on, serve sessions, and both pipelines).
+benches=(
+    ".:CompiledReplay/^181\.mcf$"
+    ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride)"
+    "internal/serve:ServeSession"
+    "internal/pipeline:(Replay|Record)Pipeline"
+)
+
+for side in parent head; do
+    mkdir "$out/$side"
+    for pkg in . internal/serve internal/pipeline; do
+        (cd "${tree[$side]}" && go test -c -o "$out/$side-${pkg//\//-}.test" "./$pkg")
+    done
+done
+go build -o "$out/benchdiff" ./scripts/benchdiff
+
+# Each run is one process and one file. Inside it, -count=5 short
+# repetitions of every row: benchdiff takes their median as the run's
+# value, which damps host noise lasting under a second.
+for pair in $(seq 1 10); do
+    order="parent head"
+    if [ $((pair % 2)) -eq 0 ]; then
+        order="head parent"
+    fi
+    for i in "${!benches[@]}"; do
+        pkg=${benches[$i]%%:*}
+        for side in $order; do
+            (cd "${tree[$side]}/$pkg" &&
+                "$out/$side-${pkg//\//-}.test" -test.run='^$' -test.bench="${benches[$i]#*:}" \
+                    -test.count=5 -test.benchtime=20ms -test.timeout=5m) > "$out/$side/$pair-$i"
+        done
+    done
+done
+"$out/benchdiff" "$out/parent" "$out/head"
