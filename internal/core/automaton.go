@@ -116,8 +116,9 @@ type Automaton struct {
 	synced map[*trace.Trace]syncMark
 
 	// version counts structural mutations (SyncTrace calls): consumers that
-	// compile the automaton into a flat form (the batched recording path)
-	// compare it against their build stamp to know when to rebuild.
+	// compile the automaton into a flat form (the record pipeline's
+	// snapshots) compare it against their build stamp to know when to
+	// rebuild.
 	version uint64
 
 	set *trace.Set

@@ -3,8 +3,9 @@ package core
 import "github.com/lsc-tea/tea/internal/obs"
 
 // The compiled replay kernels (step, specReplay, merge, sequentialReplay,
-// advanceBatchPlain, advanceBatchStride) are each one source body generic
-// over an observability mode. obsOff and obsOn have different GC shapes — a
+// advanceBatchPlain, advanceBatchStride) and the record scans built on step
+// (recScan, mergeRecord) are each one source body generic over an
+// observability mode. obsOff and obsOn have different GC shapes — a
 // zero-size struct and a one-byte one — so the compiler stencils a separate
 // body for each, and inside a kernel
 //

@@ -46,11 +46,6 @@ type Recorder struct {
 	rep   *Replayer
 	state RecState
 
-	// fused is non-nil when the strategy implements the fused batch scan;
-	// view is the automaton view lent to it, allocated once per recorder.
-	fused trace.FusedObserver
-	view  trace.AutoView
-
 	// obs is the (nil when disabled) observability sink; lastSync is the
 	// edge-clock reading at the previous sync, for the sync-gap histogram;
 	// syncSpan holds the span counters pre-resolved at SetObs time so the
@@ -68,14 +63,6 @@ func NewRecorder(strat trace.Strategy, cfg LookupConfig) *Recorder {
 	// Algorithm 2, "Initial": InitializeTEA.
 	r.auto = NewAutomaton(strat.Set())
 	r.rep = NewReplayer(r.auto, cfg)
-	r.fused, _ = strat.(trace.FusedObserver)
-	// Trace-exit resolution inside a fused scan routes through the same
-	// resolve path (local cache → configured global container) as the
-	// sequential recorder, so LocalHits/Misses and the container's probe
-	// counters accumulate identically.
-	r.view.Resolve = func(from int32, label uint64) int32 {
-		return int32(r.rep.resolve(StateID(from), label))
-	}
 	return r
 }
 
@@ -135,82 +122,17 @@ func (r *Recorder) Observe(e cfg.Edge, instrs uint64) {
 	}
 }
 
-// ObserveBatch consumes a run of block transitions at once: edges[i] is
-// one transition and instrs[i] the dynamic instructions the finished block
-// executed, exactly as in Observe. It is observably identical to calling
-// Observe(edges[i], instrs[i]) in order — same Stats, same RecState, same
-// trace set and automaton — but amortizes the per-edge costs the way
-// CompiledReplayer.AdvanceBatch does for replay.
-//
-// The fast path is a *fused* scan: the strategy's cursor (its position in
-// the trace it last entered) and the replayer's cursor (the automaton
-// state) mirror each other — the automaton has one state per TBB and its
-// transitions are synced from exactly the TBB links the strategy follows —
-// so one in-trace dispatch per edge serves both. The recorder lends the
-// strategy a flat view of the automaton (compiled transition spans, the
-// entry-table storage, and the precomputed plausible-successor test), and
-// the strategy interleaves the replayer's exact Advance bookkeeping with
-// its own trigger counting in a single pass, keeping both cursors and all
-// counters in locals.
-//
-// Ordering within the scan is exactly sequential: for each edge the
-// automaton transition is applied first, then the strategy's decision — the
-// same Advance-then-Observe order Observe uses. The scan stops at the first
-// eventful edge (trace created/extended, recording started); the recorder
-// then re-establishes the sequential epilogue — sync, then the
-// state-machine flip — before resuming. If the strategy detects its cursor
-// and the view's cursor are (transiently, after an immediate trace link)
-// out of lockstep, it consumes nothing and the recorder steps one edge
-// sequentially until they reconverge.
+// ObserveBatch consumes a run of block transitions: edges[i] is one
+// transition and instrs[i] the dynamic instructions the finished block
+// executed, exactly as in Observe, which it calls for each edge in order.
 //
 //tea:hotpath
 func (r *Recorder) ObserveBatch(edges []cfg.Edge, instrs []uint64) {
 	if len(edges) != len(instrs) {
 		panic("core: ObserveBatch edges/instrs length mismatch")
 	}
-	if r.fused == nil {
-		for i, e := range edges {
-			r.Observe(e, instrs[i])
-		}
-		return
-	}
-	if len(edges) == 0 {
-		return
-	}
-	if r.state == RecInitial {
-		r.state = RecExecuting
-	}
-	for i := 0; i < len(edges); {
-		if r.state != RecExecuting || r.strat.Recording() {
-			// Algorithm 2 performs no ChangeState while creating; the fused
-			// scan only models the Executing state.
-			r.Observe(edges[i], instrs[i])
-			i++
-			continue
-		}
-		r.rep.fillView(&r.view)
-		n, changed := r.fused.ObserveFused(edges[i:], instrs[i:], &r.view)
-		r.rep.foldView(&r.view)
-		if n <= 0 {
-			// Strategy and automaton cursors out of lockstep (or a strategy
-			// that consumed nothing): step sequentially to reconverge.
-			r.Observe(edges[i], instrs[i])
-			i++
-			continue
-		}
-		if o := r.rep.obs; o != nil {
-			// The fused scan consumed n edges without per-edge ticks; move
-			// the logical clock in one step and keep event stamps monotonic.
-			o.AdvanceEdges(uint64(n))
-			o.SetEdge(o.EdgeBase())
-		}
-		if changed != nil {
-			r.sync(changed)
-		}
-		if r.strat.Recording() {
-			r.state = RecCreating
-		}
-		i += n
+	for i, e := range edges {
+		r.Observe(e, instrs[i])
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/lsc-tea/tea/internal/btree"
-	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/obs"
 	"github.com/lsc-tea/tea/internal/trace"
 )
@@ -30,45 +29,15 @@ type Replayer struct {
 
 	// obs is the (nil when disabled) observability sink; obsFolded remembers
 	// the stats already folded into its counters, so FlushObs charges deltas
-	// and never double-counts. probeEvs is ReplayProbeEvents' reusable batch
-	// buffer.
+	// and never double-counts.
 	obs       *obs.Obs
 	obsFolded Stats
-	probeEvs  []obs.Event
 
 	// gen is the local-cache generation. AddEntry bumps it instead of
 	// walking and zeroing every allocated cache; a cache whose stamp lags
 	// behind gen is flushed lazily on its next use (see cacheFor), which is
 	// observably identical to the old eager flush-all.
 	gen uint64
-
-	// etab shadows the entry index for the batched fast path (advanceRun):
-	// a flat open-addressed label→state table written at exactly the sites
-	// that write the index, so lookups agree by construction. The
-	// configurable EntryIndex (and its probe accounting) remains the
-	// per-edge reference path.
-	etab entryTab
-
-	// flat* is the compiled transition view lent to the strategies' fused
-	// batch scans (trace.AutoView) — the recording analogue of
-	// CompiledReplayer's arrays. Per-state label and target slices are
-	// packed into two contiguous arrays indexed by flatStart[state]; labels
-	// stay sorted, so lookups search one cache-resident span instead of
-	// chasing per-State objects. flatWild/flatSuccA/flatSuccB precompute the
-	// plausible-successor test per state. The view is stamped with the
-	// automaton's version and rebuilt lazily after a sync, so steady-state
-	// recording (no syncs) never rebuilds or allocates.
-	flatVersion  uint64
-	flatStart    []int32
-	flatLabels   []uint64
-	flatTargets  []int32
-	flatTBBs     []*trace.TBB
-	flatRoot     []bool
-	flatWild     []bool
-	flatSuccA    []uint64
-	flatSuccB    []uint64
-	flatSrcBlock []*cfg.Block
-	flatSrcBack  []bool
 }
 
 // Stats aggregates the counters of one replayed (or recorded) execution.
@@ -163,9 +132,6 @@ func NewReplayer(a *Automaton, cfg LookupConfig) *Replayer {
 			r.index.Insert(e.Addr, e.State)
 		}
 	}
-	for _, e := range entries {
-		r.etab.put(e.Addr, e.State)
-	}
 	r.index.ResetProbes()
 	return r
 }
@@ -214,7 +180,6 @@ func (r *Replayer) Reset() {
 // quadratic in the trace count.
 func (r *Replayer) AddEntry(addr uint64, s StateID) {
 	r.index.Insert(addr, s)
-	r.etab.put(addr, s)
 	r.gen++
 }
 
@@ -282,127 +247,6 @@ func (r *Replayer) Advance(label uint64, instrs uint64) StateID {
 	}
 	r.cur = next
 	return next
-}
-
-// buildFlat (re)compiles the automaton's per-state transition tables into
-// the contiguous flat arrays the fused batch scans dispatch on. Called only
-// when the automaton's version moved past the view's stamp — i.e. after a
-// sync — so the recording steady state never pays it.
-func (r *Replayer) buildFlat() {
-	a := r.a
-	n := len(a.states)
-	total := 0
-	for _, s := range a.states {
-		total += len(s.labels)
-	}
-	if cap(r.flatStart) < n+1 {
-		r.flatStart = make([]int32, n+1, 2*(n+1))
-	} else {
-		r.flatStart = r.flatStart[:n+1]
-	}
-	if cap(r.flatLabels) < total {
-		r.flatLabels = make([]uint64, total, 2*total)
-		r.flatTargets = make([]int32, total, 2*total)
-	} else {
-		r.flatLabels = r.flatLabels[:total]
-		r.flatTargets = r.flatTargets[:total]
-	}
-	if cap(r.flatTBBs) < n {
-		r.flatTBBs = make([]*trace.TBB, n, 2*n)
-		r.flatRoot = make([]bool, n, 2*n)
-		r.flatWild = make([]bool, n, 2*n)
-		r.flatSuccA = make([]uint64, n, 2*n)
-		r.flatSuccB = make([]uint64, n, 2*n)
-		r.flatSrcBlock = make([]*cfg.Block, n, 2*n)
-		r.flatSrcBack = make([]bool, n, 2*n)
-	} else {
-		r.flatTBBs = r.flatTBBs[:n]
-		r.flatRoot = r.flatRoot[:n]
-		r.flatWild = r.flatWild[:n]
-		r.flatSuccA = r.flatSuccA[:n]
-		r.flatSuccB = r.flatSuccB[:n]
-		r.flatSrcBlock = r.flatSrcBlock[:n]
-		r.flatSrcBack = r.flatSrcBack[:n]
-	}
-	off := 0
-	for i, s := range a.states {
-		r.flatStart[i] = int32(off)
-		copy(r.flatLabels[off:], s.labels)
-		for j, tg := range s.targets {
-			r.flatTargets[off+j] = int32(tg)
-		}
-		r.flatTBBs[i] = s.TBB
-		// Precompute plausibleSuccessor per state: an impossible label (^0)
-		// fills the absent slots, so the test is two compares and a flag.
-		wild, sa, sb := false, ^uint64(0), ^uint64(0)
-		var srcBlock *cfg.Block
-		srcBack := false
-		if s.TBB != nil {
-			b := s.TBB.Block
-			t := b.Term
-			wild = t.IsIndirect()
-			if t.IsBranch() {
-				sa = t.Target
-			}
-			if ft, ok := b.FallThrough(); ok {
-				sb = ft
-			}
-			srcBlock, srcBack = b, b.BackSrc
-		}
-		r.flatRoot[i] = s.TBB != nil && s.TBB.Index == 0
-		r.flatSrcBlock[i] = srcBlock
-		r.flatSrcBack[i] = srcBack
-		r.flatWild[i] = wild
-		r.flatSuccA[i] = sa
-		r.flatSuccB[i] = sb
-		off += len(s.labels)
-	}
-	r.flatStart[n] = int32(off)
-	r.flatVersion = a.version + 1
-}
-
-// fillView refreshes the fused-scan view: recompiles the flat arrays if the
-// automaton changed (a sync ran), re-aliases the entry-table storage (it
-// may have grown), loads the cursor, and zeroes the counter block. In the
-// recording steady state this is a handful of header copies — no
-// allocation, no table walk.
-func (r *Replayer) fillView(v *trace.AutoView) {
-	if r.flatVersion != r.a.version+1 {
-		r.buildFlat()
-	}
-	v.Cur = int32(r.cur)
-	v.Desynced = r.desynced
-	v.Start, v.Labels, v.Targets = r.flatStart, r.flatLabels, r.flatTargets
-	v.TBBs, v.Root = r.flatTBBs, r.flatRoot
-	v.SrcBlock, v.SrcBack = r.flatSrcBlock, r.flatSrcBack
-	v.Wild, v.SuccA, v.SuccB = r.flatWild, r.flatSuccA, r.flatSuccB
-	v.EKeys, v.EVals = r.etab.keys, r.etab.targets
-	v.EZeroLive, v.EZeroVal = r.etab.zeroLive, int32(r.etab.zeroState)
-	v.Blocks, v.Instrs, v.TraceBlocks, v.TraceInstrs = 0, 0, 0, 0
-	v.InTraceHits, v.Enters, v.Links, v.Exits = 0, 0, 0, 0
-	v.GlobalLookups, v.GlobalHits, v.Desyncs, v.Resyncs = 0, 0, 0, 0
-}
-
-// foldView folds a fused scan's results back: cursor, desync flag, and the
-// counter block accumulated by the strategy. The counters the resolve
-// closure mutates directly (LocalHits/Misses and its global lookups) are
-// disjoint from the folded ones.
-func (r *Replayer) foldView(v *trace.AutoView) {
-	r.cur = StateID(v.Cur)
-	r.desynced = v.Desynced
-	st := &r.stats
-	st.Blocks += v.Blocks
-	st.Instrs += v.Instrs
-	st.TraceBlocks += v.TraceBlocks
-	st.TraceInstrs += v.TraceInstrs
-	st.InTraceHits += v.InTraceHits
-	st.GlobalLookups += v.GlobalLookups
-	st.GlobalHits += v.GlobalHits
-	st.TraceEnters += v.Enters
-	st.TraceLinks += v.Links
-	st.TraceExits += v.Exits
-	st.Desyncs += v.Desyncs
-	st.Resyncs += v.Resyncs
 }
 
 // plausibleSuccessor reports whether control leaving tbb's block could

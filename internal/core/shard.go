@@ -8,10 +8,10 @@ import (
 )
 
 // This file holds the sharded-replay primitives: speculative segment scans
-// (SpecReplay with its obs instance SpecReplayObs, and SpecRecord) and
-// junction reconciliation (Reconciler). internal/pipeline is the one
-// executor that drives them across goroutines, on sequence-stamped chunks
-// of a stream (DESIGN.md §14).
+// (SpecReplay and SpecRecord, each with its obs instance SpecReplayObs and
+// SpecRecordObs) and junction reconciliation (Reconciler).
+// internal/pipeline is the one executor that drives them across
+// goroutines, on sequence-stamped chunks of a stream (DESIGN.md §14).
 //
 // Two properties carry everything (DESIGN.md §9, §14):
 //
@@ -32,19 +32,28 @@ import (
 // SpecResult is one segment's speculative scan result: the Stats charged
 // from the guessed (NTE, in-sync) entry, the post-state trajectory
 // reconciliation compares against, and — depending on the scan — collected
-// events (replay+obs) or head candidates and probe records (record mode).
-// The buffers are reused across scans via Reset.
+// events (obs scans) or head candidates and container searches (record
+// mode). The buffers are reused across scans via Reset.
 type SpecResult struct {
 	Stats Stats
 	Curs  []StateID
 	Desyn []bool
-	// Evs are the events of an obs scan, stamped with global edge indices.
+	// Evs are the events of an obs scan. A replay scan stamps them with
+	// global edge indices; a record scan stamps them with chunk-local clock
+	// ticks (see Ticks), which the drain rebases onto the edge clock.
 	Evs []obs.Event
 	// Cands are a record scan's head candidates in edge order.
 	Cands []RecCand
-	// Miss are a record scan's trace-side global-container searches, replayed
-	// against the live index at drain time for probe-depth observability.
-	Miss []ProbeRec
+	// Searches are an obs record scan's global-container searches in edge
+	// order, re-issued against the live container at drain time.
+	Searches []RecSearch
+	// Ticks counts a record scan's edge-clock ticks: edges with a
+	// destination. A nil-To edge accounts without a transition and, as in
+	// Recorder.Observe, does not move the clock.
+	Ticks int
+	// obs records that the last record scan was an obs scan, so
+	// MergeRecord reconciles it in the same mode.
+	obs bool
 }
 
 // Reset prepares the result for a segment of n edges, reusing capacity.
@@ -59,7 +68,8 @@ func (r *SpecResult) Reset(n int) {
 	}
 	r.Evs = r.Evs[:0]
 	r.Cands = r.Cands[:0]
-	r.Miss = r.Miss[:0]
+	r.Searches = r.Searches[:0]
+	r.Ticks = 0
 }
 
 // RecCand is one recording head candidate observed by a speculative record
@@ -70,15 +80,16 @@ type RecCand struct {
 	Head uint64
 }
 
-// ProbeRec is one trace-side miss of a record scan: the edge offset, the
-// state the miss left, and the label searched. The reference recorder
-// resolves these through its live global container (emitting probe-depth
-// observations); a speculative scan resolves them against the immutable
-// compiled entry table, so the drain re-issues the container searches to
-// keep the observability registry byte-identical.
-type ProbeRec struct {
-	Idx   int32
-	From  int32
+// RecSearch is one global-container search of an obs record scan: the
+// chunk-local tick of its edge, the label searched, and whether it left a
+// trace state (a trace-side miss, which also emits an EvCacheMissProbe
+// event) or NTE. The reference recorder searches its live container, whose
+// probe depths differ from the compiled entry table's, so the drain
+// re-issues each search to feed the container's probe hook and to give each
+// probe event its live depth.
+type RecSearch struct {
+	Tick  int32
+	Trace bool
 	Label uint64
 }
 
@@ -204,137 +215,105 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 	}
 }
 
-// recStep consumes one record-mode edge: the memoryless transition (exactly
-// step, keyed by the destination block head) plus the head-candidate and
-// probe-record classification the fused MRET scan applies. A nil To edge is
-// account-only (AccountTail semantics), matching Recorder.Observe.
-func (c *Compiled) recStep(cur StateID, des bool, e *cfg.Edge, instrs uint64, st *Stats) (next StateID, ndes bool, cand bool, miss bool, head uint64) {
-	if e.To == nil {
-		st.AccountTail(cur, instrs)
-		return cur, des, false, false, 0
-	}
-	head = e.To.Head
-	if instrs != 0 {
-		st.Blocks++
-		st.Instrs += instrs
-		if cur != NTE {
-			st.TraceBlocks++
-			st.TraceInstrs += instrs
-		}
-	}
-	// backFast(e): taken edge whose source block's terminator is a direct
-	// backward branch — the BackSrc precomputation shared with the strategies.
-	back := e.Taken && e.From != nil && e.From.BackSrc
-	prev := cur
-	hit := false
-	if cur != NTE {
-		rec := &c.hot[cur]
-		if rec.lab0 == head {
-			hit = true
-			next = rec.tgt0
-		} else if rec.lab1 == head {
-			hit = true
-			next = rec.tgt1
-		} else if t, ok := c.nextSlow(cur, head); ok {
-			hit = true
-			next = t
-		}
-		if hit {
-			st.InTraceHits++
+// recScan is the one body of the record-mode scans. It consumes edges from
+// (cur, des) through step — the same memoryless transition function the
+// replay scans use, keyed by the destination block head — charging
+// r.Stats, filling the trajectory and collecting the head candidates; the
+// obsOn instance also collects the events, stamped with chunk-local ticks,
+// and every global-container search. A nil-To edge only accounts
+// (AccountTail semantics), matching Recorder.Observe.
+//
+// The candidate policy is MRET's, decided before any strategy mutation: an
+// in-trace hit on a taken backward branch whose target anchors no trace, or
+// any transition that lands in cold code off a trace exit or a taken
+// backward branch.
+//
+// With stop non-nil the scan ends after the first edge whose post-state
+// matches stop's trajectory — the junction where a true re-replay meets a
+// speculative scan — and returns that edge's index; otherwise, or if the
+// trajectories never touch, it returns -1.
+//
+//tea:hotpath
+func recScan[M obsMode](c *Compiled, edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult, stop *SpecResult) int {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
+	r.Reset(len(edges))
+	r.obs = emitting
+	st := &r.Stats
+	tick := 0
+	for k := range edges {
+		e := &edges[k]
+		if e.To == nil {
+			st.AccountTail(cur, instrs[k])
 		} else {
-			miss = true
-			if !c.cold[cur].plausible(head) {
-				st.Desyncs++
-				des = true
-			}
-			st.GlobalLookups++
-			if t, ok := c.entry(head); ok {
-				st.GlobalHits++
-				next = t
-			}
-			if next == NTE {
-				st.TraceExits++
+			head := e.To.Head
+			prev, hits := cur, st.InTraceHits
+			if emitting {
+				cur, des = step[obsOn](c, cur, des, head, instrs[k], st, &r.Evs, uint64(tick))
 			} else {
-				st.TraceLinks++
+				cur, des = step[obsOff](c, cur, des, head, instrs[k], st, nil, 0)
 			}
-		}
-	} else {
-		st.GlobalLookups++
-		if t, ok := c.entry(head); ok {
-			st.GlobalHits++
-			next = t
-			st.TraceEnters++
-		}
-	}
-	if next != NTE && des {
-		des = false
-		st.Resyncs++
-	}
-	// Head-candidate policy, mirroring MRET.ObserveFused decide-before-mutate:
-	// an in-trace hit on a taken backward branch whose target anchors no
-	// trace, or any transition that lands in cold code off a trace exit or a
-	// taken backward branch. (The fused scan's Root[cur] test is only a probe
-	// shortcut: a root hit implies the head is traced, which c.entry answers
-	// identically.)
-	if hit {
-		if back {
-			if _, traced := c.entry(head); !traced {
-				cand = true
+			// step charges InTraceHits exactly when the label resolves
+			// inside the state's own transitions.
+			hit := st.InTraceHits != hits
+			if emitting && !hit {
+				r.Searches = append(r.Searches, RecSearch{Tick: int32(tick), Trace: prev != NTE, Label: head})
 			}
+			back := e.Taken && e.From != nil && e.From.BackSrc
+			cand := false
+			if hit {
+				if back {
+					_, traced := c.entry(head)
+					cand = !traced
+				}
+			} else if cur == NTE {
+				cand = prev != NTE || back
+			}
+			if cand {
+				r.Cands = append(r.Cands, RecCand{Idx: int32(k), Head: head})
+			}
+			tick++
 		}
-	} else if next == NTE {
-		cand = prev != NTE || back
+		r.Curs[k], r.Desyn[k] = cur, des
+		if stop != nil && cur == stop.Curs[k] && des == stop.Desyn[k] {
+			r.Ticks = tick
+			return k
+		}
 	}
-	return next, des, cand, miss, head
+	r.Ticks = tick
+	return -1
 }
 
 // SpecRecord speculatively scans a record-mode chunk from (NTE, in-sync)
 // against the frozen compiled snapshot: the memoryless transition charges
 // r.Stats, the trajectory feeds reconciliation, and the strategy-side
-// effects are *deferred* — head candidates and trace-side misses are
-// collected for the drain to replay in sequence order instead of being
-// applied to shared state.
+// effects are *deferred* — head candidates are collected for the drain to
+// replay in sequence order instead of being applied to shared state.
 //
 //tea:hotpath
 func (c *Compiled) SpecRecord(edges []cfg.Edge, instrs []uint64, r *SpecResult) {
-	r.Reset(len(edges))
-	cur, des := NTE, false
-	for k := range edges {
-		var cand, miss bool
-		var head uint64
-		cur, des, cand, miss, head = c.recStep(cur, des, &edges[k], instrs[k], &r.Stats)
-		if cand {
-			r.Cands = append(r.Cands, RecCand{Idx: int32(k), Head: head})
-		}
-		if miss {
-			r.Miss = append(r.Miss, ProbeRec{Idx: int32(k), From: int32(r.prevState(k)), Label: head})
-		}
-		r.Curs[k] = cur
-		r.Desyn[k] = des
-	}
+	recScan[obsOff](c, edges, instrs, NTE, false, r, nil)
 }
 
-// prevState returns the state before edge k of a partially filled
-// trajectory (NTE before the first edge).
-func (r *SpecResult) prevState(k int) StateID {
-	if k == 0 {
-		return NTE
-	}
-	return r.Curs[k-1]
-}
-
-// RecReplay replays edges[:upto] of a record-mode chunk from (cur, des)
-// with the true transition function, returning the charges and exit state.
-// The drain uses it to account the prefix of a chunk that ends in a
-// recording trigger before handing the suffix to the sequential recorder.
+// SpecRecordObs is SpecRecord with event and container-search collection.
 //
 //tea:hotpath
-func (c *Compiled) RecReplay(edges []cfg.Edge, instrs []uint64, cur StateID, des bool, upto int) (Stats, StateID, bool) {
-	var st Stats
-	for j := 0; j < upto; j++ {
-		cur, des, _, _, _ = c.recStep(cur, des, &edges[j], instrs[j], &st)
+func (c *Compiled) SpecRecordObs(edges []cfg.Edge, instrs []uint64, r *SpecResult) {
+	recScan[obsOn](c, edges, instrs, NTE, false, r, nil)
+}
+
+// RecReplay replays a record-mode run from (cur, des) with the true
+// transition function into r and returns the exit state. The drain uses it
+// to account the prefix of a chunk that ends in a recording trigger before
+// handing the suffix to the sequential recorder.
+//
+//tea:hotpath
+func (c *Compiled) RecReplay(edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult) (StateID, bool) {
+	recScan[obsOff](c, edges, instrs, cur, des, r, nil)
+	if n := len(edges); n > 0 {
+		return r.Curs[n-1], r.Desyn[n-1]
 	}
-	return st, cur, des
+	return cur, des
 }
 
 // RecMerge is the outcome of reconciling one speculatively scanned
@@ -342,12 +321,13 @@ func (c *Compiled) RecReplay(edges []cfg.Edge, instrs []uint64, cur StateID, des
 type RecMerge struct {
 	// Delta is the chunk's Stats contribution if accepted wholesale.
 	Delta Stats
-	// Cands / Miss are the reconciled candidate and probe lists: the true
-	// prefix's recomputed entries followed by the speculative suffix's. The
-	// slices alias Reconciler scratch (or the SpecResult) and are valid only
-	// until the next Merge* call.
-	Cands []RecCand
-	Miss  []ProbeRec
+	// Cands, Evs and Searches are the reconciled lists: the true prefix's
+	// recomputed entries followed by the speculative suffix's (Evs and
+	// Searches only from an obs merge). The slices alias Reconciler scratch
+	// (or the SpecResult) and are valid only until the next Merge* call.
+	Cands    []RecCand
+	Evs      []obs.Event
+	Searches []RecSearch
 	// ExitCur / ExitDes is the chunk's true exit state.
 	ExitCur StateID
 	ExitDes bool
@@ -357,8 +337,9 @@ type RecMerge struct {
 // across batches; the zero value is ready to use.
 type Reconciler struct {
 	trueEvs []obs.Event
-	cands   []RecCand
-	miss    []ProbeRec
+	// tr and sp hold a record merge's true re-replay and its re-scan of the
+	// speculative prefix.
+	tr, sp SpecResult
 }
 
 // Merge reconciles one speculatively scanned segment against its true entry
@@ -455,96 +436,115 @@ func evsAfter(evs []obs.Event, edge uint64) int {
 }
 
 // MergeRecord reconciles one speculatively scanned record-mode chunk: the
-// returned Delta, candidate list and probe list are exactly what a true
-// scan from (cur, des) would have produced, with only the non-converged
-// prefix re-replayed.
+// returned Delta and candidate list (and, for a SpecRecordObs scan, event
+// and container-search lists) are exactly what a true scan from (cur, des)
+// would have produced, with only the non-converged prefix re-replayed.
 func (rc *Reconciler) MergeRecord(c *Compiled, edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult) RecMerge {
+	if r.obs {
+		return mergeRecord[obsOn](rc, c, edges, instrs, cur, des, r)
+	}
+	return mergeRecord[obsOff](rc, c, edges, instrs, cur, des, r)
+}
+
+// mergeRecord is the one body of MergeRecord's two modes: the record
+// analogue of merge, with the candidate, event and search lists swapped at
+// the junction alongside the Stats.
+func mergeRecord[M obsMode](rc *Reconciler, c *Compiled, edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult) RecMerge {
+	var mode M
+	emitting := unsafe.Sizeof(mode) != 0
 	n := len(edges)
-	m := RecMerge{ExitCur: cur, ExitDes: des}
 	if n == 0 {
-		return m
+		return RecMerge{ExitCur: cur, ExitDes: des}
 	}
 	if cur == NTE && !des {
-		m.Delta = r.Stats
-		m.Cands = r.Cands
-		m.Miss = r.Miss
-		m.ExitCur, m.ExitDes = r.Curs[n-1], r.Desyn[n-1]
-		return m
+		return RecMerge{Delta: r.Stats, Cands: r.Cands, Evs: r.Evs, Searches: r.Searches,
+			ExitCur: r.Curs[n-1], ExitDes: r.Desyn[n-1]}
 	}
-	rc.cands = rc.cands[:0]
-	rc.miss = rc.miss[:0]
-	var trueSt Stats
-	tcur, tdes := cur, des
-	conv := -1
-	for j := 0; j < n; j++ {
-		prev := tcur
-		var cand, miss bool
-		var head uint64
-		tcur, tdes, cand, miss, head = c.recStep(tcur, tdes, &edges[j], instrs[j], &trueSt)
-		if cand {
-			rc.cands = append(rc.cands, RecCand{Idx: int32(j), Head: head})
-		}
-		if miss {
-			rc.miss = append(rc.miss, ProbeRec{Idx: int32(j), From: int32(prev), Label: head})
-		}
-		if tcur == r.Curs[j] && tdes == r.Desyn[j] {
-			conv = j
-			break
-		}
+	tr := &rc.tr
+	var conv int
+	if emitting {
+		conv = recScan[obsOn](c, edges, instrs, cur, des, tr, r)
+	} else {
+		conv = recScan[obsOff](c, edges, instrs, cur, des, tr, r)
 	}
 	if conv < 0 {
-		m.Delta = trueSt
-		m.Cands = rc.cands
-		m.Miss = rc.miss
-		m.ExitCur, m.ExitDes = tcur, tdes
-		return m
+		// The trajectories never touched: the true re-replay covered the
+		// whole chunk and replaces the speculation.
+		return RecMerge{Delta: tr.Stats, Cands: tr.Cands, Evs: tr.Evs, Searches: tr.Searches,
+			ExitCur: tr.Curs[n-1], ExitDes: tr.Desyn[n-1]}
 	}
-	var specSt Stats
-	scur, sdes := NTE, false
-	for j := 0; j <= conv; j++ {
-		scur, sdes, _, _, _ = c.recStep(scur, sdes, &edges[j], instrs[j], &specSt)
+	// Swap the speculative prefix's charges for the true prefix's, and keep
+	// the speculative entries past the junction: candidates by edge index,
+	// events and searches by tick (tr.Ticks counts the ticks through the
+	// junction edge).
+	recScan[obsOff](c, edges[:conv+1], instrs[:conv+1], NTE, false, &rc.sp, nil)
+	m := RecMerge{Delta: r.Stats, ExitCur: r.Curs[n-1], ExitDes: r.Desyn[n-1]}
+	m.Delta.sub(&rc.sp.Stats)
+	m.Delta.add(&tr.Stats)
+	i := 0
+	for i < len(r.Cands) && int(r.Cands[i].Idx) <= conv {
+		i++
 	}
-	delta := r.Stats
-	delta.sub(&specSt)
-	delta.add(&trueSt)
-	for _, cd := range r.Cands {
-		if int(cd.Idx) > conv {
-			rc.cands = append(rc.cands, cd)
+	// The spliced lists grow tr's buffers in place, so their capacity
+	// carries over to the next merge.
+	tr.Cands = append(tr.Cands, r.Cands[i:]...)
+	if emitting {
+		i = 0
+		for i < len(r.Searches) && int(r.Searches[i].Tick) < tr.Ticks {
+			i++
 		}
-	}
-	for _, pr := range r.Miss {
-		if int(pr.Idx) > conv {
-			rc.miss = append(rc.miss, pr)
+		tr.Searches = append(tr.Searches, r.Searches[i:]...)
+		i = 0
+		if tr.Ticks > 0 {
+			i = evsAfter(r.Evs, uint64(tr.Ticks-1))
 		}
+		tr.Evs = append(tr.Evs, r.Evs[i:]...)
 	}
-	m.Delta = delta
-	m.Cands = rc.cands
-	m.Miss = rc.miss
-	m.ExitCur, m.ExitDes = r.Curs[n-1], r.Desyn[n-1]
+	m.Cands, m.Evs, m.Searches = tr.Cands, tr.Evs, tr.Searches
 	return m
 }
 
-// ReplayProbeEvents re-issues the trace-side global-container searches a
-// speculative record scan resolved against the compiled snapshot: one live
-// index lookup per ProbeRec, feeding the probe-depth histograms and
-// CacheMissProbe events exactly as the sequential recorder's resolve path
-// would, without touching Stats (the chunk's counters were already folded
-// from the scan). No-op with no context attached — the searches exist only
-// for observability.
-func (r *Replayer) ReplayProbeEvents(misses []ProbeRec, base uint64) {
+// ReplayProbeEvents feeds the first ticks edge-clock ticks of a reconciled
+// obs record scan into the recorder's context exactly as per-edge Observe
+// would have: every global-container search among them is re-issued
+// against the live container — feeding its probe hook and giving each
+// trace-side probe event the live depth in place of the compiled entry
+// table's — then the events, rebased from chunk-local ticks onto the edge
+// clock, go through the shared ingest path and the clock moves past the
+// ticks. A quiet chunk passes all of its ticks, a handoff those of the
+// prefix it accounts. Stats are untouched (the caller folds the delta);
+// m's events are rewritten in place. No-op with no context attached.
+func (r *Replayer) ReplayProbeEvents(m *RecMerge, ticks int) {
 	o := r.obs
-	if o == nil || len(misses) == 0 {
+	if o == nil {
 		return
 	}
-	evs := r.probeEvs[:0]
-	for _, m := range misses {
+	evs := m.Evs
+	j := 0
+	for _, s := range m.Searches {
+		if int(s.Tick) >= ticks {
+			break
+		}
 		before := r.index.Probes()
-		r.index.Lookup(m.Label)
-		depth := r.index.Probes() - before
-		o.Replay.ProbeDepth.Observe(depth)
-		evs = append(evs, obs.Event{Edge: base + uint64(m.Idx), Aux: depth, State: m.From, Kind: obs.EvCacheMissProbe})
+		r.index.Lookup(s.Label)
+		if !s.Trace {
+			continue
+		}
+		for evs[j].Kind != obs.EvCacheMissProbe {
+			j++
+		}
+		evs[j].Aux = r.index.Probes() - before
+		j++
 	}
-	o.Tracer.EmitBatch(evs)
-	o.SetEdge(evs[len(evs)-1].Edge)
-	r.probeEvs = evs
+	if ticks > 0 {
+		evs = evs[:evsAfter(evs, uint64(ticks-1))]
+	} else {
+		evs = evs[:0]
+	}
+	base := o.EdgeBase()
+	for i := range evs {
+		evs[i].Edge += base
+	}
+	o.IngestReplay(evs)
+	o.AdvanceEdges(uint64(ticks))
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,14 +11,16 @@ import (
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/pin"
+	"github.com/lsc-tea/tea/internal/pipeline"
 	"github.com/lsc-tea/tea/internal/teatool"
 	"github.com/lsc-tea/tea/internal/trace"
 	"github.com/lsc-tea/tea/internal/workload"
 )
 
 // recordDiffStrategies are every selection strategy the recorder accepts:
-// the three fused ones (mret, ctt, tt) and mfet, which has no fused scan
-// and therefore exercises ObserveBatch's sequential fallback.
+// mret, whose record pipeline accepts chunks on the quiet path once its
+// trace set saturates, and ctt, tt and mfet, whose pipelines run every chunk
+// through the sequential recorder.
 var recordDiffStrategies = []string{"mret", "ctt", "tt", "mfet"}
 
 // captureBench generates one calibrated benchmark and captures its dynamic
@@ -38,65 +41,33 @@ func captureBench(t *testing.T, spec workload.Spec, target uint64) (*isa.Program
 	return p, capt.Edges(), capt.Instrs()
 }
 
-// newDiffRecorder builds a recorder for one strategy over the benchmark's
+// newDiffStrategy builds one selection strategy over the benchmark's
 // program symbols.
-func newDiffRecorder(t *testing.T, stratName string, p *isa.Program, tc trace.Config) *core.Recorder {
+func newDiffStrategy(t *testing.T, stratName string, p *isa.Program, tc trace.Config) trace.Strategy {
 	t.Helper()
 	strat, ok := trace.NewStrategy(stratName, p, tc)
 	if !ok {
 		t.Fatalf("unknown strategy %q", stratName)
 	}
-	return core.NewRecorder(strat, core.ConfigGlobalLocal)
+	return strat
 }
 
-// feedBatch replays the stream through ObserveBatch in chunks, so chunk
-// boundaries land at arbitrary stream positions (including mid-trace and
-// mid-recording) rather than only at the stream's ends.
-func feedBatch(rec *core.Recorder, edges []cfg.Edge, instrs []uint64, chunk int) {
-	for i := 0; i < len(edges); i += chunk {
-		j := i + chunk
-		if j > len(edges) {
-			j = len(edges)
-		}
-		rec.ObserveBatch(edges[i:j], instrs[i:j])
-	}
-}
-
-// diffRecorders asserts the two recorders are observably identical: same
-// Stats (every counter, including Desyncs/Resyncs), same recording state,
-// same trace set size, and byte-identical encoded automata.
-func diffRecorders(t *testing.T, label string, seq, bat *core.Recorder) {
+// newDiffRecorder builds a recorder for one strategy over the benchmark's
+// program symbols.
+func newDiffRecorder(t *testing.T, stratName string, p *isa.Program, tc trace.Config) *core.Recorder {
 	t.Helper()
-	if s, b := *seq.Replayer().Stats(), *bat.Replayer().Stats(); s != b {
-		t.Errorf("%s: stats diverge:\n  sequential: %+v\n  batch:      %+v", label, s, b)
-	}
-	if s, b := seq.State(), bat.State(); s != b {
-		t.Errorf("%s: recording state %v (sequential) vs %v (batch)", label, s, b)
-	}
-	if s, b := seq.Set().NumTBBs(), bat.Set().NumTBBs(); s != b {
-		t.Errorf("%s: trace set %d TBBs (sequential) vs %d (batch)", label, s, b)
-	}
-	if s, b := seq.Replayer().Cur(), bat.Replayer().Cur(); s != b {
-		t.Errorf("%s: cursor %d (sequential) vs %d (batch)", label, s, b)
-	}
-	se, err := core.Encode(seq.Automaton())
-	if err != nil {
-		t.Fatalf("%s: encode sequential: %v", label, err)
-	}
-	be, err := core.Encode(bat.Automaton())
-	if err != nil {
-		t.Fatalf("%s: encode batch: %v", label, err)
-	}
-	if !bytes.Equal(se, be) {
-		t.Errorf("%s: encoded automata differ (%d vs %d bytes)", label, len(se), len(be))
-	}
+	return core.NewRecorder(newDiffStrategy(t, stratName, p, tc), core.ConfigGlobalLocal)
 }
 
-// TestBatchRecorderMatchesSequential differentially tests ObserveBatch
-// against per-edge Observe over every workload and every strategy: after
-// any number of passes over the same stream, the two recorders must agree
-// on every Stats counter, the recording state, the trace set, and the
-// byte-exact encoded automaton.
+// TestBatchRecorderMatchesSequential differentially tests the batched
+// recorder — the record pipeline — against per-edge Observe over every
+// workload and every strategy: after each of two passes over the same
+// stream, the two must agree on every Stats counter, the recording state,
+// the trace set, and the byte-exact encoded automaton. Pass 1 is
+// event-heavy (counters warm up, traces are created and extended
+// mid-stream); pass 2 is the warm steady state. Worker count and chunk size
+// vary with the workload, so chunk boundaries land at arbitrary stream
+// positions, mid-trace and mid-recording included.
 func TestBatchRecorderMatchesSequential(t *testing.T) {
 	specs := workload.Benchmarks()
 	if testing.Short() {
@@ -108,80 +79,46 @@ func TestBatchRecorderMatchesSequential(t *testing.T) {
 	}
 	const target = 150_000
 	tc := trace.Config{HotThreshold: DefaultHotThreshold}
-	for _, spec := range specs {
-		spec := spec
+	for i, spec := range specs {
+		pc := pipeline.Config{Workers: 1 + i%3, ChunkEdges: []int{97, 256, 1024}[i%3], Depth: 8}
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			p, edges, instrs := captureBench(t, spec, target)
 			for _, strat := range recordDiffStrategies {
-				seq := newDiffRecorder(t, strat, p, tc)
-				bat := newDiffRecorder(t, strat, p, tc)
-				// Pass 1 is event-heavy (counters warm up, traces are created
-				// and extended mid-stream); pass 2 is the warm steady state.
-				// Different chunk sizes move the batch boundaries between
-				// passes.
-				for pass, chunk := range []int{97, 256} {
-					for i := range edges {
-						seq.Observe(edges[i], instrs[i])
+				seq := core.NewRecorder(newDiffStrategy(t, strat, p, tc), core.ConfigGlobalNoLocal)
+				pl := pipeline.NewRecord(newDiffStrategy(t, strat, p, tc), pc)
+				for pass := 1; pass <= 2; pass++ {
+					for k := range edges {
+						seq.Observe(edges[k], instrs[k])
 					}
-					feedBatch(bat, edges, instrs, chunk)
-					diffRecorders(t, spec.Name+"/"+strat+"/pass"+string(rune('1'+pass)), seq, bat)
+					pl.Feed(edges, instrs)
+					got := pl.Barrier()
+					label := fmt.Sprintf("%s/%s/pass%d", spec.Name, strat, pass)
+					if want := *seq.Replayer().Stats(); got != want {
+						t.Errorf("%s: stats diverge:\n  sequential: %+v\n  pipeline:   %+v", label, want, got)
+					}
+					rec := pl.Recorder()
+					if s, b := seq.State(), rec.State(); s != b {
+						t.Errorf("%s: recording state %v (sequential) vs %v (pipeline)", label, s, b)
+					}
+					if s, b := seq.Set().NumTBBs(), rec.Set().NumTBBs(); s != b {
+						t.Errorf("%s: trace set %d TBBs (sequential) vs %d (pipeline)", label, s, b)
+					}
+					se, err := core.Encode(seq.Automaton())
+					if err != nil {
+						t.Fatalf("%s: encode sequential: %v", label, err)
+					}
+					pe, err := core.Encode(rec.Automaton())
+					if err != nil {
+						t.Fatalf("%s: encode pipeline: %v", label, err)
+					}
+					if !bytes.Equal(se, pe) {
+						t.Errorf("%s: encoded automata differ (%d vs %d bytes)", label, len(se), len(pe))
+					}
 				}
+				pl.Close()
 			}
 		})
-	}
-}
-
-// TestBatchRecorderMatchesSequentialAfterForce injects a desync mid-stream
-// — both recorders' cursors are forced to the same wrong state, so the next
-// transition is implausible — and checks the two forms agree on the
-// degradation counters too: Desyncs is incremented when the impossible
-// transition is observed and Resyncs when a trace is re-acquired, and the
-// recorders stay byte-identical through the whole episode. Forcing the
-// replayer alone also breaks the fused scan's lockstep invariant (the
-// strategy's cursor no longer mirrors the automaton's), exercising
-// ObserveBatch's sequential reconvergence path.
-func TestBatchRecorderMatchesSequentialAfterForce(t *testing.T) {
-	spec, _ := workload.ByName("176.gcc")
-	const target = 150_000
-	tc := trace.Config{HotThreshold: DefaultHotThreshold}
-	p, edges, instrs := captureBench(t, spec, target)
-	half := len(edges) / 2
-
-	for _, strat := range []string{"mret", "ctt"} {
-		seq := newDiffRecorder(t, strat, p, tc)
-		bat := newDiffRecorder(t, strat, p, tc)
-
-		// Warm pass, then half of a second pass, so traces exist and the
-		// cursor is mid-stream when the fault is injected.
-		for i := range edges {
-			seq.Observe(edges[i], instrs[i])
-		}
-		feedBatch(bat, edges, instrs, 97)
-		for i := 0; i < half; i++ {
-			seq.Observe(edges[i], instrs[i])
-		}
-		feedBatch(bat, edges[:half], instrs[:half], 97)
-
-		if seq.Automaton().NumStates() < 2 {
-			t.Fatalf("%s: no trace states to force", strat)
-		}
-		seq.Replayer().ForceState(1)
-		bat.Replayer().ForceState(1)
-		for i := half; i < len(edges); i++ {
-			seq.Observe(edges[i], instrs[i])
-		}
-		feedBatch(bat, edges[half:], instrs[half:], 97)
-
-		label := spec.Name + "/" + strat + "/forced"
-		diffRecorders(t, label, seq, bat)
-		st := seq.Replayer().Stats()
-		if st.Desyncs == 0 {
-			t.Errorf("%s: expected the forced wrong state to desync", label)
-		}
-		if st.Resyncs == 0 {
-			t.Errorf("%s: expected a trace re-acquisition after the desync", label)
-		}
 	}
 }
 

@@ -9,11 +9,11 @@
 // watermark — every chunk buffer in flight — which is surfaced as a counter
 // (Metrics.BackpressureWaits), never a per-edge lock. Scan workers pop
 // chunks in any order and run the speculative segment scans from
-// internal/core against an immutable compiled snapshot: SpecRecord, or the
-// one SpecReplay kernel in its obs-off instance (SpecReplay) or its
-// event-collecting obs-on instance (SpecReplayObs). A single drain consumes
-// scan results in sequence order and merges them with core's junction
-// reconciliation (Merge / MergeObs, again one kernel), so the final
+// internal/core against an immutable compiled snapshot: the one record
+// kernel (SpecRecord, or SpecRecordObs with events) or the one replay
+// kernel (SpecReplay, or SpecReplayObs with events). A single drain
+// consumes scan results in sequence order and merges them with core's
+// junction reconciliation (MergeRecord, Merge / MergeObs), so the final
 // automaton, Stats and desync/resync accounting are byte-identical to a
 // sequential pass. Observability folds per chunk into per-shard registry
 // cells and the merged event stream only at sequence boundaries — workers

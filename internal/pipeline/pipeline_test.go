@@ -3,6 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -520,28 +522,71 @@ func TestRecordPipelineQuietPathEngages(t *testing.T) {
 }
 
 // TestRecordPipelineObsIdentity: with observability attached, the full
-// registry JSON — counters, probe-depth histograms, sync spans — equals the
-// sequential recorder's.
+// registry JSON — counters, probe-depth histograms, sync spans — and the
+// event ring equal the sequential recorder's, at 1, 2 and 4 workers, at the
+// fixed chunk size that drives chunks onto the quiet path and at a random
+// one, on the clean stream and on a spliced one that desyncs and resyncs.
 func TestRecordPipelineObsIdentity(t *testing.T) {
-	p := testProgram(t, 6)
-	edges, instrs := captureEdges(t, p)
-	refO := obs.NewWith(obs.NewRegistry(), 1<<16)
-	wantAuto, wantSt, wantJSON := recordReference(t, p, edges, instrs, 3, refO)
-
-	for _, workers := range []int{1, 2, 4} {
-		o := obs.NewWith(obs.NewRegistry(), 1<<16)
-		gotAuto, gotSt, gotJSON, _ := runRecordPipeline(t, p, edges, instrs, 3,
-			Config{Workers: workers, ChunkEdges: 384, Depth: 8, Obs: o})
-		if !bytes.Equal(gotAuto, wantAuto) {
-			t.Fatalf("w=%d: automaton bytes diverge", workers)
+	rng := rand.New(rand.NewSource(19))
+	for _, in := range []struct {
+		name   string
+		seed   int64
+		splice bool
+	}{{"clean", 6, false}, {"spliced", 8, true}} {
+		p := testProgram(t, in.seed)
+		edges, instrs := captureEdges(t, p)
+		if in.splice {
+			cut0, cut1 := len(edges)/3, len(edges)/3+len(edges)/4
+			edges = append(append([]cfg.Edge(nil), edges[:cut0]...), edges[cut1:]...)
+			instrs = append(append([]uint64(nil), instrs[:cut0]...), instrs[cut1:]...)
 		}
-		if gotSt != wantSt {
-			t.Fatalf("w=%d: stats diverge:\nseq  %+v\npipe %+v", workers, wantSt, gotSt)
+		refO := obs.NewWith(obs.NewRegistry(), 1<<16)
+		wantAuto, wantSt, wantJSON := recordReference(t, p, edges, instrs, 3, refO)
+		wantEvents := ringEvents(t, refO)
+		if in.splice && (wantSt.Desyncs == 0 || wantSt.Resyncs == 0) {
+			t.Fatalf("spliced stream never desyncs and resyncs: %+v", wantSt)
 		}
-		if gotJSON != wantJSON {
-			t.Fatalf("w=%d: registry JSON diverges:\nseq  %s\npipe %s", workers, wantJSON, gotJSON)
+		for _, workers := range []int{1, 2, 4} {
+			for _, chunk := range []int{128, 1 + rng.Intn(2048)} {
+				name := fmt.Sprintf("%s w=%d chunk=%d", in.name, workers, chunk)
+				o := obs.NewWith(obs.NewRegistry(), 1<<16)
+				gotAuto, gotSt, gotJSON, m := runRecordPipeline(t, p, edges, instrs, 3,
+					Config{Workers: workers, ChunkEdges: chunk, Depth: 8, Obs: o})
+				if !bytes.Equal(gotAuto, wantAuto) {
+					t.Fatalf("%s: automaton bytes diverge", name)
+				}
+				if gotSt != wantSt {
+					t.Fatalf("%s: stats diverge:\nseq  %+v\npipe %+v", name, wantSt, gotSt)
+				}
+				if gotJSON != wantJSON {
+					t.Fatalf("%s: registry JSON diverges:\nseq  %s\npipe %s", name, wantJSON, gotJSON)
+				}
+				gotEvents := ringEvents(t, o)
+				if len(gotEvents) != len(wantEvents) {
+					t.Fatalf("%s: %d events, want %d", name, len(gotEvents), len(wantEvents))
+				}
+				for i := range wantEvents {
+					if gotEvents[i] != wantEvents[i] {
+						t.Fatalf("%s: event %d differs:\npipe %+v\nseq  %+v", name, i, gotEvents[i], wantEvents[i])
+					}
+				}
+				if chunk == 128 && m.QuietChunks == 0 {
+					t.Fatalf("%s: no quiet chunks; the obs quiet path went unexercised: %+v", name, m)
+				}
+			}
 		}
 	}
+}
+
+// ringEvents snapshots the event ring, failing if it dropped any event (an
+// identity check over a truncated ring would compare only suffixes).
+func ringEvents(t *testing.T, o *obs.Obs) []obs.Event {
+	t.Helper()
+	evs, dropped := o.Tracer.Snapshot()
+	if dropped != 0 {
+		t.Fatalf("event ring dropped %d events; grow its capacity", dropped)
+	}
+	return evs
 }
 
 // TestRecordPipelineFallbackStrategy: a strategy without the QuietObserver

@@ -13,8 +13,8 @@ import (
 // recorder, its automaton and the selection strategy live on the drain;
 // scan workers run SpecRecord against a frozen compiled snapshot of the
 // automaton, reducing each chunk to (Stats delta, trajectory, head
-// candidates, probe records). The drain then merges chunks in sequence
-// order:
+// candidates, and with obs attached its events and container searches).
+// The drain then merges chunks in sequence order:
 //
 //   - A *quiet* chunk — a current snapshot exists (automaton unchanged
 //     since it was compiled; a chunk a worker scanned against an older one
@@ -26,19 +26,23 @@ import (
 //     entirely; this is the scaling path once the trace set saturates.
 //
 //   - The first *hot* candidate in a chunk triggers a handoff: the true
-//     prefix before it is accounted from the reconciled scan, and the
-//     suffix goes through Recorder.ObserveBatch — the exact sequential
-//     machinery — so trace creation, automaton sync and entry insertion
-//     happen precisely as a sequential recorder would.
+//     prefix before it is accounted by RecReplay from the drain's true
+//     entry state, and the suffix goes through Recorder.ObserveBatch — the
+//     exact sequential machinery — so trace creation, automaton sync and
+//     entry insertion happen precisely as a sequential recorder would.
 //
 //   - Anything else (no current snapshot, mid-recording, strategy without
 //     QuietObserver) falls back to ObserveBatch for the whole chunk.
 //
 // Because the quiet path's candidate decisions are reconciled to the true
 // trajectory (core.Reconciler.MergeRecord) and every mutation runs on the
-// sequential machinery, the final automaton, Stats, desync/resync
-// accounting and obs registry are byte-identical to a sequential
-// Recorder.ObserveBatch over the same stream.
+// sequential machinery, the final automaton, Stats and desync/resync
+// accounting are byte-identical to per-edge Recorder.Observe over the same
+// stream. With obs attached so are the event ring and the registry: a
+// quiet chunk or handoff prefix ingests its reconciled events at the live
+// edge clock, with every global-container search re-issued against the
+// recorder's own container for the probe depths
+// (core.Replayer.ReplayProbeEvents).
 //
 // The recorder is built cache-less (core.ConfigGlobalNoLocal): memoryless
 // transitions are what make speculative chunk scans reconcilable, exactly
@@ -52,6 +56,7 @@ type RecordPipeline struct {
 
 	// Drain-owned state.
 	rc       core.Reconciler
+	pre      core.SpecResult // a handoff's true prefix
 	fcur     core.StateID
 	fdes     bool
 	repStale bool // rep/strategy cursors lag fcur/fdes after quiet chunks
@@ -96,7 +101,17 @@ func (p *RecordPipeline) Recorder() *core.Recorder { return p.rec }
 func (p *RecordPipeline) scanChunk(c *chunk) {
 	c.snap = p.snap.Load()
 	if c.snap != nil {
-		c.snap.c.SpecRecord(c.redges, c.rinstr, &c.res)
+		p.specRecord(c.snap.c, c)
+	}
+}
+
+// specRecord scans c against s, collecting its events and container
+// searches when obs is attached.
+func (p *RecordPipeline) specRecord(s *core.Compiled, c *chunk) {
+	if p.o != nil {
+		s.SpecRecordObs(c.redges, c.rinstr, &c.res)
+	} else {
+		s.SpecRecord(c.redges, c.rinstr, &c.res)
 	}
 }
 
@@ -147,7 +162,6 @@ func (p *RecordPipeline) noteVersion(a *core.Automaton) {
 func (p *RecordPipeline) drainChunk(c *chunk) {
 	a := p.rec.Automaton()
 	s := p.snap.Load()
-	n := len(c.redges)
 
 	if s != nil && p.q != nil && s.ver == a.Version() &&
 		p.rec.State() == core.RecExecuting && !p.strat.Recording() &&
@@ -159,7 +173,7 @@ func (p *RecordPipeline) drainChunk(c *chunk) {
 		// ran ahead. The rescan is still far cheaper than the sequential
 		// recorder it replaces.
 		if c.snap != s {
-			s.c.SpecRecord(c.redges, c.rinstr, &c.res)
+			p.specRecord(s.c, c)
 		}
 		// Reconcile the scan to the true entry state and replay the
 		// candidate policy.
@@ -177,10 +191,8 @@ func (p *RecordPipeline) drainChunk(c *chunk) {
 			// Quiet accept: counters counted, stats folded, no per-edge work.
 			p.quiet.Add(&m.Delta)
 			if p.o != nil {
-				rep.ReplayProbeEvents(m.Miss, c.base)
+				rep.ReplayProbeEvents(&m, c.res.Ticks)
 				core.FoldReplayObs(p.o, int(c.seq)%obs.NumShards, &m.Delta)
-				p.o.AdvanceEdges(uint64(n))
-				p.o.SetEdge(p.o.EdgeBase())
 			}
 			p.fcur, p.fdes = m.ExitCur, m.ExitDes
 			p.repStale = true
@@ -191,19 +203,13 @@ func (p *RecordPipeline) drainChunk(c *chunk) {
 		// Handoff: account the true prefix before the hot candidate from the
 		// scan side, then run the suffix — beginning with the triggering edge
 		// — through the sequential recorder, which re-evaluates the trigger
-		// itself (decide-before-mutate, same as the fused scan).
+		// itself (decide-before-mutate).
 		k := int(m.Cands[hot].Idx)
-		prefixSt, pcur, pdes := s.c.RecReplay(c.redges, c.rinstr, p.fcur, p.fdes, k)
-		p.quiet.Add(&prefixSt)
+		pcur, pdes := s.c.RecReplay(c.redges[:k], c.rinstr[:k], p.fcur, p.fdes, &p.pre)
+		p.quiet.Add(&p.pre.Stats)
 		if p.o != nil {
-			cut := 0
-			for cut < len(m.Miss) && int(m.Miss[cut].Idx) < k {
-				cut++
-			}
-			rep.ReplayProbeEvents(m.Miss[:cut], c.base)
-			core.FoldReplayObs(p.o, int(c.seq)%obs.NumShards, &prefixSt)
-			p.o.AdvanceEdges(uint64(k))
-			p.o.SetEdge(p.o.EdgeBase())
+			rep.ReplayProbeEvents(&m, p.pre.Ticks)
+			core.FoldReplayObs(p.o, int(c.seq)%obs.NumShards, &p.pre.Stats)
 		}
 		p.resyncSequential(a, pcur, pdes)
 		p.rec.ObserveBatch(c.redges[k:], c.rinstr[k:])

@@ -181,73 +181,6 @@ func (t *EdgeCaptureTool) Instrs() []uint64 { return t.instrs }
 // Tail returns the instructions executed after the last captured edge.
 func (t *EdgeCaptureTool) Tail() uint64 { return t.tail }
 
-// BatchRecordTool records a TEA online like RecordTool, but buffers edges
-// and flushes them through Recorder.ObserveBatch — the recording analogue
-// of CompiledReplayTool: the per-edge analysis cost is two slice appends in
-// the common case, and the recorder amortizes its state-machine dispatch
-// and strategy consultation over each flushed run.
-type BatchRecordTool struct {
-	rec    *core.Recorder
-	edges  []cfg.Edge
-	instrs []uint64
-}
-
-var _ pin.Tool = (*BatchRecordTool)(nil)
-
-// NewBatchRecordTool creates the batched recording pintool around a
-// selection strategy.
-func NewBatchRecordTool(strat trace.Strategy, lc core.LookupConfig) *BatchRecordTool {
-	return &BatchRecordTool{
-		rec:    core.NewRecorder(strat, lc),
-		edges:  make([]cfg.Edge, 0, compiledBatch),
-		instrs: make([]uint64, 0, compiledBatch),
-	}
-}
-
-// Edge implements pin.Tool.
-func (t *BatchRecordTool) Edge(e cfg.Edge, instrs uint64) {
-	t.edges = append(t.edges, e)
-	t.instrs = append(t.instrs, instrs)
-	if len(t.edges) == cap(t.edges) || e.To == nil {
-		t.flush()
-	}
-}
-
-func (t *BatchRecordTool) flush() {
-	if len(t.edges) > 0 {
-		t.rec.ObserveBatch(t.edges, t.instrs)
-		t.edges = t.edges[:0]
-		t.instrs = t.instrs[:0]
-	}
-}
-
-// Fini implements pin.Tool.
-func (t *BatchRecordTool) Fini(instrs uint64) {
-	t.flush()
-	if instrs > 0 {
-		t.rec.Replayer().AccountOnly(instrs)
-	}
-}
-
-// Recorder exposes the underlying recorder, flushing buffered edges first.
-func (t *BatchRecordTool) Recorder() *core.Recorder {
-	t.flush()
-	return t.rec
-}
-
-// Automaton returns the TEA recorded so far, flushing buffered edges first.
-func (t *BatchRecordTool) Automaton() *core.Automaton {
-	t.flush()
-	return t.rec.Automaton()
-}
-
-// Stats returns the recording run's statistics, flushing buffered edges
-// first.
-func (t *BatchRecordTool) Stats() *core.Stats {
-	t.flush()
-	return t.rec.Replayer().Stats()
-}
-
 // RecordTool records a TEA online (Algorithm 2) while the program runs
 // under Pin, using any trace-selection strategy.
 type RecordTool struct {

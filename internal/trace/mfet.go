@@ -125,7 +125,5 @@ func (m *MFET) hottestSucc(from uint64) (uint64, bool) {
 }
 
 // Recording implements Strategy. MFET forms traces instantly from its edge
-// profile, so it is never in a Creating state. It has no ObserveFused fast
-// path — its per-edge work is the edge-profile map update itself — so the
-// batched recorder falls back to the sequential path for it.
+// profile, so it is never in a Creating state.
 func (m *MFET) Recording() bool { return false }

@@ -67,7 +67,7 @@ func (m *MRET) Observe(e cfg.Edge) *Trace {
 	if m.counters.Inc(head) < m.cfg.HotThreshold {
 		return nil
 	}
-	if m.cfg.MaxSetBlocks > 0 && m.set.NumTBBs() >= m.cfg.MaxSetBlocks {
+	if !m.room() {
 		return nil
 	}
 	t, err := m.set.NewTrace(e.To)
@@ -140,7 +140,7 @@ func (m *MRET) room() bool {
 
 // HotCandidate implements QuietObserver: it answers, without mutating
 // anything, whether counting this head candidate would trigger recording —
-// exactly the decide-before-mutate test ObserveFused applies.
+// the threshold and MaxSetBlocks tests Observe applies before it mutates.
 func (m *MRET) HotCandidate(head uint64) bool {
 	return m.counters.Get(head)+1 >= m.cfg.HotThreshold && m.room()
 }
@@ -156,186 +156,3 @@ func (m *MRET) SeekTBB(t *TBB) { m.pos = t }
 
 // CursorTBB implements QuietObserver.
 func (m *MRET) CursorTBB() *TBB { return m.pos }
-
-// ObserveFused implements FusedObserver: one scan performs both the
-// replayer's automaton dispatch (cursor, counters — via v) and MRET's own
-// bookkeeping, because the automaton's transitions mirror the TBB links the
-// strategy would otherwise re-follow. The span hit/miss outcome stands in
-// for the trace-following cursor: a hit is an in-trace move, a miss that
-// resolves to an entry state is a transfer into another trace, and a miss
-// that resolves to NTE is a trace exit (whose target Dynamo counts as a
-// head candidate regardless of branch direction). The counter policy
-// mirrors Observe exactly — decide-before-mutate — so the eventful edge
-// reaches Observe with no strategy side effect applied; its replayer
-// transition, though, is applied first, which is the sequential recorder's
-// Advance-before-Observe order.
-func (m *MRET) ObserveFused(edges []cfg.Edge, instrs []uint64, v *AutoView) (int, *Trace) {
-	cur := v.Cur
-	// The strategy cursor and the automaton cursor must be in lockstep for
-	// one dispatch to serve both; if they are not (possible transiently for
-	// other strategies after a link event), ask the caller to step
-	// sequentially until they reconverge.
-	if cur == 0 {
-		if m.pos != nil {
-			return 0, nil
-		}
-	} else if v.TBBs[cur] != m.pos {
-		return 0, nil
-	}
-	i, n := 0, len(edges)
-	thresh := m.cfg.HotThreshold
-	start, labs, tgts := v.Start, v.Labels, v.Targets
-	// Entry-table storage, hoisted for the manually inlined home-slot probe
-	// below (the method form exceeds the inlining budget). The table cannot
-	// change mid-scan: entries are only added by the caller's sync, which
-	// runs after the scan returns.
-	ekeys, evals := v.EKeys, v.EVals
-	emask := uint64(len(ekeys) - 1)
-	haveEntries := len(ekeys) != 0
-	srcBlk, srcBack := v.SrcBlock, v.SrcBack
-	var blocks, dynInstrs, traceBlocks, traceInstrs uint64
-	var inTraceHits, enters, globalLookups, globalHits uint64
-	flush := func() {
-		v.Cur = cur
-		v.Blocks += blocks
-		v.Instrs += dynInstrs
-		v.TraceBlocks += traceBlocks
-		v.TraceInstrs += traceInstrs
-		v.InTraceHits += inTraceHits
-		v.Enters += enters
-		v.GlobalLookups += globalLookups
-		v.GlobalHits += globalHits
-	}
-	for i < n {
-		e := &edges[i]
-		if ins := instrs[i]; ins != 0 {
-			blocks++
-			dynInstrs += ins
-			if cur != 0 {
-				traceBlocks++
-				traceInstrs += ins
-			}
-		}
-		if e.To == nil {
-			// Program end: account only — no transition, and the strategy
-			// (not recording) ignores the edge.
-			i++
-			continue
-		}
-		head := e.To.Head
-		prev := cur
-		// backFast(e), answered from the flat per-state cache when the
-		// edge's source is the current state's own block (the lockstep
-		// case) — the pointer compare avoids dereferencing e.From.
-		back := false
-		if e.Taken {
-			if f := e.From; f != nil {
-				if f == srcBlk[prev] {
-					back = srcBack[prev]
-				} else {
-					back = f.BackSrc
-				}
-			}
-		}
-		hit := false
-		if cur != 0 {
-			lo, hi := int(start[cur]), int(start[cur+1])
-			if hi-lo <= 8 {
-				for j := lo; j < hi; j++ {
-					if labs[j] == head {
-						cur = tgts[j]
-						hit = true
-						break
-					}
-				}
-			} else {
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if labs[mid] < head {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				if lo < int(start[cur+1]) && labs[lo] == head {
-					cur = tgts[lo]
-					hit = true
-				}
-			}
-			if hit {
-				inTraceHits++
-			} else {
-				cur = v.miss(cur, head)
-			}
-		} else {
-			globalLookups++
-			cur = 0
-			if haveEntries && head != 0 {
-				// Home slot inline; only displaced keys spill to the probe
-				// loop. Entry states are never 0, so a hit always enters.
-				if j := HashAddr(head) & emask; ekeys[j] == head {
-					globalHits++
-					cur = evals[j]
-				} else if ekeys[j] != 0 {
-					if s, ok := v.entrySpill(head, j, emask); ok {
-						globalHits++
-						cur = s
-					}
-				}
-			} else if s, ok := v.entry(head); ok {
-				globalHits++
-				cur = s
-			}
-			if cur != 0 {
-				enters++
-			}
-		}
-		if cur != 0 && v.Desynced {
-			v.Desynced = false
-			v.Resyncs++
-		}
-		// Strategy bookkeeping. Candidates: taken backward branches anywhere,
-		// plus trace-exit targets; a target that already anchors a trace is
-		// never counted.
-		candidate := false
-		if hit {
-			if back {
-				// A hit landing on a root state means head anchors that
-				// trace — traced without probing the entry table. MRET
-				// closes loops back to the trace head, so this is the
-				// steady-state back edge.
-				if !v.Root[cur] {
-					if _, traced := v.entry(head); !traced {
-						candidate = true
-					}
-				}
-			}
-		} else if cur == 0 {
-			candidate = prev != 0 || back
-		}
-		if candidate {
-			if m.counters.Get(head)+1 >= thresh && m.room() {
-				// The next increment triggers recording: re-run this edge's
-				// strategy logic through Observe (its replayer transition is
-				// already applied above).
-				m.pos = v.TBBs[prev]
-				rec := m.recording
-				changed := m.Observe(edges[i])
-				i++
-				if changed != nil || m.recording != rec {
-					flush()
-					return i, changed
-				}
-				// The event did not materialize (e.g. the trace could not be
-				// created); Observe applied the edge, so the cursors are
-				// still in lockstep — keep scanning.
-				continue
-			}
-			m.counters.Inc(head)
-		}
-		i++
-	}
-	flush()
-	m.pos = v.TBBs[cur]
-	return n, nil
-}

@@ -172,12 +172,3 @@ func backwardTaken(e cfg.Edge) bool {
 	}
 	return t.Target <= t.Addr
 }
-
-// backFast computes the same predicate as backwardTaken from an edge
-// pointer: the batch scans evaluate it once per edge, so it reads the
-// flag cfg precomputed at decode time (Block.BackSrc is exactly the
-// terminator conjunction backwardTaken re-derives) instead of chasing the
-// terminator instruction.
-func backFast(e *cfg.Edge) bool {
-	return e.Taken && e.From != nil && e.To != nil && e.From.BackSrc
-}

@@ -251,239 +251,3 @@ func (t *treeSelector) finishPath() *Trace {
 
 // Recording implements Strategy.
 func (t *treeSelector) Recording() bool { return t.recording }
-
-// room reports whether the set may still grow (the MaxSetBlocks guard).
-func (t *treeSelector) room() bool {
-	return t.cfg.MaxSetBlocks <= 0 || t.set.NumTBBs() < t.cfg.MaxSetBlocks
-}
-
-// ObserveFused implements FusedObserver: one scan performs both the
-// replayer's automaton dispatch (cursor, counters — via v) and the tree
-// selector's bookkeeping, the automaton's transitions standing in for the
-// TBB links the strategy would otherwise re-follow. Edges that would mutate
-// a tree — an immediate link back to the anchor or to a CTT header, a hot
-// side exit growing a branch, a hot anchor rooting a new tree — run through
-// the exact Observe logic after their replayer transition has been applied
-// (the sequential recorder's Advance-before-Observe order); everything else
-// commits its side effects in Observe's own order (loop-head mark,
-// side-exit count, anchor count) after all fallback decisions are made.
-//
-// An immediate link sets the strategy cursor to a mid-tree header while the
-// automaton cursor (computed before the link existed) fell back to NTE;
-// until the two reconverge — at the latest on the next transfer out of the
-// tree — the entry lockstep check fails and the caller steps sequentially.
-func (t *treeSelector) ObserveFused(edges []cfg.Edge, instrs []uint64, v *AutoView) (int, *Trace) {
-	cur := v.Cur
-	if cur == 0 {
-		if t.pos != nil {
-			return 0, nil
-		}
-	} else if v.TBBs[cur] != t.pos {
-		return 0, nil
-	}
-	i, n := 0, len(edges)
-	thresh := t.cfg.HotThreshold
-	start, labs, tgts := v.Start, v.Labels, v.Targets
-	// Entry-table storage, hoisted for the manually inlined home-slot probe
-	// below (the method form exceeds the inlining budget). The table cannot
-	// change mid-scan: entries are only added by the caller's sync, which
-	// runs after the scan returns.
-	ekeys, evals := v.EKeys, v.EVals
-	emask := uint64(len(ekeys) - 1)
-	haveEntries := len(ekeys) != 0
-	srcBlk, srcBack := v.SrcBlock, v.SrcBack
-	var blocks, dynInstrs, traceBlocks, traceInstrs uint64
-	var inTraceHits, enters, globalLookups, globalHits uint64
-	flush := func() {
-		v.Cur = cur
-		v.Blocks += blocks
-		v.Instrs += dynInstrs
-		v.TraceBlocks += traceBlocks
-		v.TraceInstrs += traceInstrs
-		v.InTraceHits += inTraceHits
-		v.Enters += enters
-		v.GlobalLookups += globalLookups
-		v.GlobalHits += globalHits
-	}
-	for i < n {
-		e := &edges[i]
-		if ins := instrs[i]; ins != 0 {
-			blocks++
-			dynInstrs += ins
-			if cur != 0 {
-				traceBlocks++
-				traceInstrs += ins
-			}
-		}
-		if e.To == nil {
-			i++
-			continue
-		}
-		head := e.To.Head
-		prev := cur
-		// backFast(e), answered from the flat per-state cache when the
-		// edge's source is the current state's own block (the lockstep
-		// case) — the pointer compare avoids dereferencing e.From.
-		back := false
-		if e.Taken {
-			if f := e.From; f != nil {
-				if f == srcBlk[prev] {
-					back = srcBack[prev]
-				} else {
-					back = f.BackSrc
-				}
-			}
-		}
-		hit := false
-		if cur != 0 {
-			lo, hi := int(start[cur]), int(start[cur+1])
-			if hi-lo <= 8 {
-				for j := lo; j < hi; j++ {
-					if labs[j] == head {
-						cur = tgts[j]
-						hit = true
-						break
-					}
-				}
-			} else {
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if labs[mid] < head {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				if lo < int(start[cur+1]) && labs[lo] == head {
-					cur = tgts[lo]
-					hit = true
-				}
-			}
-			if hit {
-				inTraceHits++
-			} else {
-				cur = v.miss(cur, head)
-			}
-		} else {
-			globalLookups++
-			cur = 0
-			if haveEntries && head != 0 {
-				// Home slot inline; only displaced keys spill to the probe
-				// loop. Entry states are never 0, so a hit always enters.
-				if j := HashAddr(head) & emask; ekeys[j] == head {
-					globalHits++
-					cur = evals[j]
-				} else if ekeys[j] != 0 {
-					if s, ok := v.entrySpill(head, j, emask); ok {
-						globalHits++
-						cur = s
-					}
-				}
-			} else if s, ok := v.entry(head); ok {
-				globalHits++
-				cur = s
-			}
-			if cur != 0 {
-				enters++
-			}
-		}
-		if cur != 0 && v.Desynced {
-			v.Desynced = false
-			v.Resyncs++
-		}
-		// Strategy bookkeeping, decide-before-mutate.
-		fallback := false
-		if prev != 0 {
-			if hit {
-				// In-tree move; a backward branch still marks the loop head
-				// and counts the anchor candidate.
-				if back {
-					// A hit landing on a root state means head anchors that
-					// tree — traced without the entry probe.
-					traced := v.Root[cur]
-					if !traced {
-						_, traced = v.entry(head)
-					}
-					if !traced {
-						if t.anchors.Get(head)+1 >= thresh && t.room() {
-							fallback = true
-						} else {
-							t.loopHeads.Add(head)
-							t.anchors.Inc(head)
-						}
-					} else {
-						t.loopHeads.Add(head)
-					}
-				}
-			} else {
-				// Side exit from prev toward head. Immediate links (back to
-				// the anchor, or to a CTT header) mutate the tree: fall back.
-				exitFrom := v.TBBs[prev]
-				tree := exitFrom.Trace
-				traced := cur != 0
-				if head == tree.EntryAddr() {
-					fallback = true
-				} else if t.compact && t.headerTBBs[tree][head] != nil {
-					fallback = true
-				} else {
-					extEligible := !t.frozen[tree] && !traced && t.room()
-					var k extKey
-					if extEligible {
-						k = extKey{exitFrom, head}
-						if t.extCounts.Get(k)+1 >= thresh {
-							fallback = true // the exit would grow (or freeze) the tree
-						}
-					}
-					anchor := back && !traced
-					if !fallback && anchor && t.anchors.Get(head)+1 >= thresh && t.room() {
-						fallback = true // the target would root a new tree
-					}
-					if !fallback {
-						if back {
-							t.loopHeads.Add(head)
-						}
-						if extEligible {
-							t.extCounts.Inc(k)
-						}
-						if anchor {
-							t.anchors.Inc(head)
-						}
-					}
-				}
-			}
-		} else {
-			// Cold code.
-			if cur != 0 {
-				if back {
-					t.loopHeads.Add(head)
-				}
-			} else if back {
-				if t.anchors.Get(head)+1 >= thresh && t.room() {
-					fallback = true
-				} else {
-					t.loopHeads.Add(head)
-					t.anchors.Inc(head)
-				}
-			}
-		}
-		if fallback {
-			t.pos = v.TBBs[prev]
-			rec := t.recording
-			changed := t.Observe(edges[i])
-			i++
-			if changed != nil || t.recording != rec {
-				flush()
-				return i, changed
-			}
-			// No event materialized (e.g. the side exit froze the tree);
-			// Observe applied the edge. A divergence would need a tree
-			// mutation, and every tree mutation reports a changed trace —
-			// so the cursors are still in lockstep; keep scanning.
-			continue
-		}
-		i++
-	}
-	flush()
-	t.pos = v.TBBs[cur]
-	return n, nil
-}

@@ -18,7 +18,7 @@
 // and does not fail. Rows present on one side only are listed, not failed;
 // a pair of files sharing no row fails, since it compared nothing.
 //
-// The within-run modes check one file:
+// The within-run speedup check reads one file:
 //
 //	benchdiff -faster compiled-stride:compiled-batch:1.5:901.steady,902.stream run.txt
 //
@@ -26,13 +26,10 @@
 // config's value must be at least ratio× the fast config's, where the fast
 // row is the slow row's name with the config element swapped.
 //
-//	benchdiff -scaling BenchmarkRecordPipeline/obs=off/scan:BenchmarkRecordPipeline/obs=off/workers=1:4:3 run.txt
+// The same check gates the record pipeline's measured scaling, with the
+// worker count as the config element:
 //
-// Modeled scaling of the record pipeline. The scan row times the
-// worker-parallel speculative scan, the wall row one worker's whole pass;
-// drain = wall − scan is the serial residue. The modeled cost at W workers
-// is max(drain, scan/W) (Amdahl on the measured split), and the modeled
-// speedup max(drain, scan) / max(drain, scan/W) must reach the ratio.
+//	benchdiff -faster workers=2:workers=1:1.5:obs=off run.txt
 package main
 
 import (
@@ -56,18 +53,17 @@ const bound = 0.25
 
 func main() {
 	faster := flag.String("faster", "", "within-run speedup check fast:slow:ratio:bench1,bench2 on one file")
-	scaling := flag.String("scaling", "", "within-run modeled-scaling check scanRow:wallRow:workers:ratio on one file")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff parent/ head/ | benchdiff -faster spec run.txt | benchdiff -scaling spec run.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff parent/ head/ | benchdiff -faster spec run.txt")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	var err error
 	switch {
-	case (*faster != "" || *scaling != "") && flag.NArg() == 1:
-		err = within(flag.Arg(0), *faster, *scaling, os.Stdout)
-	case *faster == "" && *scaling == "" && flag.NArg() == 2:
+	case *faster != "" && flag.NArg() == 1:
+		err = within(flag.Arg(0), *faster, os.Stdout)
+	case *faster == "" && flag.NArg() == 2:
 		err = paired(flag.Arg(0), flag.Arg(1), os.Stdout)
 	default:
 		flag.Usage()
@@ -253,26 +249,15 @@ func paired(parentDir, headDir string, w io.Writer) error {
 	return nil
 }
 
-// within runs the within-run checks on one file.
-func within(path, faster, scaling string, w io.Writer) error {
+// within runs the within-run speedup check on one file.
+func within(path, faster string, w io.Writer) error {
 	rows, err := run(path)
 	if err != nil {
 		return err
 	}
-	var failures []string
-	if faster != "" {
-		f, err := checkFaster(rows, faster)
-		if err != nil {
-			return err
-		}
-		failures = append(failures, f...)
-	}
-	if scaling != "" {
-		f, err := checkScaling(rows, scaling, w)
-		if err != nil {
-			return err
-		}
-		failures = append(failures, f...)
+	failures, err := checkFaster(rows, faster)
+	if err != nil {
+		return err
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d check(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
@@ -329,36 +314,4 @@ func checkFaster(rows map[string]float64, spec string) ([]string, error) {
 		}
 	}
 	return failures, nil
-}
-
-// checkScaling applies the modeled-scaling check.
-func checkScaling(rows map[string]float64, spec string, w io.Writer) ([]string, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 4 {
-		return nil, fmt.Errorf("-scaling wants scanRow:wallRow:workers:ratio, got %q", spec)
-	}
-	workers, err := strconv.Atoi(parts[2])
-	if err != nil || workers < 1 {
-		return nil, fmt.Errorf("-scaling workers %q is not a positive integer", parts[2])
-	}
-	ratio, err := strconv.ParseFloat(parts[3], 64)
-	if err != nil || ratio <= 0 {
-		return nil, fmt.Errorf("-scaling ratio %q is not a positive number", parts[3])
-	}
-	scan, ok := rows[parts[0]]
-	if !ok {
-		return []string{"no row " + parts[0]}, nil
-	}
-	wall, ok := rows[parts[1]]
-	if !ok {
-		return []string{"no row " + parts[1]}, nil
-	}
-	drain := math.Max(wall-scan, 0)
-	got := math.Max(drain, scan) / math.Max(drain, scan/float64(workers))
-	fmt.Fprintf(w, "benchdiff: modeled scaling 1→%d workers %.2f× (scan %.2f, drain %.2f)\n", workers, got, scan, drain)
-	if got < ratio {
-		return []string{fmt.Sprintf("modeled scaling 1→%d workers is %.2f×, below %.1f× (scan %.2f, drain %.2f)",
-			workers, got, ratio, scan, drain)}, nil
-	}
-	return nil, nil
 }

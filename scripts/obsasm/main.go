@@ -1,9 +1,9 @@
 // Command obsasm checks that observability code stays out of the obs-off
-// replay kernels. Each compiled kernel in internal/core is one generic body
-// instantiated in two modes (internal/core/obsmode.go); the obsOff instance
-// must compile to a body with no event code in it. obsasm compiles the
-// package with -gcflags=-S and, for every kernel, scans the instance of the
-// selected mode. A line is a leak when it
+// replay and record kernels. Each compiled kernel in internal/core is one
+// generic body instantiated in two modes (internal/core/obsmode.go); the
+// obsOff instance must compile to a body with no event code in it. obsasm
+// compiles the package with -gcflags=-S and, for every kernel, scans the
+// instance of the selected mode. A line is a leak when it
 //
 //   - is attributed to obsmode.go (the event emitter, inlined or not) or to
 //     any file of internal/obs,
@@ -33,10 +33,10 @@ import (
 
 const pkg = "github.com/lsc-tea/tea/internal/core"
 
-// kernels are the folded replay kernels, one generic body each.
+// kernels are the folded replay and record kernels, one generic body each.
 var kernels = []string{
 	"step", "specReplay", "merge", "sequentialReplay",
-	"advanceBatchPlain", "advanceBatchStride",
+	"advanceBatchPlain", "advanceBatchStride", "recScan", "mergeRecord",
 }
 
 // Shape suffixes of the two mode types in compiled symbol names.
