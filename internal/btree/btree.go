@@ -183,6 +183,19 @@ func (t *Map[V]) ResetProbes() { t.probes = 0 }
 // must be cheap and must not call back into the tree.
 func (t *Map[V]) SetProbeHook(h func(depth uint64)) { t.probeHook = h }
 
+// ChargeSearch accounts one Get or Floor search without descending and
+// returns its depth. Every leaf sits at the tree's height, so every search
+// visits exactly Height nodes whatever its key: the probe counter and the
+// probe hook see what the search itself would have charged.
+func (t *Map[V]) ChargeSearch() uint64 {
+	depth := uint64(t.height)
+	t.probes += depth
+	if t.probeHook != nil {
+		t.probeHook(depth)
+	}
+	return depth
+}
+
 // Get returns the value stored under key.
 func (t *Map[V]) Get(key uint64) (V, bool) {
 	n := t.root

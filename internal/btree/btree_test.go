@@ -174,6 +174,36 @@ func TestProbesAccumulate(t *testing.T) {
 	}
 }
 
+// TestChargeSearchMatchesSearch: charging a search without descending feeds
+// the probe counter and the probe hook exactly what Get and Floor do, for
+// present and absent keys, at every height a growing tree passes through.
+func TestChargeSearchMatchesSearch(t *testing.T) {
+	var hooked []uint64
+	m := New[int](4)
+	m.SetProbeHook(func(d uint64) { hooked = append(hooked, d) })
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		m.Put(rng.Uint64()%5000, i)
+		key := rng.Uint64() % 6000
+		hooked = hooked[:0]
+		before := m.Probes()
+		m.Get(key)
+		m.Floor(key)
+		searched := m.Probes() - before
+		d1 := m.ChargeSearch()
+		d2 := m.ChargeSearch()
+		if m.Probes()-before != 2*searched || d1+d2 != searched {
+			t.Fatalf("height %d: searches charged %d probes, ChargeSearch %d+%d", m.Height(), searched, d1, d2)
+		}
+		if len(hooked) != 4 || hooked[0] != d1 || hooked[1] != d2 || hooked[2] != d1 || hooked[3] != d2 {
+			t.Fatalf("height %d: hook saw %v, want Get, Floor, then two charges of %d", m.Height(), hooked, d1)
+		}
+	}
+	if m.Height() < 3 {
+		t.Fatalf("tree reached height %d only; the test needs inner levels", m.Height())
+	}
+}
+
 // TestQuickAgainstMap drives a random operation sequence against a
 // reference map and validates full agreement plus structural invariants.
 func TestQuickAgainstMap(t *testing.T) {

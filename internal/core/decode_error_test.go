@@ -156,6 +156,15 @@ func TestDecodeErrorCorpus(t *testing.T) {
 		add("cross-trace transition", w.buf, "transition", off)
 	}
 	{
+		// A two-TBB trace with no in-trace transition: the second TBB is a
+		// state NTE can never reach. It builds and passes Check, so only
+		// the decoder's reachability check rejects it.
+		w := newWire().str("mret").uv(1).uv(3).uv(2).tbb(b, 0, 0, 0)
+		off := w.pos()
+		w.tbb(b2, b.Head, 0, 0).uv(0).uv(0)
+		add("state unreachable from NTE", w.buf, "state reachability", off)
+	}
+	{
 		// Header promises 3 states but the stream carries one TBB. The fat
 		// profile counter keeps the up-front state-count guard satisfied so
 		// the end-of-stream reconciliation is what fires.

@@ -222,6 +222,7 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 		target uint64 // absolute state id
 	}
 	stateTBB := make(map[uint64]*trace.TBB)
+	var tbbOff []int // record offset per TBB in stream order, for reachability errors
 	var links []pendingLink
 
 	for ti := uint64(0); ti < nTraces; ti++ {
@@ -272,6 +273,7 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 				tbbs[i] = tr.Append(b)
 			}
 			stateTBB[nextState] = tbbs[i]
+			tbbOff = append(tbbOff, recOff)
 			if count > 0 {
 				prof[StateID(nextState)] = count
 			}
@@ -322,6 +324,19 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 			return nil, nil, &DecodeError{Offset: l.off, Field: "transition", Reason: err.Error()}
 		}
 	}
+	// Every state must be reachable from NTE (the verifier's A-REACH). NTE
+	// enters a trace only at its head and transitions never cross traces, so
+	// each TBB must be reachable from its own trace's head. Without this a
+	// dropped in-trace transition leaves an image that builds and passes
+	// Check but carries dead states.
+	first := 0 // stream index of the trace's head
+	for ti, t := range set.Traces {
+		if i := unreachableTBB(t); i >= 0 {
+			return nil, nil, &DecodeError{Offset: tbbOff[first+i], Field: "state reachability",
+				Reason: fmt.Sprintf("trace %d TBB %d is unreachable from NTE: no in-trace transition leads to it", ti+1, i)}
+		}
+		first += len(t.TBBs)
+	}
 	if d.pos != len(d.data) {
 		return nil, nil, &DecodeError{Offset: d.pos, Field: "trailing bytes",
 			Reason: fmt.Sprintf("%d trailing bytes", len(d.data)-d.pos)}
@@ -331,6 +346,31 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 		return nil, nil, &DecodeError{Offset: len(d.data), Field: "automaton", Reason: err.Error()}
 	}
 	return a, prof, nil
+}
+
+// unreachableTBB returns the index of a TBB of t that no chain of in-trace
+// transitions leads to from the trace's head, or -1 when every TBB is
+// reachable.
+func unreachableTBB(t *trace.Trace) int {
+	seen := make([]bool, len(t.TBBs))
+	seen[0] = true
+	stack := []*trace.TBB{t.Head()}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if !seen[s.Index] {
+				seen[s.Index] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			return i
+		}
+	}
+	return -1
 }
 
 type decoder struct {

@@ -506,13 +506,16 @@ func mergeRecord[M obsMode](rc *Reconciler, c *Compiled, edges []cfg.Edge, instr
 
 // ReplayProbeEvents feeds the first ticks edge-clock ticks of a reconciled
 // obs record scan into the recorder's context exactly as per-edge Observe
-// would have: every global-container search among them is re-issued
-// against the live container — feeding its probe hook and giving each
-// trace-side probe event the live depth in place of the compiled entry
-// table's — then the events, rebased from chunk-local ticks onto the edge
-// clock, go through the shared ingest path and the clock moves past the
-// ticks. A quiet chunk passes all of its ticks, a handoff those of the
-// prefix it accounts. Stats are untouched (the caller folds the delta);
+// would have: every global-container search among them is charged to the
+// live container — feeding its probe hook and giving each trace-side probe
+// event the live depth in place of the compiled entry table's — then the
+// events, rebased from chunk-local ticks onto the edge clock, go through
+// the shared ingest path and the clock moves past the ticks. A B+ tree
+// search costs the tree's height whatever its key, and the ticks passed
+// here insert nothing, so the tree charges its searches without descending;
+// list, hash and sorted containers, whose depth depends on the key, are
+// searched again. A quiet chunk passes all of its ticks, a handoff those of
+// the prefix it accounts. Stats are untouched (the caller folds the delta);
 // m's events are rewritten in place. No-op with no context attached.
 func (r *Replayer) ReplayProbeEvents(m *RecMerge, ticks int) {
 	o := r.obs
@@ -520,20 +523,27 @@ func (r *Replayer) ReplayProbeEvents(m *RecMerge, ticks int) {
 		return
 	}
 	evs := m.Evs
+	bt, _ := r.index.(*btreeIndex)
 	j := 0
 	for _, s := range m.Searches {
 		if int(s.Tick) >= ticks {
 			break
 		}
-		before := r.index.Probes()
-		r.index.Lookup(s.Label)
+		var depth uint64
+		if bt != nil {
+			depth = bt.t.ChargeSearch()
+		} else {
+			before := r.index.Probes()
+			r.index.Lookup(s.Label)
+			depth = r.index.Probes() - before
+		}
 		if !s.Trace {
 			continue
 		}
 		for evs[j].Kind != obs.EvCacheMissProbe {
 			j++
 		}
-		evs[j].Aux = r.index.Probes() - before
+		evs[j].Aux = depth
 		j++
 	}
 	if ticks > 0 {

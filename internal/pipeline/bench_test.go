@@ -92,7 +92,7 @@ func BenchmarkReplayPipeline(b *testing.B) {
 // BenchmarkRecordPipeline times saturated record passes (Feed, Barrier),
 // and in obs=off/scan the worker-parallel part alone: SpecRecord against a
 // compiled snapshot of the saturated automaton. The last ci.sh step holds
-// obs=off/workers=2 to at least 1.5× obs=off/workers=1 (benchdiff -faster).
+// obs=off/workers=2 to at least 1.3× obs=off/workers=1 (benchdiff -faster).
 func BenchmarkRecordPipeline(b *testing.B) {
 	p := benchProgram()
 	edges, instrs := captureEdges(b, p)

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/core"
@@ -84,9 +83,10 @@ type Metrics struct {
 	// Published / Drained count sequenced chunks in and out.
 	Published uint64
 	Drained   uint64
-	// BackpressureWaits counts producer yield loops at the high watermark
-	// (every chunk buffer in flight). The producer never blocks on a lock;
-	// it spins-and-yields here, and this counter is the evidence.
+	// BackpressureWaits counts the times the producer found every chunk
+	// buffer in flight (the high watermark) and had to wait for the drain
+	// to recycle one. The producer never blocks on a lock; it spins and
+	// then parks here, and this counter is the evidence.
 	BackpressureWaits uint64
 	// QuietChunks / SeqChunks / Handoffs split record-mode drains: chunks
 	// accepted wholesale from the speculative scan, chunks replayed through
@@ -153,6 +153,11 @@ type pipe struct {
 	drained atomic.Uint64 // chunks merged by the drain
 	closed  atomic.Bool
 
+	// Where each side parks when it runs out of work: the workers until a
+	// publish, the drain until a worker fills its next reorder slot, the
+	// producer until the drain recycles a buffer and advances drained.
+	workWait, drainWait, prodWait parker
+
 	bpWaits    atomic.Uint64
 	quietChunk atomic.Uint64
 	seqChunk   atomic.Uint64
@@ -208,6 +213,9 @@ func (p *pipe) start(record bool) {
 		p.obase = p.o.EdgeBase()
 		p.traceChunks = p.cfg.TraceChunks
 	}
+	p.workWait.init(p.cfg.Workers)
+	p.drainWait.init(1)
+	p.prodWait.init(1)
 	p.workerChunks = make([]padCount, p.cfg.Workers)
 	for w := 0; w < p.cfg.Workers; w++ {
 		p.wg.Add(1)
@@ -217,59 +225,45 @@ func (p *pipe) start(record bool) {
 	go p.drainLoop()
 }
 
-// yield is the idle backoff shared by every spinning side: stay on the
-// scheduler for a while, then sleep so an idle pipeline costs no CPU.
-func yield(spins int) {
-	if spins < 128 {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(100 * time.Microsecond)
-}
-
 func (p *pipe) workerLoop(w int) {
 	defer p.wg.Done()
-	spins := 0
 	for {
+		n := 0
 		c, ok := p.work.pop()
-		if !ok {
-			if p.closed.Load() {
-				// Closed and empty: Close quiesces before closing, so no
-				// publish can race this observation.
-				if _, ok := p.work.pop(); !ok {
-					return
-				}
-				continue
-			}
-			spins++
-			yield(spins)
-			continue
+		for !ok && !p.closed.Load() {
+			n = p.workWait.pause(n)
+			c, ok = p.work.pop()
 		}
-		spins = 0
+		p.workWait.done(n)
+		if !ok {
+			// Closed and empty: Close quiesces before closing, so no
+			// publish can race this observation.
+			return
+		}
 		c.worker = int32(w)
 		p.scan(c)
 		p.workerChunks[w].n.Add(1)
 		s := &p.resv[c.seq&uint64(p.cfg.Depth-1)]
 		s.ch = c
 		s.ready.Store(c.seq + 1)
+		p.drainWait.wake()
 	}
 }
 
 func (p *pipe) drainLoop() {
 	defer p.wg.Done()
 	next := uint64(0)
-	spins := 0
 	for {
 		s := &p.resv[next&uint64(p.cfg.Depth-1)]
-		if s.ready.Load() != next+1 {
+		n := 0
+		for s.ready.Load() != next+1 {
 			if p.closed.Load() && p.pub.Load() == next {
-				return
+				p.drainWait.done(n)
+				return // closed, and everything published is drained
 			}
-			spins++
-			yield(spins)
-			continue
+			n = p.drainWait.pause(n)
 		}
-		spins = 0
+		p.drainWait.done(n)
 		c := s.ch
 		p.drainFn(c)
 		if p.traceChunks {
@@ -282,26 +276,31 @@ func (p *pipe) drainLoop() {
 		}
 		// Recycle before advancing drained: the producer observing the
 		// drained count (Barrier) must also observe the merge results, and
-		// the free-ring push is what hands the buffer back.
+		// the free-ring push is what hands the buffer back. One wake covers
+		// both producer waits, for a free buffer and for the drained count.
 		p.free.push(c)
 		next++
 		p.drained.Store(next)
+		p.prodWait.wake()
 	}
 }
 
-// getChunk acquires a recycled chunk buffer, yielding at the high
-// watermark. This is the only place a producer ever waits, and each
-// iteration is counted.
+// getChunk acquires a recycled chunk buffer, parking at the high watermark
+// until the drain recycles one. This is the only place a producer waits on
+// the pipeline's progress, and each such wait is counted.
 func (p *pipe) getChunk() *chunk {
-	spins := 0
-	for {
-		if c, ok := p.free.pop(); ok {
-			return c
-		}
-		p.bpWaits.Add(1)
-		spins++
-		yield(spins)
+	c, ok := p.free.pop()
+	if ok {
+		return c
 	}
+	p.bpWaits.Add(1)
+	n := 0
+	for !ok {
+		n = p.prodWait.pause(n)
+		c, ok = p.free.pop()
+	}
+	p.prodWait.done(n)
+	return c
 }
 
 // publish stamps the producer's current chunk with the next sequence number
@@ -316,23 +315,27 @@ func (p *pipe) publish(c *chunk, n int) {
 		})
 	}
 	p.work.push(c) // cannot fail: at most Depth chunks exist
+	p.workWait.wake()
 	p.cur = nil
 }
 
 // quiesce waits until every published chunk has been drained.
 func (p *pipe) quiesce() {
 	target := p.pub.Load()
-	spins := 0
+	n := 0
 	for p.drained.Load() != target {
-		spins++
-		yield(spins)
+		n = p.prodWait.pause(n)
 	}
+	p.prodWait.done(n)
 }
 
-// shutdown quiesces, then stops the workers and the drain.
+// shutdown quiesces, then stops the workers and the drain: with closed set,
+// every parked side is woken to see it.
 func (p *pipe) shutdown() {
 	p.quiesce()
 	p.closed.Store(true)
+	p.workWait.wakeAll()
+	p.drainWait.wakeAll()
 	p.wg.Wait()
 }
 
@@ -350,7 +353,7 @@ func (p *pipe) registerObs() {
 	reg := p.o.Reg
 	published := reg.Counter("tea_pipeline_published_chunks_total", "Sequenced chunks handed to the scan workers.")
 	drained := reg.Counter("tea_pipeline_drained_chunks_total", "Sequenced chunks merged by the drain.")
-	waits := reg.Counter("tea_pipeline_backpressure_waits_total", "Producer yield loops at the chunk-ring high watermark.")
+	waits := reg.Counter("tea_pipeline_backpressure_waits_total", "Producer waits for a recycled chunk buffer at the high watermark (every buffer in flight).")
 	quiet := reg.Counter("tea_pipeline_quiet_chunks_total", "Record-mode chunks accepted wholesale from the speculative scan.")
 	seqc := reg.Counter("tea_pipeline_seq_chunks_total", "Record-mode chunks replayed through the sequential recorder.")
 	handoffs := reg.Counter("tea_pipeline_handoffs_total", "Record-mode chunks split at a hot-candidate handoff.")

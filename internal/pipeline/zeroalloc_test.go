@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/core"
@@ -33,6 +34,7 @@ func TestReplayPipelineObsZeroAllocSteadyState(t *testing.T) {
 		pass() // warm: every chunk buffer, scan result and fold buffer grows once
 	}
 	runtime.GC()
+	primeSudogs()
 	const passes = 200
 	before := mallocs()
 	for i := 0; i < passes; i++ {
@@ -53,6 +55,7 @@ func TestRecordPipelineZeroAllocSteadyState(t *testing.T) {
 		pl := NewRecord(strat, Config{Workers: 2, Obs: o})
 		saturate(pl, edges, instrs)
 		runtime.GC()
+		primeSudogs()
 		const passes = 200
 		before := mallocs()
 		for i := 0; i < passes; i++ {
@@ -65,6 +68,37 @@ func TestRecordPipelineZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("obs=%v: %d allocations over %d saturated passes, want ~0", o != nil, n, passes)
 		}
 	}
+}
+
+// primeSudogs fills the runtime's pool of sudogs, the record a goroutine
+// holds while it blocks on a channel, by parking 128 goroutines per P plus
+// 128 on one channel at once and then releasing them. A pipeline side parks
+// on one P and often wakes on another, so sudogs drift between the per-P
+// caches (128 each); a cache that runs dry refills from the central pool,
+// and the runtime allocates only when that is empty too. runtime.GC empties
+// the central pool, and after it the drift allocates up to about one cache's
+// worth of sudogs, spread over thousands of passes as it happens to reach
+// its extremes, so no fixed warm-up absorbs it. A primed pool holds more
+// than all per-P caches together, the central pool never runs dry, and a
+// warm pass allocates nothing. This absorbs a runtime cost bounded per GC
+// cycle, not a per-pass one: an allocation per pass or per chunk still
+// fails the measured loop.
+func primeSudogs() {
+	n := 128 * (runtime.GOMAXPROCS(0) + 1)
+	var parked, released sync.WaitGroup
+	parked.Add(n)
+	released.Add(n)
+	gate := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			defer released.Done()
+			parked.Done()
+			<-gate
+		}()
+	}
+	parked.Wait()
+	close(gate)
+	released.Wait()
 }
 
 func mallocs() uint64 {

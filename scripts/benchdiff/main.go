@@ -29,7 +29,7 @@
 // The same check gates the record pipeline's measured scaling, with the
 // worker count as the config element:
 //
-//	benchdiff -faster workers=2:workers=1:1.5:obs=off run.txt
+//	benchdiff -faster workers=2:workers=1:1.3:obs=off run.txt
 package main
 
 import (

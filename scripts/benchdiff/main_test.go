@@ -198,7 +198,7 @@ func TestFasterGateRejectsBadSpec(t *testing.T) {
 
 // TestScalingCheck: ci.sh's measured record-scaling step is a -faster check
 // with the worker count as the config element. It must compare the obs=off
-// rows only, pass at the quiet path's measured 1.7× and fail at the 1.2×
+// rows only, pass at the quiet path's measured 1.8× and fail at the 1.0×
 // the pipeline reads with every chunk sequential.
 func TestScalingCheck(t *testing.T) {
 	run := func(w1, w2 float64) string {
@@ -207,13 +207,13 @@ func TestScalingCheck(t *testing.T) {
 			line("BenchmarkRecordPipeline/obs=on/workers=1", 100) +
 			line("BenchmarkRecordPipeline/obs=on/workers=2", 100)
 	}
-	const spec = "workers=2:workers=1:1.5:obs=off"
-	if err := checkWithin(t, run(44, 26), spec); err != nil {
-		t.Fatalf("1.7x measured scaling failed: %v", err)
+	const spec = "workers=2:workers=1:1.3:obs=off"
+	if err := checkWithin(t, run(22, 12.2), spec); err != nil {
+		t.Fatalf("1.8x measured scaling failed: %v", err)
 	}
-	err := checkWithin(t, run(55, 46), spec)
+	err := checkWithin(t, run(60, 60), spec)
 	if err == nil || !strings.Contains(err.Error(), "obs=off/workers=2") || strings.Contains(err.Error(), "obs=on") {
-		t.Fatalf("1.2x measured scaling passed, or obs=on rows were compared: %v", err)
+		t.Fatalf("1.0x measured scaling passed, or obs=on rows were compared: %v", err)
 	}
 	if err := checkWithin(t, line("BenchmarkRecordPipeline/obs=off/workers=1", 44), spec); err == nil {
 		t.Fatal("scaling check passed without its workers=2 row")

@@ -5,6 +5,11 @@
 // the files back, so every class of corruption the decoder must reject
 // stays covered by plain `go test`.
 //
+// Beside the mutants it writes mret-unreachable.bin: an mret image with one
+// in-trace transition dropped, so a TBB state is unreachable from NTE. The
+// automaton it describes builds and passes Check, and the verifier flags it
+// (A-REACH); the decoder must reject it with a *DecodeError.
+//
 // It also emits internal/verify/testdata/badcfg.bin: an image that decodes
 // cleanly (all structural checks pass) but carries a same-trace link that
 // is impossible in the program's CFG. The static verifier must flag it
@@ -86,6 +91,13 @@ func run() error {
 				return err
 			}
 		}
+	}
+	unreach, err := makeUnreachable(p)
+	if err != nil {
+		return err
+	}
+	if err := write("mret-unreachable", unreach); err != nil {
+		return err
 	}
 	bad, err := makeBadCFG(p)
 	if err != nil {
@@ -268,6 +280,50 @@ func makeBadCFG(p *isa.Program) ([]byte, error) {
 		}
 	}
 	return nil, errors.New("no trace admits a decodable CFG-impossible link")
+}
+
+// makeUnreachable records an mret TEA and drops every in-trace transition
+// into one non-head TBB, leaving a state no path from NTE reaches. It proves
+// before returning that the automaton still passes Check and trips A-REACH,
+// and that Decode rejects the image with a *DecodeError, so the checked-in
+// regression input cannot go stale silently.
+func makeUnreachable(p *isa.Program) ([]byte, error) {
+	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
+	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	if err != nil {
+		return nil, err
+	}
+	cache := cfg.NewCache(p, cfg.StarDBT)
+	for _, tr := range set.Traces {
+		if len(tr.TBBs) < 2 {
+			continue
+		}
+		dead := tr.TBBs[len(tr.TBBs)-1]
+		for _, b := range tr.TBBs {
+			for label, succ := range b.Succs {
+				if succ == dead {
+					delete(b.Succs, label)
+				}
+			}
+		}
+		a := core.Build(set)
+		if err := a.Check(); err != nil {
+			return nil, fmt.Errorf("unreachable-state automaton fails Check: %v", err)
+		}
+		if r := verify.Automaton(a, cache); !hasErrRule(r, "A-REACH") {
+			return nil, fmt.Errorf("unreachable-state automaton does not trip A-REACH:\n%s", r)
+		}
+		data, err := core.Encode(a)
+		if err != nil {
+			return nil, err
+		}
+		var de *core.DecodeError
+		if _, err := core.Decode(data, cache); !errors.As(err, &de) {
+			return nil, fmt.Errorf("decoder accepts an unreachable state (err %v)", err)
+		}
+		return data, nil
+	}
+	return nil, errors.New("no mret trace has two TBBs")
 }
 
 func hasErrRule(r *verify.Report, rule string) bool {
