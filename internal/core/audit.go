@@ -40,6 +40,14 @@ const (
 	AuditFlagFallThru = flagFallThru
 )
 
+// Audit slot kinds mirroring the compiled hot record's: what consuming a
+// slot's label charges.
+const (
+	AuditSlotTrace = uint8(slotTrace)
+	AuditSlotLink  = uint8(slotLink)
+	AuditSlotExit  = uint8(slotExit)
+)
+
 // HotRecSize and ColdRecSize expose the compiled record geometry for the
 // verifier's C-SOA layout rule: the hot record must stay exactly half a
 // 64-byte cache line, the cold record no wider than the hot one.
@@ -62,6 +70,9 @@ const MaxStrideLen = maxStrideLen
 type StateAudit struct {
 	Lab0, Lab1 uint64
 	Tgt0, Tgt1 StateID
+	// Kind0 and Kind1 are the slots' kinds (AuditSlotTrace, AuditSlotLink,
+	// AuditSlotExit); only a complete successor row holds the latter two.
+	Kind0, Kind1 uint8
 	// Stride is the head of the state's stride-entry chain (NoStride when
 	// the state anchors no fused cycle).
 	Stride int32
@@ -127,6 +138,7 @@ func (c *Compiled) Audit() CompiledAudit {
 		v.States[i] = StateAudit{
 			Lab0: rec.lab0, Lab1: rec.lab1,
 			Tgt0: rec.tgt0, Tgt1: rec.tgt1,
+			Kind0: uint8(rec.kind0), Kind1: uint8(rec.kind1),
 			Stride:       rec.stride,
 			Flags:        cr.flags,
 			BranchTarget: cr.btgt,
@@ -140,7 +152,7 @@ func (c *Compiled) Audit() CompiledAudit {
 }
 
 // NextState resolves an in-trace transition through the production fast
-// path (inline slots, then span scan) — the compiled half of the verifier's
+// path (in-trace inline slots, then span scan) — the compiled half of the verifier's
 // structural-equivalence proof against the reference Automaton.
 func (c *Compiled) NextState(s StateID, label uint64) (StateID, bool) {
 	return c.next(s, label)

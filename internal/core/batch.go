@@ -376,23 +376,23 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 			st.TraceInstrs += instrs
 		}
 
-		// In-trace fast path: branchless 2-way select over the two inlined
-		// slots — a conditional move, so a run of alternating slot hits
-		// (the usual cycle-exit pattern) carries no slot-order branch to
-		// mispredict. Measured neutral on slot-stable streams and ahead on
-		// alternating ones; see DESIGN.md §16.
-		hit0 := rec.lab0 == label
-		next := rec.tgt1
-		if hit0 {
-			next = rec.tgt0
-		}
-		if hit0 || rec.lab1 == label {
+		// Slot fast path, as in advanceBatchPlain.
+		var next StateID
+		if rec.lab0 == label && rec.kind0 == slotTrace {
 			st.InTraceHits++
-		} else if t, ok := c.nextSlow(cur, label); ok {
+			next = rec.tgt0
+		} else if rec.lab1 == label && rec.kind1 == slotTrace {
+			st.InTraceHits++
+			next = rec.tgt1
+		} else if lab, tgt, kind := rec.pickBranch(label); lab == label && localSize == 0 && !emitting {
+			st.charge(kind)
+			next = tgt
+		} else if t, ok := c.nextSlow(cur, label); lab != label && ok {
 			st.InTraceHits++
 			next = t
 		} else {
-			if !cold[cur].plausible(label) {
+			matched := lab == label
+			if !matched && !cold[cur].plausible(label) {
 				st.Desyncs++
 				desynced = true
 				if emitting {
@@ -414,12 +414,12 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 					st.LocalMisses++
 				}
 				st.GlobalLookups++
-				var t StateID
-				var ok bool
 				if emitting {
 					var depth uint64
 					t, ok, depth = c.entryProbes(label)
 					emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
+				} else if matched {
+					t, ok = tgt, kind == slotLink
 				} else {
 					t, ok = c.entry(label)
 				}
@@ -507,19 +507,29 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 
 		var next StateID
 		if cur != NTE {
-			// In-trace fast path: the two inlined successor slots.
+			// Slot fast path. An in-trace slot is tested slot by slot, as
+			// the predicted branches the batch kernels measured fastest
+			// with. Otherwise the slot the label can match is a row's link
+			// or exit: without local caches it is final and charged by
+			// kind; with them it goes through the local cache, and a local
+			// miss takes the row's resolved target instead of probing the
+			// entry table.
 			rec := &hot[cur]
-			if rec.lab0 == label {
+			if rec.lab0 == label && rec.kind0 == slotTrace {
 				st.InTraceHits++
 				next = rec.tgt0
-			} else if rec.lab1 == label {
+			} else if rec.lab1 == label && rec.kind1 == slotTrace {
 				st.InTraceHits++
 				next = rec.tgt1
-			} else if t, ok := c.nextSlow(cur, label); ok {
+			} else if lab, tgt, kind := rec.pickBranch(label); lab == label && localSize == 0 && !emitting {
+				st.charge(kind)
+				next = tgt
+			} else if t, ok := c.nextSlow(cur, label); lab != label && ok {
 				st.InTraceHits++
 				next = t
 			} else {
-				if !cold[cur].plausible(label) {
+				matched := lab == label
+				if !matched && !cold[cur].plausible(label) {
 					st.Desyncs++
 					desynced = true
 					if emitting {
@@ -541,12 +551,12 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 						st.LocalMisses++
 					}
 					st.GlobalLookups++
-					var t StateID
-					var ok bool
 					if emitting {
 						var depth uint64
 						t, ok, depth = c.entryProbes(label)
 						emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
+					} else if matched {
+						t, ok = tgt, kind == slotLink
 					} else {
 						t, ok = c.entry(label)
 					}

@@ -22,18 +22,28 @@ var (
 //   - off[s]..off[s+1] spans the state's in-trace transitions inside the
 //     shared labels/targets arenas (the flattened State.labels/targets).
 //   - hot and cold split each state's record structure-of-arrays style. The
-//     hot record carries only what the in-trace fast path consumes — the two
-//     inlined successor slots and the state's stride-table head — packed
-//     into 32 bytes so two records share one cache line, doubling the
-//     fast path's effective cache density over the old 64-byte combined
-//     record. Trace states overwhelmingly have at most two successors — the
-//     direct branch target and the fall-through — so the common transition
-//     is two compares against adjacent words, no span lookup at all. States
-//     with one transition duplicate it into both slots; states with none
-//     park the impossible label in both.
+//     hot record carries only what the fast path consumes — the two inlined
+//     successor slots and the state's stride-table head — packed into 32
+//     bytes so two records share one cache line, doubling the fast path's
+//     effective cache density over the old 64-byte combined record.
+//   - A state whose block ends in a direct terminator gets a complete
+//     successor row: its two slots hold the only labels plausibleSuccessor
+//     admits off that block (branch target, fall-through), each resolved
+//     at Compile time to its target and a kind — in-trace hit, entry-table
+//     link, or exit to NTE. On an immutable image those resolutions are a
+//     pure function of the state, so the memoryless kernels resolve every
+//     in-sync edge off such a state with the row alone: no in-trace/exit
+//     branch and no entry-table probe (DESIGN.md §16). Any other label off
+//     a row state is a desync. The TEA form of a DBT's block linking.
+//   - Every other state — NTE, an indirect terminator, or an in-trace label
+//     that is neither the branch target nor the fall-through — keeps the
+//     span-head slots (first two span transitions, a single one duplicated
+//     into both, the impossible label parked in both when there are none),
+//     all of kind in-trace, and resolves its misses through the span tail
+//     and the entry table.
 //   - cold carries plausibleSuccessor's precomputed inputs (indirect flag,
 //     branch target, fall-through address). It is touched only on a slot
-//     miss — the desync check — so steady-state in-trace replay never pulls
+//     miss — the desync check — so steady-state in-sync replay never pulls
 //     its lines into cache at all.
 //   - stride is the fused trace-cycle table built by Specialize (nil on an
 //     unspecialized form): each entry is one steady-state cycle of the
@@ -79,17 +89,30 @@ type Compiled struct {
 	cfg       LookupConfig
 }
 
-// hotRec is the fast-path half of a state: the two inlined successor slots
-// plus the head of the state's stride-entry chain (noStride when the state
-// anchors no fused cycle). Exactly 32 bytes — two records per 64-byte cache
-// line — so the stride check rides in what used to be padding and costs the
-// in-trace path zero extra lines.
+// hotRec is the fast-path half of a state: the two inlined successor slots,
+// each with its slot kind, plus the head of the state's stride-entry chain
+// (noStride when the state anchors no fused cycle). Exactly 32 bytes — two
+// records per 64-byte cache line — so the stride check and the kinds ride
+// in what used to be padding and cost the fast path zero extra lines.
 type hotRec struct {
-	lab0, lab1 uint64
-	tgt0, tgt1 StateID
-	stride     int32
-	_          [4]byte
+	lab0, lab1   uint64
+	tgt0, tgt1   StateID
+	stride       int32
+	kind0, kind1 slotKind
+	_            [2]byte
 }
+
+// slotKind says what consuming a slot's label charges. The values are
+// chosen so a kernel charges a matched slot without branching on it: bit 0
+// is set exactly for a link, bit 1 exactly for an exit, and either bit
+// means one entry-table lookup.
+type slotKind uint8
+
+const (
+	slotTrace slotKind = 0 // in-trace hit: InTraceHits
+	slotLink  slotKind = 1 // entry-table link: GlobalLookups, GlobalHits, TraceLinks
+	slotExit  slotKind = 2 // exit to NTE: GlobalLookups, TraceExits
+)
 
 // coldRec is the slot-miss half: plausibleSuccessor's precomputed inputs.
 // Only the desync check reads it, so it stays out of the fast path's cache
@@ -99,6 +122,34 @@ type coldRec struct {
 	fthru uint64
 	flags uint8
 	_     [7]byte
+}
+
+// pick selects the slot label can match — slot 0 when its label is label,
+// else slot 1 — so the caller decides hit or miss with one compare of the
+// returned label. The select is a mask, not a branch, since which slot an
+// edge takes is as unpredictable as the guest's branches; step uses it.
+func (rec *hotRec) pick(label uint64) (uint64, StateID, slotKind) {
+	var hit0 uint64
+	if rec.lab0 == label {
+		hit0 = 1
+	}
+	m := -hit0 // all ones when slot 0 matches
+	lab := rec.lab1 ^ (rec.lab0^rec.lab1)&m
+	tgt := rec.tgt1 ^ (rec.tgt0^rec.tgt1)&StateID(m)
+	kind := rec.kind1 ^ (rec.kind0^rec.kind1)&slotKind(m)
+	return lab, tgt, kind
+}
+
+// pickBranch is pick as a branch, for the kernels that branch on the kind
+// anyway: step's obsOn instance, and the batch kernels once a label has
+// missed both in-trace slots. In the batch kernels the mask measured 30–35%
+// slower on the slot-stable 901.steady and 902.stream streams and no
+// faster on 176.gcc (DESIGN.md §16).
+func (rec *hotRec) pickBranch(label uint64) (uint64, StateID, slotKind) {
+	if rec.lab0 == label {
+		return rec.lab0, rec.tgt0, rec.kind0
+	}
+	return rec.lab1, rec.tgt1, rec.kind1
 }
 
 // noStride marks a state that anchors no stride entry and terminates
@@ -150,21 +201,13 @@ func Compile(a *Automaton, cfg LookupConfig) *Compiled {
 		c.localSize = cfg.LocalSize
 	}
 
+	// The rows resolve links through the entry table, so it comes first.
+	c.buildEntryTable(a.Entries())
 	for i := 0; i < n; i++ {
 		s := a.states[i]
 		c.off[i] = uint32(len(c.labels))
 		c.labels = append(c.labels, s.labels...)
 		c.targets = append(c.targets, s.targets...)
-
-		rec := hotRec{lab0: impossibleLabel, lab1: impossibleLabel, stride: noStride}
-		switch {
-		case len(s.labels) >= 2:
-			rec.lab0, rec.tgt0 = s.labels[0], s.targets[0]
-			rec.lab1, rec.tgt1 = s.labels[1], s.targets[1]
-		case len(s.labels) == 1:
-			rec.lab0, rec.tgt0 = s.labels[0], s.targets[0]
-			rec.lab1, rec.tgt1 = rec.lab0, rec.tgt0
-		}
 
 		var cr coldRec
 		if s.TBB != nil {
@@ -180,13 +223,73 @@ func Compile(a *Automaton, cfg LookupConfig) *Compiled {
 				cr.fthru = ft
 			}
 		}
+		rec, ok := c.row(s, &cr)
+		if !ok {
+			rec = spanSlots(s)
+		}
+		rec.stride = noStride
 		c.hot[i] = rec
 		c.cold[i] = cr
 	}
 	c.off[n] = uint32(len(c.labels))
-
-	c.buildEntryTable(a.Entries())
 	return c
+}
+
+// row builds s's complete successor row from its cold record: slot 0 the
+// branch target, slot 1 the fall-through, a missing one duplicating the
+// other. ok is false — the state keeps its span-head slots — when s is NTE,
+// ends in an indirect terminator, has neither successor, or has an
+// in-trace label outside the pair.
+func (c *Compiled) row(s *State, cr *coldRec) (hotRec, bool) {
+	if s.TBB == nil || cr.flags&flagIndirect != 0 || cr.flags&(flagBranch|flagFallThru) == 0 {
+		return hotRec{}, false
+	}
+	for _, l := range s.labels {
+		if !cr.plausible(l) {
+			return hotRec{}, false
+		}
+	}
+	var rec hotRec
+	switch {
+	case cr.flags&flagBranch == 0:
+		rec.lab0, rec.tgt0, rec.kind0 = c.resolve(s, cr.fthru)
+		rec.lab1, rec.tgt1, rec.kind1 = rec.lab0, rec.tgt0, rec.kind0
+	case cr.flags&flagFallThru == 0:
+		rec.lab0, rec.tgt0, rec.kind0 = c.resolve(s, cr.btgt)
+		rec.lab1, rec.tgt1, rec.kind1 = rec.lab0, rec.tgt0, rec.kind0
+	default:
+		rec.lab0, rec.tgt0, rec.kind0 = c.resolve(s, cr.btgt)
+		rec.lab1, rec.tgt1, rec.kind1 = c.resolve(s, cr.fthru)
+	}
+	return rec, true
+}
+
+// resolve is the memoryless transition on a plausible label off s, frozen
+// into a row slot: the in-trace target, else the entry table's answer.
+func (c *Compiled) resolve(s *State, label uint64) (uint64, StateID, slotKind) {
+	if t, ok := s.Next(label); ok {
+		return label, t, slotTrace
+	}
+	if t, ok := c.entry(label); ok {
+		return label, t, slotLink
+	}
+	return label, NTE, slotExit
+}
+
+// spanSlots fills the fallback slots from the head of s's span: the first
+// two transitions, a single one duplicated into both, the impossible label
+// in both when there are none. Every slot is an in-trace hit.
+func spanSlots(s *State) hotRec {
+	rec := hotRec{lab0: impossibleLabel, lab1: impossibleLabel}
+	switch {
+	case len(s.labels) >= 2:
+		rec.lab0, rec.tgt0 = s.labels[0], s.targets[0]
+		rec.lab1, rec.tgt1 = s.labels[1], s.targets[1]
+	case len(s.labels) == 1:
+		rec.lab0, rec.tgt0 = s.labels[0], s.targets[0]
+		rec.lab1, rec.tgt1 = rec.lab0, rec.tgt0
+	}
+	return rec
 }
 
 // buildEntryTable sizes the open-addressed table to at most 50% load (a
@@ -252,15 +355,16 @@ func (c *Compiled) NumEntries() int { return c.entLen }
 // LocalSize returns the embedded per-state cache size (0 = caches off).
 func (c *Compiled) LocalSize() int { return c.localSize }
 
-// next resolves an in-trace transition: the two inlined fast slots first,
-// then the remainder of the state's span (only states with more than two
-// transitions — indirect-branch TBBs — ever reach the scan).
+// next resolves an in-trace transition: the two inlined fast slots of kind
+// in-trace first, then the remainder of the state's span (only states with
+// more than two transitions — indirect-branch TBBs — ever reach the scan).
+// A row's link and exit slots are not in-trace transitions.
 func (c *Compiled) next(s StateID, label uint64) (StateID, bool) {
 	rec := &c.hot[s]
-	if rec.lab0 == label {
+	if rec.lab0 == label && rec.kind0 == slotTrace {
 		return rec.tgt0, true
 	}
-	if rec.lab1 == label {
+	if rec.lab1 == label && rec.kind1 == slotTrace {
 		return rec.tgt1, true
 	}
 	return c.nextSlow(s, label)

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/lsc-tea/tea/internal/asm"
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -275,5 +278,34 @@ func TestAddEntryReusesCaches(t *testing.T) {
 	}
 	if after.labels[live] != 0x999999 || after.targets[live] != sid {
 		t.Fatalf("fresh entry not cached: label=0x%x target=%d", after.labels[live], after.targets[live])
+	}
+}
+
+// TestResidentBytesCountsArrays holds ResidentBytes to the sizes of the
+// arrays it claims to count, unspecialized and Specialize'd, and to the
+// total Layout prints.
+func TestResidentBytesCountsArrays(t *testing.T) {
+	a, stream := testStream(t)
+	c := Compile(a, ConfigGlobalLocal)
+	spec := Specialize(c, stream)
+	if !spec.Specialized() {
+		t.Fatal("no stride table to count")
+	}
+	for _, img := range []*Compiled{c, spec} {
+		want := len(img.hot)*32 + len(img.cold)*ColdRecSize +
+			len(img.off)*4 + len(img.labels)*8 + len(img.targets)*4 +
+			len(img.ent)*16 + len(img.filt)*8 + len(img.strideProbe)*32
+		for _, e := range img.stride {
+			want += int(unsafe.Sizeof(e)) + 16*(len(e.Pattern)+len(e.Tile)) + 4*(len(e.States)+len(e.MissPos))
+		}
+		if got := img.ResidentBytes(); got != want {
+			t.Fatalf("specialized=%v: ResidentBytes %d, arrays hold %d", img.Specialized(), got, want)
+		}
+		if line := fmt.Sprintf("(%d B;", want); !strings.Contains(img.Layout(), line) {
+			t.Fatalf("Layout does not print the resident total %q:\n%s", line, img.Layout())
+		}
+	}
+	if spec.ResidentBytes() <= c.ResidentBytes() {
+		t.Fatalf("stride table adds no bytes: %d vs %d", spec.ResidentBytes(), c.ResidentBytes())
 	}
 }

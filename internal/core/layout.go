@@ -3,7 +3,38 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
+
+// ResidentBytes is the compiled form's resident size in bytes: the hot and
+// cold record arrays, the offset table and the label and target arenas,
+// the entry table, its presence filter, and — when specialized — the
+// stride table with its probe mirror and every entry's pattern, trajectory,
+// miss positions and tile. Per-replayer local caches are not counted; they
+// live on each CompiledReplayer.
+func (c *Compiled) ResidentBytes() int {
+	n := len(c.hot)*HotRecSize + len(c.cold)*ColdRecSize +
+		len(c.off)*4 + len(c.labels)*8 + len(c.targets)*4 +
+		len(c.ent)*int(unsafe.Sizeof(entSlot{})) + len(c.filt)*8 +
+		len(c.strideProbe)*int(unsafe.Sizeof(strideProbeRec{}))
+	for i := range c.stride {
+		e := &c.stride[i]
+		n += int(unsafe.Sizeof(*e)) + (len(e.Pattern)+len(e.Tile))*int(unsafe.Sizeof(Edge{})) +
+			len(e.States)*4 + len(e.MissPos)*4
+	}
+	return n
+}
+
+// rowStates counts the states that carry a complete successor row.
+func (c *Compiled) rowStates() int {
+	rows := 0
+	for i := range c.hot {
+		if _, ok := c.row(c.a.states[i], &c.cold[i]); ok {
+			rows++
+		}
+	}
+	return rows
+}
 
 // Layout renders the compiled form's memory-layout report: residency of the
 // hot and cold SoA arrays, the transition arenas, the entry table and its
@@ -22,6 +53,8 @@ func (c *Compiled) Layout() string {
 		n, HotRecSize, byteCount(n*HotRecSize), 64/HotRecSize, (n*HotRecSize+63)/64)
 	line("  cold array:        %d × %d B = %s (slot-miss plausibility only)",
 		n, ColdRecSize, byteCount(n*ColdRecSize))
+	line("  successor rows:    %d of %d states (direct terminator, in-trace labels on the pair)",
+		c.rowStates(), n)
 	line("  transition arena:  %d edges, %s labels + %s targets",
 		len(c.labels), byteCount(len(c.labels)*8), byteCount(len(c.targets)*4))
 	occupied := 0
@@ -48,6 +81,7 @@ func (c *Compiled) Layout() string {
 		line("  software prefetch: off (no asm helper on this architecture)")
 	}
 
+	line("  resident:          %s (%d B; local caches excluded)", byteCount(c.ResidentBytes()), c.ResidentBytes())
 	if len(c.stride) == 0 {
 		line("stride table:        none (unspecialized form)")
 		return b.String()

@@ -33,6 +33,15 @@ import (
 // junction reconciliation swaps a speculative prefix's events for the true
 // prefix's exactly as it swaps the Stats (DESIGN.md §9, §14). The obsOff
 // instance ignores evs and eidx.
+//
+// A trace state's two slots are matched with one compare after a
+// conditional select. On a complete successor row (compile.go) the slot's
+// kind says what the edge charges — in-trace hit, link or exit — so the
+// obsOff instance charges it without a branch and without probing the
+// entry table. The obsOn instance takes the probe on links and exits for
+// the event's probe depth. Only unmatched labels (a desync off a row, the
+// span tail or a miss off any other state) and edges from NTE search the
+// entry table.
 func step[M obsMode](c *Compiled, cur StateID, desynced bool, label, instrs uint64, st *Stats, evs *[]obs.Event, eidx uint64) (StateID, bool) {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
@@ -46,13 +55,19 @@ func step[M obsMode](c *Compiled, cur StateID, desynced bool, label, instrs uint
 	}
 	var next StateID
 	if cur != NTE {
-		rec := &c.hot[cur]
-		if rec.lab0 == label {
-			st.InTraceHits++
-			next = rec.tgt0
-		} else if rec.lab1 == label {
-			st.InTraceHits++
-			next = rec.tgt1
+		// The obsOn instance branches on the kind anyway (it probes on
+		// links and exits), so it selects the slot with a branch too.
+		var lab uint64
+		var tgt StateID
+		var kind slotKind
+		if emitting {
+			lab, tgt, kind = c.hot[cur].pickBranch(label)
+		} else {
+			lab, tgt, kind = c.hot[cur].pick(label)
+		}
+		if lab == label && (!emitting || kind == slotTrace) {
+			st.charge(kind)
+			next = tgt
 		} else if t, ok := c.nextSlow(cur, label); ok {
 			st.InTraceHits++
 			next = t
@@ -109,6 +124,18 @@ func step[M obsMode](c *Compiled, cur StateID, desynced bool, label, instrs uint
 		}
 	}
 	return next, desynced
+}
+
+// charge counts one matched slot of the given kind without branching on
+// it: an in-trace hit, or an entry-table lookup that links or exits.
+func (s *Stats) charge(kind slotKind) {
+	link, exit := uint64(kind&slotLink), uint64(kind>>1)
+	lookup := link | exit
+	s.InTraceHits += lookup ^ 1
+	s.GlobalLookups += lookup
+	s.GlobalHits += link
+	s.TraceLinks += link
+	s.TraceExits += exit
 }
 
 // SequentialReplay replays the stream in order from NTE with the

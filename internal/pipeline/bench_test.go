@@ -70,7 +70,9 @@ func pipelineRows(b *testing.B, n int, start func(Config) (pass, stop func())) {
 	}
 }
 
-// BenchmarkReplayPipeline times warmed replay passes: Feed, Barrier, Reset.
+// BenchmarkReplayPipeline times warmed replay passes (Feed, Barrier,
+// Reset), and in obs=off/scan the worker-parallel part alone: SpecReplay
+// over the pass's chunks.
 func BenchmarkReplayPipeline(b *testing.B) {
 	p := benchProgram()
 	stream, _ := labelStream(captureEdges(b, p))
@@ -86,6 +88,18 @@ func BenchmarkReplayPipeline(b *testing.B) {
 			pass() // every chunk buffer, scan result and fold buffer grows once
 		}
 		return pass, pl.Close
+	})
+	b.Run("obs=off/scan", func(b *testing.B) {
+		chunk := Config{}.withDefaults().ChunkEdges
+		var sr core.SpecResult
+		c.SpecReplay(stream[:min(chunk, len(stream))], &sr)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for off := 0; off < len(stream); off += chunk {
+				c.SpecReplay(stream[off:min(off+chunk, len(stream))], &sr)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/edge")
 	})
 }
 

@@ -43,6 +43,11 @@ const spinChecks = 64
 type parker struct {
 	waiters atomic.Int32
 	tok     chan struct{}
+	// registering, when set, runs on the registration step just before the
+	// waiter registers — never while spinning. It is nil in production;
+	// tests set it to signal inside the window between a waiter's last
+	// failed check and its registration, the window the re-check closes.
+	registering func()
 }
 
 // init sizes the token channel for at most n concurrent waiters.
@@ -57,6 +62,9 @@ func (k *parker) pause(n int) int {
 	case n < spinChecks:
 		runtime.Gosched()
 	case n == spinChecks:
+		if k.registering != nil {
+			k.registering()
+		}
 		k.waiters.Add(1)
 	default:
 		<-k.tok

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +42,45 @@ func finishes(t *testing.T, what string, d time.Duration, f func()) {
 // of work and park while the producer is away.
 func spin(d time.Duration) {
 	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// TestParkerReChecksAfterRegistering puts the signal in the one window a
+// spin-then-park wait cannot see by polling: after the waiter's last
+// failed check and before it registers. The signaler makes the condition
+// true and calls wake, which finds no waiter registered and sends no
+// token. Only the re-check between registering and blocking lets the
+// waiter see the condition; a waiter that blocks straight after
+// registering stays parked for good, and the test fails at its deadline.
+// The hook runs on the registration step only, so the injection point is
+// exact and the test needs no timing luck.
+func TestParkerReChecksAfterRegistering(t *testing.T) {
+	var k parker
+	k.init(1)
+	var ready atomic.Bool
+	hooks := 0
+	k.registering = func() {
+		hooks++
+		ready.Store(true)
+		k.wake()
+	}
+	pauses := 0
+	finishes(t, "a wait signaled just before it registered", 5*time.Second, func() {
+		n := 0
+		for !ready.Load() {
+			n = k.pause(n)
+			pauses++
+		}
+		k.done(n)
+	})
+	if hooks != 1 || pauses != spinChecks+1 {
+		t.Fatalf("signal not injected at registration: %d hook calls after %d pauses, want 1 after %d", hooks, pauses, spinChecks+1)
+	}
+	if w := k.waiters.Load(); w != 0 {
+		t.Fatalf("%d waiters still registered after done", w)
+	}
+	if n := len(k.tok); n != 0 {
+		t.Fatalf("wake sent %d tokens with no waiter registered", n)
 	}
 }
 

@@ -21,8 +21,15 @@ import (
 //	         the label/target arenas exactly.
 //	C-SPAN   every state's span is strictly sorted with valid targets and
 //	         equals the automaton state's transition table.
-//	C-SLOT   the two inline fast slots agree with the span (two-slot copy,
-//	         single-transition duplication, impossible-label fill).
+//	C-SLOT   every inline fast slot is re-derived exactly. A state whose
+//	         block ends in a direct terminator and whose in-trace labels
+//	         are all its branch target or fall-through holds a complete
+//	         successor row: slot 0 the branch target, slot 1 the
+//	         fall-through (a missing one duplicating the other), each with
+//	         its kind and target — in-trace from the span, link or exit
+//	         from the automaton's entry table. Every other state holds the
+//	         span head (two-slot copy, single-transition duplication,
+//	         impossible-label fill), all of kind in-trace.
 //	C-PLAUS  the precomputed plausibility fields (flags, branch target,
 //	         fall-through) match the state's block terminator.
 //	C-ENT    the entry table is a power-of-two open-addressed map at <=50%
@@ -259,19 +266,30 @@ func compiledStructural(r *Report, v core.CompiledAudit, a *core.Automaton, cfg 
 		}
 
 		rec := v.States[i]
-		switch {
-		case len(span) >= 2:
-			if rec.Lab0 != span[0] || rec.Tgt0 != tgts[0] || rec.Lab1 != span[1] || rec.Tgt1 != tgts[1] {
-				r.errf("C-SLOT", id, idLocus(id), "fast slots (0x%x->%d, 0x%x->%d) disagree with span head (0x%x->%d, 0x%x->%d)",
-					rec.Lab0, rec.Tgt0, rec.Lab1, rec.Tgt1, span[0], tgts[0], span[1], tgts[1])
+		if row, ok := rowSlots(a, want); ok {
+			for k, got := range [2]slot{{rec.Lab0, rec.Tgt0, rec.Kind0}, {rec.Lab1, rec.Tgt1, rec.Kind1}} {
+				if got != row[k] {
+					r.errf("C-SLOT", id, idLocus(id), "row slot %d holds (0x%x->%d kind %d), block and entry table give (0x%x->%d kind %d)",
+						k, got.lab, got.tgt, got.kind, row[k].lab, row[k].tgt, row[k].kind)
+				}
 			}
-		case len(span) == 1:
-			if rec.Lab0 != span[0] || rec.Tgt0 != tgts[0] || rec.Lab1 != span[0] || rec.Tgt1 != tgts[0] {
-				r.errf("C-SLOT", id, idLocus(id), "single transition 0x%x->%d not duplicated into both fast slots", span[0], tgts[0])
-			}
-		default:
-			if rec.Lab0 != core.ImpossibleLabel || rec.Lab1 != core.ImpossibleLabel {
-				r.errf("C-SLOT", id, idLocus(id), "empty state's fast slots hold 0x%x/0x%x, want impossible-label fill", rec.Lab0, rec.Lab1)
+		} else if rec.Kind0 != core.AuditSlotTrace || rec.Kind1 != core.AuditSlotTrace {
+			r.errf("C-SLOT", id, idLocus(id), "state without a successor row holds slot kinds %d/%d, want in-trace", rec.Kind0, rec.Kind1)
+		} else {
+			switch {
+			case len(span) >= 2:
+				if rec.Lab0 != span[0] || rec.Tgt0 != tgts[0] || rec.Lab1 != span[1] || rec.Tgt1 != tgts[1] {
+					r.errf("C-SLOT", id, idLocus(id), "fast slots (0x%x->%d, 0x%x->%d) disagree with span head (0x%x->%d, 0x%x->%d)",
+						rec.Lab0, rec.Tgt0, rec.Lab1, rec.Tgt1, span[0], tgts[0], span[1], tgts[1])
+				}
+			case len(span) == 1:
+				if rec.Lab0 != span[0] || rec.Tgt0 != tgts[0] || rec.Lab1 != span[0] || rec.Tgt1 != tgts[0] {
+					r.errf("C-SLOT", id, idLocus(id), "single transition 0x%x->%d not duplicated into both fast slots", span[0], tgts[0])
+				}
+			default:
+				if rec.Lab0 != core.ImpossibleLabel || rec.Lab1 != core.ImpossibleLabel {
+					r.errf("C-SLOT", id, idLocus(id), "empty state's fast slots hold 0x%x/0x%x, want impossible-label fill", rec.Lab0, rec.Lab1)
+				}
 			}
 		}
 
@@ -290,6 +308,53 @@ func compiledStructural(r *Report, v core.CompiledAudit, a *core.Automaton, cfg 
 	case v.LocalSize != 0 && v.LocalSize&(v.LocalSize-1) != 0:
 		r.errf("C-LOCAL", -1, "local", "LocalSize %d is not a power of two", v.LocalSize)
 	}
+}
+
+// slot is one inline fast slot as C-SLOT compares it.
+type slot struct {
+	lab  uint64
+	tgt  core.StateID
+	kind uint8
+}
+
+// rowSlots derives st's complete successor row from its block terminator,
+// its transition table and the automaton's entry table, without reading the
+// compiled form: ok is false when st is NTE, ends in an indirect
+// terminator, has neither a branch target nor a fall-through, or has an
+// in-trace label that is neither.
+func rowSlots(a *core.Automaton, st *core.State) ([2]slot, bool) {
+	if st.TBB == nil {
+		return [2]slot{}, false
+	}
+	term := st.TBB.Block.Term
+	ft, hasFT := st.TBB.Block.FallThrough()
+	hasBr := !term.IsIndirect() && term.IsBranch()
+	if term.IsIndirect() || !hasBr && !hasFT {
+		return [2]slot{}, false
+	}
+	for _, l := range st.Labels() {
+		if !(hasBr && l == term.Target) && !(hasFT && l == ft) {
+			return [2]slot{}, false
+		}
+	}
+	resolve := func(label uint64) slot {
+		if t, ok := st.Next(label); ok {
+			return slot{label, t, core.AuditSlotTrace}
+		}
+		if t, ok := a.EntryFor(label); ok {
+			return slot{label, t, core.AuditSlotLink}
+		}
+		return slot{label, core.NTE, core.AuditSlotExit}
+	}
+	switch {
+	case !hasBr:
+		s := resolve(ft)
+		return [2]slot{s, s}, true
+	case !hasFT:
+		s := resolve(term.Target)
+		return [2]slot{s, s}, true
+	}
+	return [2]slot{resolve(term.Target), resolve(ft)}, true
 }
 
 // idLocus renders the plain locus of a compiled-state finding; like

@@ -69,17 +69,56 @@ func TestCompiledSpanRulesFire(t *testing.T) {
 
 func TestCompiledSlotRuleFires(t *testing.T) {
 	a, c, v := compiledFixture(t)
-	bad := v
-	bad.States = append([]core.StateAudit(nil), v.States...)
-	// Find a state with transitions and corrupt its fast slot.
-	for i := range bad.States {
-		if bad.States[i].Lab0 != core.ImpossibleLabel {
-			bad.States[i].Lab0 ^= 0x8
-			requireRule(t, structural(a, c, bad), "C-SLOT")
-			return
+	// Each corruption hits the first state it applies to: a slot label, a
+	// row slot's kind, a link slot's target, and an in-trace slot turned
+	// into an exit.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*core.StateAudit) bool
+	}{
+		{"label", func(st *core.StateAudit) bool {
+			if st.Lab0 == core.ImpossibleLabel {
+				return false
+			}
+			st.Lab0 ^= 0x8
+			return true
+		}},
+		{"link kind", func(st *core.StateAudit) bool {
+			if st.Kind0 != core.AuditSlotLink {
+				return false
+			}
+			st.Kind0 = core.AuditSlotExit
+			return true
+		}},
+		{"link target", func(st *core.StateAudit) bool {
+			if st.Kind1 != core.AuditSlotLink {
+				return false
+			}
+			st.Tgt1++
+			return true
+		}},
+		{"in-trace kind", func(st *core.StateAudit) bool {
+			if st.Lab0 == core.ImpossibleLabel || st.Kind0 != core.AuditSlotTrace {
+				return false
+			}
+			st.Kind0 = core.AuditSlotExit
+			return true
+		}},
+	} {
+		bad := v
+		bad.States = append([]core.StateAudit(nil), v.States...)
+		found := false
+		for i := range bad.States {
+			if tc.corrupt(&bad.States[i]) {
+				found = true
+				break
+			}
 		}
+		if !found {
+			t.Fatalf("%s: no state to corrupt", tc.name)
+		}
+		requireRule(t, structural(a, c, bad), "C-SLOT")
 	}
-	t.Skip("no state with transitions")
 }
 
 func TestCompiledPlausRuleFires(t *testing.T) {

@@ -149,8 +149,9 @@ fi
 echo "ci: corpus gate ok"
 
 # Paired timing gate: every timing row the retired best-of-N harness gates
-# compared (replay kernels obs off and on, serve sessions, both pipelines)
-# runs in 10 interleaved pairs against the parent commit on this host. The
+# compared (replay kernels obs off and on, serve sessions, both pipelines),
+# the batch kernels on 176.gcc and the replay pipeline's scan alone run in
+# 10 interleaved pairs against the parent commit on this host. The
 # parent is HEAD when the working tree differs from it, else HEAD~1; its
 # tree is extracted with git archive, so nothing is left in .git. Rows that
 # exist on one side only are listed, not failed.

@@ -18,9 +18,12 @@ trap 'rm -rf "$out"' EXIT
 
 # Package directory and -bench pattern: the rows the retired best-of-N
 # harness gates compared (replay kernels on mcf and the 901.steady cycle
-# workload, obs off and on, serve sessions, and both pipelines).
+# workload, obs off and on, serve sessions, and both pipelines), plus the
+# batch kernels on 176.gcc, the trace-rich stream whose edges are mostly
+# links, exits and NTE crossings.
 benches=(
     ".:CompiledReplay/^181\.mcf$"
+    ".:CompiledReplay/^176\.gcc$/^compiled-(batch|soa)$"
     ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride)"
     "internal/serve:ServeSession"
     "internal/pipeline:(Replay|Record)Pipeline"
