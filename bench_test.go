@@ -547,6 +547,25 @@ func BenchmarkInterpreter(b *testing.B) {
 		steps += m.Steps()
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "instrs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/instr")
+}
+
+// BenchmarkDBTRecord times the DBT engine recording MRET traces over a
+// whole run of 176.gcc, the largest text: interpretation, block discovery,
+// the code-cache copy of every newly touched block, and trace selection.
+func BenchmarkDBTRecord(b *testing.B) {
+	p := prog(b, "176.gcc")
+	b.Run("176.gcc", func(b *testing.B) {
+		var steps uint64
+		for i := 0; i < b.N; i++ {
+			d, err := dbt.New().Run(p, "mret", benchTraceCfg, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += d.Info.Steps
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/instr")
+	})
 }
 
 // BenchmarkHotThreshold sweeps the trace-selection hot threshold: lower

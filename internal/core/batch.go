@@ -387,7 +387,7 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 		} else if lab, tgt, kind := rec.pickBranch(label); lab == label && localSize == 0 && !emitting {
 			st.charge(kind)
 			next = tgt
-		} else if t, ok := c.nextSlow(cur, label); lab != label && ok {
+		} else if t, ok := c.unmatchedTail(cur, lab, label); ok {
 			st.InTraceHits++
 			next = t
 		} else {
@@ -524,7 +524,7 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 			} else if lab, tgt, kind := rec.pickBranch(label); lab == label && localSize == 0 && !emitting {
 				st.charge(kind)
 				next = tgt
-			} else if t, ok := c.nextSlow(cur, label); lab != label && ok {
+			} else if t, ok := c.unmatchedTail(cur, lab, label); ok {
 				st.InTraceHits++
 				next = t
 			} else {
@@ -643,6 +643,16 @@ func (r *CompiledReplayer) strideMissWarm(e *StrideEntry) bool {
 		}
 	}
 	return true
+}
+
+// unmatchedTail is nextSlow for the cached kernels' slot miss, where lab
+// is the label of the slot pickBranch chose: a label that matched it is a
+// row state's link or exit, and a row state's span has no tail to scan.
+func (c *Compiled) unmatchedTail(s StateID, lab, label uint64) (StateID, bool) {
+	if lab == label {
+		return NTE, false
+	}
+	return c.nextSlow(s, label)
 }
 
 // nextSlow scans the tail of a state's transition span; only states with

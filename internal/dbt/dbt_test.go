@@ -1,10 +1,15 @@
 package dbt
 
 import (
+	"bytes"
 	"testing"
 
+	"github.com/lsc-tea/tea/internal/cfg"
+	"github.com/lsc-tea/tea/internal/cpu"
+	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/progs"
 	"github.com/lsc-tea/tea/internal/trace"
+	"github.com/lsc-tea/tea/internal/workload"
 )
 
 func TestRunRecordsTraces(t *testing.T) {
@@ -131,5 +136,53 @@ func TestCodeImageMatchesAccounting(t *testing.T) {
 	}
 	if len(res.CodeImage) == 0 {
 		t.Error("empty code image")
+	}
+}
+
+// TestCodeImageMatchesFullScan: the code cache holds, in first-touch
+// order, each block's encoding as a scan of every instruction of the
+// program defines it, followed by its zeroed stub.
+func TestCodeImageMatchesFullScan(t *testing.T) {
+	spec, ok := workload.ByName("176.gcc")
+	if !ok {
+		t.Fatal("no workload 176.gcc")
+	}
+	p := workload.Program(spec)
+	const steps = 300_000
+	res, err := New().Run(p, "mret", trace.Config{HotThreshold: 12}, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := cpu.New(p)
+	r := cfg.NewRunner(m, cfg.StarDBT)
+	var want []byte
+	seen := make(map[uint64]bool)
+	for m.Steps() < steps {
+		e, ok, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || e.To == nil {
+			break
+		}
+		if seen[e.To.Head] {
+			continue
+		}
+		seen[e.To.Head] = true
+		for i := 0; i < p.Len(); i++ {
+			if in := p.Instr(i); in.Addr >= e.To.Head && in.Addr < e.To.Term.Next() {
+				if want, err = isa.EncodeInstr(want, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want = append(want, make([]byte, BlockStubBytes)...)
+	}
+	if len(seen) < 100 {
+		t.Fatalf("only %d blocks touched", len(seen))
+	}
+	if !bytes.Equal(res.CodeImage, want) {
+		t.Fatalf("CodeImage differs from the full-scan encodings: %d vs %d bytes", len(res.CodeImage), len(want))
 	}
 }

@@ -100,13 +100,9 @@ func appendLE(dst []byte, v uint64, n int) []byte {
 // into a fresh byte slice — what a DBT copies when it replicates a block.
 func (p *Program) EncodeRange(lo, hi uint64) ([]byte, error) {
 	var out []byte
-	for i := 0; i < len(p.instrs); i++ {
-		in := &p.instrs[i]
-		if in.Addr < lo || in.Addr >= hi {
-			continue
-		}
+	for i := p.first(lo); i < len(p.instrs) && p.instrs[i].Addr < hi; i++ {
 		var err error
-		out, err = EncodeInstr(out, in)
+		out, err = EncodeInstr(out, &p.instrs[i])
 		if err != nil {
 			return nil, err
 		}

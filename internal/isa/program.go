@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // BaseAddr is the address at which program text is laid out by default. A
@@ -17,7 +18,12 @@ type Program struct {
 	Entry uint64
 
 	instrs []Instr
-	index  map[uint64]int
+	// pos is the dense address→index table over the text [base, end):
+	// pos[a-base] is the layout index plus one of the instruction that
+	// starts at a, and 0 at every other byte. A lookup is one bounds check
+	// and one load; an address below base wraps past the end and misses.
+	base uint64
+	pos  []int32
 
 	// Labels maps symbol names to code addresses (filled by the assembler).
 	Labels map[string]uint64
@@ -79,13 +85,14 @@ func (b *Builder) Build(entry string, memWords int) (*Program, error) {
 		Name:     b.name,
 		Entry:    b.base,
 		instrs:   b.instrs,
-		index:    make(map[uint64]int, len(b.instrs)),
+		base:     b.base,
+		pos:      make([]int32, b.next-b.base),
 		Labels:   b.labels,
 		MemWords: memWords,
 		InitData: make(map[int64]int64),
 	}
 	for i := range p.instrs {
-		p.index[p.instrs[i].Addr] = i
+		p.pos[p.instrs[i].Addr-p.base] = int32(i + 1)
 	}
 	if entry != "" {
 		a, ok := b.labels[entry]
@@ -108,12 +115,12 @@ func (p *Program) validate() error {
 		in := &p.instrs[i]
 		switch in.Op {
 		case JMP, JCC, CALL:
-			if _, ok := p.index[in.Target]; !ok {
+			if _, ok := p.IndexOf(in.Target); !ok {
 				return fmt.Errorf("isa: %s at 0x%x targets 0x%x which is not an instruction boundary", in.Op, in.Addr, in.Target)
 			}
 		}
 	}
-	if _, ok := p.index[p.Entry]; !ok {
+	if _, ok := p.IndexOf(p.Entry); !ok {
 		return fmt.Errorf("isa: entry 0x%x is not an instruction boundary", p.Entry)
 	}
 	return nil
@@ -121,7 +128,7 @@ func (p *Program) validate() error {
 
 // At returns the instruction at the exact address.
 func (p *Program) At(addr uint64) (*Instr, bool) {
-	i, ok := p.index[addr]
+	i, ok := p.IndexOf(addr)
 	if !ok {
 		return nil, false
 	}
@@ -145,8 +152,16 @@ func (p *Program) Instr(i int) *Instr { return &p.instrs[i] }
 
 // IndexOf returns the layout index of the instruction at addr.
 func (p *Program) IndexOf(addr uint64) (int, bool) {
-	i, ok := p.index[addr]
-	return i, ok
+	if off := addr - p.base; off < uint64(len(p.pos)) && p.pos[off] != 0 {
+		return int(p.pos[off]) - 1, true
+	}
+	return 0, false
+}
+
+// first returns the layout index of the first instruction at or after
+// addr (Len when there is none). Layout order is address order.
+func (p *Program) first(addr uint64) int {
+	return sort.Search(len(p.instrs), func(i int) bool { return p.instrs[i].Addr >= addr })
 }
 
 // StaticBytes returns the total encoded size of the program text.
@@ -178,16 +193,13 @@ func (p *Program) SymbolFor(addr uint64) (string, bool) {
 // Disassemble renders the instructions in [lo, hi) as text, one per line,
 // with addresses and any labels.
 func (p *Program) Disassemble(lo, hi uint64) string {
-	out := ""
-	for i := range p.instrs {
+	var out strings.Builder
+	for i := p.first(lo); i < len(p.instrs) && p.instrs[i].Addr < hi; i++ {
 		in := &p.instrs[i]
-		if in.Addr < lo || in.Addr >= hi {
-			continue
-		}
 		if sym, ok := p.SymbolFor(in.Addr); ok {
-			out += fmt.Sprintf("%s:\n", sym)
+			fmt.Fprintf(&out, "%s:\n", sym)
 		}
-		out += fmt.Sprintf("  0x%08x  %s\n", in.Addr, in)
+		fmt.Fprintf(&out, "  0x%08x  %s\n", in.Addr, in)
 	}
-	return out
+	return out.String()
 }

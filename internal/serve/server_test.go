@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -597,6 +598,14 @@ func TestShutdownDrains(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- s.Shutdown(ctx) }()
+	// Wait until Shutdown has begun (it marks the server closed before it
+	// clears readiness), so the open below cannot overtake it.
+	for s.Health().Ready() {
+		if ctx.Err() != nil {
+			t.Fatal("Shutdown never began draining")
+		}
+		runtime.Gosched()
+	}
 	// Draining: new opens are refused with CodeShutdown.
 	_, serr := tc.open("img", "")
 	if serr == nil || serr.Code != CodeShutdown {

@@ -150,11 +150,13 @@ echo "ci: corpus gate ok"
 
 # Paired timing gate: every timing row the retired best-of-N harness gates
 # compared (replay kernels obs off and on, serve sessions, both pipelines),
-# the batch kernels on 176.gcc and the replay pipeline's scan alone run in
+# the batch kernels on 176.gcc, the replay pipeline's scan alone and the
+# engine (BenchmarkInterpreter, BenchmarkDBTRecord/176.gcc) run in
 # 10 interleaved pairs against the parent commit on this host. The
 # parent is HEAD when the working tree differs from it, else HEAD~1; its
 # tree is extracted with git archive, so nothing is left in .git. Rows that
-# exist on one side only are listed, not failed.
+# exist on one side only are listed, not failed: the scan row and
+# BenchmarkDBTRecord are head-only until the parent has them.
 if [ -n "$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi
 mkdir "$bin/parent"
 git archive "$parent" | tar -x -C "$bin/parent"

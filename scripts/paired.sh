@@ -20,8 +20,11 @@ trap 'rm -rf "$out"' EXIT
 # harness gates compared (replay kernels on mcf and the 901.steady cycle
 # workload, obs off and on, serve sessions, and both pipelines), plus the
 # batch kernels on 176.gcc, the trace-rich stream whose edges are mostly
-# links, exits and NTE crossings.
+# links, exits and NTE crossings, and the engine: the interpreter, and the
+# DBT recording 176.gcc (the largest text, so the most blocks to copy).
 benches=(
+    ".:^BenchmarkInterpreter$"
+    ".:^BenchmarkDBTRecord$/^176\.gcc$"
     ".:CompiledReplay/^181\.mcf$"
     ".:CompiledReplay/^176\.gcc$/^compiled-(batch|soa)$"
     ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride)"
