@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/isa"
@@ -78,21 +80,37 @@ func encodeRangeScan(p *isa.Program, lo, hi uint64) ([]byte, error) {
 	return out, nil
 }
 
-// disassembleScan is Disassemble's definition as a scan of every
-// instruction.
-func disassembleScan(p *isa.Program, lo, hi uint64) string {
-	out := ""
-	for i := 0; i < p.Len(); i++ {
-		in := p.Instr(i)
-		if in.Addr < lo || in.Addr >= hi {
-			continue
-		}
-		if sym, ok := p.SymbolFor(in.Addr); ok {
-			out += fmt.Sprintf("%s:\n", sym)
-		}
-		out += fmt.Sprintf("  0x%08x  %s\n", in.Addr, in)
+// disassemblyLines is Disassemble's text per instruction, built from the
+// whole label map: the instruction's line, preceded by a label line for
+// the lexicographically smallest label at its address, if any.
+func disassemblyLines(p *isa.Program) []string {
+	names := make(map[uint64][]string)
+	for n, a := range p.Labels {
+		names[a] = append(names[a], n)
 	}
-	return out
+	lines := make([]string, p.Len())
+	for i := range lines {
+		in := p.Instr(i)
+		line := fmt.Sprintf("  0x%08x  %s\n", in.Addr, in)
+		if ns := names[in.Addr]; len(ns) > 0 {
+			sort.Strings(ns)
+			line = ns[0] + ":\n" + line
+		}
+		lines[i] = line
+	}
+	return lines
+}
+
+// disassembleScan is Disassemble's definition as a scan of every
+// instruction: the lines of those whose address is in [lo, hi).
+func disassembleScan(p *isa.Program, lines []string, lo, hi uint64) string {
+	var out strings.Builder
+	for i := 0; i < p.Len(); i++ {
+		if a := p.Instr(i).Addr; a >= lo && a < hi {
+			out.WriteString(lines[i])
+		}
+	}
+	return out.String()
 }
 
 // ranges draws [lo, hi) pairs over p's text: random spans of up to 256
@@ -127,19 +145,15 @@ func ranges(p *isa.Program, rng *rand.Rand, n int) [][2]uint64 {
 func TestRangeWalksMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, p := range indexPrograms(t) {
-		for i, r := range ranges(p, rng, 400) {
+		lines := disassemblyLines(p)
+		for _, r := range ranges(p, rng, 400) {
 			lo, hi := r[0], r[1]
 			got, err := p.EncodeRange(lo, hi)
 			want, wantErr := encodeRangeScan(p, lo, hi)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(err, wantErr) {
 				t.Fatalf("%s: EncodeRange(0x%x, 0x%x) = %x, %v; want %x, %v", p.Name, lo, hi, got, err, want, wantErr)
 			}
-			// SymbolFor scans every label per instruction, so Disassemble
-			// is checked on one range in four and not on the whole text.
-			if i%4 != 0 || (hi-lo > 4096 && lo < hi) {
-				continue
-			}
-			if got, want := p.Disassemble(lo, hi), disassembleScan(p, lo, hi); got != want {
+			if got, want := p.Disassemble(lo, hi), disassembleScan(p, lines, lo, hi); got != want {
 				t.Fatalf("%s: Disassemble(0x%x, 0x%x) =\n%s\nwant\n%s", p.Name, lo, hi, got, want)
 			}
 		}

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,33 @@ func TestSymbolForDeterministic(t *testing.T) {
 	if _, ok := p.SymbolFor(0x1); ok {
 		t.Error("SymbolFor found symbol at bogus address")
 	}
+}
+
+// TestSymbolForConcurrent: the first SymbolFor calls, which build the
+// address index, may come from several goroutines at once.
+func TestSymbolForConcurrent(t *testing.T) {
+	b := NewBuilder("t")
+	b.Label("e")
+	b.Emit(Instr{Op: NOP})
+	at := b.PC()
+	b.Label("second")
+	b.Label("b2")
+	b.Emit(Instr{Op: HALT})
+	p, err := b.Build("e", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sym, ok := p.SymbolFor(at); !ok || sym != "b2" {
+				t.Errorf("SymbolFor = %q, %v; want b2", sym, ok)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDisassembleContainsLabels(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // BaseAddr is the address at which program text is laid out by default. A
@@ -26,7 +27,13 @@ type Program struct {
 	pos  []int32
 
 	// Labels maps symbol names to code addresses (filled by the assembler).
+	// It must not change after the first SymbolFor call.
 	Labels map[string]uint64
+
+	// syms maps each labeled address to its lexicographically smallest
+	// label, built from Labels on the first SymbolFor call.
+	symsOnce sync.Once
+	syms     map[uint64]string
 
 	// MemWords is the size of data memory in 64-bit words. The stack
 	// occupies the top of this region.
@@ -177,17 +184,16 @@ func (p *Program) StaticBytes() uint64 {
 // labels share an address the lexicographically smallest is returned, so
 // output is deterministic.
 func (p *Program) SymbolFor(addr uint64) (string, bool) {
-	var names []string
-	for n, a := range p.Labels {
-		if a == addr {
-			names = append(names, n)
+	p.symsOnce.Do(func() {
+		p.syms = make(map[uint64]string, len(p.Labels))
+		for n, a := range p.Labels {
+			if cur, ok := p.syms[a]; !ok || n < cur {
+				p.syms[a] = n
+			}
 		}
-	}
-	if len(names) == 0 {
-		return "", false
-	}
-	sort.Strings(names)
-	return names[0], true
+	})
+	sym, ok := p.syms[addr]
+	return sym, ok
 }
 
 // Disassemble renders the instructions in [lo, hi) as text, one per line,

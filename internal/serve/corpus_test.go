@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/lsc-tea/tea/internal/core"
 )
 
 // parseBody dispatches a frame body to its typed parser, mirroring what
@@ -114,5 +116,43 @@ func TestWireCorpus(t *testing.T) {
 	// seeded mutations; if this drops the corpus has gone stale.
 	if rejected*2 < mutants {
 		t.Fatalf("only %d/%d mutants rejected; corpus or checksum regressed", rejected, mutants)
+	}
+}
+
+// TestEdgesCorpusDecodes pins the decoded edges and clock of the
+// checked-in valid Edges frames: the legacy varint bodies, which old
+// clients still send and serve no longer writes, and the packed ones.
+func TestEdgesCorpusDecodes(t *testing.T) {
+	three := []core.Edge{{Label: 0x400, Instrs: 12}, {Label: 0x41c, Instrs: 3}, {Label: 0x400, Instrs: 12}}
+	for _, c := range []struct {
+		name   string
+		packed bool
+		edges  []core.Edge
+		clock  int64
+	}{
+		{"edges", false, three, NoClock},
+		{"edges-clock", false, three[:2], 128},
+		{"edges-packed", true, three, NoClock},
+		{"edges-packed-clock", true, three[:2], 128},
+		{"edges-packed-escape", true, []core.Edge{
+			{Label: 0x08048000, Instrs: 12}, {Label: 0x08048010, Instrs: 300}, {Label: 0x400, Instrs: 3},
+		}, 131},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", "wire_corpus", c.name+"-valid.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ReadFrame(bytes.NewReader(data), nil)
+		if err != nil {
+			t.Fatalf("%s: ReadFrame: %v", c.name, err)
+		}
+		typ, body, _ := ParseFrame(payload)
+		if typ != FrameEdges {
+			t.Fatalf("%s: frame type %v", c.name, typ)
+		}
+		if v, _ := uvarintAt(body, 0); (v&edgesPacked != 0) != c.packed {
+			t.Fatalf("%s: count %#x, want packed=%v", c.name, v, c.packed)
+		}
+		checkEdgesBody(t, c.name, body, c.edges, c.clock)
 	}
 }

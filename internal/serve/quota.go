@@ -20,7 +20,9 @@ type Quota struct {
 	// MaxSessionEdges caps stream edges per session (the step quota,
 	// extending the PR 1 maxSteps guards to the service). 0 = unbounded.
 	MaxSessionEdges uint64
-	// MaxSessionBytes caps wire payload bytes per session. 0 = unbounded.
+	// MaxSessionBytes caps the Edges body bytes per session: 3.06 per
+	// edge on e2ebench's sessions in the packed layout, 2.44 in the
+	// legacy one. 0 = unbounded.
 	MaxSessionBytes uint64
 	// MaxSessionDesyncs classifies a completed session as failed — feeding
 	// the image's circuit breaker — when its Desyncs exceed it. The session

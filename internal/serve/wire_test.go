@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -165,13 +166,51 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEdgesRoundTripVarintMix: random batches mixing one-byte and
-// multi-byte encodings — label deltas of every sign and magnitude up to
-// full 64-bit wraps, instruction counts straddling 0x7f/0x80 up to
-// math.MaxUint64, batch sizes up to MaxBatchEdges — survive AppendEdges →
-// ParseEdges unchanged, clock included.
+// legacyEdges encodes an Edges body in the legacy layout: a uvarint count,
+// then per edge a zigzag-varint label delta and a uvarint instruction
+// count, then the clock unless it is NoClock. AppendEdges no longer writes
+// it; ParseEdges still reads it from clients that predate the packed
+// layout.
+func legacyEdges(edges []core.Edge, clock int64) []byte {
+	body := binary.AppendUvarint(nil, uint64(len(edges)))
+	prev := uint64(0)
+	for _, e := range edges {
+		body = binary.AppendVarint(body, int64(e.Label-prev))
+		body = binary.AppendUvarint(body, e.Instrs)
+		prev = e.Label
+	}
+	if clock != NoClock {
+		body = binary.AppendUvarint(body, uint64(clock))
+	}
+	return body
+}
+
+// checkEdgesBody parses body and requires exactly edges and clock back.
+func checkEdgesBody(t *testing.T, what string, body []byte, edges []core.Edge, clock int64) bool {
+	t.Helper()
+	got, gotClock, err := ParseEdges(body, nil)
+	if err != nil || gotClock != clock || len(got) != len(edges) {
+		t.Errorf("%s: %d edges, clock %d → %d edges, clock %d, %v", what, len(edges), clock, len(got), gotClock, err)
+		return false
+	}
+	for i := range edges {
+		if got[i] != edges[i] {
+			t.Errorf("%s: edge %d: %+v want %+v", what, i, got[i], edges[i])
+			return false
+		}
+	}
+	return true
+}
+
+// TestEdgesRoundTripVarintMix: random batches survive AppendEdges →
+// ParseEdges unchanged, clock included, and so do their legacy-layout
+// encodings. Label deltas take every sign and magnitude up to full 64-bit
+// wraps, straddling the packed record's ±2^15 and the varints' byte
+// boundaries; instruction counts straddle 0xfe/0xff and 0x7f/0x80 up to
+// math.MaxUint64; batch sizes reach MaxBatchEdges.
 func TestEdgesRoundTripVarintMix(t *testing.T) {
-	magnitudes := []uint64{0, 1, 0x3f, 0x40, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 32, math.MaxUint64}
+	magnitudes := []uint64{0, 1, 0x3f, 0x40, 0x7f, 0x80, 0xfe, 0xff, 0x100, 0x3fff, 0x4000,
+		0x7ffe, 0x7fff, 0x8000, 0x8001, 0xffff, 1 << 32, math.MaxUint64}
 	value := func(r *rand.Rand) uint64 {
 		m := magnitudes[r.Intn(len(magnitudes))]
 		switch {
@@ -195,7 +234,7 @@ func TestEdgesRoundTripVarintMix(t *testing.T) {
 			case 0:
 				label += value(r)
 			case 1:
-				label -= value(r) // a negative delta
+				label -= value(r) // a decreasing label
 			default:
 				label = r.Uint64()
 			}
@@ -205,38 +244,75 @@ func TestEdgesRoundTripVarintMix(t *testing.T) {
 		if r.Intn(2) == 0 {
 			clock = int64(value(r) >> 2) // within the 1<<62 clock range
 		}
-		body := AppendEdges(nil, edges, clock)[1:]
-		got, gotClock, err := ParseEdges(body, nil)
-		if err != nil || gotClock != clock || len(got) != len(edges) {
-			t.Logf("seed %d: %d edges, clock %d → %d edges, clock %d, %v", seed, n, clock, len(got), gotClock, err)
-			return false
-		}
-		for i := range edges {
-			if got[i] != edges[i] {
-				t.Logf("seed %d: edge %d: %+v want %+v", seed, i, got[i], edges[i])
-				return false
-			}
-		}
-		return true
+		what := fmt.Sprintf("seed %d", seed)
+		return checkEdgesBody(t, what, AppendEdges(nil, edges, clock)[1:], edges, clock) &&
+			checkEdgesBody(t, what+" legacy", legacyEdges(edges, clock), edges, clock)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// parseEdgesReference is the straightforward cursor-based Edges decoder
-// ParseEdges replaced: one wireReader call per field. It is the oracle the
-// one-pass decoder is fuzzed against.
+// TestEdgesPackedBoundaries pins the packed layout at its edges: label
+// deltas at ±2^15, where a record's u16 gives way to an escape, instrs at
+// 0xfe/0xff, escapes on the first and the last edge, and both clock forms.
+// A body without escapes is exactly the count and three bytes per edge.
+func TestEdgesPackedBoundaries(t *testing.T) {
+	const base = 0x08048000
+	deltas := []int64{0, 1, -1, 1<<15 - 1, -(1<<15 - 1), 1 << 15, -1 << 15, 1<<15 + 1, -(1<<15 + 1)}
+	for _, d := range deltas {
+		for _, instrs := range []uint64{0, 0xfe, 0xff, 0x100} {
+			// The first edge's label escapes (base is far from 0); the
+			// last edge carries the delta under test, and both the instrs.
+			edges := []core.Edge{{Label: base, Instrs: instrs}, {Label: base + 8, Instrs: 5}, {Label: uint64(base + 8 + d), Instrs: instrs}}
+			for _, clock := range []int64{NoClock, 0, 1 << 62} {
+				what := fmt.Sprintf("delta %d instrs %d clock %d", d, instrs, clock)
+				body := AppendEdges(nil, edges, clock)[1:]
+				last := body[len(binary.AppendUvarint(nil, edgesPacked|3))+2*edgeRecLen:]
+				wantEsc := d >= 1<<15 || d <= -1<<15
+				if gotEsc := binary.LittleEndian.Uint16(last) == escLabel; gotEsc != wantEsc {
+					t.Errorf("%s: label escaped %v, want %v", what, gotEsc, wantEsc)
+				}
+				if gotEsc, wantEsc := last[2] == escInstrs, instrs >= escInstrs; gotEsc != wantEsc {
+					t.Errorf("%s: instrs escaped %v, want %v", what, gotEsc, wantEsc)
+				}
+				checkEdgesBody(t, what, body, edges, clock)
+			}
+		}
+	}
+	// No escapes: the labels stay within ±(2^15-1) of each other and 0.
+	edges := []core.Edge{{Label: 1<<15 - 1, Instrs: 0xfe}, {Label: 0, Instrs: 0}, {Label: 0x7000, Instrs: 1}}
+	body := AppendEdges(nil, edges, NoClock)[1:]
+	if want := len(binary.AppendUvarint(nil, edgesPacked|3)) + 3*edgeRecLen; len(body) != want {
+		t.Fatalf("escape-free body is %d bytes, want %d", len(body), want)
+	}
+	checkEdgesBody(t, "escape-free", body, edges, NoClock)
+	if body := AppendEdges(nil, nil, 7)[1:]; !checkEdgesBody(t, "empty", body, nil, 7) {
+		t.Fatalf("empty batch body %x", body)
+	}
+}
+
+// parseEdgesReference is a cursor-based Edges decoder for both layouts:
+// one wireReader call per varint field, packed records read at their fixed
+// stride. It is the oracle ParseEdges is fuzzed against.
 func parseEdgesReference(body []byte, dst []core.Edge) ([]core.Edge, int64, error) {
 	r := wireReader{data: body}
-	count, err := r.uvarint("edge count")
+	v, err := r.uvarint("edge count")
 	if err != nil {
 		return nil, NoClock, err
 	}
+	packed, count := v&edgesPacked != 0, v&^edgesPacked
 	if count > MaxBatchEdges {
 		return nil, NoClock, errf(CodeProto, "edge count %d exceeds MaxBatchEdges", count)
 	}
-	if count > uint64(len(body))/2+1 {
+	var recs []byte
+	if packed {
+		if count*edgeRecLen > uint64(len(body)-r.off) {
+			return nil, NoClock, errf(CodeProto, "edge count %d exceeds frame size", count)
+		}
+		recs = body[r.off : r.off+int(count)*edgeRecLen]
+		r.off += len(recs)
+	} else if count > uint64(len(body))/2+1 {
 		return nil, NoClock, errf(CodeProto, "edge count %d exceeds frame size", count)
 	}
 	if uint64(cap(dst)) < count {
@@ -244,16 +320,32 @@ func parseEdgesReference(body []byte, dst []core.Edge) ([]core.Edge, int64, erro
 	}
 	dst = dst[:count]
 	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, err := r.varint("label delta")
-		if err != nil {
-			return nil, NoClock, err
+	for i := range dst {
+		var delta int64
+		var instrs uint64
+		if packed {
+			rec := recs[i*edgeRecLen : (i+1)*edgeRecLen]
+			zz := binary.LittleEndian.Uint16(rec)
+			delta, instrs = int64(zz>>1)^-int64(zz&1), uint64(rec[2])
+			if zz == escLabel {
+				if delta, err = r.varint("label delta"); err != nil {
+					return nil, NoClock, err
+				}
+			}
+			if instrs == escInstrs {
+				if instrs, err = r.uvarint("instrs"); err != nil {
+					return nil, NoClock, err
+				}
+			}
+		} else {
+			if delta, err = r.varint("label delta"); err != nil {
+				return nil, NoClock, err
+			}
+			if instrs, err = r.uvarint("instrs"); err != nil {
+				return nil, NoClock, err
+			}
 		}
 		prev += uint64(delta)
-		instrs, err := r.uvarint("instrs")
-		if err != nil {
-			return nil, NoClock, err
-		}
 		dst[i] = core.Edge{Label: prev, Instrs: instrs}
 	}
 	clock := NoClock
@@ -270,10 +362,10 @@ func parseEdgesReference(body []byte, dst []core.Edge) ([]core.Edge, int64, erro
 	return dst, clock, r.done("Edges")
 }
 
-// FuzzParseEdges differentially checks the one-pass Edges decoder against
-// the reference cursor decoder: on every body, the fast decoder returns
-// the same edges and clock when the reference accepts, and the same
-// structured *Error when it rejects.
+// FuzzParseEdges differentially checks ParseEdges against the reference
+// cursor decoder on bodies of both layouts: on every body, ParseEdges
+// returns the same edges and clock when the reference accepts, and the
+// same structured *Error when it rejects.
 func FuzzParseEdges(f *testing.F) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "wire_corpus"))
 	if err != nil {
@@ -288,12 +380,11 @@ func FuzzParseEdges(f *testing.F) {
 			f.Add(data[FrameHeaderLen+1:])
 		}
 	}
-	// Values straddling the one-byte fast path, 10-byte varints, and
-	// overflowing or unterminated encodings.
+	// Legacy bodies: values straddling the one- and two-byte varint forms,
+	// 10-byte varints, and overflowing or unterminated encodings.
 	straddle := []core.Edge{{Label: 0x3f, Instrs: 0x7f}, {Label: 0x7f, Instrs: 0x80}, {Label: 0x40, Instrs: 0x3fff}, {Label: 0, Instrs: 0x4000}}
-	f.Add(AppendEdges(nil, straddle, 0x7f)[1:])
-	f.Add(AppendEdges(nil, straddle, 0x80)[1:])
-	f.Add(AppendEdges(nil, []core.Edge{{Label: math.MaxUint64, Instrs: math.MaxUint64}, {Label: 1, Instrs: 1 << 63}}, NoClock)[1:])
+	f.Add(legacyEdges(straddle, 0x7f))
+	f.Add(legacyEdges(straddle, 0x80))
 	ten := binary.AppendUvarint(nil, math.MaxUint64)
 	f.Add(append(append([]byte{1}, ten...), ten...))
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00}) // 10th byte overflows
@@ -303,6 +394,18 @@ func FuzzParseEdges(f *testing.F) {
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})             // clock out of range
 	f.Add([]byte{0, 0x05, 0x00})                                                       // trailing byte
 	f.Add([]byte{0x81})                                                                // truncated count
+	// Packed bodies: label and instrs escapes, MaxUint64 values, the count
+	// bounds, and a truncated escape list.
+	escapes := []core.Edge{{Label: 1 << 15, Instrs: escInstrs}, {Label: 1, Instrs: 0xfe}, {Label: 1<<15 + 2, Instrs: 1 << 40}}
+	f.Add(AppendEdges(nil, straddle, 0x80)[1:])
+	f.Add(AppendEdges(nil, escapes, NoClock)[1:])
+	f.Add(AppendEdges(nil, escapes, 1<<62)[1:])
+	f.Add(AppendEdges(nil, []core.Edge{{Label: math.MaxUint64, Instrs: math.MaxUint64}, {Label: 1, Instrs: 1 << 63}}, NoClock)[1:])
+	f.Add(binary.AppendUvarint(nil, edgesPacked|(MaxBatchEdges+1)))                       // flagged count above MaxBatchEdges
+	f.Add(append(binary.AppendUvarint(nil, edgesPacked|2), 1, 2, 3, 4, 5))                // 3×count past the body
+	f.Add(append(binary.AppendUvarint(nil, edgesPacked|1), 0xff, 0xff, 0xff, 0x80))       // truncated label escape
+	f.Add(append(binary.AppendUvarint(nil, edgesPacked|1), 0xff, 0xff, 0xff, 0x05))       // escape list ends before instrs
+	f.Add(append(binary.AppendUvarint(nil, edgesPacked|1), 0x02, 0x00, 0x03, 0x07, 0x00)) // trailing byte after the clock
 	f.Fuzz(func(t *testing.T, body []byte) {
 		want, wantClock, wantErr := parseEdgesReference(body, nil)
 		got, gotClock, gotErr := ParseEdges(body, make([]core.Edge, 0, 4))
@@ -544,13 +647,17 @@ func BenchmarkParseEdges(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/edge")
 }
 
-// BenchmarkAppendEdges times the Edges encode layer on captured batches.
+// BenchmarkAppendEdges times the Edges encode layer on captured batches
+// and reports the payload bytes it writes per edge.
 func BenchmarkAppendEdges(b *testing.B) {
 	batches, _ := wireBenchBatches(b)
 	var buf []byte
+	bytes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = AppendEdges(buf[:0], batches[i%len(batches)], int64(i))
+		bytes += len(buf)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/edge")
+	b.ReportMetric(float64(bytes)/float64(b.N*512), "bytes/edge")
 }

@@ -31,6 +31,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -192,7 +193,8 @@ func writeStrideCorpus() error {
 }
 
 // writeWireCorpus emits internal/serve/testdata/wire_corpus: one valid
-// framed message per wire type plus deterministic fault-injected mutants
+// framed message per wire type (Edges in the legacy and the packed layout)
+// plus deterministic fault-injected mutants
 // of each full frame (header, checksum and payload all in scope).
 // TestWireCorpus reads the files back and requires the valid frames to
 // parse exactly and every mutant to fail — if at all — with a structured
@@ -211,12 +213,21 @@ func writeWireCorpus() error {
 		{"helloack", (&serve.HelloAck{Version: serve.ProtoVersion}).Append(nil)},
 		{"open", (&serve.Open{Image: "figure2", Resume: "s00000001"}).Append(nil)},
 		{"openack", (&serve.OpenAck{Session: "s00000001", Gen: 1, Watermark: 128}).Append(nil)},
-		{"edges", serve.AppendEdges(nil, []core.Edge{
+		{"edges", legacyEdges([]core.Edge{
 			{Label: 0x400, Instrs: 12}, {Label: 0x41c, Instrs: 3}, {Label: 0x400, Instrs: 12},
 		}, serve.NoClock)},
-		{"edges-clock", serve.AppendEdges(nil, []core.Edge{
+		{"edges-clock", legacyEdges([]core.Edge{
 			{Label: 0x400, Instrs: 12}, {Label: 0x41c, Instrs: 3},
 		}, 128)},
+		{"edges-packed", serve.AppendEdges(nil, []core.Edge{
+			{Label: 0x400, Instrs: 12}, {Label: 0x41c, Instrs: 3}, {Label: 0x400, Instrs: 12},
+		}, serve.NoClock)},
+		{"edges-packed-clock", serve.AppendEdges(nil, []core.Edge{
+			{Label: 0x400, Instrs: 12}, {Label: 0x41c, Instrs: 3},
+		}, 128)},
+		{"edges-packed-escape", serve.AppendEdges(nil, []core.Edge{
+			{Label: 0x08048000, Instrs: 12}, {Label: 0x08048010, Instrs: 300}, {Label: 0x400, Instrs: 3},
+		}, 131)},
 		{"edgesack", (&serve.EdgesAck{Watermark: 131}).Append(nil)},
 		{"stats", (&serve.StatsMsg{Stats: stats, Final: core.NTE, Watermark: 1000}).Append(nil)},
 		{"error", serve.AppendError(nil, &serve.Error{Code: serve.CodeBackpressure, Msg: "corpus", RetryAfter: 50 * time.Millisecond})},
@@ -241,6 +252,25 @@ func writeWireCorpus() error {
 		}
 	}
 	return nil
+}
+
+// legacyEdges builds an Edges frame payload in the varint layout that
+// serve.AppendEdges wrote before the packed layout: a uvarint count, then
+// per edge a zigzag-varint label delta and a uvarint instruction count,
+// then the clock unless it is serve.NoClock. serve.ParseEdges still reads
+// it, and the corpus keeps its frames so old clients stay covered.
+func legacyEdges(edges []core.Edge, clock int64) []byte {
+	dst := binary.AppendUvarint([]byte{byte(serve.FrameEdges)}, uint64(len(edges)))
+	prev := uint64(0)
+	for _, e := range edges {
+		dst = binary.AppendVarint(dst, int64(e.Label-prev))
+		dst = binary.AppendUvarint(dst, e.Instrs)
+		prev = e.Label
+	}
+	if clock != serve.NoClock {
+		dst = binary.AppendUvarint(dst, uint64(clock))
+	}
+	return dst
 }
 
 // makeBadCFG records an mret TEA and forges one same-trace link that skips

@@ -21,7 +21,8 @@ trap 'rm -rf "$out"' EXIT
 # workload, obs off and on, serve sessions, and both pipelines), plus the
 # batch kernels on 176.gcc, the trace-rich stream whose edges are mostly
 # links, exits and NTE crossings, and the engine: the interpreter, and the
-# DBT recording 176.gcc (the largest text, so the most blocks to copy).
+# DBT recording 176.gcc (the largest text, so the most blocks to copy),
+# and the serve wire codec (Edges encode and decode on 176.gcc batches).
 benches=(
     ".:^BenchmarkInterpreter$"
     ".:^BenchmarkDBTRecord$/^176\.gcc$"
@@ -29,6 +30,7 @@ benches=(
     ".:CompiledReplay/^176\.gcc$/^compiled-(batch|soa)$"
     ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride)"
     "internal/serve:ServeSession"
+    "internal/serve:^Benchmark(ParseEdges|AppendEdges)$"
     "internal/pipeline:(Replay|Record)Pipeline"
 )
 
