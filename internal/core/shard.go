@@ -30,14 +30,16 @@ import (
 // recycles them (the pipeline's chunk ring does) replays at 0 allocs/edge.
 
 // SpecResult is one segment's speculative scan result: the Stats charged
-// from the guessed (NTE, in-sync) entry, the post-state trajectory
-// reconciliation compares against, and — depending on the scan — collected
-// events (obs scans) or head candidates and container searches (record
-// mode). The buffers are reused across scans via Reset.
+// from the guessed (NTE, in-sync) entry, the exit state, and — depending on
+// the scan — collected events (obs scans) or head candidates and container
+// searches (record mode). No per-edge trajectory is kept: reconciliation
+// finds the junction by re-scanning the speculative side in lockstep with
+// the true one (Reconciler). The buffers are reused across scans via Reset.
 type SpecResult struct {
 	Stats Stats
-	Curs  []StateID
-	Desyn []bool
+	// ExitCur / ExitDes is the post-state of the scan's last edge.
+	ExitCur StateID
+	ExitDes bool
 	// Evs are the events of an obs scan. A replay scan stamps them with
 	// global edge indices; a record scan stamps them with chunk-local clock
 	// ticks (see Ticks), which the drain rebases onto the edge clock.
@@ -56,16 +58,10 @@ type SpecResult struct {
 	obs bool
 }
 
-// Reset prepares the result for a segment of n edges, reusing capacity.
-func (r *SpecResult) Reset(n int) {
+// Reset clears the result for the next scan, reusing capacity.
+func (r *SpecResult) Reset() {
 	r.Stats = Stats{}
-	if cap(r.Curs) < n {
-		r.Curs = make([]StateID, n)
-		r.Desyn = make([]bool, n)
-	} else {
-		r.Curs = r.Curs[:n]
-		r.Desyn = r.Desyn[:n]
-	}
+	r.ExitCur, r.ExitDes = NTE, false
 	r.Evs = r.Evs[:0]
 	r.Cands = r.Cands[:0]
 	r.Searches = r.Searches[:0]
@@ -94,12 +90,12 @@ type RecSearch struct {
 }
 
 // SpecReplay speculatively replays seg from (NTE, in-sync) with the
-// memoryless transition function, recording the post-state trajectory.
+// memoryless transition function, charging r.Stats and leaving the exit
+// state in r.ExitCur / r.ExitDes.
 //
 // On a Specialize'd Compiled the scan consumes whole stride-table cycles at
-// a time; a fused traversal still fills the per-edge trajectory (the cycle's
-// precomputed state sequence, never desynced) so junction reconciliation
-// sees exactly what a per-edge scan would have recorded.
+// a time; a fused traversal charges the cycle's proved delta and, since a
+// cycle exits where it entered, leaves the cursor as it found it.
 //
 //tea:hotpath
 func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
@@ -107,7 +103,7 @@ func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
 }
 
 // SpecReplayObs is SpecReplay with event collection: identical Stats and
-// trajectory, with the segment's events appended to r.Evs stamped
+// exit state, with the segment's events appended to r.Evs stamped
 // ebase+offset.
 //
 //tea:hotpath
@@ -121,31 +117,78 @@ func (c *Compiled) SpecReplayObs(seg []Edge, ebase uint64, r *SpecResult) {
 // miss-free traversal is all in-trace hits, which emit nothing, so fusing
 // leaves the event stream untouched.
 //
+// The obsOff instance on an unspecialized image resolves the two common
+// edges inline — a row hit off an in-sync trace state (one pick, one
+// compare) and an entry-table search from in-sync NTE — counting them in
+// locals that fold into r.Stats once per segment. Only unmatched labels and
+// desynced cursors go through step. (A desync always leaves the cursor at
+// NTE, so a trace-state cursor is in sync.)
+//
 //tea:hotpath
 func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult) {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
-	r.Reset(len(seg))
+	r.Reset()
 	st := &r.Stats
 	evs := &r.Evs
-	if len(c.stride) == 0 {
-		cur, des := NTE, false
+	cur, des := NTE, false
+	if len(c.stride) == 0 && !emitting {
+		hot := c.hot
+		// Row hits: instructions, zero-instruction edges, and how many of
+		// the slots were links and exits (the rest are in-trace hits).
+		// In-sync NTE edges: the same, with searches and entries. Edge
+		// counts are derived at the end, so the common paths update few
+		// locals.
+		var ti, tz, links, exits uint64
+		var ni, nz, lookups, enters, stepped uint64
 		for k := range seg {
-			if emitting {
-				cur, des = step[obsOn](c, cur, des, seg[k].Label, seg[k].Instrs, st, evs, ebase+uint64(k))
-			} else {
-				cur, des = step[obsOff](c, cur, des, seg[k].Label, seg[k].Instrs, st, nil, 0)
+			label, in := seg[k].Label, seg[k].Instrs
+			if cur != NTE {
+				lab, tgt, kind := hot[cur].pick(label)
+				if lab == label {
+					ti += in
+					if in == 0 {
+						tz++
+					}
+					links += uint64(kind & slotLink)
+					exits += uint64(kind >> 1)
+					cur = tgt
+					continue
+				}
+			} else if !des {
+				ni += in
+				if in == 0 {
+					nz++
+				}
+				lookups++
+				if t, ok := c.entry(label); ok {
+					enters++
+					cur = t
+				}
+				continue
 			}
-			r.Curs[k] = cur
-			r.Desyn[k] = des
+			stepped++
+			cur, des = step[obsOff](c, cur, des, label, in, st, nil, 0)
 		}
+		rows := uint64(len(seg)) - lookups - stepped
+		st.Blocks += rows - tz + lookups - nz
+		st.Instrs += ti + ni
+		st.TraceBlocks += rows - tz
+		st.TraceInstrs += ti
+		st.InTraceHits += rows - links - exits
+		st.GlobalLookups += lookups + links + exits
+		st.GlobalHits += enters + links
+		st.TraceEnters += enters
+		st.TraceLinks += links
+		st.TraceExits += exits
+		r.ExitCur, r.ExitDes = cur, des
 		return
 	}
+	// A Specialize'd image, or the obsOn instance: the stride probe at each
+	// in-sync trace state, then step.
 	hot := c.hot
 	strides := c.stride
 	probes := c.strideProbe
-	curs, desyn := r.Curs, r.Desyn
-	cur, des := NTE, false
 	n := len(seg)
 	for k := 0; k < n; {
 		if cur != NTE && !des {
@@ -162,34 +205,17 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 					// The memoryless scan is exactly the simulation that
 					// proved the entry — every miss resolves through the
 					// immutable entry table — so entries fuse unconditionally
-					// here, charged DeltaGlobal per traversal. The trajectory
-					// is the proved state sequence (NTE may appear
-					// mid-pattern on cold-code excursions), never desynced.
+					// here, charged DeltaGlobal per traversal.
 					runs := uint64(0)
 					if m == 1 {
-						pe := e.Pattern[0]
-						s0 := e.States[0]
-						for k < n && seg[k] == pe {
-							curs[k] = s0
-							desyn[k] = false
+						for k < n && seg[k] == p.first {
 							k++
 							runs++
 						}
 					} else {
-						if !edgesEqual(seg[k:k+m], e.Pattern) {
-							si = p.next
-							continue
-						}
-						for {
-							copy(curs[k:k+m], e.States)
-							for j := k; j < k+m; j++ {
-								desyn[j] = false
-							}
+						for m <= n-k && edgesEqual(seg[k:k+m], e.Pattern) {
 							k += m
 							runs++
-							if m > n-k || !edgesEqual(seg[k:k+m], e.Pattern) {
-								break
-							}
 						}
 					}
 					if runs != 0 {
@@ -209,16 +235,15 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 		} else {
 			cur, des = step[obsOff](c, cur, des, seg[k].Label, seg[k].Instrs, st, nil, 0)
 		}
-		curs[k] = cur
-		desyn[k] = des
 		k++
 	}
+	r.ExitCur, r.ExitDes = cur, des
 }
 
 // recScan is the one body of the record-mode scans. It consumes edges from
 // (cur, des) through step — the same memoryless transition function the
 // replay scans use, keyed by the destination block head — charging
-// r.Stats, filling the trajectory and collecting the head candidates; the
+// r.Stats, setting the exit state and collecting the head candidates; the
 // obsOn instance also collects the events, stamped with chunk-local ticks,
 // and every global-container search. A nil-To edge only accounts
 // (AccountTail semantics), matching Recorder.Observe.
@@ -228,19 +253,22 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 // any transition that lands in cold code off a trace exit or a taken
 // backward branch.
 //
-// With stop non-nil the scan ends after the first edge whose post-state
-// matches stop's trajectory — the junction where a true re-replay meets a
-// speculative scan — and returns that edge's index; otherwise, or if the
-// trajectories never touch, it returns -1.
+// With shadow non-nil the scan also steps a speculative cursor from (NTE,
+// in-sync) in lockstep, charging shadow's Stats only, and ends after the
+// first edge where the two post-states are equal — the junction where a
+// true re-replay meets the speculative scan — returning that edge's index
+// (r's exit state is then the junction's post-state); otherwise, or if the
+// two never touch, it returns -1.
 //
 //tea:hotpath
-func recScan[M obsMode](c *Compiled, edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult, stop *SpecResult) int {
+func recScan[M obsMode](c *Compiled, edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult, shadow *Stats) int {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
-	r.Reset(len(edges))
+	r.Reset()
 	r.obs = emitting
 	st := &r.Stats
 	tick := 0
+	scur, sdes := NTE, false
 	for k := range edges {
 		e := &edges[k]
 		if e.To == nil {
@@ -274,21 +302,29 @@ func recScan[M obsMode](c *Compiled, edges []cfg.Edge, instrs []uint64, cur Stat
 			}
 			tick++
 		}
-		r.Curs[k], r.Desyn[k] = cur, des
-		if stop != nil && cur == stop.Curs[k] && des == stop.Desyn[k] {
-			r.Ticks = tick
-			return k
+		if shadow != nil {
+			if e.To == nil {
+				shadow.AccountTail(scur, instrs[k])
+			} else {
+				scur, sdes = step[obsOff](c, scur, sdes, e.To.Head, instrs[k], shadow, nil, 0)
+			}
+			if cur == scur && des == sdes {
+				r.Ticks = tick
+				r.ExitCur, r.ExitDes = cur, des
+				return k
+			}
 		}
 	}
 	r.Ticks = tick
+	r.ExitCur, r.ExitDes = cur, des
 	return -1
 }
 
 // SpecRecord speculatively scans a record-mode chunk from (NTE, in-sync)
 // against the frozen compiled snapshot: the memoryless transition charges
-// r.Stats, the trajectory feeds reconciliation, and the strategy-side
-// effects are *deferred* — head candidates are collected for the drain to
-// replay in sequence order instead of being applied to shared state.
+// r.Stats and sets the exit state, and the strategy-side effects are
+// *deferred* — head candidates are collected for the drain to replay in
+// sequence order instead of being applied to shared state.
 //
 //tea:hotpath
 func (c *Compiled) SpecRecord(edges []cfg.Edge, instrs []uint64, r *SpecResult) {
@@ -310,10 +346,7 @@ func (c *Compiled) SpecRecordObs(edges []cfg.Edge, instrs []uint64, r *SpecResul
 //tea:hotpath
 func (c *Compiled) RecReplay(edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult) (StateID, bool) {
 	recScan[obsOff](c, edges, instrs, cur, des, r, nil)
-	if n := len(edges); n > 0 {
-		return r.Curs[n-1], r.Desyn[n-1]
-	}
-	return cur, des
+	return r.ExitCur, r.ExitDes
 }
 
 // RecMerge is the outcome of reconciling one speculatively scanned
@@ -337,9 +370,8 @@ type RecMerge struct {
 // across batches; the zero value is ready to use.
 type Reconciler struct {
 	trueEvs []obs.Event
-	// tr and sp hold a record merge's true re-replay and its re-scan of the
-	// speculative prefix.
-	tr, sp SpecResult
+	// tr holds a record merge's true re-replay.
+	tr SpecResult
 }
 
 // Merge reconciles one speculatively scanned segment against its true entry
@@ -358,65 +390,61 @@ func (rc *Reconciler) MergeObs(c *Compiled, seg []Edge, ebase uint64, cur StateI
 	return merge[obsOn](rc, c, seg, ebase, cur, des, r, merged)
 }
 
-// merge is the one body of Merge and MergeObs: re-replay from the true entry
-// state until the trajectories touch, then swap the speculative prefix's
-// charges (and, in the obsOn instance, its events) for the true prefix's.
+// merge is the one body of Merge and MergeObs. It re-replays the segment
+// from the true entry state and, in lockstep, from the speculation's (NTE,
+// in-sync), until the first edge after which the two post-states are equal:
+// the junction. The speculative side's charges up to it are exactly the
+// prefix r.Stats holds in excess, so they are swapped for the true side's
+// (and, in the obsOn instance, the speculative prefix's events for the
+// true prefix's); past the junction r is kept verbatim, exit state
+// included. Finding the junction costs two steps per prefix edge, the same
+// as re-replaying each side of the prefix in turn.
 func merge[M obsMode](rc *Reconciler, c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
-	n := len(seg)
-	if n == 0 {
-		return Stats{}, cur, des
-	}
 	if cur == NTE && !des {
 		if emitting {
 			*merged = append(*merged, r.Evs...)
 		}
-		return r.Stats, r.Curs[n-1], r.Desyn[n-1]
+		return r.Stats, r.ExitCur, r.ExitDes
 	}
-	var trueSt Stats
+	var trueSt, specSt Stats
 	if emitting {
 		rc.trueEvs = rc.trueEvs[:0]
 	}
 	tcur, tdes := cur, des
-	conv := -1
-	for j := 0; j < n; j++ {
-		if emitting {
-			tcur, tdes = step[obsOn](c, tcur, tdes, seg[j].Label, seg[j].Instrs, &trueSt, &rc.trueEvs, ebase+uint64(j))
-		} else {
-			tcur, tdes = step[obsOff](c, tcur, tdes, seg[j].Label, seg[j].Instrs, &trueSt, nil, 0)
-		}
-		if tcur == r.Curs[j] && tdes == r.Desyn[j] {
-			conv = j
-			break
-		}
-	}
-	if conv < 0 {
-		// The trajectories never touched (degenerate tiny segments): the true
-		// re-replay covered the whole segment and replaces the speculation.
-		if emitting {
-			*merged = append(*merged, rc.trueEvs...)
-		}
-		return trueSt, tcur, tdes
-	}
-	// The speculative prefix's events are cut from r.Evs by stamp below, so
-	// its re-replay needs only the Stats.
-	var specSt Stats
 	scur, sdes := NTE, false
-	for j := 0; j <= conv; j++ {
-		scur, sdes = step[obsOff](c, scur, sdes, seg[j].Label, seg[j].Instrs, &specSt, nil, 0)
+	for j := range seg {
+		label, in := seg[j].Label, seg[j].Instrs
+		if emitting {
+			tcur, tdes = step[obsOn](c, tcur, tdes, label, in, &trueSt, &rc.trueEvs, ebase+uint64(j))
+		} else {
+			tcur, tdes = step[obsOff](c, tcur, tdes, label, in, &trueSt, nil, 0)
+		}
+		// The speculative prefix's events are cut from r.Evs by stamp, so
+		// its re-scan needs only the Stats.
+		scur, sdes = step[obsOff](c, scur, sdes, label, in, &specSt, nil, 0)
+		if tcur == scur && tdes == sdes {
+			out := r.Stats
+			out.sub(&specSt)
+			out.add(&trueSt)
+			if emitting {
+				// Speculative events stamped past the junction edge are the
+				// kept suffix.
+				cut := evsAfter(r.Evs, ebase+uint64(j))
+				*merged = append(*merged, rc.trueEvs...)
+				*merged = append(*merged, r.Evs[cut:]...)
+			}
+			return out, r.ExitCur, r.ExitDes
+		}
 	}
-	out := r.Stats
-	out.sub(&specSt)
-	out.add(&trueSt)
+	// The two sides never touched (a tiny segment, or one entered desynced
+	// in cold code that reaches no trace entry): the true re-replay covered
+	// the whole segment and replaces the speculation.
 	if emitting {
-		// Speculative events stamped past the junction edge are the kept
-		// suffix.
-		cut := evsAfter(r.Evs, ebase+uint64(conv))
 		*merged = append(*merged, rc.trueEvs...)
-		*merged = append(*merged, r.Evs[cut:]...)
 	}
-	return out, r.Curs[n-1], r.Desyn[n-1]
+	return trueSt, tcur, tdes
 }
 
 // evsAfter returns the index of the first event stamped strictly after
@@ -452,34 +480,32 @@ func (rc *Reconciler) MergeRecord(c *Compiled, edges []cfg.Edge, instrs []uint64
 func mergeRecord[M obsMode](rc *Reconciler, c *Compiled, edges []cfg.Edge, instrs []uint64, cur StateID, des bool, r *SpecResult) RecMerge {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
-	n := len(edges)
-	if n == 0 {
-		return RecMerge{ExitCur: cur, ExitDes: des}
-	}
 	if cur == NTE && !des {
 		return RecMerge{Delta: r.Stats, Cands: r.Cands, Evs: r.Evs, Searches: r.Searches,
-			ExitCur: r.Curs[n-1], ExitDes: r.Desyn[n-1]}
+			ExitCur: r.ExitCur, ExitDes: r.ExitDes}
 	}
+	// The true re-replay runs with the speculative side as its shadow, which
+	// charges the speculative prefix to specSt.
 	tr := &rc.tr
+	var specSt Stats
 	var conv int
 	if emitting {
-		conv = recScan[obsOn](c, edges, instrs, cur, des, tr, r)
+		conv = recScan[obsOn](c, edges, instrs, cur, des, tr, &specSt)
 	} else {
-		conv = recScan[obsOff](c, edges, instrs, cur, des, tr, r)
+		conv = recScan[obsOff](c, edges, instrs, cur, des, tr, &specSt)
 	}
 	if conv < 0 {
-		// The trajectories never touched: the true re-replay covered the
-		// whole chunk and replaces the speculation.
+		// The two sides never touched: the true re-replay covered the whole
+		// chunk and replaces the speculation.
 		return RecMerge{Delta: tr.Stats, Cands: tr.Cands, Evs: tr.Evs, Searches: tr.Searches,
-			ExitCur: tr.Curs[n-1], ExitDes: tr.Desyn[n-1]}
+			ExitCur: tr.ExitCur, ExitDes: tr.ExitDes}
 	}
 	// Swap the speculative prefix's charges for the true prefix's, and keep
 	// the speculative entries past the junction: candidates by edge index,
 	// events and searches by tick (tr.Ticks counts the ticks through the
 	// junction edge).
-	recScan[obsOff](c, edges[:conv+1], instrs[:conv+1], NTE, false, &rc.sp, nil)
-	m := RecMerge{Delta: r.Stats, ExitCur: r.Curs[n-1], ExitDes: r.Desyn[n-1]}
-	m.Delta.sub(&rc.sp.Stats)
+	m := RecMerge{Delta: r.Stats, ExitCur: r.ExitCur, ExitDes: r.ExitDes}
+	m.Delta.sub(&specSt)
 	m.Delta.add(&tr.Stats)
 	i := 0
 	for i < len(r.Cands) && int(r.Cands[i].Idx) <= conv {

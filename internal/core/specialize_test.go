@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -197,38 +199,60 @@ func TestSpecializedMidCycleDesync(t *testing.T) {
 }
 
 // TestSpecializedSpecReplayTrajectory holds the stride-aware speculative
-// scan against the per-edge one: identical Stats and per-edge trajectory,
-// which is what junction reconciliation consumes.
+// scan against the per-edge one on what junction reconciliation consumes:
+// identical Stats and exit state, and identical Merge results — equal to a
+// sequential replay — from random true entry states on random segments.
 func TestSpecializedSpecReplayTrajectory(t *testing.T) {
 	a, stream := testStream(t)
 	c := Compile(a, LookupConfig{Global: GlobalHash})
 	spec := Specialize(c, stream)
 
 	var plain, fused SpecResult
+	samePass := func(what string) {
+		t.Helper()
+		if plain.Stats != fused.Stats || plain.ExitCur != fused.ExitCur || plain.ExitDes != fused.ExitDes {
+			t.Fatalf("%s: SpecReplay diverges:\nplain %+v exit=(%d,%v)\nfused %+v exit=(%d,%v)",
+				what, plain.Stats, plain.ExitCur, plain.ExitDes, fused.Stats, fused.ExitCur, fused.ExitDes)
+		}
+	}
 	c.SpecReplay(stream, &plain)
 	spec.SpecReplay(stream, &fused)
-
-	if plain.Stats != fused.Stats {
-		t.Fatalf("SpecReplay stats diverge:\nplain %+v\nfused %+v", plain.Stats, fused.Stats)
-	}
-	if !reflect.DeepEqual(plain.Curs, fused.Curs) {
-		t.Fatal("SpecReplay trajectories diverge")
-	}
-	if !reflect.DeepEqual(plain.Desyn, fused.Desyn) {
-		t.Fatal("SpecReplay desync trajectories diverge")
+	samePass("whole stream")
+	if want, cur := SequentialReplay(c, stream); plain.Stats != want || plain.ExitCur != cur || plain.ExitDes {
+		t.Fatalf("SpecReplay %+v exit=(%d,%v), sequential %+v cur=%d", plain.Stats, plain.ExitCur, plain.ExitDes, want, cur)
 	}
 
-	// Dirty the result buffers with a desynced pass, then rerun the clean
-	// stream: stale Desyn values must not leak through the stride path.
-	mut := append([]Edge(nil), stream...)
-	for i := range mut {
-		mut[i].Label ^= 0xf00d
+	rng := rand.New(rand.NewSource(9))
+	var rc Reconciler
+	for trial := 0; trial < 300; trial++ {
+		i := rng.Intn(len(stream))
+		seg := stream[i : i+1+rng.Intn(len(stream)-i)]
+		cur, des := StateID(rng.Intn(a.NumStates())), rng.Intn(3) == 0
+		c.SpecReplay(seg, &plain)
+		spec.SpecReplay(seg, &fused)
+		samePass(fmt.Sprintf("segment [%d,%d)", i, i+len(seg)))
+		want, wcur, wdes := replayFrom(c, seg, cur, des)
+		for _, m := range []struct {
+			img *Compiled
+			r   *SpecResult
+		}{{c, &plain}, {spec, &fused}} {
+			st, gcur, gdes := rc.Merge(m.img, seg, cur, des, m.r)
+			if st != want || gcur != wcur || gdes != wdes {
+				t.Fatalf("segment [%d,%d) from (%d,%v), stride=%v: Merge %+v exit=(%d,%v), want %+v exit=(%d,%v)",
+					i, i+len(seg), cur, des, m.img == spec, st, gcur, gdes, want, wcur, wdes)
+			}
+		}
 	}
-	spec.SpecReplay(mut, &fused)
+
+	// Dirty the result with a desynced pass, then rerun the clean stream:
+	// no state of the dirty pass may leak through the stride path.
+	spec.SpecReplay(perturb(stream, 5), &fused)
+	if fused.Stats.Desyncs == 0 {
+		t.Fatal("the dirty pass never desynced")
+	}
+	c.SpecReplay(stream, &plain)
 	spec.SpecReplay(stream, &fused)
-	if plain.Stats != fused.Stats || !reflect.DeepEqual(plain.Desyn, fused.Desyn) {
-		t.Fatal("stride SpecReplay leaked stale trajectory state across Reset")
-	}
+	samePass("after a desynced pass")
 }
 
 // TestSpecializedParallelAndSequential: the stride-aware sequential replay

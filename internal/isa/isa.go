@@ -13,7 +13,10 @@
 // StarDBT and Pin.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names one of the eight general-purpose registers. The names mirror
 // IA-32 so that examples read like the paper's figures.
@@ -207,30 +210,48 @@ func (i *Instr) FallsThrough() bool {
 // Next returns the address of the sequentially following instruction.
 func (i *Instr) Next() uint64 { return i.Addr + uint64(i.Size) }
 
-func (i *Instr) String() string {
+func (i *Instr) String() string { return string(i.appendText(nil)) }
+
+// appendText appends the instruction's assembly text — what String returns
+// — to b, formatting with strconv rather than fmt so a disassembly costs no
+// allocation per operand.
+func (i *Instr) appendText(b []byte) []byte {
+	op := i.Op.String()
 	switch i.Op {
-	case NOP, CPUID, HALT, RET, REPMOVS, REPSTOS:
-		return i.Op.String()
 	case MOV, ADD, SUB, MUL, AND, OR, XOR, CMP, TEST:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.Dst, i.Src)
+		b = append(append(append(b, op...), ' '), i.Dst.String()...)
+		return append(append(b, ", "...), i.Src.String()...)
 	case MOVI, ADDI, SUBI, CMPI, SHL, SHR:
-		return fmt.Sprintf("%s %s, %d", i.Op, i.Dst, i.Imm)
+		b = append(append(append(b, op...), ' '), i.Dst.String()...)
+		return strconv.AppendInt(append(b, ", "...), i.Imm, 10)
 	case LOAD:
-		return fmt.Sprintf("load %s, [%s%+d]", i.Dst, i.Src, i.Disp)
+		b = append(append(append(b, "load "...), i.Dst.String()...), ", ["...)
+		return append(appendDisp(append(b, i.Src.String()...), i.Disp), ']')
 	case STORE:
-		return fmt.Sprintf("store [%s%+d], %s", i.Dst, i.Disp, i.Src)
+		b = appendDisp(append(append(b, "store ["...), i.Dst.String()...), i.Disp)
+		return append(append(b, "], "...), i.Src.String()...)
 	case JMP, CALL:
-		return fmt.Sprintf("%s 0x%x", i.Op, i.Target)
+		return strconv.AppendUint(append(append(b, op...), " 0x"...), i.Target, 16)
 	case JCC:
-		return fmt.Sprintf("j%s 0x%x", i.Cond, i.Target)
+		b = append(append(b, 'j'), i.Cond.String()...)
+		return strconv.AppendUint(append(b, " 0x"...), i.Target, 16)
 	case JIND, CALLIND:
-		return fmt.Sprintf("%s %s", i.Op, i.Src)
+		return append(append(append(b, op...), ' '), i.Src.String()...)
 	case PUSH:
-		return fmt.Sprintf("push %s", i.Src)
+		return append(append(b, "push "...), i.Src.String()...)
 	case POP:
-		return fmt.Sprintf("pop %s", i.Dst)
+		return append(append(b, "pop "...), i.Dst.String()...)
 	}
-	return i.Op.String()
+	return append(b, op...)
+}
+
+// appendDisp appends a displacement with its sign always shown, as %+d
+// formats it.
+func appendDisp(b []byte, d int32) []byte {
+	if d >= 0 {
+		b = append(b, '+')
+	}
+	return strconv.AppendInt(b, int64(d), 10)
 }
 
 // EncodedSize returns the modelled IA-32 encoding length in bytes for the

@@ -3,7 +3,7 @@ package isa
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -199,13 +199,21 @@ func (p *Program) SymbolFor(addr uint64) (string, bool) {
 // Disassemble renders the instructions in [lo, hi) as text, one per line,
 // with addresses and any labels.
 func (p *Program) Disassemble(lo, hi uint64) string {
-	var out strings.Builder
+	var out []byte
+	var hex [16]byte
 	for i := p.first(lo); i < len(p.instrs) && p.instrs[i].Addr < hi; i++ {
 		in := &p.instrs[i]
 		if sym, ok := p.SymbolFor(in.Addr); ok {
-			fmt.Fprintf(&out, "%s:\n", sym)
+			out = append(append(out, sym...), ":\n"...)
 		}
-		fmt.Fprintf(&out, "  0x%08x  %s\n", in.Addr, in)
+		// "  0x%08x  %s\n" without fmt.
+		out = append(out, "  0x"...)
+		h := strconv.AppendUint(hex[:0], in.Addr, 16)
+		for n := len(h); n < 8; n++ {
+			out = append(out, '0')
+		}
+		out = append(append(out, h...), "  "...)
+		out = append(in.appendText(out), '\n')
 	}
-	return out.String()
+	return string(out)
 }

@@ -71,8 +71,15 @@ func pipelineRows(b *testing.B, n int, start func(Config) (pass, stop func())) {
 }
 
 // BenchmarkReplayPipeline times warmed replay passes (Feed, Barrier,
-// Reset), and in obs=off/scan the worker-parallel part alone: SpecReplay
-// over the pass's chunks.
+// Reset), in obs=off/scan the worker-parallel part alone: SpecReplay over
+// the pass's chunks, and in obs=off/merge the drain's junction work alone:
+// Merge over each chunk, scanned beforehand, from its true entry state —
+// or, where that is (NTE, in-sync) and the speculation would be exact,
+// from (NTE, desynced), so every chunk pays a lockstep re-replay.
+// obs=off/merge-desync is the lockstep's worst case: every label of the
+// stream is cold code, and each chunk entered desynced stays desynced
+// while its speculation stays in sync, so the two sides never touch and
+// Merge steps both through the whole chunk.
 func BenchmarkReplayPipeline(b *testing.B) {
 	p := benchProgram()
 	stream, _ := labelStream(captureEdges(b, p))
@@ -97,6 +104,45 @@ func BenchmarkReplayPipeline(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for off := 0; off < len(stream); off += chunk {
 				c.SpecReplay(stream[off:min(off+chunk, len(stream))], &sr)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/edge")
+	})
+	cold := append([]core.Edge(nil), stream...)
+	for i := range cold {
+		cold[i].Label = 0xdead0000 + uint64(i)
+	}
+	mergeRow(b, "obs=off/merge", c, stream)
+	mergeRow(b, "obs=off/merge-desync", c, cold)
+}
+
+// mergeRow times Merge over stream's pipeline-sized chunks, each scanned
+// once up front and merged from its true entry state, with (NTE, desynced)
+// standing in for an exact (NTE, in-sync) one.
+func mergeRow(b *testing.B, name string, c *core.Compiled, stream []core.Edge) {
+	chunk := Config{}.withDefaults().ChunkEdges
+	type entry struct {
+		seg []core.Edge
+		sr  core.SpecResult
+		cur core.StateID
+		des bool
+	}
+	var chunks []*entry
+	var rc core.Reconciler
+	cur, des := core.NTE, false
+	for off := 0; off < len(stream); off += chunk {
+		e := &entry{seg: stream[off:min(off+chunk, len(stream))], cur: cur, des: des}
+		if cur == core.NTE && !des {
+			e.des = true
+		}
+		c.SpecReplay(e.seg, &e.sr)
+		_, cur, des = rc.Merge(c, e.seg, cur, des, &e.sr)
+		chunks = append(chunks, e)
+	}
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, e := range chunks {
+				rc.Merge(c, e.seg, e.cur, e.des, &e.sr)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/edge")

@@ -150,11 +150,23 @@ func (t *CaptureTool) Tail() uint64 { return t.tail }
 // re-fed to Recorder.Observe or Recorder.ObserveBatch any number of times,
 // which is how the recording micro-benchmarks replay one execution against
 // many recorder configurations.
+//
+// Edges land in fixed-size chunks, so a long capture never regrows one
+// pointer-bearing array (each regrowth copies it and hands the collector a
+// larger array to scan). Edges and Instrs assemble the flat stream once, at
+// its exact length, and assemble it again only if Edge ran since.
 type EdgeCaptureTool struct {
-	edges  []cfg.Edge
-	instrs []uint64
-	tail   uint64
+	// flat and flatI are the stream as last assembled; full and fullI the
+	// chunks filled since, and cur and curI the chunk being filled.
+	flat, cur   []cfg.Edge
+	flatI, curI []uint64
+	full        [][]cfg.Edge
+	fullI       [][]uint64
+	tail        uint64
 }
+
+// captureChunk is the edge count of one capture chunk.
+const captureChunk = 4096
 
 var _ pin.Tool = (*EdgeCaptureTool)(nil)
 
@@ -165,18 +177,53 @@ func NewEdgeCaptureTool() *EdgeCaptureTool { return &EdgeCaptureTool{} }
 // too: the recorder's state machine reacts to it (an in-flight trace is
 // finished), so a faithful re-feed must include it.
 func (t *EdgeCaptureTool) Edge(e cfg.Edge, instrs uint64) {
-	t.edges = append(t.edges, e)
-	t.instrs = append(t.instrs, instrs)
+	if len(t.cur) == cap(t.cur) {
+		if len(t.cur) > 0 {
+			t.full = append(t.full, t.cur)
+			t.fullI = append(t.fullI, t.curI)
+		}
+		t.cur = make([]cfg.Edge, 0, captureChunk)
+		t.curI = make([]uint64, 0, captureChunk)
+	}
+	t.cur = append(t.cur, e)
+	t.curI = append(t.curI, instrs)
 }
 
 // Fini implements pin.Tool.
 func (t *EdgeCaptureTool) Fini(instrs uint64) { t.tail += instrs }
 
+// assemble appends the chunks captured since the last call to the flat
+// stream, in fresh exact-length arrays: a slice returned earlier is never
+// written again.
+func (t *EdgeCaptureTool) assemble() {
+	if len(t.cur) == 0 {
+		return
+	}
+	n := len(t.flat) + len(t.full)*captureChunk + len(t.cur)
+	edges := append(make([]cfg.Edge, 0, n), t.flat...)
+	instrs := append(make([]uint64, 0, n), t.flatI...)
+	for i := range t.full {
+		edges = append(edges, t.full[i]...)
+		instrs = append(instrs, t.fullI[i]...)
+	}
+	t.flat = append(edges, t.cur...)
+	t.flatI = append(instrs, t.curI...)
+	// The chunks are copied; the current one is reused for what follows.
+	t.full, t.fullI = nil, nil
+	t.cur, t.curI = t.cur[:0], t.curI[:0]
+}
+
 // Edges returns the captured edges.
-func (t *EdgeCaptureTool) Edges() []cfg.Edge { return t.edges }
+func (t *EdgeCaptureTool) Edges() []cfg.Edge {
+	t.assemble()
+	return t.flat
+}
 
 // Instrs returns the per-edge instruction counts, parallel to Edges.
-func (t *EdgeCaptureTool) Instrs() []uint64 { return t.instrs }
+func (t *EdgeCaptureTool) Instrs() []uint64 {
+	t.assemble()
+	return t.flatI
+}
 
 // Tail returns the instructions executed after the last captured edge.
 func (t *EdgeCaptureTool) Tail() uint64 { return t.tail }

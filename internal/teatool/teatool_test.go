@@ -1,6 +1,7 @@
 package teatool
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -10,6 +11,7 @@ import (
 	"github.com/lsc-tea/tea/internal/pin"
 	"github.com/lsc-tea/tea/internal/progs"
 	"github.com/lsc-tea/tea/internal/trace"
+	"github.com/lsc-tea/tea/internal/workload"
 )
 
 // recordInDBT is the paper's cross-environment flow, first half: record
@@ -173,5 +175,76 @@ func TestCrossEnvironmentTreeStrategies(t *testing.T) {
 				t.Errorf("%s replay coverage %.3f", strategy, cov)
 			}
 		})
+	}
+}
+
+// appendCapture is the plain-append reference EdgeCaptureTool is held to.
+// It tees every callback into the capture under test and, at the listed
+// edge counts, reads the capture mid-run, so Edge also runs after Edges.
+type appendCapture struct {
+	capt   *EdgeCaptureTool
+	edges  []cfg.Edge
+	instrs []uint64
+	tail   uint64
+	peekAt map[int]bool
+	peeks  [][]cfg.Edge // what each mid-run Edges returned
+	t      *testing.T
+}
+
+func (r *appendCapture) Edge(e cfg.Edge, instrs uint64) {
+	r.capt.Edge(e, instrs)
+	r.edges = append(r.edges, e)
+	r.instrs = append(r.instrs, instrs)
+	if r.peekAt[len(r.edges)] {
+		r.check("mid-run")
+		r.peeks = append(r.peeks, r.capt.Edges())
+	}
+}
+
+func (r *appendCapture) Fini(instrs uint64) {
+	r.capt.Fini(instrs)
+	r.tail += instrs
+}
+
+func (r *appendCapture) check(when string) {
+	r.t.Helper()
+	if !reflect.DeepEqual(r.capt.Edges(), r.edges) || !reflect.DeepEqual(r.capt.Instrs(), r.instrs) || r.capt.Tail() != r.tail {
+		r.t.Fatalf("%s after %d edges: capture (%d edges, %d instrs, tail %d) differs from the append reference (tail %d)",
+			when, len(r.edges), len(r.capt.Edges()), len(r.capt.Instrs()), r.capt.Tail(), r.tail)
+	}
+}
+
+// TestEdgeCaptureMatchesAppend: the chunked capture returns exactly what
+// appending every edge to one slice would, on two generated programs, when
+// read mid-run (chunk boundaries included) and after a step-capped run's
+// Fini; a slice returned earlier keeps its contents as capture goes on.
+func TestEdgeCaptureMatchesAppend(t *testing.T) {
+	empty := NewEdgeCaptureTool()
+	if len(empty.Edges()) != 0 || len(empty.Instrs()) != 0 || empty.Tail() != 0 {
+		t.Fatalf("empty capture: %d edges, %d instrs, tail %d", len(empty.Edges()), len(empty.Instrs()), empty.Tail())
+	}
+	for _, name := range []string{"181.mcf", "176.gcc"} {
+		spec, _ := workload.ByName(name)
+		p, err := workload.Generate(spec, 600_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []uint64{0, 400_000} {
+			r := &appendCapture{capt: NewEdgeCaptureTool(), t: t, peekAt: map[int]bool{
+				1: true, captureChunk - 1: true, captureChunk: true, captureChunk + 1: true, 3*captureChunk + 7: true}}
+			if _, err := pin.New().Run(p, r, limit); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.edges) <= 3*captureChunk+7 {
+				t.Fatalf("%s: %d edges do not span the checked chunk boundaries", name, len(r.edges))
+			}
+			r.check(name + " final")
+			r.check(name + " second read")
+			for _, peek := range r.peeks {
+				if !reflect.DeepEqual(peek, r.edges[:len(peek)]) {
+					t.Fatalf("%s: the %d-edge slice returned mid-run changed", name, len(peek))
+				}
+			}
+		}
 	}
 }

@@ -155,8 +155,9 @@ echo "ci: corpus gate ok"
 # 10 interleaved pairs against the parent commit on this host. The
 # parent is HEAD when the working tree differs from it, else HEAD~1; its
 # tree is extracted with git archive, so nothing is left in .git. Rows that
-# exist on one side only are listed, not failed: the scan row and
-# BenchmarkDBTRecord are head-only until the parent has them.
+# exist on one side only are listed, not failed: BenchmarkReplayPipeline's
+# obs=off/merge and obs=off/merge-desync rows are head-only until the
+# parent has them.
 if [ -n "$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi
 mkdir "$bin/parent"
 git archive "$parent" | tar -x -C "$bin/parent"
