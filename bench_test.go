@@ -323,11 +323,11 @@ func streamFor(b *testing.B, name string) *streamFixture {
 
 // BenchmarkCompiledReplay is the raw transition function over a
 // pre-captured stream (no engine in the timed region): the reference
-// replayer versus the compiled flat automaton, single-edge, batched, with
-// local caches off (compiled-soa), stride-specialized, and with an
-// observability context attached (-obs). 901.steady and 902.stream are the
-// cycle workloads where the stride kernel fuses. ns/edge is the comparable
-// across rows; tests in internal/core hold the zero-alloc claims.
+// replayer versus the compiled flat automaton, batched, with local caches
+// off (compiled-soa), stride-specialized, and with an observability context
+// attached (-obs). 901.steady and 902.stream are the cycle workloads where
+// the stride kernel fuses. ns/edge is the comparable across rows; tests in
+// internal/core hold the zero-alloc claims.
 func BenchmarkCompiledReplay(b *testing.B) {
 	for _, wl := range []string{"181.mcf", "176.gcc", "901.steady", "902.stream"} {
 		b.Run(wl, func(b *testing.B) { compiledReplayRows(b, streamFor(b, wl)) })
@@ -358,7 +358,6 @@ func compiledReplayRows(b *testing.B, f *streamFixture) {
 			r.AdvanceBatch(f.stream)
 		}
 	}
-	single := replayer(compiled, nil)
 	strideOff, strideOn := replayer(stride, nil), replayer(stride, obs.New())
 	rows := []struct {
 		name   string
@@ -367,12 +366,6 @@ func compiledReplayRows(b *testing.B, f *streamFixture) {
 	}{
 		{"reference-hash", reference(core.LookupConfig{Global: core.GlobalHash, Local: true}), nil},
 		{"reference-btree", reference(core.ConfigGlobalLocal), nil},
-		{"compiled", func() {
-			single.Reset()
-			for _, e := range f.stream {
-				single.Advance(e.Label, e.Instrs)
-			}
-		}, nil},
 		{"compiled-batch", batch(replayer(compiled, nil)), nil},
 		{"compiled-soa", batch(replayer(core.Compile(f.a, core.ConfigGlobalNoLocal), nil)), nil},
 		{"compiled-stride", batch(strideOff), strideOff},

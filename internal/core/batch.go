@@ -30,8 +30,8 @@ type Edge struct {
 // the reference Replayer's observable behaviour exactly — the same Stats
 // counters, including Desyncs/Resyncs, for the same stream and the same
 // Local configuration — but runs on the flat arrays: no interface dispatch,
-// no per-state cache allocation, and a batched entry point that amortizes
-// call and bookkeeping overhead across whole stream slices.
+// no per-state cache allocation, and one entry point, AdvanceBatch, that
+// amortizes call and bookkeeping overhead across whole stream slices.
 //
 // All mutable state (cursor, desync flag, stats, local-cache words) lives
 // here; the Compiled itself is shared and read-only.
@@ -42,7 +42,8 @@ type CompiledReplayer struct {
 	// direct-mapped slots per state in one flat allocation, made once at
 	// construction, label and target interleaved per slot. Zeroed slots
 	// behave exactly like the reference's fresh caches (label 0 mapping to
-	// NTE).
+	// NTE). It is nil on a form compiled without local caches, whose
+	// batches run the memoryless scan.
 	cache []cacheSlot
 
 	cur      StateID
@@ -70,8 +71,6 @@ type CompiledReplayer struct {
 	// dependent cache loads to one integer compare.
 	cacheGen uint64
 	warmGen  []uint64
-
-	one [1]Edge // backing for the single-edge Advance, keeping it alloc-free
 }
 
 // cacheSlot is one direct-mapped local-cache entry. The zero value (label 0
@@ -120,12 +119,6 @@ func (r *CompiledReplayer) Reset() {
 	r.strideEdges = 0
 }
 
-// Advance consumes one edge; it is AdvanceBatch over a single-element batch.
-func (r *CompiledReplayer) Advance(label, instrs uint64) StateID {
-	r.one[0] = Edge{Label: label, Instrs: instrs}
-	return r.AdvanceBatch(r.one[:])
-}
-
 // AccountOnly records instrs executed without advancing the automaton
 // (the trailing instructions a pin.Tool receives in Fini).
 func (r *CompiledReplayer) AccountOnly(instrs uint64) {
@@ -140,8 +133,9 @@ func (r *CompiledReplayer) AccountOnly(instrs uint64) {
 
 // AdvanceBatch consumes a slice of stream edges and returns the final
 // state. It allocates nothing and keeps the cursor, desync flag and stats
-// in locals across the whole batch, writing them back once — the amortized
-// form of calling Advance per edge, with identical results.
+// in locals across the whole batch, writing them back once; a batch
+// boundary changes nothing, so one edge per call gives the same results.
+// A form compiled without local caches runs the memoryless scan (shard.go).
 //
 // On a Specialize'd Compiled the loop first tries the cursor's fused
 // stride-table chain: a hit consumes the cycle's k edges (and every
@@ -159,29 +153,35 @@ func (r *CompiledReplayer) AccountOnly(instrs uint64) {
 //
 //tea:hotpath
 func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
-	specialized := len(r.c.stride) != 0
 	o := r.obs
 	if o == nil {
-		if specialized {
-			return advanceBatchStride[obsOff](r, edges, 0)
-		}
-		return advanceBatchPlain[obsOff](r, edges, 0)
+		return advanceBatch[obsOff](r, edges, 0)
 	}
 	prev := r.stats
 	base := o.EdgeBase()
 	r.evs = r.evs[:0]
-	var cur StateID
-	if specialized {
-		cur = advanceBatchStride[obsOn](r, edges, base)
-	} else {
-		cur = advanceBatchPlain[obsOn](r, edges, base)
-	}
+	cur := advanceBatch[obsOn](r, edges, base)
 	o.AdvanceEdges(uint64(len(edges)))
 	d := r.stats
 	d.sub(&prev)
 	FoldReplayObs(o, 0, &d)
 	o.IngestReplay(r.evs)
 	return cur
+}
+
+// advanceBatch picks the batch's kernel: the memoryless scan without local
+// caches, else the stride or plain kernel.
+func advanceBatch[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
+	if r.cache == nil {
+		var fused uint64
+		r.cur, r.desynced, fused = scan[M](r.c, edges, base, r.cur, r.desynced, &r.stats, &r.evs)
+		r.strideEdges += fused
+		return r.cur
+	}
+	if len(r.c.stride) != 0 {
+		return advanceBatchStride[M](r, edges, base)
+	}
+	return advanceBatchPlain[M](r, edges, base)
 }
 
 // advanceBatchStride is the specialized batch kernel: the per-edge kernel
@@ -201,10 +201,7 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 	strideEdges := r.strideEdges
 	cacheGen := r.cacheGen
 	localSize := c.localSize
-	var localMask uint64
-	if localSize > 0 {
-		localMask = uint64(localSize - 1)
-	}
+	localMask := uint64(localSize - 1)
 	// Hoist the arrays into locals: the in-loop stores to the cache slice
 	// would otherwise force the compiler to reload every slice header on
 	// each iteration (the stores could alias them).
@@ -302,15 +299,12 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 					si = p.next
 					continue
 				}
-				// Entries with miss positions are fused on the cached kernel
-				// only while the local cache already holds each non-NTE miss's
-				// resolution (a warm hit never writes the slot); the
-				// cache-less configuration resolves every miss through the
-				// immutable entry table, which the simulation proved, so it
-				// needs no check. The check memoizes on the cache write
-				// generation: while no slot has been written since the last
-				// pass, warmth cannot have been lost.
-				if p.miss != 0 && localSize > 0 && r.warmGen[si] != cacheGen+1 {
+				// Entries with miss positions are fused only while the local
+				// cache already holds each non-NTE miss's resolution (a warm
+				// hit never writes the slot). The check memoizes on the cache
+				// write generation: while no slot has been written since the
+				// last pass, warmth cannot have been lost.
+				if p.miss != 0 && r.warmGen[si] != cacheGen+1 {
 					if !r.strideMissWarm(e) {
 						si = p.next
 						continue
@@ -347,14 +341,8 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 					}
 				}
 				// The Stats delta of runs traversals is the simulated
-				// per-traversal delta scaled: the warm-cache expansion when
-				// embedded caches are live, the cache-less one otherwise.
-				// (Miss-free entries have the same delta either way.)
-				if localSize > 0 {
-					st.addScaled(&e.DeltaLocal, runs)
-				} else {
-					st.addScaled(&e.DeltaGlobal, runs)
-				}
+				// per-traversal warm-cache delta scaled.
+				st.addScaled(&e.DeltaLocal, runs)
 				strideEdges += e.Edges * runs
 				matched = true
 				break
@@ -384,65 +372,58 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 		} else if rec.lab1 == label && rec.kind1 == slotTrace {
 			st.InTraceHits++
 			next = rec.tgt1
-		} else if lab, tgt, kind := rec.pickBranch(label); lab == label && localSize == 0 && !emitting {
-			st.charge(kind)
-			next = tgt
-		} else if t, ok := c.unmatchedTail(cur, lab, label); ok {
-			st.InTraceHits++
-			next = t
 		} else {
-			matched := lab == label
-			if !matched && !cold[cur].plausible(label) {
-				st.Desyncs++
-				desynced = true
-				if emitting {
-					emit(&r.evs, eidx, label, cur, obs.EvDesync)
-				}
-			}
-			// Trace exit or trace-to-trace link: local cache (when
-			// compiled in) in front of the flat entry table, caching
-			// negative results exactly like the reference resolve.
-			var slot *cacheSlot
-			if localSize > 0 {
-				slot = &cache[int(cur)*localSize+int((label>>1)&localMask)]
-			}
-			if slot != nil && slot.label == label {
-				st.LocalHits++
-				next = slot.tgt
+			lab, tgt, kind := rec.pickBranch(label)
+			if t, ok := c.unmatchedTail(cur, lab, label); ok {
+				st.InTraceHits++
+				next = t
 			} else {
-				if slot != nil {
-					st.LocalMisses++
+				matched := lab == label
+				if !matched && !cold[cur].plausible(label) {
+					st.Desyncs++
+					desynced = true
+					if emitting {
+						emit(&r.evs, eidx, label, cur, obs.EvDesync)
+					}
 				}
-				st.GlobalLookups++
-				if emitting {
-					var depth uint64
-					t, ok, depth = c.entryProbes(label)
-					emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
-				} else if matched {
-					t, ok = tgt, kind == slotLink
+				// Trace exit or trace-to-trace link: the local cache in front
+				// of the flat entry table, caching negative results exactly
+				// like the reference resolve.
+				slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
+				if slot.label == label {
+					st.LocalHits++
+					next = slot.tgt
 				} else {
-					t, ok = c.entry(label)
-				}
-				next = NTE
-				if ok {
-					st.GlobalHits++
-					next = t
-				}
-				if slot != nil {
+					st.LocalMisses++
+					st.GlobalLookups++
+					if emitting {
+						var depth uint64
+						t, ok, depth = c.entryProbes(label)
+						emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
+					} else if matched {
+						t, ok = tgt, kind == slotLink
+					} else {
+						t, ok = c.entry(label)
+					}
+					next = NTE
+					if ok {
+						st.GlobalHits++
+						next = t
+					}
 					slot.label = label
 					slot.tgt = next
 					cacheGen++
 				}
-			}
-			if next == NTE {
-				st.TraceExits++
-				if emitting {
-					emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
-				}
-			} else {
-				st.TraceLinks++
-				if emitting {
-					emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
+				if next == NTE {
+					st.TraceExits++
+					if emitting {
+						emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
+					}
+				} else {
+					st.TraceLinks++
+					if emitting {
+						emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
+					}
 				}
 			}
 		}
@@ -479,10 +460,7 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 	cur, desynced := r.cur, r.desynced
 	st := r.stats
 	localSize := c.localSize
-	var localMask uint64
-	if localSize > 0 {
-		localMask = uint64(localSize - 1)
-	}
+	localMask := uint64(localSize - 1)
 	// Hoist the arrays into locals: the in-loop stores to the cache slice
 	// would otherwise force the compiler to reload every slice header on
 	// each iteration (the stores could alias them).
@@ -510,10 +488,9 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 			// Slot fast path. An in-trace slot is tested slot by slot, as
 			// the predicted branches the batch kernels measured fastest
 			// with. Otherwise the slot the label can match is a row's link
-			// or exit: without local caches it is final and charged by
-			// kind; with them it goes through the local cache, and a local
-			// miss takes the row's resolved target instead of probing the
-			// entry table.
+			// or exit, which goes through the local cache; a local miss
+			// takes the row's resolved target instead of probing the entry
+			// table.
 			rec := &hot[cur]
 			if rec.lab0 == label && rec.kind0 == slotTrace {
 				st.InTraceHits++
@@ -521,64 +498,57 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 			} else if rec.lab1 == label && rec.kind1 == slotTrace {
 				st.InTraceHits++
 				next = rec.tgt1
-			} else if lab, tgt, kind := rec.pickBranch(label); lab == label && localSize == 0 && !emitting {
-				st.charge(kind)
-				next = tgt
-			} else if t, ok := c.unmatchedTail(cur, lab, label); ok {
-				st.InTraceHits++
-				next = t
 			} else {
-				matched := lab == label
-				if !matched && !cold[cur].plausible(label) {
-					st.Desyncs++
-					desynced = true
-					if emitting {
-						emit(&r.evs, eidx, label, cur, obs.EvDesync)
-					}
-				}
-				// Trace exit or trace-to-trace link: local cache (when
-				// compiled in) in front of the flat entry table, caching
-				// negative results exactly like the reference resolve.
-				var slot *cacheSlot
-				if localSize > 0 {
-					slot = &cache[int(cur)*localSize+int((label>>1)&localMask)]
-				}
-				if slot != nil && slot.label == label {
-					st.LocalHits++
-					next = slot.tgt
+				lab, tgt, kind := rec.pickBranch(label)
+				if t, ok := c.unmatchedTail(cur, lab, label); ok {
+					st.InTraceHits++
+					next = t
 				} else {
-					if slot != nil {
-						st.LocalMisses++
+					matched := lab == label
+					if !matched && !cold[cur].plausible(label) {
+						st.Desyncs++
+						desynced = true
+						if emitting {
+							emit(&r.evs, eidx, label, cur, obs.EvDesync)
+						}
 					}
-					st.GlobalLookups++
-					if emitting {
-						var depth uint64
-						t, ok, depth = c.entryProbes(label)
-						emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
-					} else if matched {
-						t, ok = tgt, kind == slotLink
+					// Trace exit or trace-to-trace link: the local cache in front
+					// of the flat entry table, caching negative results exactly
+					// like the reference resolve.
+					slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
+					if slot.label == label {
+						st.LocalHits++
+						next = slot.tgt
 					} else {
-						t, ok = c.entry(label)
-					}
-					next = NTE
-					if ok {
-						st.GlobalHits++
-						next = t
-					}
-					if slot != nil {
+						st.LocalMisses++
+						st.GlobalLookups++
+						if emitting {
+							var depth uint64
+							t, ok, depth = c.entryProbes(label)
+							emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
+						} else if matched {
+							t, ok = tgt, kind == slotLink
+						} else {
+							t, ok = c.entry(label)
+						}
+						next = NTE
+						if ok {
+							st.GlobalHits++
+							next = t
+						}
 						slot.label = label
 						slot.tgt = next
 					}
-				}
-				if next == NTE {
-					st.TraceExits++
-					if emitting {
-						emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
-					}
-				} else {
-					st.TraceLinks++
-					if emitting {
-						emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
+					if next == NTE {
+						st.TraceExits++
+						if emitting {
+							emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
+						}
+					} else {
+						st.TraceLinks++
+						if emitting {
+							emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
+						}
 					}
 				}
 			}

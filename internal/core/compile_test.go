@@ -133,8 +133,9 @@ func TestCompiledPlausibleMatchesReference(t *testing.T) {
 }
 
 // TestCompiledReplayerMatchesReference replays the program's own stream
-// through the reference replayer and the compiled one (single-edge and
-// batched) and demands identical stats and cursors at the end.
+// through the reference replayer and the compiled one (one edge per batch
+// and the whole stream in one) and demands identical stats and cursors at
+// the end.
 func TestCompiledReplayerMatchesReference(t *testing.T) {
 	a, m := buildTestAutomaton(t)
 
@@ -174,8 +175,8 @@ func TestCompiledReplayerMatchesReference(t *testing.T) {
 		}
 
 		comp := NewCompiledReplayer(Compile(a, cfgCase))
-		for _, e := range stream {
-			comp.Advance(e.Label, e.Instrs)
+		for i := range stream {
+			comp.AdvanceBatch(stream[i : i+1])
 		}
 		if *ref.Stats() != *comp.Stats() {
 			t.Fatalf("%v: single-edge stats diverge:\nref  %+v\ncomp %+v", cfgCase, *ref.Stats(), *comp.Stats())
@@ -192,33 +193,6 @@ func TestCompiledReplayerMatchesReference(t *testing.T) {
 		if ref.Cur() != batch.Cur() {
 			t.Fatalf("%v: batched cursor %d vs %d", cfgCase, ref.Cur(), batch.Cur())
 		}
-	}
-}
-
-// TestSequentialReplayMatchesNoLocalCompiled pins the documented identity:
-// the memoryless SequentialReplay equals a CompiledReplayer compiled
-// without local caches.
-func TestSequentialReplayMatchesNoLocalCompiled(t *testing.T) {
-	a, m := buildTestAutomaton(t)
-	var stream []Edge
-	r := cfg.NewRunner(m, cfg.StarDBT)
-	var prev uint64
-	for {
-		e, ok, err := r.Next()
-		if err != nil || !ok || e.To == nil {
-			break
-		}
-		steps := r.Machine().Steps()
-		stream = append(stream, Edge{Label: e.To.Head, Instrs: steps - prev})
-		prev = steps
-	}
-	c := Compile(a, LookupConfig{Global: GlobalHash})
-	st, final := SequentialReplay(c, stream)
-	rep := NewCompiledReplayer(c)
-	rep.AdvanceBatch(stream)
-	if st != *rep.Stats() || final != rep.Cur() {
-		t.Fatalf("SequentialReplay diverges from cache-less CompiledReplayer:\nseq %+v cur=%d\nrep %+v cur=%d",
-			st, final, *rep.Stats(), rep.Cur())
 	}
 }
 

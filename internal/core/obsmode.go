@@ -2,9 +2,9 @@ package core
 
 import "github.com/lsc-tea/tea/internal/obs"
 
-// The compiled replay kernels (step, specReplay, merge, sequentialReplay,
-// advanceBatchPlain, advanceBatchStride) and the record scans built on step
-// (recScan, mergeRecord) are each one source body generic over an
+// The compiled replay kernels (step, scan, merge, advanceBatchPlain,
+// advanceBatchStride) and the record scans built on step (recScan,
+// mergeRecord) are each one source body generic over an
 // observability mode. obsOff and obsOn have different GC shapes — a
 // zero-size struct and a one-byte one — so the compiler stencils a separate
 // body for each, and inside a kernel
@@ -21,7 +21,9 @@ import "github.com/lsc-tea/tea/internal/obs"
 // A kernel calls step per edge through its concrete instances, under
 // `if emitting`, not as step[M]: a call through the type parameter loads a
 // sub-dictionary from the caller's dictionary on every call, which cost
-// SpecReplay's per-edge loop 5–13% when timed in one process.
+// the memoryless scan's per-edge loop (scan, behind SpecReplay) 5–13% when
+// timed in one process. advanceBatch calls through M once per batch, not
+// per edge.
 type (
 	obsOff  struct{}
 	obsOn   struct{ _ byte }

@@ -7,7 +7,8 @@ import (
 )
 
 // This file holds the memoryless transition function sharded replay rests
-// on, and the sequential reference replay built from it.
+// on, step, and the sequential reference replay, which runs the one
+// memoryless scan (shard.go) over the whole stream.
 //
 // The exactness argument (see DESIGN.md §9): with the local caches out of
 // the picture, consuming one stream edge is a *memoryless* function — the
@@ -144,7 +145,9 @@ func (s *Stats) charge(kind slotKind) {
 // match byte for byte, and equals a CompiledReplayer over a Local-less
 // Compile of the same automaton.
 func SequentialReplay(c *Compiled, stream []Edge) (Stats, StateID) {
-	return sequentialReplay[obsOff](c, stream, nil)
+	var st Stats
+	cur, _, _ := scan[obsOff](c, stream, 0, NTE, false, &st, nil)
+	return st, cur
 }
 
 // SequentialReplayObs is SequentialReplay with observability: identical
@@ -155,32 +158,12 @@ func SequentialReplayObs(c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID
 	if o == nil {
 		return SequentialReplay(c, stream)
 	}
-	return sequentialReplay[obsOn](c, stream, o)
-}
-
-func sequentialReplay[M obsMode](c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID) {
-	var mode M
-	emitting := unsafe.Sizeof(mode) != 0
 	var st Stats
-	var evs []obs.Event
-	var base uint64
-	if emitting {
-		evs = make([]obs.Event, 0, 256)
-		base = o.EdgeBase()
-	}
-	cur, desynced := NTE, false
-	for k := range stream {
-		if emitting {
-			cur, desynced = step[obsOn](c, cur, desynced, stream[k].Label, stream[k].Instrs, &st, &evs, base+uint64(k))
-		} else {
-			cur, desynced = step[obsOff](c, cur, desynced, stream[k].Label, stream[k].Instrs, &st, nil, 0)
-		}
-	}
-	if emitting {
-		o.AdvanceEdges(uint64(len(stream)))
-		FoldReplayObs(o, 0, &st)
-		o.IngestReplay(evs)
-	}
+	evs := make([]obs.Event, 0, 256)
+	cur, _, _ := scan[obsOn](c, stream, o.EdgeBase(), NTE, false, &st, &evs)
+	o.AdvanceEdges(uint64(len(stream)))
+	FoldReplayObs(o, 0, &st)
+	o.IngestReplay(evs)
 	return st, cur
 }
 

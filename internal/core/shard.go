@@ -7,11 +7,12 @@ import (
 	"github.com/lsc-tea/tea/internal/obs"
 )
 
-// This file holds the sharded-replay primitives: speculative segment scans
-// (SpecReplay and SpecRecord, each with its obs instance SpecReplayObs and
-// SpecRecordObs) and junction reconciliation (Reconciler).
-// internal/pipeline is the one executor that drives them across
-// goroutines, on sequence-stamped chunks of a stream (DESIGN.md §14).
+// This file holds the one memoryless scan (scan) and the sharded-replay
+// primitives: speculative segment scans (SpecReplay and SpecRecord, each
+// with its obs instance SpecReplayObs and SpecRecordObs) and junction
+// reconciliation (Reconciler). internal/pipeline is the one executor that
+// drives them across goroutines, on sequence-stamped chunks of a stream
+// (DESIGN.md §14).
 //
 // Two properties carry everything (DESIGN.md §9, §14):
 //
@@ -99,7 +100,8 @@ type RecSearch struct {
 //
 //tea:hotpath
 func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
-	specReplay[obsOff](c, seg, 0, r)
+	r.Reset()
+	r.ExitCur, r.ExitDes, _ = scan[obsOff](c, seg, 0, NTE, false, &r.Stats, nil)
 }
 
 // SpecReplayObs is SpecReplay with event collection: identical Stats and
@@ -108,30 +110,30 @@ func (c *Compiled) SpecReplay(seg []Edge, r *SpecResult) {
 //
 //tea:hotpath
 func (c *Compiled) SpecReplayObs(seg []Edge, ebase uint64, r *SpecResult) {
-	specReplay[obsOn](c, seg, ebase, r)
+	r.Reset()
+	r.ExitCur, r.ExitDes, _ = scan[obsOn](c, seg, ebase, NTE, false, &r.Stats, &r.Evs)
 }
 
-// specReplay is the one body of SpecReplay and SpecReplayObs. In the obsOn
-// instance only miss-free stride entries fuse: miss positions emit events
-// on the per-edge path (probe, entry-table-hit, exit records), while a
-// miss-free traversal is all in-trace hits, which emit nothing, so fusing
-// leaves the event stream untouched.
+// scan is the one memoryless scan, behind SpecReplay(Obs),
+// SequentialReplay(Obs) and AdvanceBatch without local caches. It consumes
+// seg from (cur, des), charging st, and returns the post-state and the
+// number of edges fused stride cycles consumed. The obsOn instance appends
+// the events to evs, stamped ebase+offset, and fuses only miss-free stride
+// entries: miss positions emit events on the per-edge path (probe,
+// entry-table-hit, exit records), while a miss-free traversal is all
+// in-trace hits, which emit nothing.
 //
 // The obsOff instance on an unspecialized image resolves the two common
-// edges inline — a row hit off an in-sync trace state (one pick, one
-// compare) and an entry-table search from in-sync NTE — counting them in
-// locals that fold into r.Stats once per segment. Only unmatched labels and
-// desynced cursors go through step. (A desync always leaves the cursor at
-// NTE, so a trace-state cursor is in sync.)
+// edges inline — a row hit off a trace state (one pick, one compare) and an
+// entry-table search from in-sync NTE — counting them in locals that fold
+// into st once per call. Only unmatched labels and desynced cursors go
+// through step. (A desync always leaves the cursor at NTE, so a
+// trace-state cursor is in sync.)
 //
 //tea:hotpath
-func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult) {
+func scan[M obsMode](c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, st *Stats, evs *[]obs.Event) (StateID, bool, uint64) {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
-	r.Reset()
-	st := &r.Stats
-	evs := &r.Evs
-	cur, des := NTE, false
 	if len(c.stride) == 0 && !emitting {
 		hot := c.hot
 		// Row hits: instructions, zero-instruction edges, and how many of
@@ -181,14 +183,14 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 		st.TraceEnters += enters
 		st.TraceLinks += links
 		st.TraceExits += exits
-		r.ExitCur, r.ExitDes = cur, des
-		return
+		return cur, des, 0
 	}
 	// A Specialize'd image, or the obsOn instance: the stride probe at each
 	// in-sync trace state, then step.
 	hot := c.hot
 	strides := c.stride
 	probes := c.strideProbe
+	var fused uint64
 	n := len(seg)
 	for k := 0; k < n; {
 		if cur != NTE && !des {
@@ -206,9 +208,16 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 					// proved the entry — every miss resolves through the
 					// immutable entry table — so entries fuse unconditionally
 					// here, charged DeltaGlobal per traversal.
+					// As in advanceBatchStride: four one-edge traversals
+					// per compare, whole tiles after four traversals.
 					runs := uint64(0)
 					if m == 1 {
-						for k < n && seg[k] == p.first {
+						pe := p.first
+						for k+4 <= n && seg[k] == pe && seg[k+1] == pe && seg[k+2] == pe && seg[k+3] == pe {
+							k += 4
+							runs += 4
+						}
+						for k < n && seg[k] == pe {
 							k++
 							runs++
 						}
@@ -216,10 +225,17 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 						for m <= n-k && edgesEqual(seg[k:k+m], e.Pattern) {
 							k += m
 							runs++
+							if tl := len(e.Tile); runs == 4 && tl != 0 {
+								for tl <= n-k && edgesEqual(seg[k:k+tl], e.Tile) {
+									k += tl
+									runs += e.TileReps
+								}
+							}
 						}
 					}
 					if runs != 0 {
 						st.addScaled(&e.DeltaGlobal, runs)
+						fused += e.Edges * runs
 						matched = true
 						break
 					}
@@ -237,7 +253,7 @@ func specReplay[M obsMode](c *Compiled, seg []Edge, ebase uint64, r *SpecResult)
 		}
 		k++
 	}
-	r.ExitCur, r.ExitDes = cur, des
+	return cur, des, fused
 }
 
 // recScan is the one body of the record-mode scans. It consumes edges from
@@ -376,8 +392,9 @@ type Reconciler struct {
 
 // Merge reconciles one speculatively scanned segment against its true entry
 // state (cur, des), returning the segment's true Stats contribution and exit
-// state. When the entry state matches the speculation's (NTE, in-sync) the
-// speculative result is exact and is returned without re-replay.
+// state. An entry at NTE needs no re-replay: in sync, the speculative result
+// is exact; desynced, it differs by the one resync where the speculation
+// first enters a trace.
 func (rc *Reconciler) Merge(c *Compiled, seg []Edge, cur StateID, des bool, r *SpecResult) (Stats, StateID, bool) {
 	return merge[obsOff](rc, c, seg, 0, cur, des, r, nil)
 }
@@ -399,14 +416,33 @@ func (rc *Reconciler) MergeObs(c *Compiled, seg []Edge, ebase uint64, cur StateI
 // true prefix's); past the junction r is kept verbatim, exit state
 // included. Finding the junction costs two steps per prefix edge, the same
 // as re-replaying each side of the prefix in turn.
+//
+// An entry at NTE needs no step. In sync, it is the speculation's own.
+// Desynced, the two sides take the same path until the speculation's first
+// trace entry (r.Evs[0] in the obsOn instance), where the true side also
+// resyncs and the two meet; without a trace entry they never meet, and the
+// true exit is (NTE, desynced).
 func merge[M obsMode](rc *Reconciler, c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
 	var mode M
 	emitting := unsafe.Sizeof(mode) != 0
-	if cur == NTE && !des {
-		if emitting {
-			*merged = append(*merged, r.Evs...)
+	if cur == NTE {
+		out, evs := r.Stats, r.Evs
+		if des {
+			if out.TraceEnters == 0 {
+				return out, NTE, true
+			}
+			out.Resyncs++
+			if emitting {
+				e := evs[0]
+				*merged = append(*merged, e)
+				emit(merged, e.Edge, e.Aux, StateID(e.State), obs.EvResync)
+				evs = evs[1:]
+			}
 		}
-		return r.Stats, r.ExitCur, r.ExitDes
+		if emitting {
+			*merged = append(*merged, evs...)
+		}
+		return out, r.ExitCur, r.ExitDes
 	}
 	var trueSt, specSt Stats
 	if emitting {

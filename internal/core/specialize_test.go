@@ -130,9 +130,9 @@ func TestSpecializeFindsCycles(t *testing.T) {
 	}
 }
 
-// TestSpecializedBatchMatchesUnspecialized replays the captured stream (and
-// single-edge Advance) through the specialized and plain forms: identical
-// Stats and cursor, and the stride path must actually fire.
+// TestSpecializedBatchMatchesUnspecialized replays the captured stream (in
+// one batch, and one edge per batch) through the specialized and plain
+// forms: identical Stats and cursor, and the stride path must actually fire.
 func TestSpecializedBatchMatchesUnspecialized(t *testing.T) {
 	a, stream := testStream(t)
 	for _, lk := range []LookupConfig{ConfigGlobalLocal, {Global: GlobalHash}} {
@@ -161,8 +161,8 @@ func TestSpecializedBatchMatchesUnspecialized(t *testing.T) {
 			}
 
 			single := NewCompiledReplayer(spec)
-			for _, e := range stream {
-				single.Advance(e.Label, e.Instrs)
+			for i := range stream {
+				single.AdvanceBatch(stream[i : i+1])
 			}
 			if *single.Stats() != *fused.Stats() || single.Cur() != fused.Cur() {
 				t.Fatalf("%+v: single-edge specialized replay diverges", lk)

@@ -39,7 +39,7 @@ func TestSpecReplayMergeZeroAlloc(t *testing.T) {
 	h := len(stream) / 2
 	entry.AdvanceBatch(stream[:h])
 	for entry.Cur() == NTE {
-		entry.Advance(stream[h].Label, stream[h].Instrs)
+		entry.AdvanceBatch(stream[h : h+1])
 		h++
 	}
 	seg := stream[h:]

@@ -74,12 +74,11 @@ func pipelineRows(b *testing.B, n int, start func(Config) (pass, stop func())) {
 // Reset), in obs=off/scan the worker-parallel part alone: SpecReplay over
 // the pass's chunks, and in obs=off/merge the drain's junction work alone:
 // Merge over each chunk, scanned beforehand, from its true entry state —
-// or, where that is (NTE, in-sync) and the speculation would be exact,
-// from (NTE, desynced), so every chunk pays a lockstep re-replay.
-// obs=off/merge-desync is the lockstep's worst case: every label of the
-// stream is cold code, and each chunk entered desynced stays desynced
-// while its speculation stays in sync, so the two sides never touch and
-// Merge steps both through the whole chunk.
+// or, where that is at NTE and Merge would need no step, from the first
+// trace state in sync, so every chunk pays a lockstep re-replay.
+// obs=off/merge-desync merges chunks of a stream whose every label is
+// cold code, each entered at (NTE, desynced): the speculation never
+// enters a trace, so Merge keeps it without a step.
 func BenchmarkReplayPipeline(b *testing.B) {
 	p := benchProgram()
 	stream, _ := labelStream(captureEdges(b, p))
@@ -112,14 +111,14 @@ func BenchmarkReplayPipeline(b *testing.B) {
 	for i := range cold {
 		cold[i].Label = 0xdead0000 + uint64(i)
 	}
-	mergeRow(b, "obs=off/merge", c, stream)
-	mergeRow(b, "obs=off/merge-desync", c, cold)
+	mergeRow(b, "obs=off/merge", c, stream, 1, false)
+	mergeRow(b, "obs=off/merge-desync", c, cold, core.NTE, true)
 }
 
 // mergeRow times Merge over stream's pipeline-sized chunks, each scanned
-// once up front and merged from its true entry state, with (NTE, desynced)
-// standing in for an exact (NTE, in-sync) one.
-func mergeRow(b *testing.B, name string, c *core.Compiled, stream []core.Edge) {
+// once up front and merged from its true entry state, with (ncur, ndes)
+// standing in for an entry at NTE.
+func mergeRow(b *testing.B, name string, c *core.Compiled, stream []core.Edge, ncur core.StateID, ndes bool) {
 	chunk := Config{}.withDefaults().ChunkEdges
 	type entry struct {
 		seg []core.Edge
@@ -132,8 +131,8 @@ func mergeRow(b *testing.B, name string, c *core.Compiled, stream []core.Edge) {
 	cur, des := core.NTE, false
 	for off := 0; off < len(stream); off += chunk {
 		e := &entry{seg: stream[off:min(off+chunk, len(stream))], cur: cur, des: des}
-		if cur == core.NTE && !des {
-			e.des = true
+		if cur == core.NTE {
+			e.cur, e.des = ncur, ndes
 		}
 		c.SpecReplay(e.seg, &e.sr)
 		_, cur, des = rc.Merge(c, e.seg, cur, des, &e.sr)

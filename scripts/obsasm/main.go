@@ -13,12 +13,18 @@
 // Every kernel's instance must be present in the listing, so a rename
 // cannot make the check pass vacuously.
 //
+// -mode on is the negative self-test: it scans the obsOn instances, each of
+// which must carry obs code, so a scan that stopped recognizing obs code
+// cannot pass. It exits 1 only when every kernel is flagged, and 2 naming
+// the kernels that carry none.
+//
 // Usage, from the repository root:
 //
 //	go run ./scripts/obsasm            # obsOff instances: exit 0 when clean
 //	go run ./scripts/obsasm -mode on   # negative self-test: must exit 1
 //
-// Exit status: 0 clean, 1 leaks found, 2 usage or build error.
+// Exit status: 0 clean, 1 leaks found (with -mode on: every kernel
+// flagged), 2 usage or build error (with -mode on: some kernel unflagged).
 package main
 
 import (
@@ -35,7 +41,7 @@ const pkg = "github.com/lsc-tea/tea/internal/core"
 
 // kernels are the folded replay and record kernels, one generic body each.
 var kernels = []string{
-	"step", "specReplay", "merge", "sequentialReplay",
+	"step", "scan", "merge",
 	"advanceBatchPlain", "advanceBatchStride", "recScan", "mergeRecord",
 }
 
@@ -68,6 +74,12 @@ func main() {
 	}
 	for _, l := range leaks {
 		fmt.Println(l)
+	}
+	if *mode == "on" {
+		if clean := unflagged(leaks); len(clean) > 0 {
+			fmt.Fprintf(os.Stderr, "obsasm: no obs code in the obsOn instance of: %s\n", strings.Join(clean, ", "))
+			os.Exit(2)
+		}
 	}
 	if len(leaks) > 0 {
 		fmt.Printf("obsasm: %d obs lines in obs-%s kernel instances\n", len(leaks), *mode)
@@ -110,6 +122,22 @@ func scan(listing []byte, shape string) (leaks, missing []string) {
 		}
 	}
 	return leaks, missing
+}
+
+// unflagged returns the kernels none of whose lines are among leaks.
+func unflagged(leaks []string) []string {
+	flagged := make(map[string]bool)
+	for _, l := range leaks {
+		k, _, _ := strings.Cut(l, ":")
+		flagged[k] = true
+	}
+	var out []string
+	for _, k := range kernels {
+		if !flagged[k] {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // leak reports whether one instruction line of a -S listing carries obs

@@ -27,7 +27,7 @@
 //
 // To replay a captured stream slice on several cores, feed it to
 // NewReplayPipeline and read the answer at Barrier: it is byte-identical
-// to SequentialReplay(Obs) on the same slice. The pipeline is the one
+// to SequentialReplay on the same slice. The pipeline is the one
 // sharded executor; a caller cancels it by no longer feeding and calling
 // Close (DESIGN.md §14).
 //
@@ -441,9 +441,9 @@ func CapturePipeline(ctx context.Context, p *Program, maxSteps uint64, tool PinT
 type (
 	// Obs is an observability context: a metrics registry, a bounded event
 	// ring and the logical edge clock. Attach one with Replayer.SetObs /
-	// CompiledReplayer.SetObs / Recorder.SetObs, pass it to
-	// SequentialReplayObs, or set it as PipelineConfig.Obs. All hooks are disabled — and
-	// free — when no context is attached.
+	// CompiledReplayer.SetObs / Recorder.SetObs, or set it as
+	// PipelineConfig.Obs. All hooks are disabled — and free — when no
+	// context is attached.
 	Obs = obs.Obs
 	// ObsRegistry is the metric registry behind an Obs context.
 	ObsRegistry = obs.Registry
@@ -476,13 +476,6 @@ func EncodeFlight(rec FlightRecord) []byte { return obs.EncodeFlight(rec) }
 // DecodeFlight parses a flight artifact produced by EncodeFlight, fully
 // validating the embedded event log.
 func DecodeFlight(data []byte) (FlightRecord, error) { return obs.DecodeFlight(data) }
-
-// SequentialReplayObs is SequentialReplay with observability: identical
-// stats and final state, plus events, counters and histograms recorded
-// into o (nil o delegates to SequentialReplay).
-func SequentialReplayObs(c *Compiled, stream []StreamEdge, o *Obs) (ReplayStats, StateID) {
-	return core.SequentialReplayObs(c, stream, o)
-}
 
 // ReplayObs is Replay with an observability context attached to the
 // replayer: counters, histograms and the event ring fill while the run
