@@ -324,7 +324,8 @@ func streamFor(b *testing.B, name string) *streamFixture {
 // BenchmarkCompiledReplay is the raw transition function over a
 // pre-captured stream (no engine in the timed region): the reference
 // replayer versus the compiled flat automaton, batched, with local caches
-// off (compiled-soa), stride-specialized, and with an observability context
+// off (compiled-soa), stride-specialized with local caches on and off
+// (compiled-stride, compiled-soa-stride), and with an observability context
 // attached (-obs). 901.steady and 902.stream are the cycle workloads where
 // the stride kernel fuses. ns/edge is the comparable across rows; tests in
 // internal/core hold the zero-alloc claims.
@@ -359,6 +360,7 @@ func compiledReplayRows(b *testing.B, f *streamFixture) {
 		}
 	}
 	strideOff, strideOn := replayer(stride, nil), replayer(stride, obs.New())
+	soaStride := replayer(core.Specialize(core.Compile(f.a, core.ConfigGlobalNoLocal), f.stream), nil)
 	rows := []struct {
 		name   string
 		pass   func()
@@ -369,6 +371,7 @@ func compiledReplayRows(b *testing.B, f *streamFixture) {
 		{"compiled-batch", batch(replayer(compiled, nil)), nil},
 		{"compiled-soa", batch(replayer(core.Compile(f.a, core.ConfigGlobalNoLocal), nil)), nil},
 		{"compiled-stride", batch(strideOff), strideOff},
+		{"compiled-soa-stride", batch(soaStride), soaStride},
 		{"compiled-batch-obs", batch(replayer(compiled, obs.New())), nil},
 		{"compiled-stride-obs", batch(strideOn), strideOn},
 	}

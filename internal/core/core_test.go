@@ -278,6 +278,9 @@ func TestRecorderStateMachine(t *testing.T) {
 	if rec.State() != RecInitial {
 		t.Errorf("initial state = %v", rec.State())
 	}
+	if rec.Automaton().NumStates() != 1 {
+		t.Error("fresh recorder should have only NTE")
+	}
 	m := cpu.New(p)
 	run := cfg.NewRunner(m, cfg.StarDBT)
 	sawCreating := false

@@ -222,7 +222,7 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 		target uint64 // absolute state id
 	}
 	stateTBB := make(map[uint64]*trace.TBB)
-	var tbbOff []int // record offset per TBB in stream order, for reachability errors
+	var tbbRecOff []int // record offset per TBB in stream order, for reachability errors
 	var links []pendingLink
 
 	for ti := uint64(0); ti < nTraces; ti++ {
@@ -273,7 +273,7 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 				tbbs[i] = tr.Append(b)
 			}
 			stateTBB[nextState] = tbbs[i]
-			tbbOff = append(tbbOff, recOff)
+			tbbRecOff = append(tbbRecOff, recOff)
 			if count > 0 {
 				prof[StateID(nextState)] = count
 			}
@@ -332,7 +332,7 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 	first := 0 // stream index of the trace's head
 	for ti, t := range set.Traces {
 		if i := unreachableTBB(t); i >= 0 {
-			return nil, nil, &DecodeError{Offset: tbbOff[first+i], Field: "state reachability",
+			return nil, nil, &DecodeError{Offset: tbbRecOff[first+i], Field: "state reachability",
 				Reason: fmt.Sprintf("trace %d TBB %d is unreachable from NTE: no in-trace transition leads to it", ti+1, i)}
 		}
 		first += len(t.TBBs)

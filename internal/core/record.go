@@ -89,14 +89,18 @@ func (r *Recorder) Observe(e cfg.Edge, instrs uint64) {
 
 	switch r.state {
 	case RecExecuting:
-		// ChangeState(TEA, Current, Next).
+		// ChangeState(TEA, Current, Next); the selection rules read whether
+		// it left a trace for cold code.
+		exit := false
 		if e.To != nil {
-			r.rep.Advance(e.To.Head, instrs)
+			from := r.rep.Cur()
+			to := r.rep.Advance(e.To.Head, instrs)
+			exit = from != NTE && to == NTE
 		} else if instrs > 0 {
 			r.rep.AccountOnly(instrs)
 		}
 		// TriggerTraceRecording / StartCreatingTrace.
-		if changed := r.strat.Observe(e); changed != nil {
+		if changed := r.strat.Observe(e, exit); changed != nil {
 			r.sync(changed)
 		}
 		if r.strat.Recording() {
@@ -110,7 +114,7 @@ func (r *Recorder) Observe(e cfg.Edge, instrs uint64) {
 			r.rep.AccountOnly(instrs)
 		}
 		// AddTBBToTrace / DoneTraceRecording / FinishTrace.
-		if changed := r.strat.Observe(e); changed != nil {
+		if changed := r.strat.Observe(e, false); changed != nil {
 			r.sync(changed)
 		}
 		if !r.strat.Recording() {

@@ -162,9 +162,12 @@ func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy
 
 	// pos tracks execution through recorded trace code, mirroring how
 	// translated trace code would run: enter at the trace head, follow
-	// in-trace links, leave at side exits.
+	// in-trace links, leave at side exits. Unlike the follower, which
+	// stands in for the TEA the strategy reads, it keeps following traces
+	// while one is being recorded.
 	var pos *trace.TBB
 	set := sel.Set()
+	f := trace.Follower{Strategy: sel}
 
 	var mark cpu.StepMark
 	var canceled error
@@ -203,7 +206,7 @@ func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy
 		}
 
 		if e.To == nil {
-			sel.Observe(e)
+			f.Observe(e)
 			break
 		}
 		res.Info.Edges++
@@ -232,22 +235,11 @@ func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy
 		}
 
 		// Trace execution tracking.
-		if pos != nil {
-			if next, ok := pos.Succs[e.To.Head]; ok {
-				pos = next
-			} else {
-				pos = nil
-			}
-		}
-		if pos == nil {
-			if tr, ok := set.ByEntry(e.To.Head); ok {
-				pos = tr.Head()
-			}
-		}
+		pos = set.Follow(pos, e.To.Head)
 
 		// Trace recording (the DBT records while executing).
 		before := set.NumTBBs()
-		sel.Observe(e)
+		f.Observe(e)
 		if after := set.NumTBBs(); after > before {
 			res.TimeUnits += t.cost.RecordPerTBB * float64(after-before)
 		}

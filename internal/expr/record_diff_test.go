@@ -63,7 +63,11 @@ func newDiffRecorder(t *testing.T, stratName string, p *isa.Program, tc trace.Co
 // recorder — the record pipeline — against per-edge Observe over every
 // workload and every strategy: after each of two passes over the same
 // stream, the two must agree on every Stats counter, the recording state,
-// the trace set, and the byte-exact encoded automaton. Pass 1 is
+// the trace set, and the byte-exact encoded automaton. An offline leg feeds
+// a third strategy the same edges through trace.Follower, which walks the
+// traces itself where the recorder reads the TEA transition; core.Build of
+// its set must encode to the same bytes, so the recorder's one cursor and
+// the offline drivers' walk agree beyond Figure 2. Pass 1 is
 // event-heavy (counters warm up, traces are created and extended
 // mid-stream); pass 2 is the warm steady state. Worker count and chunk size
 // vary with the workload, so chunk boundaries land at arbitrary stream
@@ -87,9 +91,11 @@ func TestBatchRecorderMatchesSequential(t *testing.T) {
 			for _, strat := range recordDiffStrategies {
 				seq := core.NewRecorder(newDiffStrategy(t, strat, p, tc), core.ConfigGlobalNoLocal)
 				pl := pipeline.NewRecord(newDiffStrategy(t, strat, p, tc), pc)
+				off := trace.Follower{Strategy: newDiffStrategy(t, strat, p, tc)}
 				for pass := 1; pass <= 2; pass++ {
 					for k := range edges {
 						seq.Observe(edges[k], instrs[k])
+						off.Observe(edges[k])
 					}
 					pl.Feed(edges, instrs)
 					got := pl.Barrier()
@@ -114,6 +120,13 @@ func TestBatchRecorderMatchesSequential(t *testing.T) {
 					}
 					if !bytes.Equal(se, pe) {
 						t.Errorf("%s: encoded automata differ (%d vs %d bytes)", label, len(se), len(pe))
+					}
+					oe, err := core.Encode(core.Build(off.Strategy.Set()))
+					if err != nil {
+						t.Fatalf("%s: encode offline: %v", label, err)
+					}
+					if !bytes.Equal(se, oe) {
+						t.Errorf("%s: offline build differs from the recorder (%d vs %d bytes)", label, len(se), len(oe))
 					}
 				}
 				pl.Close()

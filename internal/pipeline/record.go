@@ -19,11 +19,13 @@ import (
 //   - A *quiet* chunk — a current snapshot exists (automaton unchanged
 //     since it was compiled; a chunk a worker scanned against an older one
 //     is rescanned on the drain), recorder in the Executing state, no
-//     trace being recorded, strategy cursor in lockstep — is accepted by
-//     replaying only the strategy's candidate policy
-//     (QuietObserver.CountCandidate per cold candidate) over the reconciled
-//     candidate list. The recorder's per-edge machinery is bypassed
-//     entirely; this is the scaling path once the trace set saturates.
+//     trace being recorded — is accepted by replaying only the strategy's
+//     candidate policy (QuietObserver.CountCandidate per cold candidate)
+//     over the reconciled candidate list. The strategy keeps no cursor to
+//     re-align: it reads trace exits from the recorder's transition, and
+//     the scan derives candidates from the same transitions. The
+//     recorder's per-edge machinery is bypassed entirely; this is the
+//     scaling path once the trace set saturates.
 //
 //   - The first *hot* candidate in a chunk triggers a handoff: the true
 //     prefix before it is accounted by RecReplay from the drain's true
@@ -59,7 +61,7 @@ type RecordPipeline struct {
 	pre      core.SpecResult // a handoff's true prefix
 	fcur     core.StateID
 	fdes     bool
-	repStale bool // rep/strategy cursors lag fcur/fdes after quiet chunks
+	repStale bool // the recorder's cursor lags fcur/fdes after quiet chunks
 	quiet    core.Stats
 	lastVer  uint64
 	stable   int
@@ -115,24 +117,13 @@ func (p *RecordPipeline) specRecord(s *core.Compiled, c *chunk) {
 	}
 }
 
-// tbbOf maps a cursor to the strategy-side block it must be in lockstep
-// with (nil for NTE).
-func tbbOf(a *core.Automaton, s core.StateID) *trace.TBB {
-	if s == core.NTE {
-		return nil
-	}
-	return a.State(s).TBB
-}
-
-// resyncSequential re-aims the recorder's cursor and the strategy's
-// trace-following cursor at the drain's reconciled position before
-// sequential machinery runs. Only needed after quiet chunks left them
-// stale.
-func (p *RecordPipeline) resyncSequential(a *core.Automaton, cur core.StateID, des bool) {
+// resyncSequential re-aims the recorder's cursor at the drain's reconciled
+// position before sequential machinery runs. Only needed after quiet chunks
+// left it stale.
+func (p *RecordPipeline) resyncSequential(cur core.StateID, des bool) {
 	rep := p.rec.Replayer()
 	rep.ForceState(cur)
 	rep.ForceDesync(des)
-	p.q.SeekTBB(tbbOf(a, cur))
 	p.repStale = false
 }
 
@@ -164,8 +155,7 @@ func (p *RecordPipeline) drainChunk(c *chunk) {
 	s := p.snap.Load()
 
 	if s != nil && p.q != nil && s.ver == a.Version() &&
-		p.rec.State() == core.RecExecuting && !p.strat.Recording() &&
-		(p.repStale || p.q.CursorTBB() == tbbOf(a, p.fcur)) {
+		p.rec.State() == core.RecExecuting && !p.strat.Recording() {
 		// The current snapshot is the live transition function. A worker
 		// that ran ahead of the drain scanned against an older snapshot (or
 		// none); rescan here, so whether a chunk takes the quiet path
@@ -211,7 +201,7 @@ func (p *RecordPipeline) drainChunk(c *chunk) {
 			rep.ReplayProbeEvents(&m, p.pre.Ticks)
 			core.FoldReplayObs(p.o, int(c.seq)%obs.NumShards, &p.pre.Stats)
 		}
-		p.resyncSequential(a, pcur, pdes)
+		p.resyncSequential(pcur, pdes)
 		p.rec.ObserveBatch(c.redges[k:], c.rinstr[k:])
 		p.fcur, p.fdes = rep.Cur(), rep.Desynced()
 		p.handoffs.Add(1)
@@ -221,7 +211,7 @@ func (p *RecordPipeline) drainChunk(c *chunk) {
 
 	// Sequential fallback: the exact recorder machinery over the whole chunk.
 	if p.repStale {
-		p.resyncSequential(a, p.fcur, p.fdes)
+		p.resyncSequential(p.fcur, p.fdes)
 	}
 	p.rec.ObserveBatch(c.redges, c.rinstr)
 	rep := p.rec.Replayer()
@@ -303,7 +293,7 @@ func (p *RecordPipeline) AccountTail(instrs uint64) {
 	p.Flush()
 	p.quiesce()
 	if p.repStale {
-		p.resyncSequential(p.rec.Automaton(), p.fcur, p.fdes)
+		p.resyncSequential(p.fcur, p.fdes)
 	}
 	p.rec.Replayer().AccountOnly(instrs)
 }

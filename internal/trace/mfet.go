@@ -40,8 +40,8 @@ func (m *MFET) Name() string { return "mfet" }
 // Set implements Strategy.
 func (m *MFET) Set() *Set { return m.set }
 
-// Observe implements Strategy.
-func (m *MFET) Observe(e cfg.Edge) *Trace {
+// Observe implements Strategy. MFET keeps no cursor and ignores exit.
+func (m *MFET) Observe(e cfg.Edge, _ bool) *Trace {
 	if e.To == nil {
 		return nil
 	}

@@ -16,11 +16,6 @@ type MRET struct {
 
 	counters *hotTab
 
-	// pos tracks the TBB we would be executing if the recorded traces were
-	// live; it detects trace exits so exit targets can be counted as head
-	// candidates, mirroring Dynamo.
-	pos *TBB
-
 	recording bool
 	cur       *Trace
 	last      *TBB
@@ -41,8 +36,8 @@ func (m *MRET) Name() string { return "mret" }
 // Set implements Strategy.
 func (m *MRET) Set() *Set { return m.set }
 
-// Observe implements Strategy.
-func (m *MRET) Observe(e cfg.Edge) *Trace {
+// Observe implements Strategy; a trace exit's target is a head candidate.
+func (m *MRET) Observe(e cfg.Edge, exit bool) *Trace {
 	if e.To == nil {
 		// Program end: a trace still being recorded is finished as-is.
 		if m.recording {
@@ -53,11 +48,7 @@ func (m *MRET) Observe(e cfg.Edge) *Trace {
 	if m.recording {
 		return m.extend(e)
 	}
-
-	exitTarget := m.track(e)
-
-	candidate := backwardTaken(e) || exitTarget
-	if !candidate {
+	if !backwardTaken(e) && !exit {
 		return nil
 	}
 	head := e.To.Head
@@ -78,27 +69,7 @@ func (m *MRET) Observe(e cfg.Edge) *Trace {
 	m.recording = true
 	m.cur = t
 	m.last = t.Head()
-	m.pos = nil
 	return nil
-}
-
-// track follows execution through already-recorded traces and reports
-// whether this edge exits one (making e.To a trace-exit target and hence a
-// head candidate).
-func (m *MRET) track(e cfg.Edge) bool {
-	wasIn := m.pos != nil
-	if m.pos != nil {
-		if next, ok := m.pos.Succs[e.To.Head]; ok {
-			m.pos = next
-			return false
-		}
-		m.pos = nil
-	}
-	if t, ok := m.set.ByEntry(e.To.Head); ok {
-		m.pos = t.Head()
-		return false
-	}
-	return wasIn
 }
 
 // extend appends the next executed block to the trace under construction,
@@ -148,11 +119,3 @@ func (m *MRET) HotCandidate(head uint64) bool {
 // CountCandidate implements QuietObserver: the non-triggering arm of the
 // candidate policy.
 func (m *MRET) CountCandidate(head uint64) { m.counters.Inc(head) }
-
-// SeekTBB implements QuietObserver: it repositions the trace-following
-// cursor, re-establishing lockstep after out-of-band (speculatively
-// scanned) edges were accounted past the strategy.
-func (m *MRET) SeekTBB(t *TBB) { m.pos = t }
-
-// CursorTBB implements QuietObserver.
-func (m *MRET) CursorTBB() *TBB { return m.pos }

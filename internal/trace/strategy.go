@@ -58,11 +58,11 @@ func (c Config) withDefaults() Config {
 type Strategy interface {
 	// Name identifies the strategy ("mret", "tt", "ctt", "mfet").
 	Name() string
-	// Observe consumes one edge. It returns the trace that was completed or
-	// extended at this edge, or nil when the set did not change. The
-	// returned trace lets an online consumer (the TEA recorder of
-	// Algorithm 2) extend its automaton incrementally.
-	Observe(e cfg.Edge) *Trace
+	// Observe consumes one edge; exit reports that the caller's TEA
+	// transition on it left a trace for cold code (trace state → NTE). It
+	// returns the trace completed or extended at this edge, or nil, so an
+	// online consumer (Algorithm 2's recorder) can sync incrementally.
+	Observe(e cfg.Edge, exit bool) *Trace
 	// Recording reports whether a trace is currently under construction —
 	// Algorithm 2's Creating state.
 	Recording() bool
@@ -120,6 +120,7 @@ func RecordContext(ctx context.Context, m *cpu.Machine, style cfg.Style, s Strat
 		ctx = context.Background()
 	}
 	r := cfg.NewRunner(m, style)
+	f := Follower{Strategy: s}
 	info := &RunInfo{}
 	var canceled error
 	var iter uint64
@@ -148,7 +149,7 @@ func RecordContext(ctx context.Context, m *cpu.Machine, style cfg.Style, s Strat
 		if e.From != nil {
 			info.Edges++
 		}
-		s.Observe(e)
+		f.Observe(e)
 		if e.To == nil {
 			break
 		}
@@ -157,6 +158,29 @@ func RecordContext(ctx context.Context, m *cpu.Machine, style cfg.Style, s Strat
 	info.PinSteps = m.PinSteps()
 	info.Blocks = r.Cache().Len()
 	return s.Set(), info, canceled
+}
+
+// Follower feeds a strategy from a run with no TEA (offline recording, the
+// DBT model), deriving exit by walking the set. Like the recorder's TEA
+// cursor, it stands still while the strategy records and drops to cold
+// code (nil, its zero value) when recording starts.
+type Follower struct {
+	Strategy Strategy
+	pos      *TBB
+}
+
+// Observe passes e and its derived exit to the strategy's Observe.
+func (f *Follower) Observe(e cfg.Edge) *Trace {
+	s, exit := f.Strategy, false
+	if e.To != nil && !s.Recording() {
+		next := s.Set().Follow(f.pos, e.To.Head)
+		exit, f.pos = f.pos != nil && next == nil, next
+	}
+	t := s.Observe(e, exit)
+	if s.Recording() {
+		f.pos = nil
+	}
+	return t
 }
 
 // backwardTaken reports whether the edge is a taken direct branch to an

@@ -264,6 +264,21 @@ func (s *Set) ByEntry(addr uint64) (*Trace, bool) {
 	return t, ok
 }
 
+// Follow steps execution from pos (nil: cold code) into the block at head:
+// pos's in-trace successor, else the head of the trace anchored at head,
+// else nil.
+func (s *Set) Follow(pos *TBB, head uint64) *TBB {
+	if pos != nil {
+		if next, ok := pos.Succs[head]; ok {
+			return next
+		}
+	}
+	if t, ok := s.byEntry[head]; ok {
+		return t.Head()
+	}
+	return nil
+}
+
 // Len returns the number of traces.
 func (s *Set) Len() int { return len(s.Traces) }
 

@@ -75,8 +75,9 @@ func (t *treeSelector) Name() string { return t.name }
 // Set implements Strategy.
 func (t *treeSelector) Set() *Set { return t.set }
 
-// Observe implements Strategy.
-func (t *treeSelector) Observe(e cfg.Edge) *Trace {
+// Observe implements Strategy. Trees ignore exit: sideExit moves their own
+// pos onto a link the TEA learns only when the tree is synced.
+func (t *treeSelector) Observe(e cfg.Edge, _ bool) *Trace {
 	if e.To == nil {
 		if t.recording {
 			// Program ended mid-path; the blocks already added stay in the

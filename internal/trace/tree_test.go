@@ -102,7 +102,7 @@ func TestTreeRecordingStateVisible(t *testing.T) {
 		if !ok {
 			break
 		}
-		s.Observe(e)
+		s.Observe(e, false)
 		if s.Recording() {
 			sawRecording = true
 		}
@@ -131,7 +131,7 @@ func TestMFETNeverRecordsState(t *testing.T) {
 		if !ok {
 			break
 		}
-		s.Observe(e)
+		s.Observe(e, false)
 		if s.Recording() {
 			t.Fatal("MFET reported a Creating state")
 		}

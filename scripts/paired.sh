@@ -18,7 +18,8 @@ trap 'rm -rf "$out"' EXIT
 
 # Package directory and -bench pattern: the rows the retired best-of-N
 # harness gates compared (replay kernels on mcf and the 901.steady cycle
-# workload, obs off and on, serve sessions, and both pipelines), plus the
+# workload, obs off and on, serve sessions, and both pipelines), the
+# stride kernel on 901.steady with local caches off as well as on, plus the
 # batch kernels on 176.gcc, the trace-rich stream whose edges are mostly
 # links, exits and NTE crossings, and the engine: the interpreter, and the
 # DBT recording 176.gcc (the largest text, so the most blocks to copy),
@@ -28,7 +29,7 @@ benches=(
     ".:^BenchmarkDBTRecord$/^176\.gcc$"
     ".:CompiledReplay/^181\.mcf$"
     ".:CompiledReplay/^176\.gcc$/^compiled-(batch|soa)$"
-    ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride)"
+    ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride|soa-stride)"
     "internal/serve:ServeSession"
     "internal/serve:^Benchmark(ParseEdges|AppendEdges)$"
     "internal/pipeline:(Replay|Record)Pipeline"

@@ -90,8 +90,6 @@ type (
 	LookupConfig = core.LookupConfig
 	// Replayer walks a TEA along a dynamic block stream.
 	Replayer = core.Replayer
-	// Recorder builds a TEA online (Algorithm 2).
-	Recorder = core.Recorder
 	// ReplayStats carries coverage and lookup counters.
 	ReplayStats = core.Stats
 
@@ -213,18 +211,9 @@ func NewInstrReplayer(a *Automaton, c LookupConfig, p *Program) *core.InstrRepla
 	return core.NewInstrReplayer(a, c, p)
 }
 
-// NewRecorder prepares an online TEA recorder (the paper's Algorithm 2).
-func NewRecorder(s Strategy, c LookupConfig) *Recorder { return core.NewRecorder(s, c) }
-
-// Encode serializes the automaton; EncodeWithProfile additionally stores
-// per-TBB execution counts. Encoding fails only on an automaton that was
-// not produced by Build (states missing from the canonical numbering).
+// Encode serializes the automaton. Encoding fails only on an automaton that
+// was not produced by Build (states missing from the canonical numbering).
 func Encode(a *Automaton) ([]byte, error) { return core.Encode(a) }
-
-// EncodeWithProfile serializes the automaton with profile counters.
-func EncodeWithProfile(a *Automaton, p *Profile) ([]byte, error) {
-	return core.EncodeWithProfile(a, p)
-}
 
 // DecodeError describes why Decode rejected a serialized TEA: the byte
 // offset, the wire-format field being read, and the reason. Every
@@ -300,10 +289,6 @@ func Specialize(c *Compiled, stream []StreamEdge) *Compiled {
 // occupancy (teaprof -layout).
 func CompiledLayout(c *Compiled) string { return c.Layout() }
 
-// EncodeStrideTable serializes a specialized form's stride table
-// (Compiled.StrideTable) in the TEAS wire format.
-func EncodeStrideTable(tab []StrideEntry) []byte { return core.EncodeStrideTable(tab) }
-
 // DecodeStrideTable parses a TEAS stride-table blob. The result is only
 // structurally bounded — semantic trust comes from VerifyStrideTable, which
 // re-proves every entry against the compiled form it is attached to.
@@ -360,38 +345,12 @@ type (
 	// PipelineReplayer is a live replay pipeline: feed edges from any
 	// producer, Barrier for the sequential-identical answer.
 	PipelineReplayer = pipeline.ReplayPipeline
-	// PipelineRecorder is a live online-recording pipeline: the recorder
-	// runs on the drain while workers scan chunks speculatively.
-	PipelineRecorder = pipeline.RecordPipeline
-	// PipelineReplayFeed / PipelineRecordFeed adapt the pipelines to the
-	// pintool interface, making the instrumentation engine a producer.
-	PipelineReplayFeed = pipeline.ReplayFeed
-	PipelineRecordFeed = pipeline.RecordFeed
-	// PinTool is the pintool interface every edge producer feeds.
-	PinTool = pin.Tool
 )
-
-// NewPipelineReplayFeed wraps a replay pipeline as a pintool.
-func NewPipelineReplayFeed(p *PipelineReplayer) *PipelineReplayFeed {
-	return pipeline.NewReplayFeed(p)
-}
-
-// NewPipelineRecordFeed wraps a record pipeline as a pintool.
-func NewPipelineRecordFeed(p *PipelineRecorder) *PipelineRecordFeed {
-	return pipeline.NewRecordFeed(p)
-}
 
 // NewReplayPipeline starts a replay pipeline over a compiled automaton.
 // Feeding is single-producer; Close it when done.
 func NewReplayPipeline(c *Compiled, pc PipelineConfig) *PipelineReplayer {
 	return pipeline.NewReplay(c, pc)
-}
-
-// NewRecordPipeline starts an online-recording pipeline around a fresh
-// recorder on s (always cache-less, as required for reconcilable chunk
-// scans). Feeding is single-producer; Close it when done.
-func NewRecordPipeline(s Strategy, pc PipelineConfig) *PipelineRecorder {
-	return pipeline.NewRecord(s, pc)
 }
 
 // ReplayPipeline is ReplayCompiled with capture decoupled from processing:
@@ -429,21 +388,13 @@ func RecordPipeline(p *Program, strategy string, tc TraceConfig, pc PipelineConf
 	return pl.Recorder().Automaton(), &st, m, err
 }
 
-// CapturePipeline drives the program's dynamic block stream straight from
-// the interpreter (no instrumentation cost model) into any pintool — the
-// cpu-level pipeline producer. RunTee on the DBT side and the pin engine
-// itself are the other two producers.
-func CapturePipeline(ctx context.Context, p *Program, maxSteps uint64, tool PinTool) error {
-	return pipeline.CaptureMachine(ctx, cpu.New(p), cfg.StarDBT, maxSteps, tool)
-}
-
 // Observability (runtime metrics, event tracing, profiling hooks).
 type (
 	// Obs is an observability context: a metrics registry, a bounded event
 	// ring and the logical edge clock. Attach one with Replayer.SetObs /
-	// CompiledReplayer.SetObs / Recorder.SetObs, or set it as
-	// PipelineConfig.Obs. All hooks are disabled — and free — when no
-	// context is attached.
+	// CompiledReplayer.SetObs, pass it to ReplayObs / RecordOnlineObs, or
+	// set it as PipelineConfig.Obs. All hooks are disabled — and free —
+	// when no context is attached.
 	Obs = obs.Obs
 	// ObsRegistry is the metric registry behind an Obs context.
 	ObsRegistry = obs.Registry
@@ -676,10 +627,6 @@ const (
 // NewServer creates a replay server; Host images on it, then Serve a
 // listener. Shutdown drains attached sessions before returning.
 func NewServer(c ServeConfig) *Server { return serve.NewServer(c) }
-
-// NewServeClient creates a session client from an explicit configuration
-// (cfg.Dial must be set; see DialServe for the TCP shorthand).
-func NewServeClient(cfg ServeClientConfig) (*ServeClient, error) { return client.New(cfg) }
 
 // DialServe creates a session client that dials addr over TCP.
 func DialServe(addr string, cfg ServeClientConfig) (*ServeClient, error) {
