@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -84,7 +85,7 @@ func main() {
 			emitObs(o, *eventsOut)
 			return
 		}
-		a, stats, err := tea.RecordOnlineObs(prog, *strategy, tea.TraceConfig{HotThreshold: *threshold}, tea.ConfigGlobalLocal, o)
+		a, stats, err := tea.RecordOnline(context.Background(), prog, *strategy, tea.TraceConfig{HotThreshold: *threshold}, tea.ConfigGlobalLocal, 0, o)
 		if err != nil {
 			fail(err)
 		}
@@ -180,7 +181,7 @@ func main() {
 			}
 			return
 		}
-		stats, err := tea.ReplayObs(prog, a, tea.ConfigGlobalLocal, o)
+		stats, err := tea.Replay(context.Background(), prog, a, tea.ConfigGlobalLocal, 0, o)
 		if err != nil {
 			fail(err)
 		}

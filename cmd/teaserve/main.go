@@ -82,7 +82,7 @@ func demoImages() (map[string]*isa.Program, map[string]*core.Automaton, error) {
 	}
 	automata := make(map[string]*core.Automaton, len(programs))
 	for name, p := range programs {
-		set, err := tea.RecordTraces(p, "mret", tea.TraceConfig{HotThreshold: 5})
+		set, err := tea.RecordTraces(context.Background(), p, "mret", tea.TraceConfig{HotThreshold: 5}, 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("record %s: %w", name, err)
 		}

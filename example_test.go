@@ -1,6 +1,7 @@
 package tea_test
 
 import (
+	"context"
 	"fmt"
 
 	tea "github.com/lsc-tea/tea"
@@ -29,7 +30,7 @@ loop:
 // ExampleBuild shows the paper's Algorithm 1: traces in, automaton out.
 func ExampleBuild() {
 	prog := tea.MustAssemble("sum", exampleSrc)
-	set, err := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+	set, err := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -43,10 +44,10 @@ func ExampleBuild() {
 // execution of the unmodified program back onto the recorded traces.
 func ExampleReplay() {
 	prog := tea.MustAssemble("sum", exampleSrc)
-	set, _ := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 	a := tea.Build(set)
 
-	stats, err := tea.Replay(prog, a, tea.ConfigGlobalLocal)
+	stats, err := tea.Replay(context.Background(), prog, a, tea.ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +61,7 @@ func ExampleReplay() {
 // original program.
 func ExampleEncode() {
 	prog := tea.MustAssemble("sum", exampleSrc)
-	set, _ := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 	a := tea.Build(set)
 
 	data, err := tea.Encode(a)
@@ -82,12 +83,84 @@ func ExampleEncode() {
 // program runs under the instrumentation engine, with no code generation.
 func ExampleRecordOnline() {
 	prog := tea.MustAssemble("sum", exampleSrc)
-	a, stats, err := tea.RecordOnline(prog, "mret",
-		tea.TraceConfig{HotThreshold: 50}, tea.ConfigGlobalLocal)
+	a, stats, err := tea.RecordOnline(context.Background(), prog, "mret",
+		tea.TraceConfig{HotThreshold: 50}, tea.ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("traces:", a.Set().Len(), "coverage above 90%:", stats.Coverage() > 0.9)
 	// Output:
 	// traces: 3 coverage above 90%: true
+}
+
+// ExampleNewInstrReplayer shows the instruction-granularity variant of the
+// DFA: every executed PC is fed to the cursor, and in-block steps need no
+// lookup.
+func ExampleNewInstrReplayer() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	a := tea.Build(set)
+
+	r := tea.NewInstrReplayer(a, tea.ConfigGlobalLocal, prog)
+	m := tea.NewMachine(prog)
+	for !m.Halted() {
+		r.StepInstr(m.PC())
+		if _, err := m.Step(); err != nil {
+			panic(err)
+		}
+	}
+	st := r.Stats()
+	fmt.Printf("instrs: %d, coverage: %.0f%%, in-block steps: %d\n", st.Instrs, st.Coverage()*100, st.SeqHits)
+	// Output:
+	// instrs: 26002, coverage: 100%, in-block steps: 20793
+}
+
+// ExampleMerge unions trace sets recorded on two runs of one program.
+func ExampleMerge() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	ctx := context.Background()
+	early, _ := tea.RecordTraces(ctx, prog, "mret", tea.TraceConfig{HotThreshold: 50}, 5_000)
+	full, _ := tea.RecordTraces(ctx, prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	merged, err := tea.Merge(early, full)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("traces:", early.Len(), "+", full.Len(), "->", merged.Len())
+	// Output:
+	// traces: 1 + 3 -> 3
+}
+
+// ExamplePrune keeps only the traces a profiled run entered often enough,
+// so the next run loads a smaller TEA.
+func ExamplePrune() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	prof, _, err := tea.ProfileReplay(prog, tea.Build(set), tea.ConfigGlobalLocal, nil)
+	if err != nil {
+		panic(err)
+	}
+	pruned, err := tea.Prune(set, prof, 100)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("traces:", set.Len(), "->", pruned.Len())
+	// Output:
+	// traces: 3 -> 1
+}
+
+// ExampleVerifyImage audits a serialized TEA against its program; a
+// damaged image surfaces as a finding, not a panic.
+func ExampleVerifyImage() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	data, err := tea.Encode(tea.Build(set))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("intact ok:", tea.VerifyImage(data, prog, tea.ConfigGlobalLocal).OK())
+	bad := tea.VerifyImage(data[:len(data)/2], prog, tea.ConfigGlobalLocal)
+	fmt.Println("truncated ok:", bad.OK(), "rule:", bad.Findings[0].Rule)
+	// Output:
+	// intact ok: true
+	// truncated ok: false rule: W-DEC
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -51,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := tea.Replay(prog, b, tea.ConfigGlobalLocal)
+	stats, err := tea.Replay(context.Background(), prog, b, tea.ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -67,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	set, err := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+	set, err := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func main() {
 	// Demonstrate the precise mapping the paper highlights: during
 	// re-execution, the state tells $$T1.next apart from $$T2.next even
 	// though both are the block at `next`.
-	stats, err := tea.Replay(prog, a, tea.ConfigGlobalLocal)
+	stats, err := tea.Replay(context.Background(), prog, a, tea.ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

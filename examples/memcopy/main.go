@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func main() {
 	}
 
 	// Record the hot copy loop (Figure 1(b)).
-	set, err := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+	set, err := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

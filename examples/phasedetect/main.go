@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 	}
 
 	// Record traces online, then replay with a phase detector attached.
-	a, _, err := tea.RecordOnline(prog, "mret", tea.TraceConfig{HotThreshold: 50}, tea.ConfigGlobalLocal)
+	a, _, err := tea.RecordOnline(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, tea.ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 	}
 
 	// 1. Record traces with MRET (the Dynamo/NET strategy).
-	set, err := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+	set, err := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 	}
 
 	// 5. Replay against a fresh execution of the unmodified program.
-	stats, err := tea.Replay(prog, restored, tea.ConfigGlobalLocal)
+	stats, err := tea.Replay(context.Background(), prog, restored, tea.ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

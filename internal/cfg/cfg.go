@@ -12,6 +12,7 @@
 package cfg
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -182,20 +183,47 @@ type Edge struct {
 	Taken bool
 }
 
-// Runner drives a machine block by block, producing the edge stream.
+// Runner drives a machine block by block, producing the edge stream. It
+// owns the one stop rule every guest run shares (Arm): a program that never
+// halts cannot hang its driver.
 type Runner struct {
 	m     *cpu.Machine
 	cache *Cache
 	cur   *Block
 	begun bool
 	done  bool
+
+	ctx      context.Context
+	maxSteps uint64
+	polls    uint64
+	err      error
 }
+
+// pollMask batches the runner's context polls to one per 1024 edges,
+// keeping the cancellation guard off the per-block hot path.
+const pollMask = 1<<10 - 1
 
 // NewRunner resets the machine and prepares a runner over it.
 func NewRunner(m *cpu.Machine, style Style) *Runner {
 	m.Reset()
-	return &Runner{m: m, cache: NewCache(m.Program(), style)}
+	return &Runner{m: m, cache: NewCache(m.Program(), style), ctx: context.Background()}
 }
+
+// Arm bounds the run: Next reports ok == false once maxSteps instructions
+// have retired (0 = unbounded) or, polled once every 1024 edges, once ctx
+// is done; Err then reports ctx.Err(). The cap is tested before each block
+// executes, so a capped run stops at or within one block past maxSteps. A
+// nil ctx never cancels.
+func (r *Runner) Arm(ctx context.Context, maxSteps uint64) {
+	if ctx != nil {
+		r.ctx = ctx
+	}
+	r.maxSteps = maxSteps
+}
+
+// Err reports why an armed run stopped early: ctx.Err() after a
+// cancellation, nil after a halt or a step cap.
+func (r *Runner) Err() error { return r.err }
 
 // Cache exposes the runner's block cache.
 func (r *Runner) Cache() *Cache { return r.cache }
@@ -207,11 +235,23 @@ func (r *Runner) Machine() *cpu.Machine { return r.m }
 // pseudo-edge into the entry block without executing anything. Subsequent
 // calls execute the current block to completion and emit the edge to the
 // next block; after HALT the final edge has To == nil and ok is false for
-// every later call.
+// every later call. ok is also false once the run hits its Arm bounds.
 func (r *Runner) Next() (Edge, bool, error) {
-	if r.done {
+	if r.done || r.err != nil {
 		return Edge{}, false, nil
 	}
+	if r.maxSteps > 0 && r.m.Steps() >= r.maxSteps {
+		return Edge{}, false, nil
+	}
+	if r.polls&pollMask == 0 {
+		select {
+		case <-r.ctx.Done():
+			r.err = r.ctx.Err()
+			return Edge{}, false, nil
+		default:
+		}
+	}
+	r.polls++
 	if !r.begun {
 		r.begun = true
 		b, err := r.cache.BlockAt(r.m.PC())

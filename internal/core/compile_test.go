@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func buildTestAutomaton(t *testing.T) (*Automaton, *cpu.Machine) {
 		t.Fatal("mret strategy missing")
 	}
 	m := cpu.New(p)
-	set, _, err := trace.RecordContext(nil, m, cfg.StarDBT, strat, 0)
+	set, _, err := trace.Record(context.Background(), m, cfg.StarDBT, strat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,7 +58,7 @@ func FuzzDecode(f *testing.F) {
 	// mutants of each, plus hand-picked junk.
 	for _, strategy := range []string{"mret", "tt", "ctt"} {
 		s, _ := trace.NewStrategy(strategy, p, trace.Config{HotThreshold: 30})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func randomSet(t testing.TB, seed int64, strategy string, threshold int) *trace.
 	if !ok {
 		t.Fatalf("strategy %q", strategy)
 	}
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestQuickReplayCoverageConfigInvariant(t *testing.T) {
 		spec.WorkScale = 8
 		p := workload.Program(spec)
 		s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 8})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 		if err != nil {
 			t.Log(err)
 			return false

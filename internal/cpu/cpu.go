@@ -15,7 +15,6 @@
 package cpu
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -387,34 +386,6 @@ func (m *Machine) Run(maxSteps uint64) error {
 	for !m.halted {
 		if m.steps >= maxSteps {
 			return ErrFuel
-		}
-		if _, err := m.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ctxCheckMask batches context polls: the Done channel is consulted once
-// every 4096 retired instructions, keeping the guard off the hot path.
-const ctxCheckMask = 1<<12 - 1
-
-// RunContext executes until HALT, cancellation, or until maxSteps
-// instructions have retired (0 = unbounded, unlike Run's hard budget). A
-// pathological program — an infinite loop with no HALT — cannot hang the
-// caller: cancel the context or set a step limit and the run returns with
-// ctx.Err() or ErrFuel while the machine stays inspectable.
-func (m *Machine) RunContext(ctx context.Context, maxSteps uint64) error {
-	for !m.halted {
-		if maxSteps > 0 && m.steps >= maxSteps {
-			return ErrFuel
-		}
-		if ctx != nil && m.steps&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
 		}
 		if _, err := m.Step(); err != nil {
 			return err

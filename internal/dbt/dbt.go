@@ -115,40 +115,17 @@ func (t *Translator) Run(p *isa.Program, strategy string, c trace.Config, maxSte
 	if !ok {
 		return nil, fmt.Errorf("dbt: unknown strategy %q", strategy)
 	}
-	return t.RunWith(p, sel, maxSteps)
+	return t.RunWith(context.Background(), p, sel, maxSteps)
 }
 
-// RunWith executes p under the translator with an explicit selector.
-func (t *Translator) RunWith(p *isa.Program, sel trace.Strategy, maxSteps uint64) (*Result, error) {
-	return t.RunWithContext(context.Background(), p, sel, maxSteps)
-}
-
-// ctxCheckMask batches context polls to one per 1024 block edges.
-const ctxCheckMask = 1<<10 - 1
-
-// RunWithContext is RunWith with cancellation: a program that never halts
-// cannot hang the caller when the context carries a deadline or is
-// cancelled. The partial Result is returned alongside ctx.Err().
-func (t *Translator) RunWithContext(ctx context.Context, p *isa.Program, sel trace.Strategy, maxSteps uint64) (*Result, error) {
-	return t.run(ctx, p, sel, maxSteps, nil)
-}
-
-// RunTee is RunWithContext, additionally teeing every observed block edge —
-// including the final nil-To halt edge, whose instrs carry the trailing
-// count — with its StarDBT-counted instruction delta into sink. This is the
-// translator-side producer for the capture→process pipeline: the DBT keeps
-// translating and recording at full speed while a decoupled TEA consumer
-// rides along on the teed stream.
-func (t *Translator) RunTee(ctx context.Context, p *isa.Program, sel trace.Strategy, maxSteps uint64, sink func(e cfg.Edge, instrs uint64)) (*Result, error) {
-	return t.run(ctx, p, sel, maxSteps, sink)
-}
-
-func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy, maxSteps uint64, sink func(e cfg.Edge, instrs uint64)) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// RunWith executes p under the translator with an explicit selector. A
+// program that never halts cannot hang the caller when ctx carries a
+// deadline or is cancelled: the partial Result is returned alongside
+// ctx.Err().
+func (t *Translator) RunWith(ctx context.Context, p *isa.Program, sel trace.Strategy, maxSteps uint64) (*Result, error) {
 	m := cpu.New(p)
 	r := cfg.NewRunner(m, cfg.StarDBT)
+	r.Arm(ctx, maxSteps)
 	res := &Result{}
 
 	translated := make(map[uint64]bool)
@@ -170,23 +147,7 @@ func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy
 	f := trace.Follower{Strategy: sel}
 
 	var mark cpu.StepMark
-	var canceled error
-	var iter uint64
 	for {
-		if maxSteps > 0 && m.Steps() >= maxSteps {
-			break
-		}
-		if iter&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				canceled = ctx.Err()
-			default:
-			}
-			if canceled != nil {
-				break
-			}
-		}
-		iter++
 		e, ok, err := r.Next()
 		if err != nil {
 			return nil, err
@@ -200,9 +161,6 @@ func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy
 		res.Instrs += instrs
 		if pos != nil {
 			res.TraceInstrs += instrs
-		}
-		if sink != nil {
-			sink(e, instrs)
 		}
 
 		if e.To == nil {
@@ -251,5 +209,5 @@ func (t *Translator) run(ctx context.Context, p *isa.Program, sel trace.Strategy
 	res.Info.Blocks = r.Cache().Len()
 	res.TraceBytes = set.CodeBytes()
 	res.TimeUnits += t.cost.PerInstr * float64(res.Instrs)
-	return res, canceled
+	return res, r.Err()
 }

@@ -1,6 +1,7 @@
 package dcfg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func recordSet(t *testing.T, strategy string) *trace.Set {
 	t.Helper()
 	p := progs.Figure2(60, 200)
 	s, _ := trace.NewStrategy(strategy, p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

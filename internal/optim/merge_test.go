@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -22,7 +23,7 @@ func twoRunSets(t *testing.T) (*trace.Set, *trace.Set) {
 	}
 	record := func(threshold int) *trace.Set {
 		s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: threshold})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

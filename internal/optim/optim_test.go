@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -18,7 +19,7 @@ import (
 func recordLoopSet(t *testing.T, p *isa.Program) (*trace.Set, *trace.Trace) {
 	t.Helper()
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDuplicateShape(t *testing.T) {
 func TestDuplicateRejectsNonCycle(t *testing.T) {
 	p := progs.Figure2(60, 300)
 	s, _ := trace.NewStrategy("tt", p, trace.Config{HotThreshold: 20})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -22,7 +23,7 @@ func profiledRun(t *testing.T) (*isa.Program, *trace.Set, *teatool.ProfileTool) 
 		t.Fatal(err)
 	}
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 12})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

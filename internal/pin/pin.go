@@ -104,20 +104,14 @@ func (en *Engine) Run(p *isa.Program, tool Tool, maxSteps uint64) (*Result, erro
 	return en.RunContext(context.Background(), p, tool, maxSteps)
 }
 
-// ctxCheckMask batches the engine's context polls to one per 1024 block
-// edges, keeping the cancellation guard off the per-block hot path.
-const ctxCheckMask = 1<<10 - 1
-
 // RunContext is Run with cancellation: a program that never halts cannot
 // hang the caller when the context carries a deadline or is cancelled. On
 // cancellation the tool still receives Fini with the unreported tail, the
 // partial Result is returned, and the error is ctx.Err().
 func (en *Engine) RunContext(ctx context.Context, p *isa.Program, tool Tool, maxSteps uint64) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	m := cpu.New(p)
 	r := cfg.NewRunner(m, cfg.Pin)
+	r.Arm(ctx, maxSteps)
 	res := &Result{}
 	jitted := make(map[uint64]bool)
 
@@ -146,24 +140,8 @@ func (en *Engine) RunContext(ctx context.Context, p *isa.Program, tool Tool, max
 
 	var prevPin uint64
 	var pending uint64 // Pin-counted instrs accumulated across split edges
-	var canceled error
-	var iter uint64
 
 	for {
-		if maxSteps > 0 && m.Steps() >= maxSteps {
-			break
-		}
-		if iter&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				canceled = ctx.Err()
-			default:
-			}
-			if canceled != nil {
-				break
-			}
-		}
-		iter++
 		e, ok, err := r.Next()
 		if err != nil {
 			return nil, fmt.Errorf("pin: %w", err)
@@ -219,7 +197,7 @@ func (en *Engine) RunContext(ctx context.Context, p *isa.Program, tool Tool, max
 	res.PinSteps = m.PinSteps()
 	res.StaticBlocks = r.Cache().Len()
 	res.EngineUnits += en.cost.PerInstr * float64(res.PinSteps)
-	return res, canceled
+	return res, r.Err()
 }
 
 // Cost returns the engine's cost model.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -102,7 +103,7 @@ func buildAutomaton(t testing.TB, p *isa.Program) *core.Automaton {
 	if !ok {
 		t.Fatal("mret strategy")
 	}
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,53 +724,6 @@ func TestReplayPipelineZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state pass allocates %.1f times", allocs)
 	}
 }
-
-// TestCaptureMachineMatchesRunner: the cpu-level producer delivers exactly
-// the runner's edge stream (including the halt edge) to the tool.
-func TestCaptureMachineMatchesRunner(t *testing.T) {
-	p := testProgram(t, 12)
-	wantEdges, wantInstrs := captureEdges(t, p)
-
-	var gotEdges []cfg.Edge
-	var gotInstrs []uint64
-	var finis int
-	tool := &edgeCollector{edges: &gotEdges, instrs: &gotInstrs, finis: &finis}
-	if err := CaptureMachine(nil, cpu.New(p), cfg.StarDBT, 0, tool); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotEdges) != len(wantEdges) || finis != 1 {
-		t.Fatalf("%d edges (want %d), %d finis", len(gotEdges), len(wantEdges), finis)
-	}
-	// Blocks come from two separate caches; compare by identity-defining
-	// fields, not pointers.
-	head := func(b *cfg.Block) uint64 {
-		if b == nil {
-			return ^uint64(0)
-		}
-		return b.Head
-	}
-	for i := range wantEdges {
-		if head(gotEdges[i].From) != head(wantEdges[i].From) ||
-			head(gotEdges[i].To) != head(wantEdges[i].To) ||
-			gotEdges[i].Taken != wantEdges[i].Taken ||
-			gotInstrs[i] != wantInstrs[i] {
-			t.Fatalf("edge %d differs", i)
-		}
-	}
-}
-
-type edgeCollector struct {
-	edges  *[]cfg.Edge
-	instrs *[]uint64
-	finis  *int
-}
-
-func (c *edgeCollector) Edge(e cfg.Edge, instrs uint64) {
-	*c.edges = append(*c.edges, e)
-	*c.instrs = append(*c.instrs, instrs)
-}
-
-func (c *edgeCollector) Fini(instrs uint64) { *c.finis++ }
 
 // pipelineSeries collects every tea_pipeline_* series from a registry
 // scrape into "name" or "name{value}" keys.

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func buildAndProfile(t *testing.T, p *isa.Program, threshold int) (*core.Automaton, *Profile) {
 	t.Helper()
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: threshold})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestInstrProfileEndToEnd(t *testing.T) {
 	// format.
 	p := progs.Figure1(100, 60)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

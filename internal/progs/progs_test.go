@@ -1,6 +1,7 @@
 package progs
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestRepDemoAndCallDemoRun(t *testing.T) {
 func TestFigure3Golden(t *testing.T) {
 	p := Figure2(60, 200)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 50})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestReplayFigure2DistinguishesInstances(t *testing.T) {
 	// instance of a shared block is "executing" (paper §3).
 	p := Figure2(60, 200)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 50})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func chaosFixture(t testing.TB) []chaosImage {
 			if !ok {
 				panic("mret strategy missing")
 			}
-			set, _, err := trace.Record(cpu.New(d.prog), cfg.StarDBT, strat, 0)
+			set, _, err := trace.Record(context.Background(), cpu.New(d.prog), cfg.StarDBT, strat, 0)
 			if err != nil {
 				panic(err)
 			}

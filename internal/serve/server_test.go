@@ -43,7 +43,7 @@ func testFixture(t testing.TB) fixture {
 		if !ok {
 			panic("mret strategy missing")
 		}
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, strat, 0)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, strat, 0)
 		if err != nil {
 			panic(err)
 		}

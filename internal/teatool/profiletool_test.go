@@ -1,6 +1,7 @@
 package teatool
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -17,7 +18,7 @@ func buildFigure2Automaton(t *testing.T, strategy string) (*isa.Program, *core.A
 	t.Helper()
 	p := progs.Figure2(60, 300)
 	s, _ := trace.NewStrategy(strategy, p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestProfileToolFeedsPhaseDetector(t *testing.T) {
 	// never takes a side exit, so the run is almost entirely stable.
 	p := progs.Figure1(200, 200)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package trace_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -28,7 +29,7 @@ func TestLinkOutputsVerify(t *testing.T) {
 			if !ok {
 				t.Fatalf("strategy %q", strategy)
 			}
-			set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+			set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +50,7 @@ func TestManualLinkVerifies(t *testing.T) {
 	spec.WorkScale = 8
 	p := workload.Program(spec)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 10})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

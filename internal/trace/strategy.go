@@ -103,42 +103,14 @@ type RunInfo struct {
 
 // Record resets the machine, runs it to completion under the given block
 // discipline, and feeds every edge to the strategy. It returns the recorded
-// trace set. maxSteps caps the run; 0 means unbounded.
-func Record(m *cpu.Machine, style cfg.Style, s Strategy, maxSteps uint64) (*Set, *RunInfo, error) {
-	return RecordContext(context.Background(), m, style, s, maxSteps)
-}
-
-// ctxCheckMask batches the recorder's context polls to one per 1024 block
-// edges, keeping the cancellation guard off the per-block hot path.
-const ctxCheckMask = 1<<10 - 1
-
-// RecordContext is Record with cancellation: a program that never halts
-// cannot hang the caller when the context carries a deadline or is
-// cancelled. The partial set and run info are returned alongside ctx.Err().
-func RecordContext(ctx context.Context, m *cpu.Machine, style cfg.Style, s Strategy, maxSteps uint64) (*Set, *RunInfo, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// trace set. maxSteps caps the run (0 = unbounded); a cancelled ctx stops it
+// early, returning the partial set and run info alongside ctx.Err().
+func Record(ctx context.Context, m *cpu.Machine, style cfg.Style, s Strategy, maxSteps uint64) (*Set, *RunInfo, error) {
 	r := cfg.NewRunner(m, style)
+	r.Arm(ctx, maxSteps)
 	f := Follower{Strategy: s}
 	info := &RunInfo{}
-	var canceled error
-	var iter uint64
 	for {
-		if maxSteps > 0 && m.Steps() >= maxSteps {
-			break
-		}
-		if iter&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				canceled = ctx.Err()
-			default:
-			}
-			if canceled != nil {
-				break
-			}
-		}
-		iter++
 		e, ok, err := r.Next()
 		if err != nil {
 			return nil, nil, err
@@ -150,20 +122,24 @@ func RecordContext(ctx context.Context, m *cpu.Machine, style cfg.Style, s Strat
 			info.Edges++
 		}
 		f.Observe(e)
-		if e.To == nil {
-			break
-		}
 	}
 	info.Steps = m.Steps()
 	info.PinSteps = m.PinSteps()
 	info.Blocks = r.Cache().Len()
-	return s.Set(), info, canceled
+	return s.Set(), info, r.Err()
 }
 
 // Follower feeds a strategy from a run with no TEA (offline recording, the
 // DBT model), deriving exit by walking the set. Like the recorder's TEA
-// cursor, it stands still while the strategy records and drops to cold
-// code (nil, its zero value) when recording starts.
+// cursor, it stands still while the strategy records.
+//
+// It needs no reset to cold code when recording starts: its cursor is
+// already there whenever the cursor matters. Only MRET reads exit, and MRET
+// starts recording only on a taken backward branch or a trace exit. An exit
+// leaves the cursor at nil. A taken backward branch follows an in-trace
+// link only to a trace head, since MRET ends a trace unlinked at any other
+// backward branch, and MRET starts no trace at an existing head. The trees
+// and MFET ignore exit.
 type Follower struct {
 	Strategy Strategy
 	pos      *TBB
@@ -176,11 +152,7 @@ func (f *Follower) Observe(e cfg.Edge) *Trace {
 		next := s.Set().Follow(f.pos, e.To.Head)
 		exit, f.pos = f.pos != nil && next == nil, next
 	}
-	t := s.Observe(e, exit)
-	if s.Recording() {
-		f.pos = nil
-	}
-	return t
+	return s.Observe(e, exit)
 }
 
 // backwardTaken reports whether the edge is a taken direct branch to an

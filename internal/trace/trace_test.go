@@ -1,12 +1,15 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
+	"github.com/lsc-tea/tea/internal/asm"
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/cpu"
 	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/progs"
+	"github.com/lsc-tea/tea/internal/workload"
 )
 
 // recordOn runs the named strategy over a program and returns the set.
@@ -16,7 +19,7 @@ func recordOn(t *testing.T, p *isa.Program, strategy string, c Config) (*Set, *R
 	if !ok {
 		t.Fatalf("unknown strategy %q", strategy)
 	}
-	set, info, err := Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, info, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +262,7 @@ func TestLinkAcrossTracesErrors(t *testing.T) {
 func TestRunInfoCounts(t *testing.T) {
 	p := progs.Figure1(50, 4)
 	s := NewMRET(p, Config{HotThreshold: 30})
-	_, info, err := Record(cpu.New(p), cfg.StarDBT, s, 0)
+	_, info, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +278,7 @@ func TestRecordRespectsMaxSteps(t *testing.T) {
 	p := progs.Figure1(100, 100)
 	s := NewMRET(p, Config{})
 	m := cpu.New(p)
-	_, info, err := Record(m, cfg.StarDBT, s, 500)
+	_, info, err := Record(context.Background(), m, cfg.StarDBT, s, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,5 +327,73 @@ func TestDefaultConfigApplied(t *testing.T) {
 	c2 := Config{HotThreshold: 7}.withDefaults()
 	if c2.HotThreshold != 7 || c2.MaxTraceBlocks != d.MaxTraceBlocks {
 		t.Errorf("partial defaults wrong: %+v", c2)
+	}
+}
+
+// intoTrace makes MRET start a trace at a taken backward branch's target
+// inside an existing trace: the x loop records [x, y] with y reached
+// forward, then the second phase loops y → z → y, and y gets hot as a
+// backward-branch target that is a non-entry TBB of x's trace.
+const intoTrace = `
+.entry main
+main:
+    movi ecx, 60
+    movi esi, 60
+x:
+    addi eax, 1
+    jmp  y
+y:
+    addi ebx, 1
+    subi ecx, 1
+    jgt  x
+    subi esi, 1
+    jgt  y
+    halt
+`
+
+// TestFollowerColdWhenRecordingStarts holds the Follower doc comment's
+// argument for needing no reset: whenever MRET starts recording, the
+// follower's cursor is already in cold code — also when the new head lies
+// inside an existing trace.
+func TestFollowerColdWhenRecordingStarts(t *testing.T) {
+	progsUnder := []*isa.Program{asm.MustAssemble("into-trace", intoTrace), progs.Figure2(60, 300)}
+	for _, name := range []string{"176.gcc", "181.mcf", "252.eon"} {
+		spec, _ := workload.ByName(name)
+		p, err := workload.Generate(spec, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progsUnder = append(progsUnder, p)
+	}
+	inside := 0
+	for _, p := range progsUnder {
+		s, _ := NewStrategy("mret", p, Config{HotThreshold: 12})
+		f := Follower{Strategy: s}
+		r := cfg.NewRunner(cpu.New(p), cfg.StarDBT)
+		for starts := 0; ; {
+			e, ok, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			f.Observe(e)
+			if !s.Recording() || s.Set().Len() == starts {
+				continue
+			}
+			starts = s.Set().Len()
+			if f.pos != nil {
+				t.Fatalf("%s: recording started at 0x%x with the follower at %v", p.Name, e.To.Head, f.pos)
+			}
+			for _, tr := range s.Set().Traces[:starts-1] {
+				if len(tr.FindByBlock(e.To.Head)) > 0 {
+					inside++
+				}
+			}
+		}
+	}
+	if inside == 0 {
+		t.Error("no run started a trace inside an existing one")
 	}
 }

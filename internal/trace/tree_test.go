@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -11,7 +12,7 @@ import (
 func TestTreeSetBlocksCapStopsGrowth(t *testing.T) {
 	p := progs.Figure2(64, 400)
 	s := newTree("tt", false, p, Config{HotThreshold: 10, MaxSetBlocks: 6})
-	set, _, err := Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestTreeSetBlocksCapStopsGrowth(t *testing.T) {
 func TestMRETSetBlocksCap(t *testing.T) {
 	p := progs.Figure2(64, 400)
 	s := NewMRET(p, Config{HotThreshold: 10, MaxSetBlocks: 4})
-	set, _, err := Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestTreeImmediateAnchorLinkNeedsNoHotness(t *testing.T) {
 	// observation.
 	p := progs.Figure2(60, 400)
 	s := newTree("tt", false, p, Config{HotThreshold: 1 << 30}) // extensions never get hot
-	set, _, err := Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTreeImmediateAnchorLinkNeedsNoHotness(t *testing.T) {
 	}
 
 	s2 := newTree("tt", false, p, Config{HotThreshold: 20})
-	set2, _, err := Record(cpu.New(p), cfg.StarDBT, s2, 0)
+	set2, _, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, s2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +75,12 @@ func TestCTTLinksToInnerLoopHeaders(t *testing.T) {
 	// header instead of duplicating the tail back to the outer anchor.
 	p := progs.Figure1(60, 300) // copy loop nested in round loop
 	ctt := newTree("ctt", true, p, Config{HotThreshold: 20})
-	set, _, err := Record(cpu.New(p), cfg.StarDBT, ctt, 0)
+	set, _, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, ctt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tt := newTree("tt", false, p, Config{HotThreshold: 20})
-	setTT, _, err := Record(cpu.New(p), cfg.StarDBT, tt, 0)
+	setTT, _, err := Record(context.Background(), cpu.New(p), cfg.StarDBT, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ucsim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -135,7 +136,7 @@ func TestSimulatorCountsRepAndMispredicts(t *testing.T) {
 func TestSimulateTEAAttributesCycles(t *testing.T) {
 	p := progs.Figure2(60, 300)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 50})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestSimulateTEAAttributesCycles(t *testing.T) {
 func TestSimulateTEADeterministic(t *testing.T) {
 	p := progs.Figure2(60, 100)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

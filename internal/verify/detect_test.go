@@ -69,7 +69,7 @@ func newDetectFixture(t *testing.T) *detectFixture {
 	t.Helper()
 	p := progs.Figure2(40, 80)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 16})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +28,7 @@ func TestQuickRecordedAlwaysVerifies(t *testing.T) {
 		spec.WorkScale = 8
 		p := workload.Program(spec)
 		s, _ := trace.NewStrategy(strategy, p, trace.Config{HotThreshold: threshold})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -58,7 +59,7 @@ func TestQuickOptimOutputsAlwaysVerify(t *testing.T) {
 		spec.WorkScale = 8
 		p := workload.Program(spec)
 		s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 10})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -106,7 +107,7 @@ func TestQuickVerifierMatchesReplay(t *testing.T) {
 		spec.WorkScale = 8
 		p := workload.Program(spec)
 		s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 10})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 		if err != nil {
 			t.Log(err)
 			return false

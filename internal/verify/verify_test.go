@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func recordedSet(t testing.TB, seed int64, strategy string, threshold int) (*tra
 	if !ok {
 		t.Fatalf("strategy %q", strategy)
 	}
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 2_000_000)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestRecordedAutomataVerifyClean(t *testing.T) {
 func TestFigure2VerifiesClean(t *testing.T) {
 	p := progs.Figure2(60, 200)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 16})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestReportRendering(t *testing.T) {
 func TestImageRejectsCorrupt(t *testing.T) {
 	p := progs.Figure2(40, 100)
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 16})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

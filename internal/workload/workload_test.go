@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -189,7 +190,7 @@ func TestTraceSelectionFindsHotCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := trace.NewMRET(p, trace.Config{HotThreshold: 50})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,6 +31,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,7 +77,7 @@ func run() error {
 	p := progs.Figure2(60, 200)
 	for _, strategy := range []string{"mret", "tt", "ctt"} {
 		s, _ := trace.NewStrategy(strategy, p, trace.Config{HotThreshold: 30})
-		set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+		set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 		if err != nil {
 			return err
 		}
@@ -132,7 +133,7 @@ func writeStrideCorpus() error {
 		return err
 	}
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 8})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		return err
 	}
@@ -279,7 +280,7 @@ func legacyEdges(edges []core.Edge, clock int64) []byte {
 // it, so the checked-in negative test can never go stale silently.
 func makeBadCFG(p *isa.Program) ([]byte, error) {
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +320,7 @@ func makeBadCFG(p *isa.Program) ([]byte, error) {
 // regression input cannot go stale silently.
 func makeUnreachable(p *isa.Program) ([]byte, error) {
 	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(cpu.New(p), cfg.StarDBT, s, 0)
+	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
 	if err != nil {
 		return nil, err
 	}

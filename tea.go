@@ -14,16 +14,19 @@
 // Quick start:
 //
 //	prog, err := tea.Assemble("copy", src)        // or tea.Benchmark("176.gcc", 2_000_000)
-//	set, err := tea.RecordTraces(prog, "mret", tea.TraceConfig{HotThreshold: 50})
+//	ctx := context.Background()
+//	set, err := tea.RecordTraces(ctx, prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
 //	a := tea.Build(set)                            // Algorithm 1
 //	data, err := tea.Encode(a)                     // store for reuse
-//	stats, err := tea.Replay(prog, a, tea.ConfigGlobalLocal)
+//	stats, err := tea.Replay(ctx, prog, a, tea.ConfigGlobalLocal, 0, nil)
 //	fmt.Printf("coverage: %.1f%%\n", stats.Coverage()*100)
 //
 // Failure semantics: exported functions report all input-dependent
 // failures as errors — a corrupt serialized TEA surfaces as a
-// *DecodeError, never a panic — and the long-running entry points have
-// *Context variants that honor cancellation and deadlines.
+// *DecodeError, never a panic — and the entry points that run a guest
+// program (RecordTraces, Replay, RecordOnline) take a context and a step
+// cap, so cancellation, deadlines and step budgets stop them with partial
+// results.
 //
 // To replay a captured stream slice on several cores, feed it to
 // NewReplayPipeline and read the answer at Barrier: it is byte-identical
@@ -173,22 +176,16 @@ func NewStrategy(name string, p *Program, c TraceConfig) (Strategy, bool) {
 	return trace.NewStrategy(name, p, c)
 }
 
-// RecordTraces executes the program to completion under the StarDBT block
-// discipline and records traces with the named strategy.
-func RecordTraces(p *Program, strategy string, c TraceConfig) (*TraceSet, error) {
-	return RecordTracesContext(context.Background(), p, strategy, c, 0)
-}
-
-// RecordTracesContext is RecordTraces with resource guards: the run stops
-// early when ctx is cancelled (returning the partial set alongside
-// ctx.Err()) or when maxSteps dynamic instructions have executed
-// (0 = unbounded).
-func RecordTracesContext(ctx context.Context, p *Program, strategy string, c TraceConfig, maxSteps uint64) (*TraceSet, error) {
+// RecordTraces executes the program under the StarDBT block discipline
+// and records traces with the named strategy. The run stops early when ctx
+// is cancelled, returning the partial set alongside ctx.Err(), or once
+// maxSteps dynamic instructions have executed (0 = unbounded).
+func RecordTraces(ctx context.Context, p *Program, strategy string, c TraceConfig, maxSteps uint64) (*TraceSet, error) {
 	s, ok := trace.NewStrategy(strategy, p, c)
 	if !ok {
 		return nil, &UnknownStrategyError{Name: strategy}
 	}
-	set, _, err := trace.RecordContext(ctx, cpu.New(p), cfg.StarDBT, s, maxSteps)
+	set, _, err := trace.Record(ctx, cpu.New(p), cfg.StarDBT, s, maxSteps)
 	return set, err
 }
 
@@ -237,25 +234,23 @@ func Summary(a *Automaton) string { return core.Summary(a) }
 
 // Replay re-executes the unmodified program under the Pin-like engine with
 // the TEA replay tool attached and returns the replay statistics — the
-// paper's Table 2 workflow.
+// paper's Table 2 workflow. The run stops early when ctx is cancelled,
+// returning the partial stats alongside ctx.Err(), or once maxSteps dynamic
+// instructions have executed (0 = unbounded). A non-nil o is attached to
+// the replayer: its counters, histograms and event ring fill while the run
+// proceeds, and the counter fold is flushed before returning, on a stopped
+// run too. A nil o runs dark.
 //
 // Replaying an automaton against a program it does not describe (a stale
 // or foreign TEA) does not fail: the replayer detects impossible
 // transitions, falls back to NTE, and counts the events in the returned
 // stats' Desyncs/Resyncs fields.
-func Replay(p *Program, a *Automaton, c LookupConfig) (*ReplayStats, error) {
-	return ReplayContext(context.Background(), p, a, c, 0)
-}
-
-// ReplayContext is Replay with resource guards: the run stops early when
-// ctx is cancelled (returning the partial stats alongside ctx.Err()) or
-// when maxSteps dynamic instructions have executed (0 = unbounded).
-func ReplayContext(ctx context.Context, p *Program, a *Automaton, c LookupConfig, maxSteps uint64) (*ReplayStats, error) {
+func Replay(ctx context.Context, p *Program, a *Automaton, c LookupConfig, maxSteps uint64, o *Obs) (*ReplayStats, error) {
 	tool := teatool.NewReplayTool(a, c)
-	if _, err := pin.New().RunContext(ctx, p, tool, maxSteps); err != nil {
-		return tool.Stats(), err
-	}
-	return tool.Stats(), nil
+	tool.Replayer().SetObs(o)
+	_, err := pin.New().RunContext(ctx, p, tool, maxSteps)
+	tool.Replayer().FlushObs()
+	return tool.Stats(), err
 }
 
 // Compile freezes the automaton into its flat compiled form. Only the
@@ -392,8 +387,8 @@ func RecordPipeline(p *Program, strategy string, tc TraceConfig, pc PipelineConf
 type (
 	// Obs is an observability context: a metrics registry, a bounded event
 	// ring and the logical edge clock. Attach one with Replayer.SetObs /
-	// CompiledReplayer.SetObs, pass it to ReplayObs / RecordOnlineObs, or
-	// set it as PipelineConfig.Obs. All hooks are disabled — and free —
+	// CompiledReplayer.SetObs, pass it to Replay / RecordOnline, or set it
+	// as PipelineConfig.Obs. All hooks are disabled — and free —
 	// when no context is attached.
 	Obs = obs.Obs
 	// ObsRegistry is the metric registry behind an Obs context.
@@ -428,55 +423,23 @@ func EncodeFlight(rec FlightRecord) []byte { return obs.EncodeFlight(rec) }
 // validating the embedded event log.
 func DecodeFlight(data []byte) (FlightRecord, error) { return obs.DecodeFlight(data) }
 
-// ReplayObs is Replay with an observability context attached to the
-// replayer: counters, histograms and the event ring fill while the run
-// proceeds, and the counter fold is flushed before returning. A nil o
-// behaves exactly like Replay.
-func ReplayObs(p *Program, a *Automaton, c LookupConfig, o *Obs) (*ReplayStats, error) {
-	tool := teatool.NewReplayTool(a, c)
-	tool.Replayer().SetObs(o)
-	_, err := pin.New().Run(p, tool, 0)
-	tool.Replayer().FlushObs()
-	return tool.Stats(), err
-}
-
-// RecordOnlineObs is RecordOnline with an observability context attached
-// to the recorder: sync spans, trace-set gauges and the recording
-// replayer's metrics fill while the run proceeds. A nil o behaves exactly
-// like RecordOnline.
-func RecordOnlineObs(p *Program, strategy string, tc TraceConfig, lc LookupConfig, o *Obs) (*Automaton, *ReplayStats, error) {
+// RecordOnline runs the program under the Pin-like engine while building a
+// TEA online with the named strategy — the paper's Table 3 workflow. It
+// returns the automaton and the recording run's statistics. ctx and
+// maxSteps bound the run as in Replay, which returns the partial automaton
+// and stats. A non-nil o is attached to the recorder: sync spans,
+// trace-set gauges and the recording replayer's metrics fill while the run
+// proceeds, and are flushed before returning. A nil o runs dark.
+func RecordOnline(ctx context.Context, p *Program, strategy string, tc TraceConfig, lc LookupConfig, maxSteps uint64, o *Obs) (*Automaton, *ReplayStats, error) {
 	s, ok := trace.NewStrategy(strategy, p, tc)
 	if !ok {
 		return nil, nil, &UnknownStrategyError{Name: strategy}
 	}
 	tool := teatool.NewRecordTool(s, lc)
 	tool.Recorder().SetObs(o)
-	_, err := pin.New().Run(p, tool, 0)
+	_, err := pin.New().RunContext(ctx, p, tool, maxSteps)
 	tool.Recorder().Replayer().FlushObs()
 	return tool.Automaton(), tool.Stats(), err
-}
-
-// RecordOnline runs the program under the Pin-like engine while building a
-// TEA online with the named strategy — the paper's Table 3 workflow. It
-// returns the automaton and the recording run's statistics.
-func RecordOnline(p *Program, strategy string, tc TraceConfig, lc LookupConfig) (*Automaton, *ReplayStats, error) {
-	return RecordOnlineContext(context.Background(), p, strategy, tc, lc, 0)
-}
-
-// RecordOnlineContext is RecordOnline with resource guards: the run stops
-// early when ctx is cancelled (returning the partial automaton and stats
-// alongside ctx.Err()) or when maxSteps dynamic instructions have executed
-// (0 = unbounded).
-func RecordOnlineContext(ctx context.Context, p *Program, strategy string, tc TraceConfig, lc LookupConfig, maxSteps uint64) (*Automaton, *ReplayStats, error) {
-	s, ok := trace.NewStrategy(strategy, p, tc)
-	if !ok {
-		return nil, nil, &UnknownStrategyError{Name: strategy}
-	}
-	tool := teatool.NewRecordTool(s, lc)
-	if _, err := pin.New().RunContext(ctx, p, tool, maxSteps); err != nil {
-		return tool.Automaton(), tool.Stats(), err
-	}
-	return tool.Automaton(), tool.Stats(), nil
 }
 
 // ProfileReplay replays the program while collecting a per-TBB-instance

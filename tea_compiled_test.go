@@ -5,6 +5,7 @@
 package tea_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -27,7 +28,7 @@ func newCompiledFixture(t *testing.T, bench string) *compiledFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := tea.RecordTraces(p, "mret", tea.TraceConfig{HotThreshold: 8})
+	set, err := tea.RecordTraces(context.Background(), p, "mret", tea.TraceConfig{HotThreshold: 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestCompiledMatchesReferenceOnPerturbedPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := tea.RecordTraces(p, "mret", tea.TraceConfig{HotThreshold: 8})
+	set, err := tea.RecordTraces(context.Background(), p, "mret", tea.TraceConfig{HotThreshold: 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +190,12 @@ func TestReplayCompiledMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := tea.RecordTraces(p, "mret", tea.TraceConfig{HotThreshold: 8})
+		set, err := tea.RecordTraces(context.Background(), p, "mret", tea.TraceConfig{HotThreshold: 8}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := tea.Build(set)
-		ref, err := tea.Replay(p, a, tea.ConfigGlobalLocal)
+		ref, err := tea.Replay(context.Background(), p, a, tea.ConfigGlobalLocal, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestAccountTailMatchesAccountOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := tea.RecordTraces(p, "mret", tea.TraceConfig{HotThreshold: 8})
+	set, err := tea.RecordTraces(context.Background(), p, "mret", tea.TraceConfig{HotThreshold: 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tea
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	set, err := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Replay(p, b, ConfigGlobalLocal)
+	stats, err := Replay(context.Background(), p, b, ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPublicEndToEnd(t *testing.T) {
 
 func TestPublicRecordOnline(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	a, stats, err := RecordOnline(p, "mret", TraceConfig{HotThreshold: 30}, ConfigGlobalLocal)
+	a, stats, err := RecordOnline(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, ConfigGlobalLocal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestPublicRecordOnline(t *testing.T) {
 
 func TestPublicProfileAndDuplicate(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	set, err := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	set, err := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +133,10 @@ func TestPublicBenchmark(t *testing.T) {
 func TestPublicErrors(t *testing.T) {
 	p := MustAssemble("x", "e: halt\n")
 	var us *UnknownStrategyError
-	if _, err := RecordTraces(p, "bogus", TraceConfig{}); !errors.As(err, &us) {
+	if _, err := RecordTraces(context.Background(), p, "bogus", TraceConfig{}, 0); !errors.As(err, &us) {
 		t.Errorf("err = %v, want UnknownStrategyError", err)
 	}
-	if _, _, err := RecordOnline(p, "bogus", TraceConfig{}, ConfigGlobalLocal); err == nil {
+	if _, _, err := RecordOnline(context.Background(), p, "bogus", TraceConfig{}, ConfigGlobalLocal, 0, nil); err == nil {
 		t.Error("bogus strategy accepted")
 	}
 	if _, err := Decode([]byte("junk"), p); err == nil {
@@ -145,7 +146,7 @@ func TestPublicErrors(t *testing.T) {
 
 func TestPublicRendering(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	set, _ := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	set, _ := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	a := Build(set)
 	if Dot(a, "t") == "" || Summary(a) == "" {
 		t.Error("empty rendering")
@@ -154,7 +155,7 @@ func TestPublicRendering(t *testing.T) {
 
 func TestPublicPhaseDetector(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	set, _ := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	set, _ := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	det := NewPhaseDetector(256, 0.15)
 	_, _, err := ProfileReplay(p, Build(set), ConfigGlobalLocal, det)
 	if err != nil {
@@ -170,11 +171,11 @@ func TestPublicPhaseDetector(t *testing.T) {
 
 func TestPublicMergePruneSimulate(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	setA, err := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	setA, err := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setB, err := RecordTraces(p, "mret", TraceConfig{HotThreshold: 55})
+	setB, err := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 55}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestPublicMergePruneSimulate(t *testing.T) {
 
 func TestPublicInstrReplayer(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	set, err := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	set, err := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestPublicConstructors(t *testing.T) {
 	if s.Name() != "mret" {
 		t.Errorf("NewStrategy(mret) built %q", s.Name())
 	}
-	set, _ := RecordTraces(p, "mret", TraceConfig{HotThreshold: 30})
+	set, _ := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	a := Build(set)
 	r := NewReplayer(a, ConfigGlobalNoLocal)
 	if r.Cur() != NTE {
