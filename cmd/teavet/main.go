@@ -75,11 +75,16 @@ func run(root, baselineRel, wirelockRel string, update bool, out io.Writer) int 
 	}
 
 	if update {
-		if err := wirelock.Update(wirelockAbs, prog, nil); err != nil {
+		changed, err := wirelock.Update(wirelockAbs, prog, nil)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "teavet:", err)
 			return 2
 		}
-		fmt.Fprintf(out, "teavet: wirelock golden updated (%s)\n", wirelockRel)
+		state := "unchanged"
+		if changed {
+			state = "updated"
+		}
+		fmt.Fprintf(out, "teavet: wirelock golden %s (%s)\n", state, wirelockRel)
 	}
 
 	analyzers := []*driver.Analyzer{
@@ -111,11 +116,20 @@ func run(root, baselineRel, wirelockRel string, update bool, out io.Writer) int 
 	}
 
 	if update {
-		if err := writeBaseline(baselineAbs, counts); err != nil {
+		// A malformed baseline is rewritten whole: every key then reads as
+		// added.
+		old, _ := readBaseline(baselineAbs)
+		changed, err := writeBaseline(baselineAbs, counts)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "teavet:", err)
 			return 2
 		}
-		fmt.Fprintf(out, "teavet: baseline updated (%d keys)\n", len(counts))
+		if !changed {
+			fmt.Fprintf(out, "teavet: baseline unchanged (%d keys)\n", len(counts))
+		} else {
+			fmt.Fprintf(out, "teavet: baseline updated (%d keys)\n", len(counts))
+			reportBaselineDiff(out, old, counts)
+		}
 		if len(hard) > 0 {
 			reportHard(out, root, hard)
 			return 1
@@ -154,6 +168,29 @@ func run(root, baselineRel, wirelockRel string, update bool, out io.Writer) int 
 	}
 	fmt.Fprintf(out, "teavet: ok (%d keyed sites within baseline, %d analyzers)\n", len(counts), len(analyzers))
 	return 0
+}
+
+// reportBaselineDiff prints what an -update changed in the baseline: each
+// key added (+), dropped (-) or recounted (~), in key order.
+func reportBaselineDiff(out io.Writer, old, counts map[string]int) {
+	union := make(map[string]int, len(old)+len(counts))
+	for k := range old {
+		union[k] = 0
+	}
+	for k := range counts {
+		union[k] = 0
+	}
+	for _, k := range sortedKeys(union) {
+		was, now := old[k], counts[k]
+		switch {
+		case was == 0 && now > 0:
+			fmt.Fprintf(out, "teavet:   + %s %d\n", k, now)
+		case now == 0 && was > 0:
+			fmt.Fprintf(out, "teavet:   - %s %d\n", k, was)
+		case was != now:
+			fmt.Fprintf(out, "teavet:   ~ %s %d -> %d\n", k, was, now)
+		}
+	}
 }
 
 // reportHard prints the un-ratchetable findings.
@@ -222,7 +259,10 @@ func readBaseline(path string) (map[string]int, error) {
 	return out, sc.Err()
 }
 
-func writeBaseline(path string, counts map[string]int) error {
+// writeBaseline regenerates the baseline from counts, keeping each key's
+// justification comment, and reports whether the file changed; a baseline
+// that already reads byte for byte as regenerated is left untouched.
+func writeBaseline(path string, counts map[string]int) (bool, error) {
 	comments := readBaselineComments(path)
 	var b strings.Builder
 	b.WriteString("# teavet ratchet baseline: accepted findings per key, \"key count\" lines.\n")
@@ -236,7 +276,10 @@ func writeBaseline(path string, counts map[string]int) error {
 			fmt.Fprintf(&b, "%s %d\n", key, counts[key])
 		}
 	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	if old, err := os.ReadFile(path); err == nil && string(old) == b.String() {
+		return false, nil
+	}
+	return true, os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 // readBaselineComments collects the per-key " # justification" comments from

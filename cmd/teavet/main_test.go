@@ -63,7 +63,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatalf("readBaseline = %v", got)
 	}
 	// Regenerate with a changed count: the justification must survive.
-	if err := writeBaseline(path, map[string]int{
+	if _, err := writeBaseline(path, map[string]int{
 		"failsem panic core.X":  1,
 		"hotalloc core.Y make":  1,
 		"atomicmix core.Z copy": 3,
@@ -96,4 +96,85 @@ func TestBaselineMalformed(t *testing.T) {
 	if _, err := readBaseline(path); err == nil {
 		t.Fatal("malformed baseline accepted")
 	}
+}
+
+// TestUpdateReportsChanges drives -update over a small fixture module: the
+// first run writes both files and lists the keys it added, a second run
+// over the same tree reports both unchanged and leaves the baseline's bytes
+// alone, and a run over an edited baseline lists the keys it added, dropped
+// and recounted.
+func TestUpdateReportsChanges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("module analysis load")
+	}
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":         "module fixture\n\ngo 1.22\n",
+		"serve/codes.go": "package serve\n\ntype Code uint32\n\nconst CodeOK Code = 0\n",
+		"obs/kinds.go":   "package obs\n\ntype EventKind uint8\n\nconst EvEnter EventKind = 1\n",
+		"internal/core/kernel.go": `package core
+
+var sink []int
+
+// Kernel allocates on its hot path.
+//
+//tea:hotpath
+func Kernel(n int) {
+	sink = append(sink, make([]int, n)...)
+}
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if code := run(dir, "baseline.txt", "wirelock.json", true, &buf); code != 0 {
+			t.Fatalf("teavet -update exited %d\n%s", code, buf.String())
+		}
+		return buf.String()
+	}
+	contains := func(out string, want ...string) {
+		t.Helper()
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("-update output lacks %q:\n%s", w, out)
+			}
+		}
+	}
+
+	contains(update(), "wirelock golden updated", "baseline updated", "+ hotalloc core.Kernel make 1")
+	baseline := filepath.Join(dir, "baseline.txt")
+	first, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	out := update()
+	contains(out, "wirelock golden unchanged", "baseline unchanged")
+	if strings.Contains(out, "+ ") || strings.Contains(out, "- ") {
+		t.Errorf("an unchanged -update listed keys:\n%s", out)
+	}
+	if again, err := os.ReadFile(baseline); err != nil || !bytes.Equal(again, first) {
+		t.Fatalf("an unchanged -update rewrote the baseline (err %v)", err)
+	}
+
+	// Drop a real key, add a stale one and recount another.
+	edited := strings.Replace(string(first), "hotalloc core.Kernel make 1", "hotalloc core.Gone make 2", 1)
+	edited = strings.Replace(edited, "hotalloc core.Kernel append 1", "hotalloc core.Kernel append 3", 1)
+	if edited == string(first) {
+		t.Fatalf("fixture baseline lacks the expected keys:\n%s", first)
+	}
+	if err := os.WriteFile(baseline, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	contains(update(), "baseline updated", "+ hotalloc core.Kernel make 1", "- hotalloc core.Gone make 2",
+		"~ hotalloc core.Kernel append 3 -> 1")
 }

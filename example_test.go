@@ -56,6 +56,29 @@ func ExampleReplay() {
 	// coverage: 100%
 }
 
+// ExampleSpecialize fuses the program's steady-state loop into a stride
+// table: the specialized replayer consumes the loop's iterations as whole
+// cycle traversals and still reports exactly the unspecialized replayer's
+// Stats.
+func ExampleSpecialize() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	stream, _, err := tea.CaptureStream(prog)
+	if err != nil {
+		panic(err)
+	}
+	c := tea.Compile(tea.Build(set), tea.ConfigGlobalLocal)
+	plain := tea.NewCompiledReplayer(c)
+	plain.AdvanceBatch(stream)
+	fused := tea.NewCompiledReplayer(tea.Specialize(c, stream))
+	fused.AdvanceBatch(stream)
+	fmt.Println("fuses:", fused.StrideEdges() > 0)
+	fmt.Println("same stats:", *fused.Stats() == *plain.Stats())
+	// Output:
+	// fuses: true
+	// same stats: true
+}
+
 // ExampleEncode shows the wire format round-trip: the serialized automaton
 // is a fraction of the replicated-code cost and decodes against the
 // original program.

@@ -14,6 +14,7 @@
 package wirelock
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/constant"
@@ -221,23 +222,25 @@ func ReadGolden(path string) (*Golden, error) {
 
 // Update rewrites the golden from the extracted groups — but refuses to
 // absorb a removal or renumber of an already-locked value: -update is the
-// escape hatch for appends only. A missing golden is created.
-func Update(path string, prog *driver.Program, locks []Lock) error {
+// escape hatch for appends only. A missing golden is created. It reports
+// whether the file changed; a golden already equal to the groups is left
+// untouched.
+func Update(path string, prog *driver.Program, locks []Lock) (bool, error) {
 	if locks == nil {
 		locks = DefaultLocks
 	}
 	groups, err := Extract(prog, locks)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if golden, err := ReadGolden(path); err == nil {
 		for _, d := range Diff(golden, groups) {
 			if !d.append {
-				return fmt.Errorf("wirelock: refusing -update: %s", d.msg)
+				return false, fmt.Errorf("wirelock: refusing -update: %s", d.msg)
 			}
 		}
 	} else if !os.IsNotExist(err) {
-		return err
+		return false, err
 	}
 	out := Golden{
 		Comment: "wire-stable enumerations; append-only, regenerated by `go run ./cmd/teavet -update`",
@@ -245,7 +248,11 @@ func Update(path string, prog *driver.Program, locks []Lock) error {
 	}
 	b, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
-		return err
+		return false, err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	b = append(b, '\n')
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, b) {
+		return false, nil
+	}
+	return true, os.WriteFile(path, b, 0o644)
 }

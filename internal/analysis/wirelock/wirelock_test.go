@@ -71,8 +71,11 @@ func TestUpdate(t *testing.T) {
 
 	t.Run("create", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "golden.json")
-		if err := wirelock.Update(path, ok, fixtureLocks); err != nil {
-			t.Fatal(err)
+		if changed, err := wirelock.Update(path, ok, fixtureLocks); err != nil || !changed {
+			t.Fatalf("Update creating the golden = %v, %v; want changed", changed, err)
+		}
+		if changed, err := wirelock.Update(path, ok, fixtureLocks); err != nil || changed {
+			t.Fatalf("Update over an equal golden = %v, %v; want unchanged", changed, err)
 		}
 		g, err := wirelock.ReadGolden(path)
 		if err != nil {
@@ -98,8 +101,8 @@ func TestUpdate(t *testing.T) {
 		if err := os.WriteFile(path, []byte(subset), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := wirelock.Update(path, drift, fixtureLocks); err != nil {
-			t.Fatal(err)
+		if changed, err := wirelock.Update(path, drift, fixtureLocks); err != nil || !changed {
+			t.Fatalf("Update locking an append = %v, %v; want changed", changed, err)
 		}
 		g, err := wirelock.ReadGolden(path)
 		if err != nil {
@@ -121,7 +124,7 @@ func TestUpdate(t *testing.T) {
 		if err := os.WriteFile(path, src, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err = wirelock.Update(path, drift, fixtureLocks)
+		_, err = wirelock.Update(path, drift, fixtureLocks)
 		if err == nil || !strings.Contains(err.Error(), "refusing -update") {
 			t.Fatalf("Update over a removal/renumber: got %v, want refusal", err)
 		}

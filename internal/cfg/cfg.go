@@ -286,6 +286,3 @@ func (r *Runner) Next() (Edge, bool, error) {
 	r.cur = to
 	return Edge{From: from, To: to, Taken: taken}, true, nil
 }
-
-// Done reports whether the runner has emitted its final edge.
-func (r *Runner) Done() bool { return r.done }

@@ -125,8 +125,10 @@ func collectEdges(t *testing.T, src string, style Style) []Edge {
 			break
 		}
 	}
-	if !r.Done() {
-		t.Error("runner not done")
+	// The final edge (To == nil) ends the stream: the next call reports
+	// the end through ok == false.
+	if _, ok, err := r.Next(); ok || err != nil {
+		t.Errorf("Next after the final edge = ok %v, err %v; want the end", ok, err)
 	}
 	return edges
 }

@@ -6,16 +6,6 @@ import (
 	"github.com/lsc-tea/tea/internal/obs"
 )
 
-// strideLookahead is the software-prefetch distance of the fused consume
-// loops, in edges. The 4-wide unroll retires one 64-byte cache line of
-// stream per iteration, so hinting a single line strideLookahead edges
-// (= strideLookahead/4 lines) ahead on every iteration walks the prefetch
-// front exactly one line per iteration at a constant 512-byte lead — far
-// enough to cover DRAM latency at the unroll's consumption rate, near
-// enough not to thrash L1. See DESIGN.md §16 for the measurements behind
-// the distance.
-const strideLookahead = 32
-
 // Edge is one event of a dynamic block stream in replay currency: the
 // previously executing block retired Instrs dynamic instructions and
 // control arrived at the block headed at Label — exactly the argument pair
@@ -170,7 +160,8 @@ func (r *CompiledReplayer) AdvanceBatch(edges []Edge) StateID {
 }
 
 // advanceBatch picks the batch's kernel: the memoryless scan without local
-// caches, else the stride or plain kernel.
+// caches, else the cached kernel, instantiated with the stride probe only
+// for a form that carries a stride table.
 func advanceBatch[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
 	if r.cache == nil {
 		var fused uint64
@@ -179,22 +170,28 @@ func advanceBatch[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) Sta
 		return r.cur
 	}
 	if len(r.c.stride) != 0 {
-		return advanceBatchStride[M](r, edges, base)
+		return advanceCached[M, strideOn](r, edges, base)
 	}
-	return advanceBatchPlain[M](r, edges, base)
+	return advanceCached[M, strideOff](r, edges, base)
 }
 
-// advanceBatchStride is the specialized batch kernel: the per-edge kernel
-// behind a fused stride-table probe at every in-sync trace state. In the
-// obsOn instance only miss-free entries fuse: every miss position — warm
-// trace link, trace exit or NTE crossing — emits events on the per-edge
-// path (EntryTableHit fires even on warm local hits), and a fused traversal
-// must suppress nothing. Pure in-trace traversals emit nothing.
+// advanceCached is the batch kernel of a form compiled with local caches:
+// one edge per iteration through the in-trace slots, the local cache and the
+// entry table, exactly as the reference resolves it. Its strideOn instance
+// first tries the fused stride-table chain at every in-sync trace state
+// (fuse), charging DeltaLocal per traversal; the strideOff instance, for a
+// form without a table, has no probe. In the obsOn instances only miss-free
+// entries fuse: every miss position — warm trace link, trace exit or NTE
+// crossing — emits events on the per-edge path (EntryTableHit fires even on
+// warm local hits), and a fused traversal must suppress nothing. Pure
+// in-trace traversals emit nothing.
 //
 //tea:hotpath
-func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
+func advanceCached[M obsMode, S strideMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
 	var mode M
+	var table S
 	emitting := unsafe.Sizeof(mode) != 0
+	fusing := unsafe.Sizeof(table) != 0
 	c := r.c
 	cur, desynced := r.cur, r.desynced
 	st := r.stats
@@ -207,268 +204,38 @@ func advanceBatchStride[M obsMode](r *CompiledReplayer, edges []Edge, base uint6
 	// each iteration (the stores could alias them).
 	hot := c.hot
 	cold := c.cold
-	strides := c.stride
 	probes := c.strideProbe
 	cache := r.cache
 	n := len(edges)
 
-	for k := 0; k < n; {
-		if cur == NTE {
-			// From NTE every transition searches the global container.
-			label, instrs := edges[k].Label, edges[k].Instrs
-			eidx := base + uint64(k)
-			k++
-			if instrs != 0 {
-				st.Blocks++
-				st.Instrs += instrs
-			}
-			st.GlobalLookups++
-			if t, ok := c.entry(label); ok {
-				st.GlobalHits++
-				st.TraceEnters++
-				if emitting {
-					emit(&r.evs, eidx, label, t, obs.EvTraceEnter)
-				}
-				if desynced {
-					desynced = false
-					st.Resyncs++
-					if emitting {
-						emit(&r.evs, eidx, label, t, obs.EvResync)
-					}
-				}
-				cur = t
-			}
-			continue
-		}
-
-		rec := &hot[cur]
-
-		// Fused trace-cycle fast path: when the cursor anchors a stride
-		// chain and is in sync, one flat 16*k-byte comparison consumes a
-		// whole cycle traversal — and repeats of it — without touching the
-		// per-edge slots at all. The chain walks the compact probe array
-		// (first edge, length, miss/crossing counts), so a probe miss costs
-		// two scalar compares against an L1-resident record and never
-		// dereferences the full entry; a single-edge miss-free match — the
-		// dominant fused shape — resolves from the probe record alone. Long
-		// runs upgrade to whole-tile compares (the pattern pre-repeated to
-		// ~128 edges) so steady state runs at vectorized-memequal speed; the
-		// upgrade is gated on a few confirmed traversals first, so short
-		// runs never pay for a failed tile compare.
-		if si := rec.stride; si >= 0 && !desynced {
-			matched := false
-			for si >= 0 {
-				p := &probes[si]
-				m := int(p.m)
-				if m > n-k || edges[k] != p.first || emitting && p.miss != 0 {
-					si = p.next
-					continue
-				}
-				if m == 1 && p.miss == 0 && p.first.Instrs != 0 {
-					// In-trace self-loop run: Edges == 1, Instrs ==
-					// first.Instrs, all in-trace hits — the whole delta comes
-					// from the record. The 4-wide leg issues independent
-					// compares (no carried dependency), which is what the
-					// typical 5-40 edge run length rewards; tiles only start
-					// paying past ~100 edges.
-					runs := uint64(1)
-					k++
-					pe := p.first
-					for k+4 <= n && edges[k] == pe && edges[k+1] == pe && edges[k+2] == pe && edges[k+3] == pe {
-						runs += 4
-						k += 4
-						if k+strideLookahead < n {
-							prefetchT0(unsafe.Pointer(&edges[k+strideLookahead]))
-						}
-					}
-					for k < n && edges[k] == pe {
-						runs++
-						k++
-					}
-					st.Blocks += runs
-					st.TraceBlocks += runs
-					st.Instrs += pe.Instrs * runs
-					st.TraceInstrs += pe.Instrs * runs
-					st.InTraceHits += runs
-					strideEdges += runs
-					matched = true
-					break
-				}
-				e := &strides[si]
-				if m > 1 && !edgesEqual(edges[k:k+m], e.Pattern) {
-					si = p.next
-					continue
-				}
-				// Entries with miss positions are fused only while the local
-				// cache already holds each non-NTE miss's resolution (a warm
-				// hit never writes the slot). The check memoizes on the cache
-				// write generation: while no slot has been written since the
-				// last pass, warmth cannot have been lost.
-				if p.miss != 0 && r.warmGen[si] != cacheGen+1 {
-					if !r.strideMissWarm(e) {
-						si = p.next
-						continue
-					}
-					r.warmGen[si] = cacheGen + 1
-				}
-				runs := uint64(1)
-				k += m
-				if m == 1 {
-					pe := e.Pattern[0]
-					for k+4 <= n && edges[k] == pe && edges[k+1] == pe && edges[k+2] == pe && edges[k+3] == pe {
-						runs += 4
-						k += 4
-						if k+strideLookahead < n {
-							prefetchT0(unsafe.Pointer(&edges[k+strideLookahead]))
-						}
-					}
-					for k < n && edges[k] == pe {
-						runs++
-						k++
-					}
-				} else {
-					for m <= n-k && edgesEqual(edges[k:k+m], e.Pattern) {
-						runs++
-						k += m
-						if runs == 4 {
-							if tl := len(e.Tile); tl != 0 {
-								for tl <= n-k && edgesEqual(edges[k:k+tl], e.Tile) {
-									runs += e.TileReps
-									k += tl
-								}
-							}
-						}
-					}
-				}
-				// The Stats delta of runs traversals is the simulated
-				// per-traversal warm-cache delta scaled.
-				st.addScaled(&e.DeltaLocal, runs)
-				strideEdges += e.Edges * runs
-				matched = true
-				break
-			}
-			if matched {
-				continue // a traversal exits where it entered: cur unchanged
-			}
-		}
-
-		// Account the finished block to the state that covered it. The
-		// initial pseudo-edge carries no finished block (instrs == 0).
-		label, instrs := edges[k].Label, edges[k].Instrs
-		eidx := base + uint64(k)
-		k++
-		if instrs != 0 {
-			st.Blocks++
-			st.Instrs += instrs
-			st.TraceBlocks++
-			st.TraceInstrs += instrs
-		}
-
-		// Slot fast path, as in advanceBatchPlain.
-		var next StateID
-		if rec.lab0 == label && rec.kind0 == slotTrace {
-			st.InTraceHits++
-			next = rec.tgt0
-		} else if rec.lab1 == label && rec.kind1 == slotTrace {
-			st.InTraceHits++
-			next = rec.tgt1
-		} else {
-			lab, tgt, kind := rec.pickBranch(label)
-			if t, ok := c.unmatchedTail(cur, lab, label); ok {
-				st.InTraceHits++
-				next = t
-			} else {
-				matched := lab == label
-				if !matched && !cold[cur].plausible(label) {
-					st.Desyncs++
-					desynced = true
-					if emitting {
-						emit(&r.evs, eidx, label, cur, obs.EvDesync)
-					}
-				}
-				// Trace exit or trace-to-trace link: the local cache in front
-				// of the flat entry table, caching negative results exactly
-				// like the reference resolve.
-				slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
-				if slot.label == label {
-					st.LocalHits++
-					next = slot.tgt
-				} else {
-					st.LocalMisses++
-					st.GlobalLookups++
-					if emitting {
-						var depth uint64
-						t, ok, depth = c.entryProbes(label)
-						emit(&r.evs, eidx, depth, cur, obs.EvCacheMissProbe)
-					} else if matched {
-						t, ok = tgt, kind == slotLink
+	for k := 0; k < n; k++ {
+		// Fused trace-cycle fast path: when the cursor anchors a stride chain
+		// and is in sync, fuse consumes a whole cycle traversal — and its
+		// repeats — without touching the per-edge slots. A traversal exits
+		// where it entered, so cur is unchanged. (A desync always leaves the
+		// cursor at NTE, so a trace-state cursor is in sync.)
+		if fusing && cur != NTE {
+			if si := hot[cur].stride; si >= 0 {
+				if si, end, runs := c.fuse(edges, k, si, emitting, r, cacheGen); runs != 0 {
+					if p := &probes[si]; p.m == 1 && p.miss == 0 && p.first.Instrs != 0 {
+						// In-trace self-loop run: every traversal is one
+						// in-trace hit of first.Instrs instructions, so the
+						// delta comes from the probe record alone.
+						st.Blocks += runs
+						st.TraceBlocks += runs
+						st.Instrs += p.first.Instrs * runs
+						st.TraceInstrs += p.first.Instrs * runs
+						st.InTraceHits += runs
 					} else {
-						t, ok = c.entry(label)
+						st.addScaled(&c.stride[si].DeltaLocal, runs)
 					}
-					next = NTE
-					if ok {
-						st.GlobalHits++
-						next = t
-					}
-					slot.label = label
-					slot.tgt = next
-					cacheGen++
-				}
-				if next == NTE {
-					st.TraceExits++
-					if emitting {
-						emit(&r.evs, eidx, label, cur, obs.EvTraceExit)
-					}
-				} else {
-					st.TraceLinks++
-					if emitting {
-						emit(&r.evs, eidx, label, next, obs.EvEntryTableHit)
-					}
+					strideEdges += uint64(end - k)
+					k = end - 1 // the loop's k++ steps past the last traversal
+					continue
 				}
 			}
 		}
 
-		if next != NTE && desynced {
-			desynced = false
-			st.Resyncs++
-			if emitting {
-				emit(&r.evs, eidx, label, next, obs.EvResync)
-			}
-		}
-		cur = next
-	}
-
-	r.cur, r.desynced = cur, desynced
-	r.stats = st
-	r.strideEdges = strideEdges
-	r.cacheGen = cacheGen
-	return cur
-}
-
-// advanceBatchPlain is the unspecialized batch kernel: one edge per
-// iteration, no stride probes. A form without a stride table can never hit
-// one, and measurement showed the specialized loop's per-edge stride check
-// and irregular advance cost an unspecialized replay ~25% on slot-stable
-// streams — so AdvanceBatch keeps the two shapes separate instead of
-// paying for the table that isn't there.
-//
-//tea:hotpath
-func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64) StateID {
-	var mode M
-	emitting := unsafe.Sizeof(mode) != 0
-	c := r.c
-	cur, desynced := r.cur, r.desynced
-	st := r.stats
-	localSize := c.localSize
-	localMask := uint64(localSize - 1)
-	// Hoist the arrays into locals: the in-loop stores to the cache slice
-	// would otherwise force the compiler to reload every slice header on
-	// each iteration (the stores could alias them).
-	hot := c.hot
-	cold := c.cold
-	cache := r.cache
-
-	for k := range edges {
 		label, instrs := edges[k].Label, edges[k].Instrs
 		eidx := base + uint64(k)
 
@@ -512,9 +279,9 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 							emit(&r.evs, eidx, label, cur, obs.EvDesync)
 						}
 					}
-					// Trace exit or trace-to-trace link: the local cache in front
-					// of the flat entry table, caching negative results exactly
-					// like the reference resolve.
+					// Trace exit or trace-to-trace link: the local cache in
+					// front of the flat entry table, caching negative results
+					// exactly like the reference resolve.
 					slot := &cache[int(cur)*localSize+int((label>>1)&localMask)]
 					if slot.label == label {
 						st.LocalHits++
@@ -538,6 +305,11 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 						}
 						slot.label = label
 						slot.tgt = next
+						if fusing {
+							// A slot write can only cool a stride entry,
+							// so fuse re-checks warmth after one.
+							cacheGen++
+						}
 					}
 					if next == NTE {
 						st.TraceExits++
@@ -579,7 +351,93 @@ func advanceBatchPlain[M obsMode](r *CompiledReplayer, edges []Edge, base uint64
 
 	r.cur, r.desynced = cur, desynced
 	r.stats = st
+	r.strideEdges = strideEdges
+	r.cacheGen = cacheGen
 	return cur
+}
+
+// fuse is the one fused-cycle consumer, behind the cached kernel, scan and
+// Specialize's sample selection and mining. It walks the stride chain
+// headed at si for the first entry that matches seg at k — the first edge
+// against the compact probe record, then the whole pattern — and counts
+// that entry's back-to-back traversals. It returns the entry, the index past
+// its last traversal and the traversal count; runs == 0 when no entry
+// matched. A probe miss costs two scalar compares against an L1-resident
+// record and never dereferences the full entry, and a single-edge miss-free
+// match — the dominant fused shape — resolves from the probe record alone.
+//
+// One-edge runs are counted four traversals per iteration (independent
+// compares, no carried dependency, which is what the typical 5–40 edge run
+// length rewards); a longer pattern takes one flat compare per traversal,
+// upgraded to whole-tile compares (the pattern pre-repeated to ~128 edges)
+// once four traversals are confirmed, so short runs never pay for a failed
+// tile compare and long runs go at vectorized-memequal speed. Counting
+// inside the chain walk, rather than in a second call, was measured: a
+// separate counting function cost 901.steady's stride rows about 30%. The
+// one-edge loop issues no software prefetch: a PREFETCHT0 helper call
+// every four edges (assembly never inlines, so each call spills the loop's
+// registers) measured up to 20% slower than none on 902.stream.
+//
+// noMiss passes over entries with miss positions (the obsOn kernels: a miss
+// position emits events on the per-edge path). warm is nil for the
+// memoryless scans, where the immutable entry table that proved an entry
+// answers its misses the same way at replay time, so every match fuses. The
+// cached kernel passes its replayer: an entry with miss positions fuses only
+// while the local caches already hold each non-NTE miss's resolution (a warm
+// hit never writes the slot). The check memoizes on the cache write
+// generation gen: while no slot has been written since the last pass,
+// warmth cannot have been lost.
+//
+//tea:hotpath
+func (c *Compiled) fuse(seg []Edge, k int, si int32, noMiss bool, warm *CompiledReplayer, gen uint64) (int32, int, uint64) {
+	probes := c.strideProbe
+	n := len(seg)
+	for ; si >= 0; si = probes[si].next {
+		p := &probes[si]
+		m := int(p.m)
+		if m > n-k || seg[k] != p.first || noMiss && p.miss != 0 {
+			continue
+		}
+		var e *StrideEntry
+		if m > 1 || p.miss != 0 {
+			e = &c.stride[si]
+			if m > 1 && !edgesEqual(seg[k:k+m], e.Pattern) {
+				continue
+			}
+			if p.miss != 0 && warm != nil && warm.warmGen[si] != gen+1 {
+				if !warm.strideMissWarm(e) {
+					continue
+				}
+				warm.warmGen[si] = gen + 1
+			}
+		}
+		runs := uint64(1)
+		k += m
+		if m == 1 {
+			pe := p.first
+			for k+4 <= n && seg[k] == pe && seg[k+1] == pe && seg[k+2] == pe && seg[k+3] == pe {
+				runs += 4
+				k += 4
+			}
+			for k < n && seg[k] == pe {
+				runs++
+				k++
+			}
+			return si, k, runs
+		}
+		for m <= n-k && edgesEqual(seg[k:k+m], e.Pattern) {
+			runs++
+			k += m
+			if tl := len(e.Tile); runs == 4 && tl != 0 {
+				for tl <= n-k && edgesEqual(seg[k:k+tl], e.Tile) {
+					runs += e.TileReps
+					k += tl
+				}
+			}
+		}
+		return si, k, runs
+	}
+	return noStride, k, 0
 }
 
 // strideMissWarm reports whether every miss position of e consumed from a

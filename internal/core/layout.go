@@ -38,10 +38,9 @@ func (c *Compiled) rowStates() int {
 
 // Layout renders the compiled form's memory-layout report: residency of the
 // hot and cold SoA arrays, the transition arenas, the entry table and its
-// filter, prefetch capability, and — when specialized — stride-table
-// occupancy. teaprof -layout prints this so layout regressions (a record
-// growing past its cache-line budget, a table blowing its cap) are visible
-// without a profiler.
+// filter, and — when specialized — stride-table occupancy. teaprof -layout
+// prints this so layout regressions (a record growing past its cache-line
+// budget, a table blowing its cap) are visible without a profiler.
 func (c *Compiled) Layout() string {
 	var b strings.Builder
 	n := len(c.hot)
@@ -73,12 +72,6 @@ func (c *Compiled) Layout() string {
 		line("  local caches:      %d-way per-state (allocated on replayers, not here)", c.localSize)
 	} else {
 		line("  local caches:      off")
-	}
-	if havePrefetch {
-		line("  software prefetch: on (PREFETCHT0, %d-edge / %d B lead in fused runs)",
-			strideLookahead, strideLookahead*16)
-	} else {
-		line("  software prefetch: off (no asm helper on this architecture)")
 	}
 
 	line("  resident:          %s (%d B; local caches excluded)", byteCount(c.ResidentBytes()), c.ResidentBytes())

@@ -2,12 +2,11 @@ package core
 
 import "github.com/lsc-tea/tea/internal/obs"
 
-// The compiled replay kernels (step, scan, merge, advanceBatchPlain,
-// advanceBatchStride) and the record scans built on step (recScan,
-// mergeRecord) are each one source body generic over an
-// observability mode. obsOff and obsOn have different GC shapes — a
-// zero-size struct and a one-byte one — so the compiler stencils a separate
-// body for each, and inside a kernel
+// The compiled replay kernels (step, scan, merge, advanceCached) and the
+// record scans built on step (recScan, mergeRecord) are each one source
+// body generic over an observability mode. obsOff and obsOn have different
+// GC shapes — a zero-size struct and a one-byte one — so the compiler
+// stencils a separate body for each, and inside a kernel
 //
 //	var mode M
 //	emitting := unsafe.Sizeof(mode) != 0
@@ -30,10 +29,22 @@ type (
 	obsMode interface{ obsOff | obsOn }
 )
 
+// The cached kernel, advanceCached, takes a second mode in the same style:
+// strideOn is its instance for a form with a stride table, which probes the
+// cursor's fused-cycle chain at every in-sync trace state; the strideOff
+// instance, for a form without one, carries no probe at all, so a table-less
+// replay pays nothing per edge for the table that is not there. A runtime
+// test of the table cost the table-less replay 6–15% (EXPERIMENTS.md).
+type (
+	strideOff  struct{}
+	strideOn   struct{ _ byte }
+	strideMode interface{ strideOff | strideOn }
+)
+
 // emit appends one replay event to an obsOn kernel's staging buffer — the
 // one event-append site of the compiled kernels. The buffer is ingested in
 // order through obs.IngestReplay once per call (or, for pipeline scans, at
-// the drain), never per event. This file holds nothing else, so any
+// the drain), never per event. This file holds no other code, so any
 // instruction attributed to it in an obsOff body is an obs leak.
 func emit(evs *[]obs.Event, edge, aux uint64, state StateID, kind obs.EventKind) {
 	*evs = append(*evs, obs.Event{Edge: edge, Aux: aux, State: int32(state), Kind: kind})

@@ -115,9 +115,10 @@ func (c *Compiled) SpecReplayObs(seg []Edge, ebase uint64, r *SpecResult) {
 }
 
 // scan is the one memoryless scan, behind SpecReplay(Obs),
-// SequentialReplay(Obs) and AdvanceBatch without local caches. It consumes
-// seg from (cur, des), charging st, and returns the post-state and the
-// number of edges fused stride cycles consumed. The obsOn instance appends
+// SequentialReplay(Obs), AdvanceBatch without local caches and Specialize's
+// bailout. It consumes seg from (cur, des), charging st, and returns the
+// post-state and the number of edges fused stride cycles consumed (through
+// fuse, the consumer the cached kernel shares). The obsOn instance appends
 // the events to evs, stamped ebase+offset, and fuses only miss-free stride
 // entries: miss positions emit events on the per-edge path (probe,
 // entry-table-hit, exit records), while a miss-free traversal is all
@@ -186,62 +187,19 @@ func scan[M obsMode](c *Compiled, seg []Edge, ebase uint64, cur StateID, des boo
 		return cur, des, 0
 	}
 	// A Specialize'd image, or the obsOn instance: the stride probe at each
-	// in-sync trace state, then step.
+	// in-sync trace state, then step. The memoryless scan is exactly the
+	// simulation that proved each entry — every miss resolves through the
+	// immutable entry table — so a matched entry fuses unconditionally,
+	// charged DeltaGlobal per traversal.
 	hot := c.hot
-	strides := c.stride
-	probes := c.strideProbe
 	var fused uint64
-	n := len(seg)
-	for k := 0; k < n; {
+	for k := 0; k < len(seg); {
 		if cur != NTE && !des {
 			if si := hot[cur].stride; si >= 0 {
-				matched := false
-				for si >= 0 {
-					p := &probes[si]
-					m := int(p.m)
-					if m > n-k || seg[k] != p.first || emitting && p.miss != 0 {
-						si = p.next
-						continue
-					}
-					e := &strides[si]
-					// The memoryless scan is exactly the simulation that
-					// proved the entry — every miss resolves through the
-					// immutable entry table — so entries fuse unconditionally
-					// here, charged DeltaGlobal per traversal.
-					// As in advanceBatchStride: four one-edge traversals
-					// per compare, whole tiles after four traversals.
-					runs := uint64(0)
-					if m == 1 {
-						pe := p.first
-						for k+4 <= n && seg[k] == pe && seg[k+1] == pe && seg[k+2] == pe && seg[k+3] == pe {
-							k += 4
-							runs += 4
-						}
-						for k < n && seg[k] == pe {
-							k++
-							runs++
-						}
-					} else {
-						for m <= n-k && edgesEqual(seg[k:k+m], e.Pattern) {
-							k += m
-							runs++
-							if tl := len(e.Tile); runs == 4 && tl != 0 {
-								for tl <= n-k && edgesEqual(seg[k:k+tl], e.Tile) {
-									k += tl
-									runs += e.TileReps
-								}
-							}
-						}
-					}
-					if runs != 0 {
-						st.addScaled(&e.DeltaGlobal, runs)
-						fused += e.Edges * runs
-						matched = true
-						break
-					}
-					si = p.next
-				}
-				if matched {
+				if si, end, runs := c.fuse(seg, k, si, emitting, nil, 0); runs != 0 {
+					st.addScaled(&c.stride[si].DeltaGlobal, runs)
+					fused += uint64(end - k)
+					k = end
 					continue // the cycle exits where it entered: cur unchanged
 				}
 			}

@@ -239,10 +239,11 @@ const (
 	strideAttachFloorGeneral = 12
 	// strideMinFusedPct is the global bailout: when the selected table fuses
 	// less than this percentage of the profiling sample, Specialize returns
-	// an unspecialized form instead. The specialized kernel's per-edge
-	// residue path is slightly heavier than the plain kernel and probe
-	// misses are pure overhead, so a thin table is a guaranteed net loss —
-	// dispatching to the plain kernel caps the downside at zero.
+	// an unspecialized form instead. The kernels' strideOn instances pay a
+	// chain probe at every in-sync trace state and probe misses are pure
+	// overhead, so a thin table is a guaranteed net loss — dropping it sends
+	// AdvanceBatch to the table-less instances, which caps the downside at
+	// zero.
 	strideMinFusedPct = 35
 )
 
@@ -263,14 +264,6 @@ const (
 // verifier judges the resulting table either way.
 func Specialize(c *Compiled, sample []Edge) *Compiled {
 	sp := &specializer{c: c, onPath: make([]bool, len(c.hot))}
-	spec := &Compiled{}
-	*spec = *c
-	spec.hot = append([]hotRec(nil), c.hot...)
-	spec.stride = nil
-	spec.strideProbe = nil
-	for i := range spec.hot {
-		spec.hot[i].stride = noStride
-	}
 
 	// Phase 1: enumerate cycles. Rooting the DFS at each state in order and
 	// only traversing through states > root finds every cycle exactly once,
@@ -330,161 +323,119 @@ func Specialize(c *Compiled, sample []Edge) *Compiled {
 		mineStrideEntries(c, sample, buckets)
 	}
 
-	// Phase 4: flatten buckets in anchor order, each chain contiguous and
-	// head-first so an encode/decode round trip (which re-heads chains at
-	// the first table-order entry per anchor) reproduces the table exactly.
-	anchors := make([]StateID, 0, len(buckets))
-	for a := range buckets {
-		if len(buckets[a]) > 0 {
-			anchors = append(anchors, a)
-		}
-	}
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-	for _, a := range anchors {
+	// Phase 4: cap each anchor's chain (longest-first is the probe order:
+	// when two entries share a first edge the longer match, the compound
+	// period, fuses more per attach) and the whole table, then lay the
+	// chains out.
+	kept := 0
+	anchors := sortedAnchors(buckets)
+	for n, a := range anchors {
 		b := buckets[a]
-		// Longest-first is the probe order: when two entries share a first
-		// edge the longer match (the compound period) fuses more per attach.
 		sort.SliceStable(b, func(i, j int) bool { return len(b[i].Pattern) > len(b[j].Pattern) })
 		if len(b) > maxStrideWays {
 			b = b[:maxStrideWays]
 		}
-		if len(spec.stride)+len(b) > maxStrideEntries {
+		if kept+len(b) > maxStrideEntries {
+			for _, late := range anchors[n:] {
+				delete(buckets, late)
+			}
 			break
 		}
-		head := int32(len(spec.stride))
-		for i := range b {
-			b[i].Next = head + int32(i) + 1
-			spec.stride = append(spec.stride, b[i])
-		}
-		spec.stride[len(spec.stride)-1].Next = noStride
-		spec.hot[a].stride = head
+		buckets[a] = b
+		kept += len(b)
 	}
-	spec.strideProbe = buildStrideProbes(spec.stride)
+	spec := withChains(c, buckets)
 
 	// Global bailout: a table that fuses only a thin slice of the profile
-	// makes replay slower, not faster — the specialized kernel's residue
-	// path and its probe misses are overhead the plain kernel never pays.
-	// Dropping the table here routes AdvanceBatch to the plain kernel, so a
-	// workload the pass cannot help replays exactly as fast as before.
+	// makes replay slower, not faster — the specialized instances' probes
+	// and their misses are overhead the table-less instances never pay.
+	// Dropping the table here sends AdvanceBatch to those instances, so a
+	// workload the pass cannot help replays exactly as fast as before. The
+	// count is scan's, with warm checks elided: the steady state the cached
+	// kernel converges to fuses every matched attach.
 	if len(sample) > 0 && len(spec.stride) > 0 {
-		if strideSampleFused(spec, sample)*100 < strideMinFusedPct*uint64(len(sample)) {
-			for i := range spec.hot {
-				spec.hot[i].stride = noStride
-			}
-			spec.stride = nil
-			spec.strideProbe = nil
+		var sink Stats
+		if _, _, fused := scan[obsOff](spec, sample, 0, NTE, false, &sink, nil); fused*100 < strideMinFusedPct*uint64(len(sample)) {
+			return c.WithStrideTable(nil)
 		}
 	}
 	return spec
 }
 
-// strideSampleFused counts the sample edges the finished table would fuse,
-// attaching greedily exactly as the kernels do (warm checks elided — the
-// steady state they converge to fuses every matched attach).
-func strideSampleFused(spec *Compiled, sample []Edge) uint64 {
-	var fusedTotal uint64
-	var sink Stats
-	n := len(sample)
-	cur, des := NTE, false
-	for k := 0; k < n; {
-		if cur != NTE && !des {
-			if si := spec.hot[cur].stride; si >= 0 {
-				matched := false
-				for si >= 0 {
-					p := &spec.strideProbe[si]
-					m := int(p.m)
-					if m > n-k || sample[k] != p.first {
-						si = p.next
-						continue
-					}
-					e := &spec.stride[si]
-					if m > 1 && !edgesEqual(sample[k:k+m], e.Pattern) {
-						si = p.next
-						continue
-					}
-					runs := uint64(1)
-					k += m
-					for m <= n-k && edgesEqual(sample[k:k+m], e.Pattern) {
-						runs++
-						k += m
-					}
-					fusedTotal += e.Edges * runs
-					matched = true
-					break
-				}
-				if matched {
-					continue
-				}
-			}
+// sortedAnchors returns the anchors of buckets' non-empty chains in
+// ascending order.
+func sortedAnchors(buckets map[StateID][]StrideEntry) []StateID {
+	anchors := make([]StateID, 0, len(buckets))
+	for a, b := range buckets {
+		if len(b) > 0 {
+			anchors = append(anchors, a)
 		}
-		cur, des = step[obsOff](spec, cur, des, sample[k].Label, sample[k].Instrs, &sink, nil, 0)
-		k++
 	}
-	return fusedTotal
+	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
+	return anchors
+}
+
+// withChains returns a copy of c carrying buckets as its stride table: in
+// anchor order, each anchor's entries contiguous and head-first in bucket
+// order, so an encode/decode round trip (which re-heads chains at the first
+// table-order entry per anchor) reproduces the table exactly.
+func withChains(c *Compiled, buckets map[StateID][]StrideEntry) *Compiled {
+	var tab []StrideEntry
+	for _, a := range sortedAnchors(buckets) {
+		b := buckets[a]
+		head := int32(len(tab))
+		for i := range b {
+			b[i].Next = head + int32(i) + 1
+			tab = append(tab, b[i])
+		}
+		tab[len(tab)-1].Next = noStride
+	}
+	return c.WithStrideTable(tab)
 }
 
 // selectBySample replays sample with the memoryless transition function,
-// attaching candidate entries greedily in bucket (probe) order and counting
-// both the edges each entry fuses and the probe misses each anchor's chain
-// takes, then prunes. Two prunes apply: an entry below the keep threshold
-// is dead weight, and a whole bucket whose fused edges don't clear a
-// multiple of its probe misses is a net loss — the anchor is visited mostly
-// off-cycle, and every off-cycle visit pays the chain walk for nothing
-// (this is what made probe-heavy pointer-chasing workloads slower
-// specialized than plain). The count walk assumes warm links (the steady
-// state the cached kernels converge to), which only ever overestimates — a
-// dead cycle still counts zero.
+// attaching candidate entries greedily in bucket (probe) order through the
+// kernels' consumer (fuse) and counting both the edges each entry fuses and
+// the probe misses each anchor's chain takes, then prunes. Two prunes
+// apply: an entry below the keep threshold is dead weight, and a whole
+// bucket whose fused edges don't clear a multiple of its probe misses is a
+// net loss — the anchor is visited mostly off-cycle, and every off-cycle
+// visit pays the chain walk for nothing (this is what made probe-heavy
+// pointer-chasing workloads slower specialized than plain). The count walk
+// assumes warm links (the steady state the cached kernels converge to),
+// which only ever overestimates — a dead cycle still counts zero.
 func selectBySample(c *Compiled, buckets map[StateID][]StrideEntry, sample []Edge) {
-	type slot struct {
-		anchor StateID
-		idx    int
-	}
-	fused := map[slot]uint64{}
-	attaches := map[slot]uint64{}
-	missAt := map[StateID]uint64{}
-	n := len(sample)
+	cand := withChains(c, buckets)
+	fused := make([]uint64, len(cand.stride))
+	attaches := make([]uint64, len(cand.stride))
+	missAt := make([]uint64, len(c.hot))
+	var sink Stats
 	cur, des := NTE, false
-	for k := 0; k < n; {
+	for k := 0; k < len(sample); {
 		if cur != NTE && !des {
-			b := buckets[cur]
-			matched := false
-			for i := range b {
-				e := &b[i]
-				m := len(e.Pattern)
-				if m > n-k || sample[k] != e.Pattern[0] {
+			if si := cand.hot[cur].stride; si >= 0 {
+				if si, end, runs := cand.fuse(sample, k, si, false, nil, 0); runs != 0 {
+					fused[si] += uint64(end - k)
+					attaches[si]++
+					k = end
 					continue
 				}
-				if m > 1 && !edgesEqual(sample[k:k+m], e.Pattern) {
-					continue
-				}
-				runs := uint64(1)
-				k += m
-				for m <= n-k && edgesEqual(sample[k:k+m], e.Pattern) {
-					runs++
-					k += m
-				}
-				fused[slot{cur, i}] += e.Edges * runs
-				attaches[slot{cur, i}]++
-				matched = true
-				break
-			}
-			if matched {
-				continue
-			}
-			if len(b) > 0 {
 				missAt[cur]++
 			}
 		}
-		var sink Stats
 		cur, des = step[obsOff](c, cur, des, sample[k].Label, sample[k].Instrs, &sink, nil, 0)
 		k++
 	}
 	for a, b := range buckets {
+		if len(b) == 0 {
+			continue
+		}
+		// withChains laid the bucket out contiguously from its chain head.
+		head := int(cand.hot[a].stride)
 		kept := b[:0]
 		var total uint64
 		for i := range b {
-			s := slot{a, i}
-			f := fused[s]
+			f, n := fused[head+i], attaches[head+i]
 			if f < strideMinSampleEdges {
 				continue
 			}
@@ -495,9 +446,9 @@ func selectBySample(c *Compiled, buckets map[StateID][]StrideEntry, sample []Edg
 			// so it needs a longer region to break even. Entries whose
 			// average region is shorter than that floor made replay slower
 			// than the per-edge kernel on short-run workloads.
-			floor := attaches[s] * strideAttachFloorSelf
+			floor := n * strideAttachFloorSelf
 			if len(b[i].Pattern) > 1 || len(b[i].MissPos) > 0 {
-				floor = attaches[s] * strideAttachFloorGeneral
+				floor = n * strideAttachFloorGeneral
 			}
 			if f < floor {
 				continue
@@ -715,6 +666,9 @@ func addStrideEntry(buckets map[StateID][]StrideEntry, e StrideEntry) {
 func mineStrideEntries(c *Compiled, sample []Edge, buckets map[StateID][]StrideEntry) {
 	n := len(sample)
 	var sink Stats
+	// one is a one-entry chain: a candidate period's repeats are counted by
+	// the kernels' consumer.
+	one := &Compiled{stride: make([]StrideEntry, 1), strideProbe: make([]strideProbeRec, 1)}
 	cur, des := NTE, false
 	k := 0
 	for k < n {
@@ -742,10 +696,10 @@ func mineStrideEntries(c *Compiled, sample []Edge, buckets map[StateID][]StrideE
 		consumed := 1
 		if period != 0 {
 			m := period
-			r := 2
-			for k+(r+1)*m <= n && edgesEqual(sample[k:k+m], sample[k+r*m:k+(r+1)*m]) {
-				r++
-			}
+			one.stride[0].Pattern = sample[k : k+m]
+			one.strideProbe[0] = strideProbeRec{first: sample[k], m: int32(m), next: noStride}
+			_, _, runs := one.fuse(sample, k, 0, false, nil, 0)
+			r := int(runs)
 			if uint64(r)*uint64(m) >= strideMinSampleEdges {
 				for mm := m; mm <= maxStrideLen && mm*2 <= r*m; mm += m {
 					if e, ok := buildStrideEntry(c, cur, sample[k:k+mm]); ok {

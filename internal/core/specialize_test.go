@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
+	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/obs"
+	"github.com/lsc-tea/tea/internal/trace"
 )
 
 // testStream drives the recorded program again and captures its edges.
@@ -325,6 +327,71 @@ func TestStrideTableRoundTrip(t *testing.T) {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		} else if _, ok := err.(*DecodeError); !ok {
 			t.Fatalf("truncation at %d: error %T, want *DecodeError", cut, err)
+		}
+	}
+}
+
+// TestStrideMissWarmOnColdCaches holds the cached kernel's warm check on an
+// entry whose miss positions leave trace states. Two one-block traces jump
+// to each other, so the cycle X→Y→X is two trace links that the local
+// caches resolve. The cycle's pattern matches on its first traversal from a
+// cold replayer, where fusing would charge warm local hits the caches do not
+// yet hold. Later a label that shares X's slot with Y's evicts that slot
+// after the check has passed, so a warm memo that survived a slot write
+// would fuse on a cold slot too. Either fault makes the compiled replayer
+// diverge from the reference.
+func TestStrideMissWarmOnColdCaches(t *testing.T) {
+	const x, y = 0x100, 0x200
+	set := trace.NewSet("manual", nil)
+	for _, head := range []uint64{x, y} {
+		term := &isa.Instr{Addr: head + 12, Op: isa.JMP, Target: x ^ y ^ head, Size: 4}
+		if _, err := set.NewTrace(&cfg.Block{Head: head, End: term.Addr, NumInstrs: 4, Bytes: 16, Term: term}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := Build(set)
+	c := Compile(a, ConfigGlobalLocal)
+	spec := Specialize(c, nil)
+	linked := false
+	for _, e := range spec.StrideTable() {
+		for _, p := range e.MissPos {
+			from := e.Anchor
+			if p > 0 {
+				from = e.States[p-1]
+			}
+			linked = linked || from != NTE
+		}
+	}
+	if !linked {
+		t.Fatal("no stride entry has a miss from a trace state")
+	}
+
+	// Enter X, spin the cycle, leave X by a label that maps to the slot
+	// Y's link occupies (an impossible successor: a desync, then a resync
+	// at X's entry), and spin again.
+	evict := uint64(y + 2*c.LocalSize())
+	stream := []Edge{{Label: x}}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 6; i++ {
+			stream = append(stream, Edge{Label: y, Instrs: 4}, Edge{Label: x, Instrs: 4})
+		}
+		stream = append(stream, Edge{Label: evict, Instrs: 4}, Edge{Label: x, Instrs: 1})
+	}
+	ref := NewReplayer(a, ConfigGlobalLocal)
+	for _, e := range stream {
+		ref.Advance(e.Label, e.Instrs)
+	}
+	for _, bs := range []int{len(stream), 7} {
+		r := NewCompiledReplayer(spec)
+		for i := 0; i < len(stream); i += bs {
+			r.AdvanceBatch(stream[i:min(i+bs, len(stream))])
+		}
+		if *r.Stats() != *ref.Stats() || r.Cur() != ref.Cur() || r.Desynced() != ref.Desynced() {
+			t.Fatalf("batch %d: compiled %+v cur=%d des=%v, reference %+v cur=%d des=%v",
+				bs, *r.Stats(), r.Cur(), r.Desynced(), *ref.Stats(), ref.Cur(), ref.Desynced())
+		}
+		if r.StrideEdges() == 0 {
+			t.Fatalf("batch %d: the linked cycle never fused", bs)
 		}
 	}
 }

@@ -80,7 +80,8 @@ done
 echo "ci: teavet gate ok"
 
 # Obs-off codegen gate: each replay and record kernel in internal/core is one
-# generic body with an obsOff and an obsOn instance (DESIGN.md §12). obsasm
+# generic body with an obsOff and an obsOn instance (the cached kernel has
+# one of each per stride mode; DESIGN.md §12). obsasm
 # compiles the package with -gcflags=-S and fails if any obsOff instance
 # carries emitter or internal/obs code. Negative self-test, as for teavet: the same
 # check over the obsOn instances must flag every kernel (exit 1; obsasm exits

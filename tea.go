@@ -30,7 +30,8 @@
 //
 // To replay a captured stream slice on several cores, feed it to
 // NewReplayPipeline and read the answer at Barrier: it is byte-identical
-// to SequentialReplay on the same slice. The pipeline is the one
+// to AdvanceBatch over the same slice on a CompiledReplayer of a form
+// compiled without local caches. The pipeline is the one
 // sharded executor; a caller cancels it by no longer feeding and calling
 // Close (DESIGN.md §14).
 //
@@ -280,8 +281,8 @@ func Specialize(c *Compiled, stream []StreamEdge) *Compiled {
 }
 
 // CompiledLayout renders the compiled form's memory-layout report: SoA
-// array residency, entry-table load, prefetch capability and stride-table
-// occupancy (teaprof -layout).
+// array residency, entry-table load and stride-table occupancy (teaprof
+// -layout).
 func CompiledLayout(c *Compiled) string { return c.Layout() }
 
 // DecodeStrideTable parses a TEAS stride-table blob. The result is only
@@ -319,13 +320,6 @@ func ReplayCompiled(p *Program, a *Automaton, c LookupConfig) (*ReplayStats, err
 		return tool.Stats(), err
 	}
 	return tool.Stats(), nil
-}
-
-// SequentialReplay replays a captured stream in order with the memoryless
-// cache-less transition function — the byte-exact reference for a replay
-// pipeline (NewReplayPipeline) fed the same stream.
-func SequentialReplay(c *Compiled, stream []StreamEdge) (ReplayStats, StateID) {
-	return core.SequentialReplay(c, stream)
 }
 
 // Pipeline (decoupled online capture→process; DESIGN.md §14).

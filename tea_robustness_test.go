@@ -12,6 +12,7 @@ import (
 
 	tea "github.com/lsc-tea/tea"
 	"github.com/lsc-tea/tea/internal/cfg"
+	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/cpu"
 	"github.com/lsc-tea/tea/internal/dbt"
 	"github.com/lsc-tea/tea/internal/faultinject"
@@ -548,7 +549,7 @@ func buildServeFixture(t *testing.T) []serveFixtureImage {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, final := tea.SequentialReplay(tea.Compile(a, tea.LookupConfig{}), edges)
+		want, final := core.SequentialReplay(tea.Compile(a, tea.LookupConfig{}), edges)
 		images = append(images, serveFixtureImage{d.name, p, a, edges, want, final})
 	}
 	if images[0].want == images[1].want {
@@ -688,7 +689,7 @@ func TestServeQuotaExhaustion(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("under-quota replay: %v", rerr)
 	}
-	wantShort, wantFinal := tea.SequentialReplay(tea.Compile(img.auto, tea.LookupConfig{}), img.edges[:12])
+	wantShort, wantFinal := core.SequentialReplay(tea.Compile(img.auto, tea.LookupConfig{}), img.edges[:12])
 	if *stats != wantShort || final != wantFinal {
 		t.Fatalf("under-quota replay diverged:\n got %+v\nwant %+v", *stats, wantShort)
 	}
