@@ -160,7 +160,7 @@ func runSmoke(cfg serve.Config) error {
 		return err
 	}
 	compiled := core.Compile(automata[image], cfg.Lookup)
-	wantStats, wantFinal := core.SequentialReplay(compiled, edges)
+	wantStats, wantFinal := core.SequentialReplay(compiled, edges, nil)
 
 	check := func(label string, dial func() (net.Conn, error)) error {
 		c, err := client.New(client.Config{Tenant: "smoke", Dial: dial, Seed: 1})

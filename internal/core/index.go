@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/lsc-tea/tea/internal/btree"
 )
@@ -21,11 +20,6 @@ const (
 	// GlobalHash keeps trace entries in a hash map — an idealized
 	// container the paper did not evaluate, provided for the ablation.
 	GlobalHash
-	// GlobalSorted keeps entries in a binary-searched sorted array — one of
-	// the "other techniques to optimize the transition lookup" the paper's
-	// conclusion proposes investigating. Inserts are O(n) but rare (once
-	// per trace); lookups are cache-friendly log2(n)+1 probes.
-	GlobalSorted
 )
 
 func (k GlobalKind) String() string {
@@ -36,8 +30,6 @@ func (k GlobalKind) String() string {
 		return "btree"
 	case GlobalHash:
 		return "hash"
-	case GlobalSorted:
-		return "sorted"
 	}
 	return fmt.Sprintf("global?%d", int(k))
 }
@@ -114,8 +106,6 @@ func newEntryIndex(c LookupConfig) EntryIndex {
 		return &btreeIndex{t: btree.New[StateID](c.Fanout)}
 	case GlobalHash:
 		return &hashIndex{m: make(map[uint64]StateID)}
-	case GlobalSorted:
-		return &sortedIndex{}
 	default:
 		return &listIndex{known: make(map[uint64]*listNode)}
 	}
@@ -188,48 +178,6 @@ func (h *hashIndex) Lookup(addr uint64) (StateID, bool) {
 func (h *hashIndex) Probes() uint64 { return h.probes }
 func (h *hashIndex) ResetProbes()   { h.probes = 0 }
 func (h *hashIndex) Len() int       { return len(h.m) }
-
-// sortedIndex is a binary-searched sorted array of entries.
-type sortedIndex struct {
-	addrs  []uint64
-	states []StateID
-	probes uint64
-}
-
-func (s *sortedIndex) Insert(addr uint64, st StateID) {
-	i := sort.Search(len(s.addrs), func(i int) bool { return s.addrs[i] >= addr })
-	if i < len(s.addrs) && s.addrs[i] == addr {
-		s.states[i] = st
-		return
-	}
-	s.addrs = append(s.addrs, 0)
-	copy(s.addrs[i+1:], s.addrs[i:])
-	s.addrs[i] = addr
-	s.states = append(s.states, 0)
-	copy(s.states[i+1:], s.states[i:])
-	s.states[i] = st
-}
-
-func (s *sortedIndex) Lookup(addr uint64) (StateID, bool) {
-	lo, hi := 0, len(s.addrs)
-	for lo < hi {
-		s.probes++
-		mid := (lo + hi) / 2
-		switch {
-		case s.addrs[mid] == addr:
-			return s.states[mid], true
-		case s.addrs[mid] < addr:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return NTE, false
-}
-
-func (s *sortedIndex) Probes() uint64 { return s.probes }
-func (s *sortedIndex) ResetProbes()   { s.probes = 0 }
-func (s *sortedIndex) Len() int       { return len(s.addrs) }
 
 // localCache is one state's direct-mapped cache of resolved trace-entry
 // targets. Both positive and negative results are cached (see

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// TestEntryIndexAgreement drives all four containers with the same random
+// TestEntryIndexAgreement drives all three containers with the same random
 // operation sequence and requires identical answers.
 func TestEntryIndexAgreement(t *testing.T) {
 	f := func(seed int64) bool {
@@ -15,7 +15,6 @@ func TestEntryIndexAgreement(t *testing.T) {
 			newEntryIndex(LookupConfig{Global: GlobalList}.withDefaults()),
 			newEntryIndex(LookupConfig{Global: GlobalBTree}.withDefaults()),
 			newEntryIndex(LookupConfig{Global: GlobalHash}.withDefaults()),
-			newEntryIndex(LookupConfig{Global: GlobalSorted}.withDefaults()),
 		}
 		ref := make(map[uint64]StateID)
 		for op := 0; op < 300; op++ {
@@ -51,7 +50,7 @@ func TestEntryIndexAgreement(t *testing.T) {
 }
 
 func TestIndexProbeReset(t *testing.T) {
-	for _, k := range []GlobalKind{GlobalList, GlobalBTree, GlobalHash, GlobalSorted} {
+	for _, k := range []GlobalKind{GlobalList, GlobalBTree, GlobalHash} {
 		ix := newEntryIndex(LookupConfig{Global: k}.withDefaults())
 		for i := uint64(1); i <= 32; i++ {
 			ix.Insert(i*16, StateID(i))
@@ -73,7 +72,6 @@ func TestGlobalKindStrings(t *testing.T) {
 		GlobalList:     "list",
 		GlobalBTree:    "btree",
 		GlobalHash:     "hash",
-		GlobalSorted:   "sorted",
 		GlobalKind(99): "global?99",
 	}
 	for k, want := range cases {
@@ -110,30 +108,5 @@ func TestLocalCacheBasics(t *testing.T) {
 	}
 	if s, ok := c.get(b); !ok || s != 2 {
 		t.Error("newest entry lost")
-	}
-}
-
-func TestSortedIndexOrderedInserts(t *testing.T) {
-	s := &sortedIndex{}
-	// Descending inserts must still produce a sorted array.
-	for i := 100; i > 0; i-- {
-		s.Insert(uint64(i*8), StateID(i))
-	}
-	for i := 1; i < len(s.addrs); i++ {
-		if s.addrs[i-1] >= s.addrs[i] {
-			t.Fatal("sortedIndex not sorted")
-		}
-	}
-	if st, ok := s.Lookup(8); !ok || st != 1 {
-		t.Error("lookup of smallest failed")
-	}
-	if _, ok := s.Lookup(7); ok {
-		t.Error("found absent key")
-	}
-	// Replacement does not grow.
-	n := s.Len()
-	s.Insert(8, 42)
-	if s.Len() != n {
-		t.Error("replacement grew the index")
 	}
 }

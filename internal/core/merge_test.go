@@ -166,7 +166,7 @@ func TestMergeLockstepMatchesSequential(t *testing.T) {
 				c    *Compiled
 			}{{"plain", c}, {"specialized", spec}} {
 				name := fmt.Sprintf("%s/%s/%s", lc.name, sname, img.kind)
-				want, wcur := SequentialReplay(img.c, stream)
+				want, wcur := SequentialReplay(img.c, stream, nil)
 				if sname != "clean" && want.Desyncs == 0 {
 					t.Fatalf("%s: the stream never desyncs", name)
 				}
@@ -180,7 +180,7 @@ func TestMergeLockstepMatchesSequential(t *testing.T) {
 						seg := stream[i:min(i+1+rng.Intn(maxSeg), len(stream))]
 						img.c.SpecReplay(seg, &sr)
 						var d Stats
-						d, cur, des = rc.Merge(img.c, seg, cur, des, &sr)
+						d, cur, des = rc.Merge(img.c, seg, 0, cur, des, &sr, nil)
 						total.Add(&d)
 						i += len(seg)
 					}
@@ -196,7 +196,7 @@ func TestMergeLockstepMatchesSequential(t *testing.T) {
 					cur, des := randomState(rng, lc.a)
 					ws, wcur, wdes := replayFrom(img.c, seg, cur, des)
 					img.c.SpecReplay(seg, &sr)
-					st, gcur, gdes := rc.Merge(img.c, seg, cur, des, &sr)
+					st, gcur, gdes := rc.Merge(img.c, seg, 0, cur, des, &sr, nil)
 					if st != ws || gcur != wcur || gdes != wdes {
 						t.Fatalf("%s: [%d,%d) from (%d,%v): Merge %+v exit=(%d,%v), sequential %+v exit=(%d,%v)",
 							name, i, i+len(seg), cur, des, st, gcur, gdes, ws, wcur, wdes)
@@ -211,9 +211,9 @@ func TestMergeLockstepMatchesSequential(t *testing.T) {
 					}
 					img.c.SpecReplayObs(seg, ebase, &sr)
 					merged = merged[:0]
-					st, gcur, gdes = rc.MergeObs(img.c, seg, ebase, cur, des, &sr, &merged)
+					st, gcur, gdes = rc.Merge(img.c, seg, ebase, cur, des, &sr, &merged)
 					if st != ws || gcur != wcur || gdes != wdes || !reflect.DeepEqual(merged, wantEvs) {
-						t.Fatalf("%s: [%d,%d) from (%d,%v): MergeObs %+v exit=(%d,%v) %d events, sequential %+v exit=(%d,%v) %d events",
+						t.Fatalf("%s: [%d,%d) from (%d,%v): Merge %+v exit=(%d,%v) %d events, sequential %+v exit=(%d,%v) %d events",
 							name, i, i+len(seg), cur, des, st, gcur, gdes, len(merged), ws, wcur, wdes, len(wantEvs))
 					}
 				}

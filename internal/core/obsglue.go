@@ -11,7 +11,9 @@ import (
 // epilogue, FlushObs, shard reconciliation), which keeps the enabled-mode
 // per-edge cost at zero atomics for counter maintenance. The compiled
 // kernels' disabled mode carries no obs code at all (obsmode.go); the
-// reference Replayer pays a nil check on its slow branches.
+// reference Replayer pays a nil check on its slow branches and one per
+// edge. Every path stages its events with emit and hands them to
+// obs.IngestReplay, which derives the replay histograms.
 
 // FoldReplayObs charges a Stats delta to the replay counter set under the
 // given shard's cells; the pipeline drains call it at sequence boundaries.
@@ -47,7 +49,7 @@ func (r *Replayer) SetObs(o *obs.Obs) {
 		} else {
 			h := o.Reg.Histogram("tea_btree_probe_depth",
 				"B+ tree nodes visited per global-container search", obs.ProbeDepthBuckets)
-			bi.t.SetProbeHook(obs.NewProbe(h, 0).Observe)
+			bi.t.SetProbeHook(h.Observe)
 		}
 	}
 }
@@ -72,8 +74,8 @@ func (r *Replayer) FlushObs() {
 
 // lookupGlobalFrom is resolve's global search with observability: the
 // container's cumulative probe counter is read around the lookup so the
-// per-search depth feeds the probe-depth histogram and the
-// CacheMiss→probe event — the Table 4 ablation signal.
+// per-search depth is staged as a CacheMiss→probe event, which feeds the
+// probe-depth histogram — the Table 4 ablation signal.
 func (r *Replayer) lookupGlobalFrom(from StateID, label uint64) StateID {
 	o := r.obs
 	if o == nil {
@@ -81,8 +83,17 @@ func (r *Replayer) lookupGlobalFrom(from StateID, label uint64) StateID {
 	}
 	before := r.index.Probes()
 	t := r.lookupGlobal(label)
-	o.CacheMissProbe(int32(from), r.index.Probes()-before)
+	emit(&r.evs, o.EdgeBase(), r.index.Probes()-before, from, obs.EvCacheMissProbe)
 	return t
+}
+
+// ingest hands the events staged since the last call to o.IngestReplay:
+// Advance calls it once per edge, the recorder once per sync.
+func (r *Replayer) ingest(o *obs.Obs) {
+	if len(r.evs) > 0 {
+		o.IngestReplay(r.evs)
+		r.evs = r.evs[:0]
+	}
 }
 
 // SetObs attaches an observability context to the compiled replayer.

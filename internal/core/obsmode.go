@@ -41,11 +41,13 @@ type (
 	strideMode interface{ strideOff | strideOn }
 )
 
-// emit appends one replay event to an obsOn kernel's staging buffer — the
-// one event-append site of the compiled kernels. The buffer is ingested in
-// order through obs.IngestReplay once per call (or, for pipeline scans, at
-// the drain), never per event. This file holds no other code, so any
-// instruction attributed to it in an obsOff body is an obs leak.
+// emit appends one replay or record event to a staging buffer — the one
+// event-append site of core: the obsOn kernels, the reference Replayer and
+// the recorder's sync all stage through it. The buffer is ingested in order
+// through obs.IngestReplay once per call (per edge for the Replayer, per
+// sync for the recorder, at the drain for pipeline scans), never per
+// event. This file holds no other code, so any instruction attributed to
+// it in an obsOff body is an obs leak.
 func emit(evs *[]obs.Event, edge, aux uint64, state StateID, kind obs.EventKind) {
 	*evs = append(*evs, obs.Event{Edge: edge, Aux: aux, State: int32(state), Kind: kind})
 }

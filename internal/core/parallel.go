@@ -143,22 +143,16 @@ func (s *Stats) charge(kind slotKind) {
 // memoryless (cache-less) transition function and returns the stats and
 // final state. It is the reference sharded replay (internal/pipeline) must
 // match byte for byte, and equals a CompiledReplayer over a Local-less
-// Compile of the same automaton.
-func SequentialReplay(c *Compiled, stream []Edge) (Stats, StateID) {
+// Compile of the same automaton. With an observability context the events
+// are collected per edge, the counters folded once, and the events and
+// derived histograms fed through the shared ingest path; a nil o runs
+// dark.
+func SequentialReplay(c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID) {
 	var st Stats
-	cur, _, _ := scan[obsOff](c, stream, 0, NTE, false, &st, nil)
-	return st, cur
-}
-
-// SequentialReplayObs is SequentialReplay with observability: identical
-// Stats and final state, with the events collected per edge, the counters
-// folded once, and the events and derived histograms fed through the
-// shared ingest path. A nil context runs the plain SequentialReplay.
-func SequentialReplayObs(c *Compiled, stream []Edge, o *obs.Obs) (Stats, StateID) {
 	if o == nil {
-		return SequentialReplay(c, stream)
+		cur, _, _ := scan[obsOff](c, stream, 0, NTE, false, &st, nil)
+		return st, cur
 	}
-	var st Stats
 	evs := make([]obs.Event, 0, 256)
 	cur, _, _ := scan[obsOn](c, stream, o.EdgeBase(), NTE, false, &st, &evs)
 	o.AdvanceEdges(uint64(len(stream)))

@@ -168,7 +168,7 @@ func TestQuickReplayCoverageConfigInvariant(t *testing.T) {
 		for i, lc := range []LookupConfig{
 			{Global: GlobalList, Local: true},
 			{Global: GlobalBTree},
-			{Global: GlobalSorted, Local: true, LocalSize: 2},
+			{Global: GlobalBTree, Local: true, LocalSize: 2},
 			{Global: GlobalHash, Local: true, LocalSize: 16},
 		} {
 			r := NewReplayer(a, lc)

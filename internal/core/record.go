@@ -177,8 +177,8 @@ func (r *Recorder) sync(t *trace.Trace) {
 			m.HotHeads.Set(uint64(hot))
 			m.ExtCounts.Set(uint64(ext))
 		}
-		o.SetEdge(edge)
-		o.SyncEvent(int32(r.rep.Cur()), uint64(t.Len()))
+		emit(&r.rep.evs, edge, uint64(t.Len()), r.rep.Cur(), obs.EvSync)
+		r.rep.ingest(o)
 		r.rep.FlushObs()
 	}
 }

@@ -29,9 +29,11 @@ type Replayer struct {
 
 	// obs is the (nil when disabled) observability sink; obsFolded remembers
 	// the stats already folded into its counters, so FlushObs charges deltas
-	// and never double-counts.
+	// and never double-counts. evs stages one Advance's events for
+	// obs.IngestReplay.
 	obs       *obs.Obs
 	obsFolded Stats
+	evs       []obs.Event
 
 	// gen is the local-cache generation. AddEntry bumps it instead of
 	// walking and zeroing every allocated cache; a cache whose stamp lags
@@ -192,9 +194,6 @@ func (r *Replayer) Advance(label uint64, instrs uint64) StateID {
 	r.account(r.cur, instrs)
 	from := r.cur
 	o := r.obs
-	if o != nil {
-		o.Tick()
-	}
 	var next StateID
 	if from != NTE {
 		if t, ok := r.a.State(from).Next(label); ok {
@@ -211,19 +210,19 @@ func (r *Replayer) Advance(label uint64, instrs uint64) StateID {
 				r.stats.Desyncs++
 				r.desynced = true
 				if o != nil {
-					o.DesyncEvent(int32(from), label)
+					emit(&r.evs, o.EdgeBase(), label, from, obs.EvDesync)
 				}
 			}
 			next = r.resolve(from, label)
 			if next == NTE {
 				r.stats.TraceExits++
 				if o != nil {
-					o.TraceExit(int32(from), label)
+					emit(&r.evs, o.EdgeBase(), label, from, obs.EvTraceExit)
 				}
 			} else {
 				r.stats.TraceLinks++
 				if o != nil {
-					o.EntryTableHit(int32(next), label)
+					emit(&r.evs, o.EdgeBase(), label, next, obs.EvEntryTableHit)
 				}
 			}
 		}
@@ -232,7 +231,7 @@ func (r *Replayer) Advance(label uint64, instrs uint64) StateID {
 		if next != NTE {
 			r.stats.TraceEnters++
 			if o != nil {
-				o.TraceEnter(int32(next), label)
+				emit(&r.evs, o.EdgeBase(), label, next, obs.EvTraceEnter)
 			}
 		}
 	}
@@ -242,10 +241,14 @@ func (r *Replayer) Advance(label uint64, instrs uint64) StateID {
 		r.desynced = false
 		r.stats.Resyncs++
 		if o != nil {
-			o.ResyncEvent(int32(next), label)
+			emit(&r.evs, o.EdgeBase(), label, next, obs.EvResync)
 		}
 	}
 	r.cur = next
+	if o != nil {
+		r.ingest(o)
+		o.AdvanceEdges(1)
+	}
 	return next
 }
 

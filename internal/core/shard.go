@@ -115,7 +115,7 @@ func (c *Compiled) SpecReplayObs(seg []Edge, ebase uint64, r *SpecResult) {
 }
 
 // scan is the one memoryless scan, behind SpecReplay(Obs),
-// SequentialReplay(Obs), AdvanceBatch without local caches and Specialize's
+// SequentialReplay, AdvanceBatch without local caches and Specialize's
 // bailout. It consumes seg from (cur, des), charging st, and returns the
 // post-state and the number of edges fused stride cycles consumed (through
 // fuse, the consumer the cached kernel shares). The obsOn instance appends
@@ -352,27 +352,26 @@ type Reconciler struct {
 // state (cur, des), returning the segment's true Stats contribution and exit
 // state. An entry at NTE needs no re-replay: in sync, the speculative result
 // is exact; desynced, it differs by the one resync where the speculation
-// first enters a trace.
-func (rc *Reconciler) Merge(c *Compiled, seg []Edge, cur StateID, des bool, r *SpecResult) (Stats, StateID, bool) {
-	return merge[obsOff](rc, c, seg, 0, cur, des, r, nil)
-}
-
-// MergeObs is Merge with event splicing: the reconciled segment's events are
-// appended to *merged — the true prefix's events followed by the
-// speculative suffix's — so the concatenation over all segments equals the
-// sequential event stream.
-func (rc *Reconciler) MergeObs(c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
+// first enters a trace. With a non-nil merged, the reconciled segment's
+// events — the true prefix's, stamped from ebase, followed by the
+// speculative suffix's — are appended to *merged, so the concatenation over
+// all segments equals the sequential event stream; a nil merged runs the
+// obsOff instance.
+func (rc *Reconciler) Merge(c *Compiled, seg []Edge, ebase uint64, cur StateID, des bool, r *SpecResult, merged *[]obs.Event) (Stats, StateID, bool) {
+	if merged == nil {
+		return merge[obsOff](rc, c, seg, 0, cur, des, r, nil)
+	}
 	return merge[obsOn](rc, c, seg, ebase, cur, des, r, merged)
 }
 
-// merge is the one body of Merge and MergeObs. It re-replays the segment
-// from the true entry state and, in lockstep, from the speculation's (NTE,
-// in-sync), until the first edge after which the two post-states are equal:
-// the junction. The speculative side's charges up to it are exactly the
-// prefix r.Stats holds in excess, so they are swapped for the true side's
-// (and, in the obsOn instance, the speculative prefix's events for the
-// true prefix's); past the junction r is kept verbatim, exit state
-// included. Finding the junction costs two steps per prefix edge, the same
+// merge is the body of Merge, one instance per observability mode. It
+// re-replays the segment from the true entry state and, in lockstep, from
+// the speculation's (NTE, in-sync), until the first edge after which the
+// two post-states are equal: the junction. The speculative side's charges
+// up to it are exactly the prefix r.Stats holds in excess, so they are
+// swapped for the true side's (and, in the obsOn instance, the speculative
+// prefix's events for the true prefix's); past the junction r is kept
+// verbatim, exit state included. Finding the junction costs two steps per prefix edge, the same
 // as re-replaying each side of the prefix in turn.
 //
 // An entry at NTE needs no step. In sync, it is the speculation's own.

@@ -220,7 +220,7 @@ func TestSpecializedSpecReplayTrajectory(t *testing.T) {
 	c.SpecReplay(stream, &plain)
 	spec.SpecReplay(stream, &fused)
 	samePass("whole stream")
-	if want, cur := SequentialReplay(c, stream); plain.Stats != want || plain.ExitCur != cur || plain.ExitDes {
+	if want, cur := SequentialReplay(c, stream, nil); plain.Stats != want || plain.ExitCur != cur || plain.ExitDes {
 		t.Fatalf("SpecReplay %+v exit=(%d,%v), sequential %+v cur=%d", plain.Stats, plain.ExitCur, plain.ExitDes, want, cur)
 	}
 
@@ -238,7 +238,7 @@ func TestSpecializedSpecReplayTrajectory(t *testing.T) {
 			img *Compiled
 			r   *SpecResult
 		}{{c, &plain}, {spec, &fused}} {
-			st, gcur, gdes := rc.Merge(m.img, seg, cur, des, m.r)
+			st, gcur, gdes := rc.Merge(m.img, seg, 0, cur, des, m.r, nil)
 			if st != want || gcur != wcur || gdes != wdes {
 				t.Fatalf("segment [%d,%d) from (%d,%v), stride=%v: Merge %+v exit=(%d,%v), want %+v exit=(%d,%v)",
 					i, i+len(seg), cur, des, m.img == spec, st, gcur, gdes, want, wcur, wdes)
@@ -266,8 +266,8 @@ func TestSpecializedParallelAndSequential(t *testing.T) {
 	c := Compile(a, LookupConfig{Global: GlobalHash})
 	spec := Specialize(c, stream)
 
-	seqSt, seqCur := SequentialReplay(c, stream)
-	specSeqSt, specSeqCur := SequentialReplay(spec, stream)
+	seqSt, seqCur := SequentialReplay(c, stream, nil)
+	specSeqSt, specSeqCur := SequentialReplay(spec, stream, nil)
 
 	if seqSt != specSeqSt || seqCur != specSeqCur {
 		t.Fatalf("specialized SequentialReplay diverges:\nplain %+v\nspec  %+v", seqSt, specSeqSt)

@@ -44,7 +44,7 @@ func TestSpecReplayMergeZeroAlloc(t *testing.T) {
 	}
 	seg := stream[h:]
 	cur, des := entry.Cur(), entry.Desynced()
-	want, _ := SequentialReplay(c, stream)
+	want, _ := SequentialReplay(c, stream, nil)
 	pre := *entry.Stats()
 
 	var sr SpecResult
@@ -55,7 +55,7 @@ func TestSpecReplayMergeZeroAlloc(t *testing.T) {
 			if on {
 				c.SpecReplayObs(seg, uint64(h), &sr)
 				merged = merged[:0]
-				d, _, _ := rc.MergeObs(c, seg, uint64(h), cur, des, &sr, &merged)
+				d, _, _ := rc.Merge(c, seg, uint64(h), cur, des, &sr, &merged)
 				d.Add(&pre)
 				if d != want {
 					t.Fatalf("obs=on: merged stats %+v, want %+v", d, want)
@@ -63,7 +63,7 @@ func TestSpecReplayMergeZeroAlloc(t *testing.T) {
 				return
 			}
 			c.SpecReplay(seg, &sr)
-			d, _, _ := rc.Merge(c, seg, cur, des, &sr)
+			d, _, _ := rc.Merge(c, seg, 0, cur, des, &sr, nil)
 			d.Add(&pre)
 			if d != want {
 				t.Fatalf("obs=off: merged stats %+v, want %+v", d, want)

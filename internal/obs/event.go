@@ -211,41 +211,29 @@ func (t *Tracer) EmitBatch(events []Event) {
 func (t *Tracer) Snapshot() (events []Event, dropped uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.head
-	if n > uint64(len(t.buf)) {
-		n = uint64(len(t.buf))
-	}
-	events = make([]Event, 0, n)
-	for i := t.head - n; i < t.head; i++ {
-		events = append(events, t.buf[i&uint64(len(t.buf)-1)])
-	}
-	return events, t.dropped
+	return t.buffered(), t.dropped
 }
 
 // Drain returns the buffered events oldest-first and empties the ring.
 func (t *Tracer) Drain() (events []Event, dropped uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	events, dropped = t.buffered(), t.dropped
+	t.head, t.dropped = 0, 0
+	return events, dropped
+}
+
+// buffered copies the ring's events oldest-first (t.mu held).
+func (t *Tracer) buffered() []Event {
 	n := t.head
 	if n > uint64(len(t.buf)) {
 		n = uint64(len(t.buf))
 	}
-	events = make([]Event, 0, n)
+	events := make([]Event, 0, n)
 	for i := t.head - n; i < t.head; i++ {
 		events = append(events, t.buf[i&uint64(len(t.buf)-1)])
 	}
-	dropped = t.dropped
-	t.head = 0
-	t.dropped = 0
-	return events, dropped
-}
-
-// Dropped returns how many events the ring has overwritten since the last
-// Drain.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return events
 }
 
 // eventMagicV1 headed the original binary event log (no source ids);

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -48,9 +47,7 @@ func Handler(o *Obs) http.Handler {
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
+		_ = writeJSON(w, out)
 	})
 	// /debug/flight is the post-mortem index: one JSON row per retained
 	// artifact. /debug/flight/<seq> (or /debug/flight/last) serves the
@@ -76,9 +73,7 @@ func Handler(o *Obs) http.Handler {
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
+		_ = writeJSON(w, out)
 	})
 	mux.HandleFunc("/debug/flight/", func(w http.ResponseWriter, r *http.Request) {
 		want := strings.TrimPrefix(r.URL.Path, "/debug/flight/")

@@ -62,11 +62,9 @@ type Obs struct {
 	// nothing until something trips.
 	Flight *FlightRecorder
 
-	// edge is the logical clock: stream edges consumed so far. curEdge is
-	// the timestamp emitters stamp onto events; batch paths set it from a
-	// batch-local base + offset instead of ticking per edge.
-	edge    uint64
-	curEdge uint64
+	// edge is the logical clock: stream edges consumed so far. Emitters
+	// stamp events from EdgeBase() and move it with AdvanceEdges.
+	edge uint64
 
 	// Visit and gap tracking for the derived histograms.
 	inVisit   bool
@@ -121,103 +119,36 @@ func NewWith(reg *Registry, tracerCap int) *Obs {
 	return o
 }
 
-// Tick advances the logical edge clock by one edge and stamps the current
-// timestamp — the per-edge paths call it once per consumed edge.
-func (o *Obs) Tick() {
-	o.curEdge = o.edge
-	o.edge++
-}
-
-// EdgeBase returns the clock value before the next unconsumed edge; batch
-// paths read it once and stamp events at base+offset via SetEdge.
+// EdgeBase returns the clock value before the next unconsumed edge; the
+// replay and record paths stamp the events of an edge or batch from it.
 func (o *Obs) EdgeBase() uint64 { return o.edge }
 
-// AdvanceEdges moves the clock forward by a whole consumed batch.
+// AdvanceEdges moves the clock forward by n consumed edges.
 func (o *Obs) AdvanceEdges(n uint64) { o.edge += n }
 
-// SetEdge sets the timestamp for subsequently emitted events without
-// moving the clock.
-func (o *Obs) SetEdge(e uint64) { o.curEdge = e }
-
-// TraceEnter records an NTE-to-trace transition and opens a visit window.
-func (o *Obs) TraceEnter(state int32, label uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: label, State: state, Kind: EvTraceEnter})
-	o.inVisit = true
-	o.visitEdge = o.curEdge
-}
-
-// TraceExit records a trace-to-NTE exit and closes the visit window into
-// the edges-per-visit histogram.
-func (o *Obs) TraceExit(state int32, label uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: label, State: state, Kind: EvTraceExit})
-	if o.inVisit {
-		o.Replay.VisitEdges.Observe(o.curEdge - o.visitEdge)
-		o.inVisit = false
-	}
-}
-
-// DesyncEvent records a desynchronization and opens a gap window (nested
-// desyncs extend the open window rather than starting a new one).
-func (o *Obs) DesyncEvent(state int32, label uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: label, State: state, Kind: EvDesync})
-	if !o.inGap {
-		o.inGap = true
-		o.gapEdge = o.curEdge
-	}
-}
-
-// ResyncEvent records a recovery and closes the gap window into the
-// resync-gap histogram.
-func (o *Obs) ResyncEvent(state int32, label uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: label, State: state, Kind: EvResync})
-	if o.inGap {
-		o.Replay.ResyncGap.Observe(o.curEdge - o.gapEdge)
-		o.inGap = false
-	}
-}
-
-// CacheMissProbe records a trace-side global-container search of the given
-// probe depth (slots or nodes inspected) and feeds the probe-depth
-// histogram — the Table 4 ablation signal.
-func (o *Obs) CacheMissProbe(state int32, depth uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: depth, State: state, Kind: EvCacheMissProbe})
-	o.Replay.ProbeDepth.Observe(depth)
-}
-
-// EntryTableHit records a trace-side global search that linked to another
-// trace without leaving trace code.
-func (o *Obs) EntryTableHit(state int32, label uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: label, State: state, Kind: EvEntryTableHit})
-}
-
-// SyncEvent records a recorder synchronization (trace created or extended).
-func (o *Obs) SyncEvent(state int32, blocks uint64) {
-	o.Tracer.Emit(Event{Edge: o.curEdge, Aux: blocks, State: state, Kind: EvSync})
-}
-
-// SessionEvent emits one serve/pipeline-layer event stamped with an
-// explicit source id and logical clock (the session's edge watermark or
-// the chunk's base edge, not the replay clock), so spliced multi-session
-// event streams stay causally ordered per source. Alloc-free: one ring
-// write under the tracer lock.
+// SessionEvent emits one serve-layer event stamped with an explicit source
+// id and logical clock (the session's edge watermark, not the replay
+// clock), so spliced multi-session event streams stay causally ordered per
+// source. Alloc-free: one ring write under the tracer lock.
 //
 //tea:hotpath
 func (o *Obs) SessionEvent(kind EventKind, src uint32, edge, aux uint64) {
 	o.Tracer.Emit(Event{Edge: edge, Aux: aux, Src: src, State: -1, Kind: kind})
 }
 
-// IngestReplay feeds a pre-collected, edge-ordered event list into the
-// tracer and the derived histograms (probe depth, visit length, resync
-// gap), so the ring contents and histograms come out identical whether
-// events were emitted online (sequential replay) or collected per shard
-// and spliced at junctions (parallel replay). The window/histogram effects
-// of each event are applied in order, but the ring writes go through one
-// batched, single-lock emit — the hot cost of ingesting a whole chunk's
-// events at a drain.
+// IngestReplay is the one way replay and record events enter the tracer:
+// it feeds a staged, edge-ordered event list into the ring and the derived
+// histograms (probe depth, visit length, resync gap). A trace enter opens
+// a visit window and a trace exit closes it; a desync opens a gap window
+// (a nested desync extends it) and a resync closes it. Every path stages
+// its events — the reference Replayer per edge, the compiled kernels per
+// batch, the pipeline per chunk at the drain — so the ring contents and
+// histograms come out identical however the stream was cut. The window
+// effects of each event are applied in order, but the ring writes go
+// through one batched, single-lock emit.
 func (o *Obs) IngestReplay(events []Event) {
 	for i := range events {
 		e := &events[i]
-		o.curEdge = e.Edge
 		switch e.Kind {
 		case EvTraceEnter:
 			o.inVisit = true
@@ -253,19 +184,6 @@ type Span struct {
 	start time.Time
 }
 
-// StartSpan opens a span named tea_span_<name>; a nil Obs returns an inert
-// span whose End is a no-op, so call sites need no guard.
-func StartSpan(o *Obs, name string) Span {
-	if o == nil {
-		return Span{}
-	}
-	return Span{
-		ns:    o.Reg.Counter("tea_span_"+name+"_ns_total", "wall nanoseconds inside "+name),
-		calls: o.Reg.Counter("tea_span_"+name+"_calls_total", "entries into "+name),
-		start: time.Now(),
-	}
-}
-
 // End closes the span, accumulating elapsed wall time and a call count.
 func (s Span) End() {
 	if s.ns == nil {
@@ -275,12 +193,11 @@ func (s Span) End() {
 	s.calls.Add(1)
 }
 
-// SpanTimer is a pre-resolved span: the two counters StartSpan would look
-// up (registry mutex, name concatenation) are bound once at construction,
-// so Start on a repeating site — the recorder's sync span fires once per
-// created or extended trace — touches no shared state beyond the clock.
-// The zero SpanTimer (and a nil Obs) starts inert spans, so call sites
-// need no guard.
+// SpanTimer is the span constructor: its two counters are resolved once
+// (registry mutex, name concatenation), so Start on a repeating site — the
+// recorder's sync span fires once per created or extended trace — touches
+// no shared state beyond the clock. The zero SpanTimer (and so one built
+// over a nil Obs) starts inert spans, so call sites need no guard.
 type SpanTimer struct {
 	ns, calls *Counter
 }
@@ -302,22 +219,4 @@ func (t SpanTimer) Start() Span {
 		return Span{}
 	}
 	return Span{ns: t.ns, calls: t.calls, start: time.Now()}
-}
-
-// Probe is a nil-safe handle on one histogram for a fixed shard, letting
-// hot paths capture the lookup once and observe without re-hashing names.
-type Probe struct {
-	h     *Histogram
-	shard int
-}
-
-// NewProbe resolves a histogram probe; a nil Obs (or histogram) yields an
-// inert probe.
-func NewProbe(h *Histogram, shard int) Probe { return Probe{h: h, shard: shard} }
-
-// Observe records v; inert probes do nothing.
-func (p Probe) Observe(v uint64) {
-	if p.h != nil {
-		p.h.ObserveShard(p.shard, v)
-	}
 }

@@ -8,23 +8,19 @@ import (
 	"testing"
 )
 
-// emitScenario drives one synthetic replay through the emitters: an
-// 8-edge trace visit containing a probe-and-link, then a desync healed
-// 4 edges later.
+// emitScenario ingests one synthetic replay: an 8-edge trace visit
+// containing a probe-and-link, then a desync healed 4 edges later.
 func emitScenario(o *Obs) {
-	o.SetEdge(10)
-	o.TraceEnter(3, 0x4000)
-	o.SetEdge(14)
-	o.CacheMissProbe(3, 2)
-	o.EntryTableHit(5, 0x4100)
-	o.SetEdge(18)
-	o.TraceExit(5, 0x4200)
-	o.SetEdge(20)
-	o.DesyncEvent(5, 0x4300)
-	o.SetEdge(21)
-	o.DesyncEvent(5, 0x4310) // nested: must not reopen the gap window
-	o.SetEdge(24)
-	o.ResyncEvent(2, 0x4400)
+	o.IngestReplay([]Event{
+		{Edge: 10, Aux: 0x4000, State: 3, Kind: EvTraceEnter},
+		{Edge: 14, Aux: 2, State: 3, Kind: EvCacheMissProbe},
+		{Edge: 14, Aux: 0x4100, State: 5, Kind: EvEntryTableHit},
+		{Edge: 18, Aux: 0x4200, State: 5, Kind: EvTraceExit},
+		{Edge: 20, Aux: 0x4300, State: 5, Kind: EvDesync},
+		{Edge: 21, Aux: 0x4310, State: 5, Kind: EvDesync}, // nested: must not reopen the gap window
+	})
+	// A later batch closes the window the first one opened.
+	o.IngestReplay([]Event{{Edge: 24, Aux: 0x4400, State: 2, Kind: EvResync}})
 }
 
 func TestEmittersDeriveHistograms(t *testing.T) {
@@ -46,53 +42,11 @@ func TestEmittersDeriveHistograms(t *testing.T) {
 	}
 }
 
-// TestIngestReplayMatchesOnline is the core of the parallel-mode design:
-// feeding a pre-collected event list through IngestReplay must produce the
-// same ring contents and derived histograms as emitting the events online.
-func TestIngestReplayMatchesOnline(t *testing.T) {
-	online := New()
-	emitScenario(online)
-	onlineEvents, _ := online.Tracer.Snapshot()
-
-	offline := New()
-	offline.IngestReplay(onlineEvents)
-	offlineEvents, _ := offline.Tracer.Snapshot()
-
-	if len(onlineEvents) != len(offlineEvents) {
-		t.Fatalf("event counts differ: %d vs %d", len(onlineEvents), len(offlineEvents))
-	}
-	for i := range onlineEvents {
-		if onlineEvents[i] != offlineEvents[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, onlineEvents[i], offlineEvents[i])
-		}
-	}
-	for _, h := range []struct {
-		name string
-		a, b *Histogram
-	}{
-		{"visit", online.Replay.VisitEdges, offline.Replay.VisitEdges},
-		{"gap", online.Replay.ResyncGap, offline.Replay.ResyncGap},
-		{"probe", online.Replay.ProbeDepth, offline.Replay.ProbeDepth},
-	} {
-		ab, ac, as := h.a.Buckets()
-		bb, bc, bs := h.b.Buckets()
-		if ac != bc || as != bs {
-			t.Fatalf("%s histogram count/sum differ: %d/%d vs %d/%d", h.name, ac, as, bc, bs)
-		}
-		for i := range ab {
-			if ab[i] != bb[i] {
-				t.Fatalf("%s bucket %d differs: %d vs %d", h.name, i, ab[i], bb[i])
-			}
-		}
-	}
-}
-
 func TestEdgeClock(t *testing.T) {
 	o := New()
-	o.Tick()
-	o.Tick()
+	o.AdvanceEdges(2)
 	if o.EdgeBase() != 2 {
-		t.Fatalf("EdgeBase after 2 ticks = %d", o.EdgeBase())
+		t.Fatalf("EdgeBase after 2 edges = %d", o.EdgeBase())
 	}
 	o.AdvanceEdges(10)
 	if o.EdgeBase() != 12 {
@@ -101,11 +55,11 @@ func TestEdgeClock(t *testing.T) {
 }
 
 func TestSpanNilSafe(t *testing.T) {
-	sp := StartSpan(nil, "whatever")
+	sp := NewSpanTimer(nil, "whatever").Start()
 	sp.End() // must not panic
 
 	o := New()
-	sp = StartSpan(o, "record_sync")
+	sp = NewSpanTimer(o, "record_sync").Start()
 	sp.End()
 	calls := o.Reg.Counter("tea_span_record_sync_calls_total", "")
 	if calls.Value() != 1 {
@@ -113,22 +67,10 @@ func TestSpanNilSafe(t *testing.T) {
 	}
 }
 
-func TestProbeNilSafe(t *testing.T) {
-	var p Probe
-	p.Observe(3) // inert, must not panic
-	o := New()
-	p = NewProbe(o.Replay.ProbeDepth, 2)
-	p.Observe(3)
-	if _, count, _ := o.Replay.ProbeDepth.Buckets(); count != 1 {
-		t.Fatalf("probe observation lost: count=%d", count)
-	}
-}
-
 func TestHTTPHandlerEndpoints(t *testing.T) {
 	o := New()
 	o.Replay.Blocks.Add(42)
-	o.SetEdge(5)
-	o.TraceEnter(1, 0x4000)
+	o.IngestReplay([]Event{{Edge: 5, Aux: 0x4000, State: 1, Kind: EvTraceEnter}})
 	srv := httptest.NewServer(Handler(o))
 	defer srv.Close()
 

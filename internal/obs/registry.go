@@ -1,8 +1,9 @@
 // Package obs is the runtime observability layer: a metrics registry with
 // lock-free per-shard counters and fixed-bucket histograms, a bounded
-// ring-buffer event tracer with a compact binary log format, and profiling
-// hooks (Span/Probe) that the replay and record hot paths call through a
-// nil-guarded sink.
+// ring-buffer event tracer with a compact binary log format, and span
+// timers for cold regions. Replay and record paths stage their events and
+// hand them to Obs.IngestReplay, the one way into the event ring that also
+// derives the replay histograms.
 //
 // The layer is disabled by default: every instrumented hot path holds a
 // *Obs that is nil unless observability was explicitly attached, and the
@@ -20,10 +21,12 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -44,9 +47,7 @@ type cell struct {
 // Counter is a monotonically increasing metric with NumShards lock-free
 // cells. The zero value is not usable; obtain counters from a Registry.
 type Counter struct {
-	name string
-	help string
-	c    [NumShards]cell
+	c [NumShards]cell
 }
 
 // Add increments the counter's first cell (single-writer paths).
@@ -67,14 +68,11 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Name returns the metric name.
-func (c *Counter) Name() string { return c.name }
+func (c *Counter) series() []seriesView { return []seriesView{{num: c.Value()}} }
 
 // Gauge is a last-value metric (table occupancy, resident trace blocks).
 type Gauge struct {
-	name string
-	help string
-	v    uint64
+	v uint64
 }
 
 // Set stores the current value.
@@ -83,8 +81,7 @@ func (g *Gauge) Set(v uint64) { atomic.StoreUint64(&g.v, v) }
 // Value returns the last stored value.
 func (g *Gauge) Value() uint64 { return atomic.LoadUint64(&g.v) }
 
-// Name returns the metric name.
-func (g *Gauge) Name() string { return g.name }
+func (g *Gauge) series() []seriesView { return []seriesView{{num: g.Value()}} }
 
 // Histogram is a fixed-bucket histogram: bounds are inclusive upper bucket
 // edges fixed at registration (no dynamic rebucketing on the hot path),
@@ -92,8 +89,6 @@ func (g *Gauge) Name() string { return g.name }
 // Counter. Observations and the running sum are integer-valued — probe
 // depths, edge counts and gap lengths are all discrete.
 type Histogram struct {
-	name   string
-	help   string
 	bounds []uint64
 	shards [NumShards]histCell
 }
@@ -135,196 +130,144 @@ func (h *Histogram) Buckets() (buckets []uint64, count, sum uint64) {
 	return buckets, count, sum
 }
 
-// Bounds returns the inclusive upper bucket edges.
-func (h *Histogram) Bounds() []uint64 { return h.bounds }
+// series is empty for a histogram: the exports render its buckets instead.
+func (h *Histogram) series() []seriesView { return nil }
 
-// Name returns the metric name.
-func (h *Histogram) Name() string { return h.name }
+// DefaultMaxSeries caps the live series of every labeled family.
+const DefaultMaxSeries = 64
 
-// CounterVec is a counter family with one low-cardinality label dimension
-// (tenant, image, worker). Series are created on first use and capped at
-// maxSeries: once the cap is reached, every unseen label value shares one
-// overflow series rendered with the label value "_overflow", so a hostile
-// or runaway caller can inflate a single number but never the series set.
-// Release drops a series (an evicted tenant releases its label values); a
-// later With for the same value starts a fresh series at zero.
-type CounterVec struct {
-	name, help, label string
-	max               int
-	mu                sync.RWMutex
-	series            map[string]*Counter
-	overflow          *Counter
+// family is the one body of the labeled families, CounterVec and GaugeVec:
+// a metric with one low-cardinality label dimension (tenant, image,
+// worker). Series are created on first use and capped at DefaultMaxSeries:
+// once the cap is reached, every unseen label value shares one overflow
+// series rendered with the label value "_overflow", so a hostile or runaway
+// caller can inflate a single number but never the series set. Release
+// drops a series (an evicted tenant releases its label values); a later
+// With for the same value starts a fresh series at zero.
+type family struct {
+	label    string
+	mk       func() scalar
+	mu       sync.RWMutex
+	live     map[string]scalar
+	overflow scalar
 }
 
-// With returns the counter for one label value, creating it on first use
-// (or returning the shared overflow counter past the series cap). The hit
-// path is a read-locked map lookup; pre-resolve in session state rather
-// than calling per edge.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.RLock()
-	c := v.series[value]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
+// scalar is one series of a family: a *Counter or a *Gauge.
+type scalar interface{ Value() uint64 }
+
+func newFamily(label string, mk func() scalar) family {
+	if !validMetricName(label) {
+		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c := v.series[value]; c != nil {
-		return c
+	return family{label: label, mk: mk, live: make(map[string]scalar)}
+}
+
+// with returns the series for one label value, creating it on first use
+// (or returning the shared overflow series past the cap). The hit path is
+// a read-locked map lookup; pre-resolve in session state rather than
+// calling per edge.
+func (f *family) with(value string) scalar {
+	f.mu.RLock()
+	s := f.live[value]
+	f.mu.RUnlock()
+	if s != nil {
+		return s
 	}
-	if len(v.series) >= v.max {
-		if v.overflow == nil {
-			v.overflow = &Counter{name: v.name}
-		}
-		return v.overflow
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s := f.live[value]; s != nil {
+		return s
 	}
-	c = &Counter{name: v.name}
-	v.series[value] = c
-	return c
+	if len(f.live) < DefaultMaxSeries {
+		s = f.mk()
+		f.live[value] = s
+		return s
+	}
+	if f.overflow == nil {
+		f.overflow = f.mk()
+	}
+	return f.overflow
 }
 
 // Release drops the series for one label value, reporting whether it
 // existed. The overflow series is never released.
-func (v *CounterVec) Release(value string) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	_, ok := v.series[value]
-	delete(v.series, value)
+func (f *family) Release(value string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.live[value]
+	delete(f.live, value)
 	return ok
 }
 
 // Len returns the live series count (excluding the overflow series).
-func (v *CounterVec) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.series)
+func (f *family) Len() int {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return len(f.live)
 }
 
-// Name returns the metric name.
-func (v *CounterVec) Name() string { return v.name }
+// series returns the live series sorted by label value, with the overflow
+// series (if any writes overflowed) last under "_overflow".
+func (f *family) series() []seriesView {
+	f.mu.RLock()
+	out := make([]seriesView, 0, len(f.live)+1)
+	for val, s := range f.live {
+		out = append(out, seriesView{label: f.label, value: val, num: s.Value()})
+	}
+	overflow := f.overflow
+	f.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
+	if overflow != nil {
+		out = append(out, seriesView{label: f.label, value: "_overflow", num: overflow.Value()})
+	}
+	return out
+}
 
-// seriesView is one (label value, numeric value) pair in a deterministic
-// vec snapshot.
+// CounterVec is a labeled counter family (see family).
+type CounterVec struct{ family }
+
+// With returns the counter for one label value.
+func (v *CounterVec) With(value string) *Counter { return v.with(value).(*Counter) }
+
+// GaugeVec is a labeled gauge family (see family).
+type GaugeVec struct{ family }
+
+// With returns the gauge for one label value.
+func (v *GaugeVec) With(value string) *Gauge { return v.with(value).(*Gauge) }
+
+// seriesView is one exported series: its label name and value (both empty
+// for an unlabeled metric) and its number.
 type seriesView struct {
-	value string
-	num   uint64
+	label, value string
+	num          uint64
 }
 
-// snapshotSeries returns the live series sorted by label value, with the
-// overflow series (if any writes overflowed) last under "_overflow".
-func (v *CounterVec) snapshotSeries() []seriesView {
-	v.mu.RLock()
-	out := make([]seriesView, 0, len(v.series)+1)
-	for val, c := range v.series {
-		out = append(out, seriesView{value: val, num: c.Value()})
-	}
-	overflow := v.overflow
-	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
-	if overflow != nil {
-		out = append(out, seriesView{value: "_overflow", num: overflow.Value()})
-	}
-	return out
-}
+// labelEscaper escapes a label value for the Prometheus text exposition
+// format: backslash, double quote and newline are the only characters that
+// need escaping, and a value without them passes through unallocated.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// GaugeVec is a gauge family with one label dimension, with the same
-// bounded-cardinality and release semantics as CounterVec.
-type GaugeVec struct {
-	name, help, label string
-	max               int
-	mu                sync.RWMutex
-	series            map[string]*Gauge
-	overflow          *Gauge
-}
+// kind is a metric's exposition type; the exports render the kinds in
+// this order.
+type kind uint8
 
-// With returns the gauge for one label value, creating it on first use (or
-// returning the shared overflow gauge past the series cap).
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.RLock()
-	g := v.series[value]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g := v.series[value]; g != nil {
-		return g
-	}
-	if len(v.series) >= v.max {
-		if v.overflow == nil {
-			v.overflow = &Gauge{name: v.name}
-		}
-		return v.overflow
-	}
-	g = &Gauge{name: v.name}
-	v.series[value] = g
-	return g
-}
+const (
+	counterKind kind = iota
+	gaugeKind
+	histogramKind
+)
 
-// Release drops the series for one label value, reporting whether it
-// existed.
-func (v *GaugeVec) Release(value string) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	_, ok := v.series[value]
-	delete(v.series, value)
-	return ok
-}
+func (k kind) String() string { return [...]string{"counter", "gauge", "histogram"}[k] }
 
-// Len returns the live series count (excluding the overflow series).
-func (v *GaugeVec) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.series)
-}
+// metric is what the registry's name table holds: a *Counter, *Gauge,
+// *Histogram, *CounterVec or *GaugeVec.
+type metric interface{ series() []seriesView }
 
-// Name returns the metric name.
-func (v *GaugeVec) Name() string { return v.name }
-
-func (v *GaugeVec) snapshotSeries() []seriesView {
-	v.mu.RLock()
-	out := make([]seriesView, 0, len(v.series)+1)
-	for val, g := range v.series {
-		out = append(out, seriesView{value: val, num: g.Value()})
-	}
-	overflow := v.overflow
-	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
-	if overflow != nil {
-		out = append(out, seriesView{value: "_overflow", num: overflow.Value()})
-	}
-	return out
-}
-
-// escapeLabelValue escapes a label value for the Prometheus text exposition
-// format (backslash, double quote and newline are the only characters that
-// need escaping; everything else passes through verbatim).
-func escapeLabelValue(v string) string {
-	needs := false
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; c == '\\' || c == '"' || c == '\n' {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return v
-	}
-	out := make([]byte, 0, len(v)+8)
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '"':
-			out = append(out, '\\', '"')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, c)
-		}
-	}
-	return string(out)
+// entry is one registered name.
+type entry struct {
+	name, help string
+	kind       kind
+	m          metric
 }
 
 // Registry holds the named metrics of one observability context and renders
@@ -332,12 +275,8 @@ func escapeLabelValue(v string) string {
 // asking for an existing name returns the existing metric, so hot-path
 // owners can pre-resolve their metric set without coordinating.
 type Registry struct {
-	mu          sync.RWMutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	hists       map[string]*Histogram
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
+	mu      sync.RWMutex
+	metrics map[string]*entry
 
 	cmu        sync.Mutex
 	collectors []func()
@@ -345,13 +284,7 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		hists:       make(map[string]*Histogram),
-		counterVecs: make(map[string]*CounterVec),
-		gaugeVecs:   make(map[string]*GaugeVec),
-	}
+	return &Registry{metrics: make(map[string]*entry)}
 }
 
 // AddCollector registers fn to run at the start of every export
@@ -377,123 +310,71 @@ func (r *Registry) collect() {
 	}
 }
 
-// Counter returns the counter registered under name, creating it on first
-// use. Names must be valid Prometheus metric names; a name already taken by
-// a different metric kind panics (a programming error, not an input error).
-func (r *Registry) Counter(name, help string) *Counter {
+// register returns the metric registered under name, creating it with mk
+// on first use. Names must be valid Prometheus metric names; a name already
+// taken by a different metric type panics (a programming error, not an
+// input error).
+func register[M metric](r *Registry, name, help string, k kind, mk func() M) M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	if e, ok := r.metrics[name]; ok {
+		if m, ok := e.m.(M); ok {
+			return m
+		}
+		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
 	}
-	r.checkName(name)
-	c := &Counter{name: name, help: help}
-	r.counters[name] = c
-	return c
+	if !validMetricName(name) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	m := mk()
+	r.metrics[name] = &entry{name: name, help: help, kind: k, m: m}
+	return m
+}
+
+// Counter returns the counter registered under name, creating it on first
+// use.
+func (r *Registry) Counter(name, help string) *Counter {
+	return register(r, name, help, counterKind, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.checkName(name)
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
+	return register(r, name, help, gaugeKind, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the histogram registered under name, creating it with
 // the given inclusive upper bucket edges on first use (bounds must be
 // ascending). Later calls ignore bounds and return the existing histogram.
 func (r *Registry) Histogram(name, help string, bounds []uint64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	r.checkName(name)
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i-1] >= bounds[i] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))
+	return register(r, name, help, histogramKind, func() *Histogram {
+		for i := 1; i < len(bounds); i++ {
+			if bounds[i-1] >= bounds[i] {
+				panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))
+			}
 		}
-	}
-	h := &Histogram{name: name, help: help, bounds: append([]uint64(nil), bounds...)}
-	for i := range h.shards {
-		h.shards[i].buckets = make([]uint64, len(bounds)+1)
-	}
-	r.hists[name] = h
-	return h
+		h := &Histogram{bounds: append([]uint64(nil), bounds...)}
+		for i := range h.shards {
+			h.shards[i].buckets = make([]uint64, len(bounds)+1)
+		}
+		return h
+	})
 }
 
-// DefaultMaxSeries is the per-vec series cap when the caller passes a
-// non-positive one.
-const DefaultMaxSeries = 64
-
 // CounterVec returns the labeled counter family registered under name,
-// creating it on first use with the given label name and series cap
-// (non-positive means DefaultMaxSeries). Later calls ignore label and
-// maxSeries and return the existing vec.
-func (r *Registry) CounterVec(name, help, label string, maxSeries int) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.counterVecs[name]; ok {
-		return v
-	}
-	r.checkName(name)
-	if !validMetricName(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
-	}
-	v := &CounterVec{name: name, help: help, label: label, max: maxSeries, series: make(map[string]*Counter)}
-	r.counterVecs[name] = v
-	return v
+// creating it on first use with the given label name. Later calls ignore
+// label and return the existing family.
+func (r *Registry) CounterVec(name, help, label string) *CounterVec {
+	return register(r, name, help, counterKind, func() *CounterVec {
+		return &CounterVec{newFamily(label, func() scalar { return new(Counter) })}
+	})
 }
 
 // GaugeVec returns the labeled gauge family registered under name, creating
-// it on first use with the given label name and series cap.
-func (r *Registry) GaugeVec(name, help, label string, maxSeries int) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.gaugeVecs[name]; ok {
-		return v
-	}
-	r.checkName(name)
-	if !validMetricName(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
-	}
-	v := &GaugeVec{name: name, help: help, label: label, max: maxSeries, series: make(map[string]*Gauge)}
-	r.gaugeVecs[name] = v
-	return v
-}
-
-// checkName validates a metric name (called with r.mu held).
-func (r *Registry) checkName(name string) {
-	if !validMetricName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	if _, ok := r.counters[name]; ok {
-		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
-	}
-	if _, ok := r.gauges[name]; ok {
-		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
-	}
-	if _, ok := r.hists[name]; ok {
-		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
-	}
-	if _, ok := r.counterVecs[name]; ok {
-		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
-	}
-	if _, ok := r.gaugeVecs[name]; ok {
-		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
-	}
+// it on first use with the given label name.
+func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
+	return register(r, name, help, gaugeKind, func() *GaugeVec {
+		return &GaugeVec{newFamily(label, func() scalar { return new(Gauge) })}
+	})
 }
 
 // validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
@@ -510,127 +391,57 @@ func validMetricName(name string) bool {
 	return true
 }
 
-// snapshot gathers a deterministic, sorted view of the registry for export.
-func (r *Registry) snapshot() (counters []*Counter, gauges []*Gauge, hists []*Histogram) {
+// walk is the one export order: it runs the collectors, then returns every
+// registered name sorted by kind (counters, gauges, histograms) and then
+// by name, so a labeled family sits among the plain metrics of its kind.
+func (r *Registry) walk() []*entry {
+	r.collect()
 	r.mu.RLock()
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	for _, h := range r.hists {
-		hists = append(hists, h)
+	es := make([]*entry, 0, len(r.metrics))
+	for _, e := range r.metrics {
+		es = append(es, e)
 	}
 	r.mu.RUnlock()
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	return counters, gauges, hists
-}
-
-// snapshotVecs gathers the labeled families sorted by name.
-func (r *Registry) snapshotVecs() (cvecs []*CounterVec, gvecs []*GaugeVec) {
-	r.mu.RLock()
-	for _, v := range r.counterVecs {
-		cvecs = append(cvecs, v)
-	}
-	for _, v := range r.gaugeVecs {
-		gvecs = append(gvecs, v)
-	}
-	r.mu.RUnlock()
-	sort.Slice(cvecs, func(i, j int) bool { return cvecs[i].name < cvecs[j].name })
-	sort.Slice(gvecs, func(i, j int) bool { return gvecs[i].name < gvecs[j].name })
-	return cvecs, gvecs
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].kind != es[j].kind {
+			return es[i].kind < es[j].kind
+		}
+		return es[i].name < es[j].name
+	})
+	return es
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition
-// format, sorted by name within each kind (counters, then gauges, then
-// histograms; labeled families merge into their kind's section by name,
-// series sorted by label value) so the output is stable and diffable.
-// Registered collectors run first, so out-of-registry subsystem counters
-// are folded in before the snapshot.
+// format, in walk order with a family's series sorted by label value, so
+// the output is stable and diffable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.collect()
-	counters, gauges, hists := r.snapshot()
-	cvecs, gvecs := r.snapshotVecs()
-	for ci, vi := 0, 0; ci < len(counters) || vi < len(cvecs); {
-		if vi >= len(cvecs) || (ci < len(counters) && counters[ci].name < cvecs[vi].name) {
-			c := counters[ci]
-			ci++
-			if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", c.name, c.Value()); err != nil {
-				return err
-			}
-			continue
+	// A write error sticks in bw: later writes are dropped and Flush
+	// returns it.
+	bw := bufio.NewWriter(w)
+	for _, e := range r.walk() {
+		if e.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", e.name, e.help)
 		}
-		v := cvecs[vi]
-		vi++
-		if err := writeHeader(w, v.name, v.help, "counter"); err != nil {
-			return err
-		}
-		for _, s := range v.snapshotSeries() {
-			if _, err := fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, escapeLabelValue(s.value), s.num); err != nil {
-				return err
+		fmt.Fprintf(bw, "# TYPE %s %s\n", e.name, e.kind)
+		for _, s := range e.m.series() {
+			if s.label == "" {
+				fmt.Fprintf(bw, "%s %d\n", e.name, s.num)
+			} else {
+				fmt.Fprintf(bw, "%s{%s=\"%s\"} %d\n", e.name, s.label, labelEscaper.Replace(s.value), s.num)
 			}
+		}
+		if h, ok := e.m.(*Histogram); ok {
+			buckets, count, sum := h.Buckets()
+			cum := uint64(0)
+			for i, b := range h.bounds {
+				cum += buckets[i]
+				fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", e.name, b, cum)
+			}
+			cum += buckets[len(h.bounds)]
+			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n", e.name, cum, e.name, sum, e.name, count)
 		}
 	}
-	for gi, vi := 0, 0; gi < len(gauges) || vi < len(gvecs); {
-		if vi >= len(gvecs) || (gi < len(gauges) && gauges[gi].name < gvecs[vi].name) {
-			g := gauges[gi]
-			gi++
-			if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", g.name, g.Value()); err != nil {
-				return err
-			}
-			continue
-		}
-		v := gvecs[vi]
-		vi++
-		if err := writeHeader(w, v.name, v.help, "gauge"); err != nil {
-			return err
-		}
-		for _, s := range v.snapshotSeries() {
-			if _, err := fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, escapeLabelValue(s.value), s.num); err != nil {
-				return err
-			}
-		}
-	}
-	for _, h := range hists {
-		if err := writeHeader(w, h.name, h.help, "histogram"); err != nil {
-			return err
-		}
-		buckets, count, sum := h.Buckets()
-		cum := uint64(0)
-		for i, b := range h.bounds {
-			cum += buckets[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", h.name, b, cum); err != nil {
-				return err
-			}
-		}
-		cum += buckets[len(buckets)-1]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", h.name, sum, h.name, count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeHeader(w io.Writer, name, help, kind string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
-	return err
+	return bw.Flush()
 }
 
 // jsonMetric is the JSON rendering of one metric (or one series of a
@@ -650,45 +461,26 @@ type jsonMetric struct {
 // WriteJSON renders the registry as a deterministic JSON array (same order
 // as WritePrometheus), for machine diffing and the /metrics.json endpoint.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	r.collect()
-	counters, gauges, hists := r.snapshot()
-	cvecs, gvecs := r.snapshotVecs()
-	out := make([]jsonMetric, 0, len(counters)+len(gauges)+len(hists))
+	out := []jsonMetric{}
 	u := func(v uint64) *uint64 { return &v }
-	for ci, vi := 0, 0; ci < len(counters) || vi < len(cvecs); {
-		if vi >= len(cvecs) || (ci < len(counters) && counters[ci].name < cvecs[vi].name) {
-			c := counters[ci]
-			ci++
-			out = append(out, jsonMetric{Name: c.name, Kind: "counter", Value: u(c.Value())})
-			continue
+	for _, e := range r.walk() {
+		for _, s := range e.m.series() {
+			out = append(out, jsonMetric{Name: e.name, Kind: e.kind.String(), Label: s.label, LabelValue: s.value, Value: u(s.num)})
 		}
-		v := cvecs[vi]
-		vi++
-		for _, s := range v.snapshotSeries() {
-			out = append(out, jsonMetric{Name: v.name, Kind: "counter", Label: v.label, LabelValue: s.value, Value: u(s.num)})
-		}
-	}
-	for gi, vi := 0, 0; gi < len(gauges) || vi < len(gvecs); {
-		if vi >= len(gvecs) || (gi < len(gauges) && gauges[gi].name < gvecs[vi].name) {
-			g := gauges[gi]
-			gi++
-			out = append(out, jsonMetric{Name: g.name, Kind: "gauge", Value: u(g.Value())})
-			continue
-		}
-		v := gvecs[vi]
-		vi++
-		for _, s := range v.snapshotSeries() {
-			out = append(out, jsonMetric{Name: v.name, Kind: "gauge", Label: v.label, LabelValue: s.value, Value: u(s.num)})
+		if h, ok := e.m.(*Histogram); ok {
+			buckets, count, sum := h.Buckets()
+			out = append(out, jsonMetric{
+				Name: e.name, Kind: e.kind.String(),
+				Bounds: h.bounds, Buckets: buckets, Count: u(count), Sum: u(sum),
+			})
 		}
 	}
-	for _, h := range hists {
-		buckets, count, sum := h.Buckets()
-		out = append(out, jsonMetric{
-			Name: h.name, Kind: "histogram",
-			Bounds: h.bounds, Buckets: buckets, Count: u(count), Sum: u(sum),
-		})
-	}
+	return writeJSON(w, out)
+}
+
+// writeJSON renders v as indented JSON, the layout of every JSON export.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(v)
 }

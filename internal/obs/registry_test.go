@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -241,6 +243,41 @@ tea_replay_trace_visit_edges_count 1
 	if got := buf.String(); got != golden {
 		t.Fatalf("Prometheus exposition drifted from golden.\ngot:\n%s\nwant:\n%s\nfirst diff near: %s",
 			got, golden, firstDiff(got, golden))
+	}
+}
+
+// TestWriteJSONGolden pins the JSON export's bytes for the standard
+// replay/record metric set plus one labeled counter family and one labeled
+// gauge family, each filled one series past the cap so its _overflow series
+// renders last. The family names sort into the middle of their kinds, so
+// the golden also pins where labeled families interleave with plain ones.
+func TestWriteJSONGolden(t *testing.T) {
+	o := New()
+	o.Replay.Blocks.Add(10)
+	o.Replay.Desyncs.Add(2)
+	o.Replay.ProbeDepth.Observe(2)
+	o.Replay.ProbeDepth.Observe(5)
+	o.Replay.VisitEdges.Observe(3)
+	o.Record.Syncs.Add(1)
+	o.Record.SetBlocks.Set(7)
+	tenants := o.Reg.CounterVec("tea_replay_tenant_edges_total", "edges replayed per tenant", "tenant")
+	images := o.Reg.GaugeVec("tea_record_image_gen", "generation per image", "image")
+	for i := 0; i <= DefaultMaxSeries; i++ {
+		tenants.With(fmt.Sprintf("t%02d", i)).Add(uint64(i))
+		images.With(fmt.Sprintf("i%02d", i)).Set(uint64(2 * i))
+	}
+
+	var buf bytes.Buffer
+	if err := o.Reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/registry.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(golden) {
+		t.Fatalf("JSON export drifted from testdata/registry.golden.json; first diff near: %s",
+			firstDiff(got, string(golden)))
 	}
 }
 

@@ -135,13 +135,13 @@ func mergeRow(b *testing.B, name string, c *core.Compiled, stream []core.Edge, n
 			e.cur, e.des = ncur, ndes
 		}
 		c.SpecReplay(e.seg, &e.sr)
-		_, cur, des = rc.Merge(c, e.seg, cur, des, &e.sr)
+		_, cur, des = rc.Merge(c, e.seg, 0, cur, des, &e.sr, nil)
 		chunks = append(chunks, e)
 	}
 	b.Run(name, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, e := range chunks {
-				rc.Merge(c, e.seg, e.cur, e.des, &e.sr)
+				rc.Merge(c, e.seg, 0, e.cur, e.des, &e.sr, nil)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/edge")

@@ -249,7 +249,7 @@ func requireSlotShapes(t *testing.T, c *core.Compiled) {
 // reference runs with hash and B+ tree containers, local caches on and off,
 // with obs attached. Against it run AdvanceBatch (plain and Specialize'd,
 // fed in odd batch sizes) with obs on and off, and, cache-less,
-// SequentialReplay(Obs), the replay pipeline at random worker counts and
+// SequentialReplay (obs on and off), the replay pipeline at random worker counts and
 // chunk sizes with obs on and off, and SpecReplay + Merge over random
 // segments. Stats and final state must be identical, and so must event
 // streams where obs is on. Cache-less compiled paths are also held to each
@@ -325,11 +325,11 @@ func TestReferenceEventOracle(t *testing.T) {
 						c    *core.Compiled
 					}{{"plain", c}, {"specialized", spec}} {
 						o := obs.NewWith(obs.NewRegistry(), oracleRing)
-						st, cur := core.SequentialReplayObs(img.c, stream, o)
+						st, cur := core.SequentialReplay(img.c, stream, o)
 						got := snapshotRun(t, name+" sequential "+img.kind, o, st, cur)
 						sameRun(t, name+" sequential "+img.kind, want, got, false)
 						sameRun(t, name+" sequential vs batch "+img.kind, batchRuns[0], got, true)
-						st, cur = core.SequentialReplay(img.c, stream)
+						st, cur = core.SequentialReplay(img.c, stream, nil)
 						sameStats(t, name+" sequential obs off "+img.kind, want, &st, cur)
 
 						for _, on := range []bool{true, false} {
@@ -385,7 +385,7 @@ func specMerge(c *core.Compiled, stream []core.Edge, rng *rand.Rand) (core.Stats
 		seg := stream[i:min(i+1+rng.Intn(300), len(stream))]
 		c.SpecReplay(seg, &sr)
 		var d core.Stats
-		d, cur, des = rc.Merge(c, seg, cur, des, &sr)
+		d, cur, des = rc.Merge(c, seg, 0, cur, des, &sr, nil)
 		total.Add(&d)
 		i += len(seg)
 	}

@@ -99,7 +99,7 @@ func TestPipelineNoLostWakeup(t *testing.T) {
 	}
 	wants := make([]want, len(stream)+1)
 	for n := range wants {
-		wants[n].st, wants[n].cur = core.SequentialReplay(c, stream[:n])
+		wants[n].st, wants[n].cur = core.SequentialReplay(c, stream[:n], nil)
 	}
 	for workers := 1; workers <= 4; workers++ {
 		ce := 1 + workers%3

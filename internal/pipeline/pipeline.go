@@ -13,7 +13,7 @@
 // kernel (SpecRecord, or SpecRecordObs with events) or the one replay
 // kernel (SpecReplay, or SpecReplayObs with events). A single drain
 // consumes scan results in sequence order and merges them with core's
-// junction reconciliation (MergeRecord, Merge / MergeObs), so the final
+// junction reconciliation (MergeRecord, Merge), so the final
 // automaton, Stats and desync/resync accounting are byte-identical to a
 // sequential pass. Observability folds per chunk into per-shard registry
 // cells and the merged event stream only at sequence boundaries — workers
@@ -47,12 +47,6 @@ type Config struct {
 	Depth int
 	// Obs attaches the observability context; nil runs dark.
 	Obs *obs.Obs
-	// TraceChunks emits an EvChunkPublished event when the producer stamps a
-	// chunk and an EvChunkDrained event when the drain merges it, stamping
-	// the scanning worker's id (1-based) as the event source. Off by
-	// default: chunk events are pipeline-shaped, so they would break the
-	// byte-identical-to-sequential event-stream contract if always on.
-	TraceChunks bool
 }
 
 func (c Config) withDefaults() Config {
@@ -123,8 +117,6 @@ type chunk struct {
 	ownI   []uint64
 	snap   *recSnap // snapshot the scan ran against; nil = not scanned
 
-	worker int32 // id of the worker that scanned this chunk, for trace events
-
 	res core.SpecResult
 }
 
@@ -170,7 +162,6 @@ type pipe struct {
 	// workerChunks[w] counts chunks scanned by worker w; padded so two
 	// workers finishing chunks never share a cache line.
 	workerChunks []padCount
-	traceChunks  bool
 
 	wg sync.WaitGroup
 
@@ -211,7 +202,6 @@ func (p *pipe) start(record bool) {
 	}
 	if p.o != nil {
 		p.obase = p.o.EdgeBase()
-		p.traceChunks = p.cfg.TraceChunks
 	}
 	p.workWait.init(p.cfg.Workers)
 	p.drainWait.init(1)
@@ -240,7 +230,6 @@ func (p *pipe) workerLoop(w int) {
 			// publish can race this observation.
 			return
 		}
-		c.worker = int32(w)
 		p.scan(c)
 		p.workerChunks[w].n.Add(1)
 		s := &p.resv[c.seq&uint64(p.cfg.Depth-1)]
@@ -266,14 +255,6 @@ func (p *pipe) drainLoop() {
 		p.drainWait.done(n)
 		c := s.ch
 		p.drainFn(c)
-		if p.traceChunks {
-			// Drain order is sequence order, so drained-chunk events are
-			// causally ordered in the stream; Src names the scanning worker.
-			p.o.Tracer.Emit(obs.Event{
-				Edge: c.base, Aux: c.seq, Src: uint32(c.worker) + 1,
-				State: -1, Kind: obs.EvChunkDrained,
-			})
-		}
 		// Recycle before advancing drained: the producer observing the
 		// drained count (Barrier) must also observe the merge results, and
 		// the free-ring push is what hands the buffer back. One wake covers
@@ -309,11 +290,6 @@ func (p *pipe) publish(c *chunk, n int) {
 	c.seq = p.pub.Add(1) - 1
 	c.base = p.obase + p.cum
 	p.cum += uint64(n)
-	if p.traceChunks {
-		p.o.Tracer.Emit(obs.Event{
-			Edge: c.base, Aux: c.seq, State: -1, Kind: obs.EvChunkPublished,
-		})
-	}
 	p.work.push(c) // cannot fail: at most Depth chunks exist
 	p.workWait.wake()
 	p.cur = nil
@@ -358,7 +334,7 @@ func (p *pipe) registerObs() {
 	seqc := reg.Counter("tea_pipeline_seq_chunks_total", "Record-mode chunks replayed through the sequential recorder.")
 	handoffs := reg.Counter("tea_pipeline_handoffs_total", "Record-mode chunks split at a hot-candidate handoff.")
 	recompiles := reg.Counter("tea_pipeline_recompiles_total", "Record-mode snapshot recompilations.")
-	workers := reg.CounterVec("tea_pipeline_worker_chunks_total", "Chunks scanned, by worker index.", "worker", 0)
+	workers := reg.CounterVec("tea_pipeline_worker_chunks_total", "Chunks scanned, by worker index.", "worker")
 	labels := make([]string, len(p.workerChunks))
 	for w := range labels {
 		labels[w] = strconv.Itoa(w)

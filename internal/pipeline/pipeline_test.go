@@ -235,7 +235,7 @@ func TestReplayPipelineMatchesSequential(t *testing.T) {
 		m   Metrics
 	}
 	for _, sc := range cases {
-		wantSt, wantCur := core.SequentialReplay(sc.c, sc.stream)
+		wantSt, wantCur := core.SequentialReplay(sc.c, sc.stream, nil)
 		got := make([]result, len(grid))
 		var wg sync.WaitGroup
 		for i, cfgCase := range grid {
@@ -279,12 +279,12 @@ func faultStream(stream []core.Edge, seed int64) []core.Edge {
 
 // TestReplayPipelineObsIdentity: with observability attached, the folded
 // registry, ingested event stream, Stats and cursor are byte-identical to
-// SequentialReplayObs, on every replayCases input.
+// SequentialReplay with the same context, on every replayCases input.
 func TestReplayPipelineObsIdentity(t *testing.T) {
 	for _, sc := range replayCases(t, 2, 4) {
 		seqO := obs.NewWith(obs.NewRegistry(), 1<<16)
 		seedLabelSeries(seqO)
-		wantSt, wantCur := core.SequentialReplayObs(sc.c, sc.stream, seqO)
+		wantSt, wantCur := core.SequentialReplay(sc.c, sc.stream, seqO)
 		wantEvents, _ := seqO.Tracer.Snapshot()
 		wantJSON := registryComparable(t, seqO, false)
 
@@ -320,10 +320,10 @@ func TestReplayPipelineObsIdentity(t *testing.T) {
 // the identity tests prove folded metrics stay byte-identical to sequential
 // with label dimensions enabled (not just on the plain-metric subset).
 func seedLabelSeries(o *obs.Obs) {
-	v := o.Reg.CounterVec("tea_test_tenant_edges_total", "identity-test labeled series", "tenant", 8)
+	v := o.Reg.CounterVec("tea_test_tenant_edges_total", "identity-test labeled series", "tenant")
 	v.With("alpha").Add(3)
 	v.With("beta").Add(5)
-	g := o.Reg.GaugeVec("tea_test_image_gen", "identity-test labeled gauge", "image", 8)
+	g := o.Reg.GaugeVec("tea_test_image_gen", "identity-test labeled gauge", "image")
 	g.With("img").Set(2)
 }
 
@@ -345,7 +345,7 @@ func TestQuickReplayPipelineIdentity(t *testing.T) {
 		if n := int(perturbBits % 8); n >= 2 {
 			stream = perturb(base, n*3)
 		}
-		wantSt, wantCur := core.SequentialReplay(c, stream)
+		wantSt, wantCur := core.SequentialReplay(c, stream, nil)
 		pl := NewReplay(c, Config{Workers: workers, ChunkEdges: chunk, Depth: depth})
 		feedAll(pl, stream)
 		gotSt, gotCur := pl.Barrier()
@@ -369,7 +369,7 @@ func TestReplayPipelineReset(t *testing.T) {
 	edges, instrs := captureEdges(t, p)
 	stream, _ := labelStream(edges, instrs)
 	c := core.Compile(a, core.ConfigGlobalNoLocal)
-	wantSt, wantCur := core.SequentialReplay(c, stream)
+	wantSt, wantCur := core.SequentialReplay(c, stream, nil)
 
 	pl := NewReplay(c, Config{Workers: 2, ChunkEdges: 512, Depth: 8})
 	defer pl.Close()
@@ -663,7 +663,7 @@ func TestReplayPipelineFaultInjection(t *testing.T) {
 	stream := perturb(base, 13)
 	c := core.Compile(a, core.ConfigGlobalNoLocal)
 
-	wantSt, _ := core.SequentialReplay(c, stream)
+	wantSt, _ := core.SequentialReplay(c, stream, nil)
 	if wantSt.Desyncs == 0 {
 		t.Fatal("perturbation produced no desyncs")
 	}
@@ -686,7 +686,7 @@ func TestPipelineBackpressure(t *testing.T) {
 	stream, _ := labelStream(edges, instrs)
 	c := core.Compile(a, core.ConfigGlobalNoLocal)
 
-	wantSt, wantCur := core.SequentialReplay(c, stream)
+	wantSt, wantCur := core.SequentialReplay(c, stream, nil)
 	pl := NewReplay(c, Config{Workers: 1, ChunkEdges: 8, Depth: 4})
 	feedAll(pl, stream)
 	gotSt, gotCur := pl.Barrier()
@@ -796,46 +796,4 @@ func TestPipelineMetricsRegistryParity(t *testing.T) {
 	}
 	check(pipelineSeries(t, o))
 	check(pipelineSeries(t, o)) // second scrape: deltas fold once, not twice
-}
-
-// TestReplayPipelineChunkTraceEvents: with TraceChunks on, every published
-// chunk lands an EvChunkPublished and an in-order EvChunkDrained carrying
-// the scanning worker's id as the event source; with it off (the default)
-// the event stream stays byte-identical to sequential, which
-// TestReplayPipelineObsIdentity already pins.
-func TestReplayPipelineChunkTraceEvents(t *testing.T) {
-	p := testProgram(t, 14)
-	a := buildAutomaton(t, p)
-	edges, instrs := captureEdges(t, p)
-	stream, _ := labelStream(edges, instrs)
-	c := core.Compile(a, core.ConfigGlobalNoLocal)
-
-	o := obs.NewWith(obs.NewRegistry(), 1<<16)
-	pl := NewReplay(c, Config{Workers: 2, ChunkEdges: 256, Depth: 8, Obs: o, TraceChunks: true})
-	feedAll(pl, stream)
-	pl.Barrier()
-	m := pl.Metrics()
-	pl.Close()
-
-	events, _ := o.Tracer.Snapshot()
-	var pub, drained uint64
-	nextDrain := uint64(0)
-	for _, e := range events {
-		switch e.Kind {
-		case obs.EvChunkPublished:
-			pub++
-		case obs.EvChunkDrained:
-			if e.Aux != nextDrain {
-				t.Fatalf("drain events out of order: seq %d, want %d", e.Aux, nextDrain)
-			}
-			if e.Src == 0 || e.Src > 2 {
-				t.Fatalf("drained chunk %d: worker source id %d out of range", e.Aux, e.Src)
-			}
-			nextDrain++
-			drained++
-		}
-	}
-	if pub != m.Published || drained != m.Drained || pub == 0 {
-		t.Fatalf("chunk events %d/%d, metrics %d/%d", pub, drained, m.Published, m.Drained)
-	}
 }

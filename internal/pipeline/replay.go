@@ -11,7 +11,7 @@ import (
 // from (NTE, in-sync), and the drain reconciles junctions in sequence
 // order. Stats, final state, desync/resync accounting, folded registry
 // counters and the ingested event stream are byte-identical to
-// core.SequentialReplay(Obs) on the same stream.
+// core.SequentialReplay on the same stream.
 //
 // This is the one executor that drives the speculative scans and junction
 // reconciliation of internal/core across goroutines. The replay semantics
@@ -53,19 +53,19 @@ func (p *ReplayPipeline) scanChunk(c *chunk) {
 }
 
 func (p *ReplayPipeline) drainChunk(c *chunk) {
-	if p.o == nil {
-		d, cur, des := p.rc.Merge(p.c, c.edges, p.fcur, p.fdes, &c.res)
-		p.stats.Add(&d)
-		p.fcur, p.fdes = cur, des
-		return
+	var merged *[]obs.Event
+	if p.o != nil {
+		p.merged = p.merged[:0]
+		merged = &p.merged
 	}
-	p.merged = p.merged[:0]
-	d, cur, des := p.rc.MergeObs(p.c, c.edges, c.base, p.fcur, p.fdes, &c.res, &p.merged)
-	core.FoldReplayObs(p.o, int(c.seq)%obs.NumShards, &d)
+	d, cur, des := p.rc.Merge(p.c, c.edges, c.base, p.fcur, p.fdes, &c.res, merged)
 	p.stats.Add(&d)
 	p.fcur, p.fdes = cur, des
-	p.o.AdvanceEdges(uint64(len(c.edges)))
-	p.o.IngestReplay(p.merged)
+	if p.o != nil {
+		core.FoldReplayObs(p.o, int(c.seq)%obs.NumShards, &d)
+		p.o.AdvanceEdges(uint64(len(c.edges)))
+		p.o.IngestReplay(p.merged)
+	}
 }
 
 // FeedEdge appends one edge to the producer's current chunk, publishing the

@@ -75,7 +75,7 @@ func chaosFixture(t testing.TB) []chaosImage {
 				panic(err)
 			}
 			edges := tool.Stream()
-			want, final := core.SequentialReplay(core.Compile(a, core.LookupConfig{}), edges)
+			want, final := core.SequentialReplay(core.Compile(a, core.LookupConfig{}), edges, nil)
 			chaosImages = append(chaosImages, chaosImage{
 				name: d.name, prog: d.prog, auto: a,
 				edges: edges, want: want, final: final,

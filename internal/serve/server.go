@@ -34,14 +34,6 @@ type Config struct {
 	// silent for IdleTimeout loses its connection, at the latest 9/8 of it
 	// after going silent (0 selects DefaultIdleTimeout).
 	IdleTimeout time.Duration
-	// MaxPublishInFlight bounds concurrent publish admissions server-wide;
-	// beyond it publishes are rejected with CodeBackpressure (0 selects
-	// DefaultMaxPublishInFlight).
-	MaxPublishInFlight int
-	// MaxTenantSeries caps the per-tenant label cardinality of the tenant
-	// metric families; tenants beyond the cap share one overflow series
-	// (0 selects obs.DefaultMaxSeries).
-	MaxTenantSeries int
 	// DisableSessionEvents turns off the per-session trace events
 	// (open/resume/close/fail/quota/backpressure) stamped into the event
 	// ring. The flight recorder still trips; only the steady-state event
@@ -55,11 +47,14 @@ type Config struct {
 
 // Config defaults.
 const (
-	DefaultBreakerThreshold   = 3
-	DefaultBreakerCooldown    = time.Second
-	DefaultIdleTimeout        = 30 * time.Second
-	DefaultMaxPublishInFlight = 2
+	DefaultBreakerThreshold = 3
+	DefaultBreakerCooldown  = time.Second
+	DefaultIdleTimeout      = 30 * time.Second
 )
+
+// publishSlots bounds concurrent publish admissions server-wide; beyond it
+// publishes are rejected with CodeBackpressure.
+const publishSlots = 2
 
 func (c Config) withDefaults() Config {
 	if c.BreakerThreshold == 0 {
@@ -70,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = DefaultIdleTimeout
-	}
-	if c.MaxPublishInFlight == 0 {
-		c.MaxPublishInFlight = DefaultMaxPublishInFlight
 	}
 	c.Quota = c.Quota.withDefaults()
 	return c
@@ -140,7 +132,7 @@ func NewServer(cfg Config) *Server {
 		store:    NewStore(cfg.Lookup, cfg.BreakerThreshold, cfg.BreakerCooldown),
 		obs:      o,
 		health:   obs.NewHealth(),
-		pubSem:   make(chan struct{}, cfg.MaxPublishInFlight),
+		pubSem:   make(chan struct{}, publishSlots),
 		tenants:  make(map[string]*tenant),
 		sessions: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
@@ -163,15 +155,15 @@ func NewServer(cfg Config) *Server {
 		active:          o.Reg.Gauge("tea_serve_sessions_active", "sessions currently attached"),
 		parked:          o.Reg.Gauge("tea_serve_sessions_parked", "sessions parked for resume"),
 		tenantSessions: o.Reg.CounterVec("tea_serve_tenant_sessions_total",
-			"sessions opened per tenant", "tenant", cfg.MaxTenantSeries),
+			"sessions opened per tenant", "tenant"),
 		tenantEdges: o.Reg.CounterVec("tea_serve_tenant_edges_total",
-			"stream edges replayed per tenant", "tenant", cfg.MaxTenantSeries),
+			"stream edges replayed per tenant", "tenant"),
 		tenantRejects: o.Reg.CounterVec("tea_serve_tenant_rejects_total",
-			"admission and quota rejections per tenant", "tenant", cfg.MaxTenantSeries),
+			"admission and quota rejections per tenant", "tenant"),
 		imageGen: o.Reg.GaugeVec("tea_serve_image_gen",
-			"last generation served per hosted image", "image", 0),
+			"last generation served per hosted image", "image"),
 		imageTrips: o.Reg.CounterVec("tea_serve_image_breaker_trips_total",
-			"circuit-breaker quarantines per hosted image", "image", 0),
+			"circuit-breaker quarantines per hosted image", "image"),
 	}
 	return s
 }

@@ -53,7 +53,7 @@ func testFixture(t testing.TB) fixture {
 			panic(err)
 		}
 		edges := tool.Stream()
-		want, final := core.SequentialReplay(core.Compile(a, core.LookupConfig{}), edges)
+		want, final := core.SequentialReplay(core.Compile(a, core.LookupConfig{}), edges, nil)
 		fix = fixture{prog: p, auto: a, edges: edges, want: want, final: final}
 	})
 	return fix

@@ -141,7 +141,7 @@ func repeated(img chaosImage, n int) chaosImage {
 		edges = append(edges, img.edges...)
 	}
 	img.edges = edges
-	img.want, img.final = core.SequentialReplay(core.Compile(img.auto, core.LookupConfig{}), edges)
+	img.want, img.final = core.SequentialReplay(core.Compile(img.auto, core.LookupConfig{}), edges, nil)
 	return img
 }
 

@@ -87,7 +87,7 @@ func newDetectFixture(t *testing.T) *detectFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, final := core.SequentialReplay(core.Compile(decoded, core.ConfigGlobalNoLocal), cap.Stream())
+	stats, final := core.SequentialReplay(core.Compile(decoded, core.ConfigGlobalNoLocal), cap.Stream(), nil)
 	return &detectFixture{
 		prog: p, cache: cache, data: data, stream: cap.Stream(),
 		ref: semanticOf(stats, final),
@@ -103,7 +103,7 @@ func (fx *detectFixture) auditMutant(res *detectResult, mut []byte) {
 		res.rejected++
 		return
 	}
-	stats, final := core.SequentialReplay(core.Compile(a, core.ConfigGlobalNoLocal), fx.stream)
+	stats, final := core.SequentialReplay(core.Compile(a, core.ConfigGlobalNoLocal), fx.stream, nil)
 	if semanticOf(stats, final) == fx.ref {
 		res.benign++
 		return
@@ -175,7 +175,7 @@ func TestDetectProgramMutants(t *testing.T) {
 			// perturbed program may not halt).
 			cap := teatool.NewCaptureTool()
 			_, _ = pin.New().RunContext(context.Background(), perturbed, cap, 4_000_000)
-			stats, final := core.SequentialReplay(core.Compile(a, core.ConfigGlobalNoLocal), cap.Stream())
+			stats, final := core.SequentialReplay(core.Compile(a, core.ConfigGlobalNoLocal), cap.Stream(), nil)
 			if semanticOf(stats, final) == fx.ref {
 				res.benign++
 				continue

@@ -85,14 +85,15 @@ echo "ci: teavet gate ok"
 # compiles the package with -gcflags=-S and fails if any obsOff instance
 # carries emitter or internal/obs code. Negative self-test, as for teavet: the same
 # check over the obsOn instances must flag every kernel (exit 1; obsasm exits
-# 2 and names any kernel it finds no obs code in).
+# 2 and names any kernel it finds no obs code in, on stderr; stdout holds
+# only the flagged lines).
 go build -o "$bin/obsasm" ./scripts/obsasm
 "$bin/obsasm"
 rc=0
-"$bin/obsasm" -mode on > "$bin/obsasm.out" || rc=$?
+"$bin/obsasm" -mode on > "$bin/obsasm.out" 2> "$bin/obsasm.err" || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "ci: obsasm selftest should exit 1 (every kernel flagged), got $rc" >&2
-    tail -n 1 "$bin/obsasm.out" >&2
+    cat "$bin/obsasm.err" >&2
     exit 1
 fi
 echo "ci: obsasm gate ok"

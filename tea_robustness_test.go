@@ -549,7 +549,7 @@ func buildServeFixture(t *testing.T) []serveFixtureImage {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, final := core.SequentialReplay(tea.Compile(a, tea.LookupConfig{}), edges)
+		want, final := core.SequentialReplay(tea.Compile(a, tea.LookupConfig{}), edges, nil)
 		images = append(images, serveFixtureImage{d.name, p, a, edges, want, final})
 	}
 	if images[0].want == images[1].want {
@@ -689,7 +689,7 @@ func TestServeQuotaExhaustion(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("under-quota replay: %v", rerr)
 	}
-	wantShort, wantFinal := core.SequentialReplay(tea.Compile(img.auto, tea.LookupConfig{}), img.edges[:12])
+	wantShort, wantFinal := core.SequentialReplay(tea.Compile(img.auto, tea.LookupConfig{}), img.edges[:12], nil)
 	if *stats != wantShort || final != wantFinal {
 		t.Fatalf("under-quota replay diverged:\n got %+v\nwant %+v", *stats, wantShort)
 	}
