@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	tea "github.com/lsc-tea/tea"
+	"github.com/lsc-tea/tea/internal/obs"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it wrote.
@@ -57,8 +58,7 @@ func TestDumpEventsSourceColumn(t *testing.T) {
 	}
 }
 
-// TestDumpFlightRoundTrip: a flight artifact encoded through the facade
-// decodes and renders its trip metadata plus the embedded event suffix.
+// TestDumpFlightRoundTrip: an encoded flight artifact decodes and renders its trip metadata plus the embedded event suffix.
 func TestDumpFlightRoundTrip(t *testing.T) {
 	rec := tea.FlightRecord{
 		Seq: 3, Reason: "session-fail", Src: 9, Err: "quota exhausted",
@@ -69,7 +69,7 @@ func TestDumpFlightRoundTrip(t *testing.T) {
 		Metrics: []byte(`[{"name":"tea_flight_trips_total","kind":"counter","value":1}]`),
 	}
 	path := filepath.Join(t.TempDir(), "flight.bin")
-	if err := os.WriteFile(path, tea.EncodeFlight(rec), 0o644); err != nil {
+	if err := os.WriteFile(path, obs.EncodeFlight(rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := captureStdout(t, func() { dumpFlight(path) })
@@ -88,7 +88,7 @@ func TestDumpFlightRoundTrip(t *testing.T) {
 		}
 	}
 	// A corrupt artifact must be rejected by the decoder, not rendered.
-	data := tea.EncodeFlight(rec)
+	data := obs.EncodeFlight(rec)
 	if _, err := tea.DecodeFlight(data[:len(data)-2]); err == nil {
 		t.Fatal("truncated artifact decoded")
 	}

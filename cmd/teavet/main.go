@@ -1,6 +1,6 @@
-// Command teavet is the repository's typed static-analysis suite — four
+// Command teavet is the repository's typed static-analysis suite — five
 // analyzers over the fully typechecked module (internal/analysis/driver),
-// each guarding a load-bearing runtime invariant at the source level:
+// each guarding a load-bearing invariant at the source level:
 //
 //	hotalloc  — no allocation-inducing constructs in //tea:hotpath
 //	            functions or their intra-module callee closure (the static
@@ -13,13 +13,17 @@
 //	            a wire value is a hard failure, appending updates the
 //	            golden via -update;
 //	failsem   — the panic-site / exported-no-error ratchet, on typed
-//	            analysis.
+//	            analysis;
+//	unused    — no exported function, method, type, value or Config field
+//	            that nothing outside its own package's tests refers to
+//	            (e2ebench's non-test files count as callers; for the root
+//	            package only a runnable Example counts as a test caller).
 //
 // hotalloc, atomicmix and failsem findings are ratcheted against
 // cmd/teavet/baseline.txt ("key count" lines): only findings beyond the
 // baseline fail, so deliberate slow-path allocations stay recorded (with
 // justification comments) instead of demanding a flag-day cleanup.
-// wirelock findings are hard failures a baseline cannot absorb.
+// wirelock and unused findings are hard failures a baseline cannot absorb.
 //
 // Usage (from the repository root, as scripts/ci.sh does):
 //
@@ -46,6 +50,7 @@ import (
 	"github.com/lsc-tea/tea/internal/analysis/driver"
 	"github.com/lsc-tea/tea/internal/analysis/failsem"
 	"github.com/lsc-tea/tea/internal/analysis/hotalloc"
+	"github.com/lsc-tea/tea/internal/analysis/unused"
 	"github.com/lsc-tea/tea/internal/analysis/wirelock"
 )
 
@@ -92,6 +97,7 @@ func run(root, baselineRel, wirelockRel string, update bool, out io.Writer) int 
 		atomicmix.Analyzer,
 		wirelock.New(wirelockAbs, nil),
 		failsem.Analyzer,
+		unused.New(filepath.Join(root, "e2ebench")),
 	}
 
 	counts := make(map[string]int)        // ratchet key -> occurrences

@@ -37,6 +37,8 @@ func TestSelftest(t *testing.T) {
 		"atomicmix core.Mixed.n plain",
 		"failsem panic core.Reset",
 		"wirelock: wire constant Code.CodeProto renumbered",
+		"unused: core.Uncalled is exported",
+		"unused: core.RunConfig.Idle is exported",
 	} {
 		if !strings.Contains(out, marker) {
 			t.Errorf("selftest output lost the %q finding:\n%s", marker, out)
@@ -112,6 +114,9 @@ func TestUpdateReportsChanges(t *testing.T) {
 		"go.mod":         "module fixture\n\ngo 1.22\n",
 		"serve/codes.go": "package serve\n\ntype Code uint32\n\nconst CodeOK Code = 0\n",
 		"obs/kinds.go":   "package obs\n\ntype EventKind uint8\n\nconst EvEnter EventKind = 1\n",
+		// cmd/use refers to every export, so unused reports nothing.
+		"cmd/use/main.go": "package main\n\nimport (\n\t\"fixture/internal/core\"\n\t\"fixture/obs\"\n\t\"fixture/serve\"\n)\n\n" +
+			"func main() { core.Kernel(1); _, _ = obs.EvEnter, serve.CodeOK }\n",
 		"internal/core/kernel.go": `package core
 
 var sink []int

@@ -1,7 +1,8 @@
 // Package core violates hotalloc (allocations under //tea:hotpath),
 // failsem (panic and exported no-error in a guarded path — the module's
-// internal/core suffix matches the default guard list) and atomicmix
-// (mixed plain/atomic field access). The selftest baseline is empty, so
+// internal/core suffix matches the default guard list), atomicmix
+// (mixed plain/atomic field access) and unused (an uncalled function and a
+// Config field nothing sets; cmd/use refers to everything else). The selftest baseline is empty, so
 // every keyed finding is beyond it and the suite must exit 1.
 package core
 
@@ -37,4 +38,13 @@ func Reset(n int) {
 	if n < 0 {
 		panic("negative")
 	}
+}
+
+// Uncalled has no caller.
+func Uncalled() {}
+
+// RunConfig has one field nothing sets.
+type RunConfig struct {
+	Steps int
+	Idle  bool
 }

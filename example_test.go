@@ -2,7 +2,10 @@ package tea_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
+	"time"
 
 	tea "github.com/lsc-tea/tea"
 )
@@ -186,4 +189,103 @@ func ExampleVerifyImage() {
 	// Output:
 	// intact ok: true
 	// truncated ok: false rule: W-DEC
+}
+
+// ExampleBenchmarkNames lists the synthetic SPEC CPU2000 stand-ins that
+// Benchmark generates.
+func ExampleBenchmarkNames() {
+	names := tea.BenchmarkNames()
+	fmt.Println(len(names), "benchmarks, from", names[0], "to", names[len(names)-1])
+	// Output:
+	// 26 benchmarks, from 168.wupwise to 300.twolf
+}
+
+// ExampleNewReplayer steps the reference transition function along a
+// captured block stream one edge at a time; it agrees with the compiled
+// batch kernel.
+func ExampleNewReplayer() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	a := tea.Build(set)
+	stream, _, err := tea.CaptureStream(prog)
+	if err != nil {
+		panic(err)
+	}
+	r := tea.NewReplayer(a, tea.ConfigGlobalLocal)
+	for _, e := range stream {
+		r.Advance(e.Label, e.Instrs)
+	}
+	c := tea.NewCompiledReplayer(tea.Compile(a, tea.ConfigGlobalLocal))
+	c.AdvanceBatch(stream)
+	fmt.Println("same stats:", *r.Stats() == *c.Stats())
+	// Output:
+	// same stats: true
+}
+
+// ExampleDecodeError shows the decoder's failure contract: a damaged image
+// is rejected with the field and byte offset where decoding stopped, never
+// with a panic.
+func ExampleDecodeError() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	data, err := tea.Encode(tea.Build(set))
+	if err != nil {
+		panic(err)
+	}
+	_, err = tea.Decode(data[:len(data)/2], prog)
+	var de *tea.DecodeError
+	fmt.Println("structured:", errors.As(err, &de))
+	fmt.Printf("field %q at offset %d\n", de.Field, de.Offset)
+	// Output:
+	// structured: true
+	// field "trace count" at offset 11
+}
+
+// ExampleNewServer hosts an automaton on a loopback listener and replays a
+// captured block stream over the wire protocol: the session's stats are
+// the local replay's, and a session past the tenant's step quota ends in a
+// structured error.
+func ExampleNewServer() {
+	prog := tea.MustAssemble("sum", exampleSrc)
+	set, _ := tea.RecordTraces(context.Background(), prog, "mret", tea.TraceConfig{HotThreshold: 50}, 0)
+	a := tea.Build(set)
+	stream, _, err := tea.CaptureStream(prog)
+	if err != nil {
+		panic(err)
+	}
+
+	s := tea.NewServer(tea.ServeConfig{Quota: tea.ServeQuota{MaxSessionEdges: uint64(len(stream))}})
+	if err := s.Host("sum", prog, a); err != nil {
+		panic(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		panic(err)
+	}
+	go func() { _ = s.Serve(l) }()
+	defer func() { _ = s.Shutdown(context.Background()) }()
+
+	session := func(edges []tea.StreamEdge) (*tea.ReplayStats, error) {
+		c, err := tea.DialServe(l.Addr().String(), tea.ServeClientConfig{Tenant: "demo", Timeout: 5 * time.Second})
+		if err != nil {
+			panic(err)
+		}
+		defer c.Close()
+		stats, _, err := c.Replay(context.Background(), "sum", edges, 256)
+		return stats, err
+	}
+	stats, err := session(stream)
+	if err != nil {
+		panic(err)
+	}
+	local := tea.NewCompiledReplayer(tea.Compile(a, tea.LookupConfig{}))
+	local.AdvanceBatch(stream)
+	fmt.Println("same stats as local replay:", *stats == *local.Stats())
+
+	_, err = session(append(stream, stream...))
+	var serr *tea.ServeError
+	fmt.Println("over quota:", errors.As(err, &serr), serr.Code)
+	// Output:
+	// same stats as local replay: true
+	// over quota: true quota-steps
 }

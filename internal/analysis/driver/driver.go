@@ -147,10 +147,6 @@ type funcSite struct {
 	decl *ast.FuncDecl
 }
 
-// Package returns the loaded module package with the given import path, or
-// nil when the path names a dependency outside the module (or nothing).
-func (pr *Program) Package(path string) *Package { return pr.byPath[path] }
-
 // FuncDecl resolves a function object to its declaration inside the module,
 // returning (nil, nil) for functions declared outside it (standard library,
 // interface methods without bodies). The index over every module function is
@@ -177,6 +173,30 @@ func (pr *Program) FuncDecl(fn *types.Func) (*Package, *ast.FuncDecl) {
 		return nil, nil
 	}
 	return site.pkg, site.decl
+}
+
+// FuncKey renders pkg.Func or pkg.(*Recv).Method — the tealint baseline
+// grammar the ratchet keys keep, so old baselines read naturally.
+func FuncKey(p *Package, fd *ast.FuncDecl) string {
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		return p.Name + "." + recvString(fd.Recv.List[0].Type) + "." + fd.Name.Name
+	}
+	return p.Name + "." + fd.Name.Name
+}
+
+func recvString(t ast.Expr) string {
+	switch e := t.(type) {
+	case *ast.StarExpr:
+		return "(*" + recvString(e.X) + ")"
+	case *ast.Ident:
+		return e.Name
+	case *ast.IndexExpr:
+		return recvString(e.X)
+	case *ast.IndexListExpr:
+		return recvString(e.X)
+	default:
+		return "?"
+	}
 }
 
 // PathMatches reports whether importPath is guarded by pattern: an exact

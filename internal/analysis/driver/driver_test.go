@@ -19,9 +19,9 @@ func load(t *testing.T) *driver.Program {
 	return prog
 }
 
-// TestLoad checks the loader's core guarantees: both module packages are
-// present in dependency order, fully typechecked, with stdlib imports
-// resolved from export data.
+// TestLoad checks the loader's core guarantees: both module packages, and
+// no stdlib package, are present in dependency order, fully typechecked,
+// with stdlib imports resolved from export data.
 func TestLoad(t *testing.T) {
 	prog := load(t)
 	if len(prog.Packages) != 2 {
@@ -31,10 +31,7 @@ func TestLoad(t *testing.T) {
 		t.Errorf("dependency order violated: %s before %s",
 			prog.Packages[0].ImportPath, prog.Packages[1].ImportPath)
 	}
-	lib := prog.Package("mini/lib")
-	if lib == nil {
-		t.Fatal("Package(mini/lib) = nil")
-	}
+	lib := prog.Packages[0]
 	// Twice's stdlib call must have typechecked against real export data.
 	obj := lib.Pkg.Scope().Lookup("Twice")
 	if obj == nil {
@@ -44,16 +41,13 @@ func TestLoad(t *testing.T) {
 	if sig.Params().Len() != 1 || sig.Results().Len() != 1 {
 		t.Errorf("lib.Twice signature wrong: %v", sig)
 	}
-	if prog.Package("strings") != nil {
-		t.Error("stdlib package leaked into the module package list")
-	}
 }
 
 // TestFuncDecl checks cross-package function and method resolution, and
 // that stdlib functions come back (nil, nil).
 func TestFuncDecl(t *testing.T) {
 	prog := load(t)
-	main := prog.Package("mini")
+	main := prog.Packages[1]
 	var twice, repeat *types.Func
 	for _, f := range main.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

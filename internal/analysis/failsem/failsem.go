@@ -65,7 +65,7 @@ func run(pass *driver.Pass, guarded []string) error {
 				if !ok {
 					continue
 				}
-				key := funcKey(p, fd)
+				key := driver.FuncKey(p, fd)
 				if fd.Body != nil {
 					ast.Inspect(fd.Body, func(n ast.Node) bool {
 						call, ok := n.(*ast.CallExpr)
@@ -115,28 +115,4 @@ func returnsError(p *driver.Package, fd *ast.FuncDecl, errType types.Type) bool 
 		}
 	}
 	return false
-}
-
-// funcKey renders pkg.Func or pkg.(*Recv).Method — the tealint baseline
-// grammar, kept verbatim so old baselines read naturally.
-func funcKey(p *driver.Package, fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		return p.Name + "." + recvString(fd.Recv.List[0].Type) + "." + fd.Name.Name
-	}
-	return p.Name + "." + fd.Name.Name
-}
-
-func recvString(t ast.Expr) string {
-	switch e := t.(type) {
-	case *ast.StarExpr:
-		return "(*" + recvString(e.X) + ")"
-	case *ast.Ident:
-		return e.Name
-	case *ast.IndexExpr:
-		return recvString(e.X)
-	case *ast.IndexListExpr:
-		return recvString(e.X)
-	default:
-		return "?"
-	}
 }

@@ -79,7 +79,7 @@ func run(pass *driver.Pass) error {
 					continue
 				}
 				seen[fn] = true
-				work = append(work, &hotFunc{pkg: p, decl: fd, fn: fn, root: funcKey(p, fd)})
+				work = append(work, &hotFunc{pkg: p, decl: fd, fn: fn, root: driver.FuncKey(p, fd)})
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func check(pass *driver.Pass, h *hotFunc) []*types.Func {
 		pkg:  h.pkg,
 		info: h.pkg.Info,
 		h:    h,
-		key:  funcKey(h.pkg, h.decl),
+		key:  driver.FuncKey(h.pkg, h.decl),
 	}
 	w.sig, _ = h.fn.Type().(*types.Signature)
 	w.stmtList(h.decl.Body.List, 0)
@@ -509,28 +509,4 @@ func isByteOrRuneSlice(u types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// funcKey renders pkg.Func or pkg.(*Recv).Method — the same shape the old
-// tealint baseline used, so keys stay human-scannable.
-func funcKey(p *driver.Package, fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		return p.Name + "." + recvString(fd.Recv.List[0].Type) + "." + fd.Name.Name
-	}
-	return p.Name + "." + fd.Name.Name
-}
-
-func recvString(t ast.Expr) string {
-	switch e := t.(type) {
-	case *ast.StarExpr:
-		return "(*" + recvString(e.X) + ")"
-	case *ast.Ident:
-		return e.Name
-	case *ast.IndexExpr:
-		return recvString(e.X)
-	case *ast.IndexListExpr:
-		return recvString(e.X)
-	default:
-		return "?"
-	}
 }

@@ -25,7 +25,7 @@ type Map[V any] struct {
 	size   int
 	probes uint64
 
-	// probeHook, when set, receives each Get/Floor search's node-visit
+	// probeHook, when set, receives each Get search's node-visit
 	// count as it completes — the observability layer's per-lookup probe
 	// depth, as opposed to the cumulative probes counter.
 	probeHook func(depth uint64)
@@ -39,7 +39,6 @@ type node[V any] interface {
 type leaf[V any] struct {
 	keys []uint64
 	vals []V
-	next *leaf[V]
 }
 
 type inner[V any] struct {
@@ -64,11 +63,10 @@ func New[V any](order int) *Map[V] {
 // keys and their values — the freeze path used when an automaton's whole
 // entry table is known up front. Leaves are packed to the maximum occupancy
 // (a frozen tree is read-mostly, so density beats insert headroom), built
-// left to right with the sibling chain threaded as they are laid down, and
-// the inner levels are derived bottom-up from the subtree minima. The
-// result is a valid tree by Check's invariants and remains fully mutable:
-// Put and Delete work normally afterwards, which is what lets the online
-// recorder keep extending a bulk-loaded container.
+// left to right, and the inner levels are derived bottom-up from the
+// subtree minima. The result is a valid tree by Check's invariants and
+// remains fully mutable: Put works normally afterwards, which is what lets
+// the online recorder keep extending a bulk-loaded container.
 //
 // Unsorted or duplicate keys fall back to repeated Put, so Bulk is always
 // safe to call; the fast path just requires the caller's natural case
@@ -98,17 +96,12 @@ func Bulk[V any](order int, keys []uint64, vals []V) *Map[V] {
 	sizes := bulkChunks(len(keys), order, t.minKeys())
 	leaves := make([]node[V], 0, len(sizes))
 	mins := make([]uint64, 0, len(sizes))
-	var prev *leaf[V]
 	off := 0
 	for _, n := range sizes {
 		l := &leaf[V]{
 			keys: append([]uint64(nil), keys[off:off+n]...),
 			vals: append([]V(nil), vals[off:off+n]...),
 		}
-		if prev != nil {
-			prev.next = l
-		}
-		prev = l
 		leaves = append(leaves, l)
 		mins = append(mins, l.keys[0])
 		off += n
@@ -170,20 +163,20 @@ func (t *Map[V]) Len() int { return t.size }
 // Height returns the number of node levels (1 for a single leaf).
 func (t *Map[V]) Height() int { return t.height }
 
-// Probes returns the cumulative number of tree nodes visited by Get, Put
-// and Delete since construction (or the last ResetProbes). The experiment
-// cost model charges lookups by this count.
+// Probes returns the cumulative number of tree nodes visited by Get and Put
+// since construction (or the last ResetProbes). The experiment cost model
+// charges lookups by this count.
 func (t *Map[V]) Probes() uint64 { return t.probes }
 
 // ResetProbes zeroes the probe counter.
 func (t *Map[V]) ResetProbes() { t.probes = 0 }
 
 // SetProbeHook installs (or with nil removes) a per-search observer: after
-// every Get or Floor it receives that search's node-visit count. The hook
-// must be cheap and must not call back into the tree.
+// every Get it receives that search's node-visit count. The hook must be
+// cheap and must not call back into the tree.
 func (t *Map[V]) SetProbeHook(h func(depth uint64)) { t.probeHook = h }
 
-// ChargeSearch accounts one Get or Floor search without descending and
+// ChargeSearch accounts one Get search without descending and
 // returns its depth. Every leaf sits at the tree's height, so every search
 // visits exactly Height nodes whatever its key: the probe counter and the
 // probe hook see what the search itself would have charged.
@@ -216,36 +209,6 @@ func (t *Map[V]) Get(key uint64) (V, bool) {
 			}
 			var zero V
 			return zero, false
-		}
-	}
-}
-
-// Floor returns the largest key <= key and its value. It reports ok=false
-// when every stored key is greater than key.
-//
-// The descent needs no backtracking: an inner node routes key to child i
-// only when the child's subtree minimum (the separator keys[i-1]) is <=
-// key, so a miss inside the located leaf can only happen in the globally
-// leftmost leaf — where there is no floor at all.
-func (t *Map[V]) Floor(key uint64) (uint64, V, bool) {
-	var zero V
-	n := t.root
-	depth := uint64(0)
-	for {
-		depth++
-		switch x := n.(type) {
-		case *inner[V]:
-			n = x.kids[childIndex(x.keys, key)]
-		case *leaf[V]:
-			t.probes += depth
-			if t.probeHook != nil {
-				t.probeHook(depth)
-			}
-			i := sort.Search(len(x.keys), func(i int) bool { return x.keys[i] > key })
-			if i > 0 {
-				return x.keys[i-1], x.vals[i-1], true
-			}
-			return 0, zero, false
 		}
 	}
 }
@@ -288,11 +251,9 @@ func (t *Map[V]) put(n node[V], key uint64, val V) (split bool, sepKey uint64, r
 		r := &leaf[V]{
 			keys: append([]uint64(nil), x.keys[mid:]...),
 			vals: append([]V(nil), x.vals[mid:]...),
-			next: x.next,
 		}
 		x.keys = x.keys[:mid:mid]
 		x.vals = x.vals[:mid:mid]
-		x.next = r
 		return true, r.keys[0], r
 
 	case *inner[V]:
@@ -323,163 +284,14 @@ func (t *Map[V]) put(n node[V], key uint64, val V) (split bool, sepKey uint64, r
 	panic("btree: unreachable")
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Map[V]) Delete(key uint64) bool {
-	removed := t.del(t.root, key)
-	if root, ok := t.root.(*inner[V]); ok && len(root.kids) == 1 {
-		t.root = root.kids[0]
-		t.height--
-	}
-	return removed
-}
-
 // minKeys is the underflow threshold for non-root nodes.
 func (t *Map[V]) minKeys() int { return t.order / 2 }
 
-func (t *Map[V]) del(n node[V], key uint64) bool {
-	t.probes++
-	switch x := n.(type) {
-	case *leaf[V]:
-		i := sort.Search(len(x.keys), func(i int) bool { return x.keys[i] >= key })
-		if i >= len(x.keys) || x.keys[i] != key {
-			return false
-		}
-		x.keys = append(x.keys[:i], x.keys[i+1:]...)
-		x.vals = append(x.vals[:i], x.vals[i+1:]...)
-		t.size--
-		return true
-
-	case *inner[V]:
-		ci := childIndex(x.keys, key)
-		removed := t.del(x.kids[ci], key)
-		if removed {
-			t.rebalance(x, ci)
-		}
-		return removed
-	}
-	panic("btree: unreachable")
-}
-
-// rebalance fixes up child ci of parent p after a deletion, borrowing from
-// or merging with a sibling when the child underflowed.
-func (t *Map[V]) rebalance(p *inner[V], ci int) {
-	switch c := p.kids[ci].(type) {
-	case *leaf[V]:
-		if len(c.keys) >= t.minKeys() {
-			return
-		}
-		if ci > 0 {
-			left := p.kids[ci-1].(*leaf[V])
-			if len(left.keys) > t.minKeys() {
-				// Borrow the rightmost entry of the left sibling.
-				n := len(left.keys) - 1
-				c.keys = append([]uint64{left.keys[n]}, c.keys...)
-				c.vals = append([]V{left.vals[n]}, c.vals...)
-				left.keys, left.vals = left.keys[:n], left.vals[:n]
-				p.keys[ci-1] = c.keys[0]
-				return
-			}
-		}
-		if ci < len(p.kids)-1 {
-			right := p.kids[ci+1].(*leaf[V])
-			if len(right.keys) > t.minKeys() {
-				c.keys = append(c.keys, right.keys[0])
-				c.vals = append(c.vals, right.vals[0])
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
-				p.keys[ci] = right.keys[0]
-				return
-			}
-		}
-		// Merge with a sibling.
-		if ci > 0 {
-			left := p.kids[ci-1].(*leaf[V])
-			left.keys = append(left.keys, c.keys...)
-			left.vals = append(left.vals, c.vals...)
-			left.next = c.next
-			removeChild(p, ci)
-		} else {
-			right := p.kids[ci+1].(*leaf[V])
-			c.keys = append(c.keys, right.keys...)
-			c.vals = append(c.vals, right.vals...)
-			c.next = right.next
-			removeChild(p, ci+1)
-		}
-
-	case *inner[V]:
-		if len(c.keys) >= t.minKeys() {
-			return
-		}
-		if ci > 0 {
-			left := p.kids[ci-1].(*inner[V])
-			if len(left.keys) > t.minKeys() {
-				// Rotate through the parent separator.
-				c.keys = append([]uint64{p.keys[ci-1]}, c.keys...)
-				c.kids = append([]node[V]{left.kids[len(left.kids)-1]}, c.kids...)
-				p.keys[ci-1] = left.keys[len(left.keys)-1]
-				left.keys = left.keys[:len(left.keys)-1]
-				left.kids = left.kids[:len(left.kids)-1]
-				return
-			}
-		}
-		if ci < len(p.kids)-1 {
-			right := p.kids[ci+1].(*inner[V])
-			if len(right.keys) > t.minKeys() {
-				c.keys = append(c.keys, p.keys[ci])
-				c.kids = append(c.kids, right.kids[0])
-				p.keys[ci] = right.keys[0]
-				right.keys = right.keys[1:]
-				right.kids = right.kids[1:]
-				return
-			}
-		}
-		if ci > 0 {
-			left := p.kids[ci-1].(*inner[V])
-			left.keys = append(left.keys, p.keys[ci-1])
-			left.keys = append(left.keys, c.keys...)
-			left.kids = append(left.kids, c.kids...)
-			removeChild(p, ci)
-		} else {
-			right := p.kids[ci+1].(*inner[V])
-			c.keys = append(c.keys, p.keys[ci])
-			c.keys = append(c.keys, right.keys...)
-			c.kids = append(c.kids, right.kids...)
-			removeChild(p, ci+1)
-		}
-	}
-}
-
-// removeChild drops child ci and its left separator from p.
-func removeChild[V any](p *inner[V], ci int) {
-	p.keys = append(p.keys[:ci-1], p.keys[ci:]...)
-	p.kids = append(p.kids[:ci], p.kids[ci+1:]...)
-}
-
-// Ascend calls fn for every key in ascending order until fn returns false.
-func (t *Map[V]) Ascend(fn func(key uint64, val V) bool) {
-	n := t.root
-	for {
-		if in, ok := n.(*inner[V]); ok {
-			n = in.kids[0]
-			continue
-		}
-		break
-	}
-	for l := n.(*leaf[V]); l != nil; l = l.next {
-		for i, k := range l.keys {
-			if !fn(k, l.vals[i]) {
-				return
-			}
-		}
-	}
-}
-
 // Check validates the structural invariants of the tree: sorted keys,
-// separator correctness, node occupancy and leaf chaining. It returns an
+// separator correctness and node occupancy. It returns an
 // error describing the first violation found. Intended for tests.
 func (t *Map[V]) Check() error {
 	count := 0
-	var prevLeaf *leaf[V]
 	var walk func(n node[V], lo, hi uint64, depth int, root bool) error
 	maxDepth := -1
 	walk = func(n node[V], lo, hi uint64, depth int, root bool) error {
@@ -504,10 +316,6 @@ func (t *Map[V]) Check() error {
 					return fmt.Errorf("btree: unsorted leaf keys")
 				}
 			}
-			if prevLeaf != nil && prevLeaf.next != x {
-				return fmt.Errorf("btree: broken leaf chain")
-			}
-			prevLeaf = x
 			count += len(x.keys)
 			return nil
 		case *inner[V]:

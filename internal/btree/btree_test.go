@@ -14,9 +14,6 @@ func TestEmpty(t *testing.T) {
 	if _, ok := m.Get(1); ok {
 		t.Error("Get on empty tree succeeded")
 	}
-	if m.Delete(1) {
-		t.Error("Delete on empty tree succeeded")
-	}
 	if err := m.Check(); err != nil {
 		t.Error(err)
 	}
@@ -66,98 +63,6 @@ func TestSequentialInsertAndSplit(t *testing.T) {
 	}
 }
 
-func TestAscendOrdered(t *testing.T) {
-	m := New[int](6)
-	perm := rand.New(rand.NewSource(1)).Perm(500)
-	for _, i := range perm {
-		m.Put(uint64(i), i)
-	}
-	var got []uint64
-	m.Ascend(func(k uint64, v int) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 500 {
-		t.Fatalf("Ascend visited %d keys", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("Ascend out of order at %d", i)
-		}
-	}
-	// Early termination.
-	count := 0
-	m.Ascend(func(k uint64, v int) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Errorf("early-stop Ascend visited %d", count)
-	}
-}
-
-func TestFloor(t *testing.T) {
-	m := New[int](4)
-	for _, k := range []uint64{10, 20, 30, 40, 50} {
-		m.Put(k, int(k))
-	}
-	cases := []struct {
-		q, want uint64
-		ok      bool
-	}{
-		{5, 0, false},
-		{10, 10, true},
-		{15, 10, true},
-		{30, 30, true},
-		{49, 40, true},
-		{1000, 50, true},
-	}
-	for _, c := range cases {
-		k, _, ok := m.Floor(c.q)
-		if ok != c.ok || (ok && k != c.want) {
-			t.Errorf("Floor(%d) = %d, %v; want %d, %v", c.q, k, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestFloorDense(t *testing.T) {
-	m := New[int](4)
-	for i := uint64(0); i < 300; i++ {
-		m.Put(i*3, int(i))
-	}
-	for q := uint64(0); q < 900; q++ {
-		k, _, ok := m.Floor(q)
-		if !ok || k != q-q%3 {
-			t.Fatalf("Floor(%d) = %d, %v; want %d", q, k, ok, q-q%3)
-		}
-	}
-}
-
-func TestDeleteWithRebalance(t *testing.T) {
-	m := New[int](4)
-	const n = 800
-	for i := uint64(0); i < n; i++ {
-		m.Put(i, int(i))
-	}
-	// Delete in a shuffled order, checking invariants as the tree shrinks.
-	perm := rand.New(rand.NewSource(7)).Perm(n)
-	for step, pi := range perm {
-		k := uint64(pi)
-		if !m.Delete(k) {
-			t.Fatalf("Delete(%d) reported missing", k)
-		}
-		if m.Delete(k) {
-			t.Fatalf("double Delete(%d) succeeded", k)
-		}
-		if err := m.Check(); err != nil {
-			t.Fatalf("after %d deletes: %v", step+1, err)
-		}
-	}
-	if m.Len() != 0 {
-		t.Errorf("Len = %d after deleting everything", m.Len())
-	}
-}
-
 func TestProbesAccumulate(t *testing.T) {
 	m := New[int](4)
 	for i := uint64(0); i < 100; i++ {
@@ -175,7 +80,7 @@ func TestProbesAccumulate(t *testing.T) {
 }
 
 // TestChargeSearchMatchesSearch: charging a search without descending feeds
-// the probe counter and the probe hook exactly what Get and Floor do, for
+// the probe counter and the probe hook exactly what Get does, for
 // present and absent keys, at every height a growing tree passes through.
 func TestChargeSearchMatchesSearch(t *testing.T) {
 	var hooked []uint64
@@ -188,15 +93,13 @@ func TestChargeSearchMatchesSearch(t *testing.T) {
 		hooked = hooked[:0]
 		before := m.Probes()
 		m.Get(key)
-		m.Floor(key)
 		searched := m.Probes() - before
-		d1 := m.ChargeSearch()
-		d2 := m.ChargeSearch()
-		if m.Probes()-before != 2*searched || d1+d2 != searched {
-			t.Fatalf("height %d: searches charged %d probes, ChargeSearch %d+%d", m.Height(), searched, d1, d2)
+		d := m.ChargeSearch()
+		if m.Probes()-before != 2*searched || d != searched {
+			t.Fatalf("height %d: Get charged %d probes, ChargeSearch %d", m.Height(), searched, d)
 		}
-		if len(hooked) != 4 || hooked[0] != d1 || hooked[1] != d2 || hooked[2] != d1 || hooked[3] != d2 {
-			t.Fatalf("height %d: hook saw %v, want Get, Floor, then two charges of %d", m.Height(), hooked, d1)
+		if len(hooked) != 2 || hooked[0] != d || hooked[1] != d {
+			t.Fatalf("height %d: hook saw %v, want Get then a charge of %d", m.Height(), hooked, d)
 		}
 	}
 	if m.Height() < 3 {
@@ -215,19 +118,12 @@ func TestQuickAgainstMap(t *testing.T) {
 		const keySpace = 200
 		for op := 0; op < 600; op++ {
 			k := uint64(rng.Intn(keySpace))
-			switch rng.Intn(3) {
+			switch rng.Intn(2) {
 			case 0:
 				v := rng.Int()
 				m.Put(k, v)
 				ref[k] = v
 			case 1:
-				_, wantOK := ref[k]
-				if got := m.Delete(k); got != wantOK {
-					t.Logf("Delete(%d) = %v, want %v", k, got, wantOK)
-					return false
-				}
-				delete(ref, k)
-			case 2:
 				want, wantOK := ref[k]
 				got, ok := m.Get(k)
 				if ok != wantOK || (ok && got != want) {
@@ -295,22 +191,6 @@ func TestBulkMatchesPut(t *testing.T) {
 			if _, ok := bulk.Get(0xdead); ok {
 				t.Fatalf("order=%d n=%d: Get on absent key succeeded", order, n)
 			}
-			// Same ascending content as an insert-built tree.
-			ref := New[int](order)
-			for i := range keys {
-				ref.Put(keys[i], vals[i])
-			}
-			var got, want []uint64
-			bulk.Ascend(func(k uint64, _ int) bool { got = append(got, k); return true })
-			ref.Ascend(func(k uint64, _ int) bool { want = append(want, k); return true })
-			if len(got) != len(want) {
-				t.Fatalf("order=%d n=%d: Ascend lengths %d vs %d", order, n, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("order=%d n=%d: Ascend[%d] = %d, want %d", order, n, i, got[i], want[i])
-				}
-			}
 		}
 	}
 }
@@ -330,15 +210,7 @@ func TestBulkThenMutate(t *testing.T) {
 			t.Fatalf("after Put(%d): %v", i*3+1, err)
 		}
 	}
-	for i := 0; i < 100; i++ {
-		if !m.Delete(keys[i]) {
-			t.Fatalf("Delete(%d) missed", keys[i])
-		}
-		if err := m.Check(); err != nil {
-			t.Fatalf("after Delete(%d): %v", keys[i], err)
-		}
-	}
-	if m.Len() != 500+200-100 {
+	if m.Len() != 500+200 {
 		t.Fatalf("Len = %d", m.Len())
 	}
 }

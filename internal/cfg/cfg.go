@@ -14,7 +14,6 @@ package cfg
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/lsc-tea/tea/internal/cpu"
 	"github.com/lsc-tea/tea/internal/isa"
@@ -95,9 +94,6 @@ func NewCache(prog *isa.Program, style Style) *Cache {
 // Program returns the program the cache decodes.
 func (c *Cache) Program() *isa.Program { return c.prog }
 
-// Style returns the cache's block discipline.
-func (c *Cache) Style() Style { return c.style }
-
 // BlockAt decodes (or returns the memoized) block starting at head.
 func (c *Cache) BlockAt(head uint64) (*Block, error) {
 	if b, ok := c.blocks[head]; ok {
@@ -109,16 +105,6 @@ func (c *Cache) BlockAt(head uint64) (*Block, error) {
 	}
 	c.blocks[head] = b
 	return b, nil
-}
-
-// Known returns all decoded blocks ordered by head address.
-func (c *Cache) Known() []*Block {
-	out := make([]*Block, 0, len(c.blocks))
-	for _, b := range c.blocks {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Head < out[j].Head })
-	return out
 }
 
 // Len returns the number of decoded blocks.

@@ -214,17 +214,6 @@ func TestRunnerCountsMatchMachine(t *testing.T) {
 	}
 }
 
-func TestKnownSorted(t *testing.T) {
-	p := asm.MustAssemble("k", loopSrc)
-	c := NewCache(p, StarDBT)
-	c.BlockAt(p.Labels["loop"])
-	c.BlockAt(p.Entry)
-	blocks := c.Known()
-	if len(blocks) != 2 || blocks[0].Head > blocks[1].Head {
-		t.Errorf("Known() = %v", blocks)
-	}
-}
-
 func TestStyleString(t *testing.T) {
 	if StarDBT.String() != "stardbt" || Pin.String() != "pin" {
 		t.Error("Style strings wrong")

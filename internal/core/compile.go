@@ -345,13 +345,6 @@ func (c *Compiled) NumStates() int { return len(c.hot) }
 // table (built by Specialize).
 func (c *Compiled) Specialized() bool { return len(c.stride) > 0 }
 
-// NumStrideEntries returns the size of the stride table (0 when the form is
-// unspecialized).
-func (c *Compiled) NumStrideEntries() int { return len(c.stride) }
-
-// NumEntries returns the number of trace entries in the flat entry table.
-func (c *Compiled) NumEntries() int { return c.entLen }
-
 // LocalSize returns the embedded per-state cache size (0 = caches off).
 func (c *Compiled) LocalSize() int { return c.localSize }
 

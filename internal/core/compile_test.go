@@ -86,8 +86,8 @@ func TestCompiledEntryMatchesEntryFor(t *testing.T) {
 	a, _ := buildTestAutomaton(t)
 	c := Compile(a, ConfigGlobalLocal)
 
-	if c.NumEntries() != len(a.Entries()) {
-		t.Fatalf("NumEntries = %d, want %d", c.NumEntries(), len(a.Entries()))
+	if c.entLen != len(a.Entries()) {
+		t.Fatalf("entLen = %d, want %d", c.entLen, len(a.Entries()))
 	}
 	for _, e := range a.Entries() {
 		got, ok := c.entry(e.Addr)

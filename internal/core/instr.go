@@ -139,19 +139,9 @@ const instrMagic = "TEI1"
 // (instruction granularity exists precisely so each instruction instance
 // can carry its own profile, §2); then per TBB the terminator's transition
 // count and (label delta, target state) pairs, exactly as the block-level
-// format stores them.
+// format stores them. The counter slots are written as zeros: the format
+// is measured (InstrLevelSize), not loaded.
 func EncodeInstrLevel(a *Automaton, prog *isa.Program) ([]byte, error) {
-	return EncodeInstrLevelWithProfile(a, prog, nil)
-}
-
-// InstrProfiler supplies a per-instruction-instance execution count.
-type InstrProfiler interface {
-	CountForInstr(tbb interface{ Name() string }, index int) uint64
-}
-
-// EncodeInstrLevelWithProfile serializes the instruction-level automaton
-// with per-instruction profile counters (zeros when prof is nil).
-func EncodeInstrLevelWithProfile(a *Automaton, prog *isa.Program, prof InstrProfiler) ([]byte, error) {
 	set := a.set
 	out := make([]byte, 0, 64)
 	out = append(out, instrMagic...)
@@ -178,11 +168,7 @@ func EncodeInstrLevelWithProfile(a *Automaton, prog *isa.Program, prof InstrProf
 					return nil, fmt.Errorf("core: no instruction at 0x%x in %v", addr, tbb)
 				}
 				out = binary.AppendVarint(out, int64(addr)-int64(prevAddr))
-				var count uint64
-				if prof != nil {
-					count = prof.CountForInstr(tbb, i)
-				}
-				out = binary.AppendUvarint(out, count)
+				out = binary.AppendUvarint(out, 0)
 				prevAddr = addr
 				addr = in.Next()
 			}

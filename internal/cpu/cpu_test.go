@@ -186,8 +186,8 @@ e:
 		t.Errorf("regs after repmovs: ecx=%d esi=%d edi=%d", m.Reg(isa.ECX), m.Reg(isa.ESI), m.Reg(isa.EDI))
 	}
 	// StarDBT counts the rep once; Pin counts each iteration (§4.1).
-	if m.RepOps() != 1 || m.RepIters() != 3 {
-		t.Errorf("RepOps=%d RepIters=%d", m.RepOps(), m.RepIters())
+	if m.RepOps() != 1 || m.repIters != 3 {
+		t.Errorf("RepOps=%d repIters=%d", m.RepOps(), m.repIters)
 	}
 	if m.PinSteps() != m.Steps()+2 {
 		t.Errorf("PinSteps=%d Steps=%d; want PinSteps = Steps+2", m.PinSteps(), m.Steps())
@@ -219,8 +219,8 @@ e:
     repstos
     halt
 `)
-	if m.RepIters() != 0 {
-		t.Errorf("RepIters = %d, want 0", m.RepIters())
+	if m.repIters != 0 {
+		t.Errorf("repIters = %d, want 0", m.repIters)
 	}
 }
 

@@ -105,9 +105,6 @@ type Translator struct {
 // New creates a Translator with the default cost model.
 func New() *Translator { return &Translator{cost: DefaultCostModel()} }
 
-// NewWithCost creates a Translator with a custom cost model.
-func NewWithCost(c CostModel) *Translator { return &Translator{cost: c} }
-
 // Run executes p to completion (or maxSteps, 0 = unbounded), recording
 // traces with the given strategy.
 func (t *Translator) Run(p *isa.Program, strategy string, c trace.Config, maxSteps uint64) (*Result, error) {

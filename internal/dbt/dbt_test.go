@@ -99,7 +99,7 @@ func TestAllStrategiesRunUnderDBT(t *testing.T) {
 
 func TestCustomCostModel(t *testing.T) {
 	p := progs.Figure1(50, 5)
-	free := NewWithCost(CostModel{PerInstr: 1})
+	free := &Translator{cost: CostModel{PerInstr: 1}}
 	res, err := free.Run(p, "mret", trace.Config{HotThreshold: 1 << 30}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -39,38 +39,28 @@ type Edge struct {
 type Graph struct {
 	Nodes []*Node
 	Edges []Edge
-
-	byTBB map[*trace.TBB]int
 }
 
 // FromSet builds the DCFG of a trace set.
 func FromSet(set *trace.Set) *Graph {
-	g := &Graph{byTBB: make(map[*trace.TBB]int)}
+	g := &Graph{}
+	byTBB := make(map[*trace.TBB]int)
 	for _, t := range set.Traces {
 		for _, tbb := range t.TBBs {
 			n := &Node{ID: len(g.Nodes), TBB: tbb, CodeBytes: tbb.Block.Bytes}
 			g.Nodes = append(g.Nodes, n)
-			g.byTBB[tbb] = n.ID
+			byTBB[tbb] = n.ID
 		}
 	}
 	for _, t := range set.Traces {
 		for _, tbb := range t.TBBs {
-			from := g.byTBB[tbb]
+			from := byTBB[tbb]
 			for _, label := range tbb.SuccLabels() {
-				g.Edges = append(g.Edges, Edge{From: from, To: g.byTBB[tbb.Succs[label]], Label: label})
+				g.Edges = append(g.Edges, Edge{From: from, To: byTBB[tbb.Succs[label]], Label: label})
 			}
 		}
 	}
 	return g
-}
-
-// NodeFor returns the node replicating tbb.
-func (g *Graph) NodeFor(tbb *trace.TBB) (*Node, bool) {
-	i, ok := g.byTBB[tbb]
-	if !ok {
-		return nil, false
-	}
-	return g.Nodes[i], true
 }
 
 // CodeBytes is the total replicated code the DCFG carries — what TEA's
@@ -111,32 +101,4 @@ func (g *Graph) Dot(title string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Comparison summarizes the §3 contrast for one trace set.
-type Comparison struct {
-	// Nodes and Edges describe the DCFG.
-	Nodes, Edges int
-	// DCFGBytes is the replicated-code cost; TEABytes the caller-supplied
-	// automaton size (core.EncodedSize).
-	DCFGBytes uint64
-	TEABytes  uint64
-}
-
-// Compare builds the comparison; teaBytes comes from core.EncodedSize on
-// the automaton built from the same set (dcfg cannot import core without
-// creating a cycle of concerns — the automaton is the caller's).
-func Compare(set *trace.Set, teaBytes uint64) Comparison {
-	g := FromSet(set)
-	return Comparison{
-		Nodes:     len(g.Nodes),
-		Edges:     len(g.Edges),
-		DCFGBytes: g.CodeBytes(),
-		TEABytes:  teaBytes,
-	}
-}
-
-func (c Comparison) String() string {
-	return fmt.Sprintf("DCFG: %d nodes, %d edges, %dB replicated code; TEA: %dB state",
-		c.Nodes, c.Edges, c.DCFGBytes, c.TEABytes)
 }

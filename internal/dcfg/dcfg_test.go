@@ -39,13 +39,14 @@ func TestGraphMirrorsSet(t *testing.T) {
 	if len(g.Edges) != wantEdges {
 		t.Errorf("edges = %d, want %d", len(g.Edges), wantEdges)
 	}
-	// Every node resolvable via NodeFor, with its block's bytes.
+	// One node per TBB in trace order, with its block's bytes.
+	i := 0
 	for _, tr := range set.Traces {
 		for _, tbb := range tr.TBBs {
-			n, ok := g.NodeFor(tbb)
-			if !ok || n.TBB != tbb || n.CodeBytes != tbb.Block.Bytes {
-				t.Fatalf("NodeFor(%v) = %+v, %v", tbb, n, ok)
+			if n := g.Nodes[i]; n.ID != i || n.TBB != tbb || n.CodeBytes != tbb.Block.Bytes {
+				t.Fatalf("node %d = %+v, want %v", i, n, tbb)
 			}
+			i++
 		}
 	}
 	// Edge targets valid and label-consistent.
@@ -64,16 +65,13 @@ func TestSection3Contrast(t *testing.T) {
 	// and is far smaller; the DCFG has no NTE, the TEA does.
 	set := recordSet(t, "mret")
 	a := core.Build(set)
-	c := Compare(set, core.EncodedSize(a))
-	if c.TEABytes >= c.DCFGBytes {
-		t.Errorf("TEA (%dB) not smaller than DCFG (%dB)", c.TEABytes, c.DCFGBytes)
+	g := FromSet(set)
+	if tea, code := core.EncodedSize(a), g.CodeBytes(); tea >= code {
+		t.Errorf("TEA (%dB) not smaller than DCFG (%dB)", tea, code)
 	}
-	if c.Nodes+1 != a.NumStates() {
+	if len(g.Nodes)+1 != a.NumStates() {
 		t.Errorf("DCFG has %d nodes but TEA has %d states; want exactly one extra (NTE)",
-			c.Nodes, a.NumStates())
-	}
-	if !strings.Contains(c.String(), "DCFG") {
-		t.Error("comparison string malformed")
+			len(g.Nodes), a.NumStates())
 	}
 }
 

@@ -198,15 +198,6 @@ func TestProgramAt(t *testing.T) {
 	if _, ok := p.At(BaseAddr + 12345); ok {
 		t.Error("At accepted bogus address")
 	}
-	if got := p.MustAt(BaseAddr); got.Op != NOP {
-		t.Errorf("MustAt returned %v", got.Op)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAt did not panic on bad address")
-		}
-	}()
-	p.MustAt(0)
 }
 
 func TestSymbolForDeterministic(t *testing.T) {

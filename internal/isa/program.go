@@ -142,15 +142,6 @@ func (p *Program) At(addr uint64) (*Instr, bool) {
 	return &p.instrs[i], true
 }
 
-// MustAt is At for addresses known to be valid; it panics otherwise.
-func (p *Program) MustAt(addr uint64) *Instr {
-	in, ok := p.At(addr)
-	if !ok {
-		panic(fmt.Sprintf("isa: no instruction at 0x%x in %s", addr, p.Name))
-	}
-	return in
-}
-
 // Len returns the static instruction count.
 func (p *Program) Len() int { return len(p.instrs) }
 

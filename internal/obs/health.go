@@ -52,30 +52,3 @@ func HealthHandler(h *Health) http.Handler {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 }
-
-// SanitizeMetricName maps an arbitrary identifier (a tenant name from the
-// wire) into a valid Prometheus metric-name fragment: every character
-// outside [a-zA-Z0-9_] becomes '_', and a leading digit is prefixed. The
-// mapping is total, so hostile tenant names can never panic the registry.
-func SanitizeMetricName(s string) string {
-	if s == "" {
-		return "_"
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 1)
-	for i, r := range s {
-		ok := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_' ||
-			(r >= '0' && r <= '9' && i > 0)
-		if r >= '0' && r <= '9' && i == 0 {
-			b.WriteByte('_')
-			b.WriteRune(r)
-			continue
-		}
-		if ok {
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}

@@ -43,27 +43,3 @@ func TestHealthHandlerProbes(t *testing.T) {
 		t.Fatalf("dead process: healthz = %d, want 503", got)
 	}
 }
-
-func TestSanitizeMetricName(t *testing.T) {
-	cases := map[string]string{
-		"":            "_",
-		"tenant":      "tenant",
-		"a-b.c d":     "a_b_c_d",
-		"9lives":      "_9lives",
-		"ok_name_42":  "ok_name_42",
-		"Ünïcødé":     "_n_c_d_",
-		"evil{}\"\n;": "evil_____",
-	}
-	for in, want := range cases {
-		if got := SanitizeMetricName(in); got != want {
-			t.Errorf("SanitizeMetricName(%q) = %q, want %q", in, got, want)
-		}
-	}
-	// Every output is itself a fixed point: sanitizing is idempotent.
-	for in := range cases {
-		once := SanitizeMetricName(in)
-		if twice := SanitizeMetricName(once); twice != once {
-			t.Errorf("not idempotent on %q: %q -> %q", in, once, twice)
-		}
-	}
-}

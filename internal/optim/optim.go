@@ -168,34 +168,6 @@ func ProfileByCopy(p *profile.Profile, dup *trace.Trace) (*CopyProfile, error) {
 	return out, nil
 }
 
-// Unroll models the unrolled trace of Figure 1(c) for reporting purposes:
-// it returns the instruction count and code bytes the unrolled trace would
-// occupy (factor copies of the body), versus the automaton states a
-// duplicated trace costs instead.
-type UnrollEstimate struct {
-	Factor         int
-	UnrolledInstrs int
-	UnrolledBytes  uint64
-	DuplicateTBBs  int
-}
-
-// EstimateUnroll compares unrolling a simple-cycle trace by factor against
-// duplicating it factor times in the TEA.
-func EstimateUnroll(t *trace.Trace, factor int) (*UnrollEstimate, error) {
-	if factor < 2 {
-		return nil, fmt.Errorf("optim: unroll factor %d < 2", factor)
-	}
-	if err := checkSimpleCycle(t); err != nil {
-		return nil, err
-	}
-	return &UnrollEstimate{
-		Factor:         factor,
-		UnrolledInstrs: t.Instrs() * factor,
-		UnrolledBytes:  t.CodeBytes() * uint64(factor),
-		DuplicateTBBs:  t.Len() * factor,
-	}, nil
-}
-
 // Rebuild returns the automaton for a transformed set, ready to be loaded
 // alongside the original program for re-profiling (§2: "the resulting DFA
 // after the trace has been duplicated can be safely loaded alongside the

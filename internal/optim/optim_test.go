@@ -147,18 +147,3 @@ func TestProfileByCopyRejectsOddTrace(t *testing.T) {
 		t.Error("odd-length trace accepted")
 	}
 }
-
-func TestEstimateUnroll(t *testing.T) {
-	p := progs.Figure1(100, 30)
-	_, loop := recordLoopSet(t, p)
-	est, err := EstimateUnroll(loop, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.UnrolledInstrs != 2*loop.Instrs() || est.DuplicateTBBs != 2*loop.Len() {
-		t.Errorf("estimate = %+v", est)
-	}
-	if _, err := EstimateUnroll(loop, 1); err == nil {
-		t.Error("factor 1 accepted")
-	}
-}

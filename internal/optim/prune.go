@@ -1,7 +1,6 @@
 package optim
 
 import (
-	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/profile"
 	"github.com/lsc-tea/tea/internal/trace"
 )
@@ -18,23 +17,6 @@ func Prune(s *trace.Set, p *profile.Profile, minEnters uint64) (*trace.Set, erro
 	for _, t := range s.Traces {
 		id, ok := a.StateFor(t.Head())
 		if !ok || p.StateCount(id) < minEnters {
-			continue
-		}
-		if _, err := copyTrace(out, t); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// PruneDecoded is Prune for profiles read back from a serialized TEA
-// (core.DecodeWithProfile), keyed by state id rather than live profile.
-func PruneDecoded(a *core.Automaton, counts core.DecodedProfile, minEnters uint64) (*trace.Set, error) {
-	s := a.Set()
-	out := trace.NewSet(s.Strategy, s)
-	for _, t := range s.Traces {
-		id, ok := a.StateFor(t.Head())
-		if !ok || counts[id] < minEnters {
 			continue
 		}
 		if _, err := copyTrace(out, t); err != nil {

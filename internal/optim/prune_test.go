@@ -100,31 +100,3 @@ func TestPruneThresholdZeroKeepsEverything(t *testing.T) {
 			pruned.Len(), pruned.NumTBBs(), set.Len(), set.NumTBBs())
 	}
 }
-
-func TestPruneDecodedMatchesLivePrune(t *testing.T) {
-	p, set, tool := profiledRun(t)
-	prof := tool.Profile()
-	a := tool.Replayer().Automaton()
-
-	// Serialize automaton + profile; decode on the "next run".
-	data, err := core.EncodeWithProfile(a, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, counts, err := core.DecodeWithProfile(data, cfg.NewCache(p, cfg.StarDBT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const min = 50
-	live, err := Prune(set, prof, min)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := PruneDecoded(b, counts, min)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Len() != decoded.Len() {
-		t.Errorf("live prune kept %d traces, decoded prune %d", live.Len(), decoded.Len())
-	}
-}

@@ -94,9 +94,6 @@ type Engine struct {
 // New creates an Engine with the default cost model.
 func New() *Engine { return &Engine{cost: DefaultCostModel()} }
 
-// NewWithCost creates an Engine with a custom cost model.
-func NewWithCost(c CostModel) *Engine { return &Engine{cost: c} }
-
 // Run executes p to completion (or maxSteps; 0 = unbounded) with the tool
 // attached; tool may be nil, which corresponds to Table 4's "Without
 // Pintool" configuration.
@@ -199,6 +196,3 @@ func (en *Engine) RunContext(ctx context.Context, p *isa.Program, tool Tool, max
 	res.EngineUnits += en.cost.PerInstr * float64(res.PinSteps)
 	return res, r.Err()
 }
-
-// Cost returns the engine's cost model.
-func (en *Engine) Cost() CostModel { return en.cost }

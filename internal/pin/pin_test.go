@@ -133,10 +133,6 @@ func TestEngineUnitsGrowWithBranchiness(t *testing.T) {
 }
 
 func TestCostAccessors(t *testing.T) {
-	e := NewWithCost(CostModel{PerInstr: 2})
-	if e.Cost().PerInstr != 2 {
-		t.Error("cost model not stored")
-	}
 	if DefaultCostModel().PerCall <= DefaultCostModel().PerBlock {
 		t.Error("analysis calls should dominate block overhead")
 	}

@@ -11,7 +11,6 @@
 package profile
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/lsc-tea/tea/internal/core"
@@ -62,11 +61,6 @@ func (p *Profile) StateCount(id core.StateID) uint64 { return p.states[id] }
 
 // StateInstrs returns the dynamic instructions attributed to the state.
 func (p *Profile) StateInstrs(id core.StateID) uint64 { return p.instrs[id] }
-
-// EdgeCount returns how often the transition was taken.
-func (p *Profile) EdgeCount(from, to core.StateID) uint64 {
-	return p.edges[Edge{from, to}]
-}
 
 // CountFor implements core.Profiler, so profiles serialize with the TEA
 // (core.EncodeWithProfile).
@@ -150,21 +144,6 @@ func (p *Profile) HottestTraces(n int) []TraceHeat {
 	})
 	if n < len(out) {
 		out = out[:n]
-	}
-	return out
-}
-
-// Dump renders the per-state profile of one trace, one line per TBB
-// instance — the "distinct labels for every copy" view of §2.
-func (p *Profile) Dump(t *trace.Trace) string {
-	out := ""
-	for _, tbb := range t.TBBs {
-		id, ok := p.a.StateFor(tbb)
-		if !ok {
-			continue
-		}
-		out += fmt.Sprintf("%-24s entered %8d  instrs %10d\n",
-			tbb.Name(), p.states[id], p.instrs[id])
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"github.com/lsc-tea/tea/internal/cfg"
@@ -68,7 +67,7 @@ func TestProfileCountsMatchReplay(t *testing.T) {
 	// Edge counts: the head's in-trace successor edge must be hot.
 	hot := false
 	for _, tr := range a.FullTransitions(headID) {
-		if tr.InTrace && prof.EdgeCount(headID, tr.To) > 10 {
+		if tr.InTrace && prof.edges[Edge{headID, tr.To}] > 10 {
 			hot = true
 		}
 	}
@@ -106,19 +105,6 @@ func TestHottestTracesOrdered(t *testing.T) {
 	// Truncation works.
 	if len(prof.HottestTraces(1)) != 1 {
 		t.Error("truncation broken")
-	}
-}
-
-func TestDumpListsEveryTBB(t *testing.T) {
-	p := progs.Figure2(60, 300)
-	a, prof := buildAndProfile(t, p, 50)
-	t1, _ := a.Set().ByEntry(p.Labels["header"])
-	text := prof.Dump(t1)
-	if strings.Count(text, "\n") != t1.Len() {
-		t.Errorf("Dump has %d lines, want %d:\n%s", strings.Count(text, "\n"), t1.Len(), text)
-	}
-	if !strings.Contains(text, "$$T") {
-		t.Error("Dump missing TBB names")
 	}
 }
 
@@ -199,69 +185,3 @@ func TestPhaseDetectorDefaults(t *testing.T) {
 	_ = Stable.String()
 	_ = Unstable.String()
 }
-
-func TestInstrProfileEndToEnd(t *testing.T) {
-	// Drive the instruction-level replayer while counting each instruction
-	// instance, then serialize the counts with the instruction-level wire
-	// format.
-	p := progs.Figure1(100, 60)
-	s, _ := trace.NewStrategy("mret", p, trace.Config{HotThreshold: 30})
-	set, _, err := trace.Record(context.Background(), cpu.New(p), cfg.StarDBT, s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := core.Build(set)
-
-	prof := NewInstrProfile(a)
-	r := core.NewInstrReplayer(a, core.ConfigGlobalLocal, p)
-	m := cpu.New(p)
-	for !m.Halted() {
-		if r.StepInstr(m.PC()) {
-			st, idx := r.Cur()
-			prof.Observe(st, idx)
-		}
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Every instruction of the hot loop trace carries the same count (a
-	// straight-line cycle executes each instruction equally often).
-	loop, ok := set.ByEntry(p.Labels["loop"])
-	if !ok {
-		t.Fatal("no loop trace")
-	}
-	headID, _ := a.StateFor(loop.Head())
-	first := prof.Count(headID, 0)
-	if first == 0 {
-		t.Fatal("loop head instruction never counted")
-	}
-	for i := 0; i < loop.Head().Block.NumInstrs; i++ {
-		if got := prof.Count(headID, i); got != first {
-			t.Errorf("instruction %d counted %d, instruction 0 counted %d", i, got, first)
-		}
-	}
-
-	// Counts survive serialization.
-	withProf, err := core.EncodeInstrLevelWithProfile(a, p, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := core.EncodeInstrLevel(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withProf) <= len(plain) {
-		t.Error("profile counters did not grow the instruction-level encoding")
-	}
-
-	// NTE observations are ignored; unknown TBBs count zero.
-	prof.Observe(core.NTE, 3)
-	if prof.CountForInstr(fakeTBB{}, 0) != 0 {
-		t.Error("unknown TBB counted")
-	}
-}
-
-type fakeTBB struct{}
-
-func (fakeTBB) Name() string { return "fake" }

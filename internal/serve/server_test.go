@@ -543,12 +543,16 @@ func TestBreakerQuarantinesAndReadmits(t *testing.T) {
 			t.Fatalf("close: %v", serr)
 		}
 	}
+	quarantined := func() bool {
+		e, serr := s.Store().lookupEntry("img")
+		return serr == nil && e.brk.isOpen()
+	}
 	failOnce()
-	if s.Store().Quarantined("img") {
+	if quarantined() {
 		t.Fatal("breaker tripped below threshold")
 	}
 	failOnce()
-	if !s.Store().Quarantined("img") {
+	if !quarantined() {
 		t.Fatal("breaker did not trip at threshold")
 	}
 	// While quarantined, opens are refused with the remaining cooldown.
@@ -578,7 +582,7 @@ func TestBreakerQuarantinesAndReadmits(t *testing.T) {
 	if _, serr := tc2.closeSession(); serr != nil {
 		t.Fatalf("healthy close: %v", serr)
 	}
-	if s.Store().Quarantined("img") {
+	if quarantined() {
 		t.Fatal("breaker still open after clean re-verify and healthy session")
 	}
 	if got := s.m.breakerTrips.Value(); got != 1 {

@@ -176,23 +176,3 @@ func (s *Store) Result(name string, failed bool) bool {
 	}
 	return e.brk.result(failed)
 }
-
-// Quarantined reports whether name's breaker is currently open.
-func (s *Store) Quarantined(name string) bool {
-	e, serr := s.lookupEntry(name)
-	if serr != nil {
-		return false
-	}
-	return e.brk.isOpen()
-}
-
-// Names lists the hosted image names (unordered).
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.images))
-	for n := range s.images {
-		out = append(out, n)
-	}
-	return out
-}

@@ -53,15 +53,6 @@ func TestGeoMeanBounds(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %g", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("benchmark", "DBT", "TEA")
 	tb.AddRow("168.wupwise", "329", "81")

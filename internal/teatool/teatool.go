@@ -162,7 +162,6 @@ type EdgeCaptureTool struct {
 	flatI, curI []uint64
 	full        [][]cfg.Edge
 	fullI       [][]uint64
-	tail        uint64
 }
 
 // captureChunk is the edge count of one capture chunk.
@@ -190,7 +189,7 @@ func (t *EdgeCaptureTool) Edge(e cfg.Edge, instrs uint64) {
 }
 
 // Fini implements pin.Tool.
-func (t *EdgeCaptureTool) Fini(instrs uint64) { t.tail += instrs }
+func (t *EdgeCaptureTool) Fini(uint64) {}
 
 // assemble appends the chunks captured since the last call to the flat
 // stream, in fresh exact-length arrays: a slice returned earlier is never
@@ -224,9 +223,6 @@ func (t *EdgeCaptureTool) Instrs() []uint64 {
 	t.assemble()
 	return t.flatI
 }
-
-// Tail returns the instructions executed after the last captured edge.
-func (t *EdgeCaptureTool) Tail() uint64 { return t.tail }
 
 // RecordTool records a TEA online (Algorithm 2) while the program runs
 // under Pin, using any trace-selection strategy.

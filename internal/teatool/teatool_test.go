@@ -185,7 +185,6 @@ type appendCapture struct {
 	capt   *EdgeCaptureTool
 	edges  []cfg.Edge
 	instrs []uint64
-	tail   uint64
 	peekAt map[int]bool
 	peeks  [][]cfg.Edge // what each mid-run Edges returned
 	t      *testing.T
@@ -201,16 +200,13 @@ func (r *appendCapture) Edge(e cfg.Edge, instrs uint64) {
 	}
 }
 
-func (r *appendCapture) Fini(instrs uint64) {
-	r.capt.Fini(instrs)
-	r.tail += instrs
-}
+func (r *appendCapture) Fini(instrs uint64) { r.capt.Fini(instrs) }
 
 func (r *appendCapture) check(when string) {
 	r.t.Helper()
-	if !reflect.DeepEqual(r.capt.Edges(), r.edges) || !reflect.DeepEqual(r.capt.Instrs(), r.instrs) || r.capt.Tail() != r.tail {
-		r.t.Fatalf("%s after %d edges: capture (%d edges, %d instrs, tail %d) differs from the append reference (tail %d)",
-			when, len(r.edges), len(r.capt.Edges()), len(r.capt.Instrs()), r.capt.Tail(), r.tail)
+	if !reflect.DeepEqual(r.capt.Edges(), r.edges) || !reflect.DeepEqual(r.capt.Instrs(), r.instrs) {
+		r.t.Fatalf("%s after %d edges: capture (%d edges, %d instrs) differs from the append reference",
+			when, len(r.edges), len(r.capt.Edges()), len(r.capt.Instrs()))
 	}
 }
 
@@ -220,8 +216,8 @@ func (r *appendCapture) check(when string) {
 // Fini; a slice returned earlier keeps its contents as capture goes on.
 func TestEdgeCaptureMatchesAppend(t *testing.T) {
 	empty := NewEdgeCaptureTool()
-	if len(empty.Edges()) != 0 || len(empty.Instrs()) != 0 || empty.Tail() != 0 {
-		t.Fatalf("empty capture: %d edges, %d instrs, tail %d", len(empty.Edges()), len(empty.Instrs()), empty.Tail())
+	if len(empty.Edges()) != 0 || len(empty.Instrs()) != 0 {
+		t.Fatalf("empty capture: %d edges, %d instrs", len(empty.Edges()), len(empty.Instrs()))
 	}
 	for _, name := range []string{"181.mcf", "176.gcc"} {
 		spec, _ := workload.ByName(name)

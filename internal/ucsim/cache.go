@@ -34,10 +34,7 @@ type Cache struct {
 	cfg  CacheConfig
 	tags [][]uint64 // [set][way], tag+1 (0 = invalid)
 	lru  [][]uint64 // [set][way], last-touch stamp
-	tick uint64
-
-	accesses uint64
-	misses   uint64
+	tick uint64     // accesses so far
 }
 
 // NewCache builds a cache; it panics on a non-power-of-two set count
@@ -62,7 +59,6 @@ func NewCache(cfg CacheConfig) *Cache {
 // Access touches the address and returns the extra miss cycles (0 on hit).
 func (c *Cache) Access(addr uint64) uint64 {
 	c.tick++
-	c.accesses++
 	line := addr >> c.cfg.LineShift
 	set := int(line) & (c.cfg.Sets - 1)
 	tag := line + 1
@@ -77,31 +73,15 @@ func (c *Cache) Access(addr uint64) uint64 {
 			victim, oldest = w, c.lru[set][w]
 		}
 	}
-	c.misses++
 	ways[victim] = tag
 	c.lru[set][victim] = c.tick
 	return c.cfg.MissPenalty
-}
-
-// Accesses and Misses report totals; MissRate their ratio.
-func (c *Cache) Accesses() uint64 { return c.accesses }
-func (c *Cache) Misses() uint64   { return c.misses }
-
-// MissRate returns misses/accesses (0 when idle).
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
 }
 
 // BranchPredictor is a bimodal (2-bit saturating counter) predictor.
 type BranchPredictor struct {
 	table []uint8
 	mask  uint64
-
-	predictions uint64
-	mispredicts uint64
 }
 
 // NewBranchPredictor builds a predictor with 2^bits counters.
@@ -116,27 +96,11 @@ func (b *BranchPredictor) Predict(pc uint64, taken bool) bool {
 	i := (pc >> 1) & b.mask
 	ctr := b.table[i]
 	predictTaken := ctr >= 2
-	b.predictions++
 	correct := predictTaken == taken
-	if !correct {
-		b.mispredicts++
-	}
 	if taken && ctr < 3 {
 		b.table[i] = ctr + 1
 	} else if !taken && ctr > 0 {
 		b.table[i] = ctr - 1
 	}
 	return correct
-}
-
-// Predictions and Mispredicts report totals; MispredictRate their ratio.
-func (b *BranchPredictor) Predictions() uint64 { return b.predictions }
-func (b *BranchPredictor) Mispredicts() uint64 { return b.mispredicts }
-
-// MispredictRate returns mispredicts/predictions (0 when idle).
-func (b *BranchPredictor) MispredictRate() float64 {
-	if b.predictions == 0 {
-		return 0
-	}
-	return float64(b.mispredicts) / float64(b.predictions)
 }

@@ -167,10 +167,3 @@ func (s *Simulator) Last() Stats { return s.last }
 
 // Total returns the aggregate statistics.
 func (s *Simulator) Total() Stats { return s.total }
-
-// ICache, DCache, L2 and BPred expose the components for reporting; L2 is
-// nil when disabled.
-func (s *Simulator) ICache() *Cache          { return s.icache }
-func (s *Simulator) DCache() *Cache          { return s.dcache }
-func (s *Simulator) L2() *Cache              { return s.l2 }
-func (s *Simulator) BPred() *BranchPredictor { return s.bpred }

@@ -52,9 +52,9 @@ echo "ci: serve gate ok"
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
 
-# Typed static-analysis gate: the four teavet analyzers (hotalloc,
-# atomicmix, wirelock, failsem) against the checked-in ratchet baseline and
-# wire-format golden. Built as a binary so the exact exit code is visible
+# Typed static-analysis gate: the five teavet analyzers (hotalloc,
+# atomicmix, wirelock, failsem, unused) against the checked-in ratchet
+# baseline and wire-format golden. Built as a binary so the exact exit code is visible
 # (`go run` collapses every nonzero status to 1).
 go build -o "$bin/teavet" ./cmd/teavet
 "$bin/teavet"
@@ -70,7 +70,7 @@ if [ "$rc" -ne 1 ]; then
     cat "$bin/selftest.out" >&2
     exit 1
 fi
-for analyzer in hotalloc atomicmix wirelock failsem; do
+for analyzer in hotalloc atomicmix wirelock failsem unused; do
     if ! grep -q "$analyzer" "$bin/selftest.out"; then
         echo "ci: teavet selftest lost its $analyzer findings" >&2
         cat "$bin/selftest.out" >&2

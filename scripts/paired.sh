@@ -45,7 +45,10 @@ go build -o "$out/benchdiff" ./scripts/benchdiff
 
 # Each run is one process and one file. Inside it, -count=5 short
 # repetitions of every row: benchdiff takes their median as the run's
-# value, which damps host noise lasting under a second.
+# value, which damps host noise lasting under a second. Every row outside
+# internal/pipeline runs pinned to CPU 1, since unpinned single-threaded
+# rows spread wider than the effects they judge; the pipeline rows stay
+# unpinned because their workers=2/4 rows need more than one CPU.
 for pair in $(seq 1 10); do
     order="parent head"
     if [ $((pair % 2)) -eq 0 ]; then
@@ -53,9 +56,13 @@ for pair in $(seq 1 10); do
     fi
     for i in "${!benches[@]}"; do
         pkg=${benches[$i]%%:*}
+        pin=(taskset -c 1)
+        if [ "$pkg" = internal/pipeline ]; then
+            pin=()
+        fi
         for side in $order; do
             (cd "${tree[$side]}/$pkg" &&
-                "$out/$side-${pkg//\//-}.test" -test.run='^$' -test.bench="${benches[$i]#*:}" \
+                "${pin[@]}" "$out/$side-${pkg//\//-}.test" -test.run='^$' -test.bench="${benches[$i]#*:}" \
                     -test.count=5 -test.benchtime=20ms -test.timeout=5m) > "$out/$side/$pair-$i"
         done
     done

@@ -69,27 +69,15 @@ type (
 	Program = isa.Program
 	// Machine is the functional interpreter executing a Program.
 	Machine = cpu.Machine
-	// Block is a dynamic basic block.
-	Block = cfg.Block
-	// BlockStyle selects the dynamic block discipline (StarDBT vs Pin).
-	BlockStyle = cfg.Style
-	// Trace is a recorded hot-code region; TBB one block instance in it.
+	// Trace is a recorded hot-code region.
 	Trace = trace.Trace
-	// TBB is a Trace Basic Block (paper Definition 2).
-	TBB = trace.TBB
 	// TraceSet is the collection of traces recorded for one run.
 	TraceSet = trace.Set
 	// TraceConfig carries trace-selection knobs.
 	TraceConfig = trace.Config
-	// Strategy is a pluggable trace-selection policy.
-	Strategy = trace.Strategy
 
 	// Automaton is the TEA itself.
 	Automaton = core.Automaton
-	// State is one automaton state; StateID its index (NTE is 0).
-	State = core.State
-	// StateID identifies a state.
-	StateID = core.StateID
 	// LookupConfig selects the transition-function configuration (Table 4).
 	LookupConfig = core.LookupConfig
 	// Replayer walks a TEA along a dynamic block stream.
@@ -112,26 +100,14 @@ type (
 
 	// SimConfig configures the micro-architectural timing simulator.
 	SimConfig = ucsim.Config
-	// SimStats carries simulated cycles, cache misses and mispredictions.
-	SimStats = ucsim.Stats
 	// SimResult is a TEA-attributed simulation of one execution.
 	SimResult = ucsim.Result
-)
-
-// NTE is the "No Trace being Executed" state.
-const NTE = core.NTE
-
-// Block disciplines (paper §4.1).
-const (
-	StyleStarDBT = cfg.StarDBT
-	StylePin     = cfg.Pin
 )
 
 // The transition-function configurations of Table 4.
 var (
 	ConfigGlobalLocal   = core.ConfigGlobalLocal
 	ConfigGlobalNoLocal = core.ConfigGlobalNoLocal
-	ConfigNoGlobalLocal = core.ConfigNoGlobalLocal
 )
 
 // Assemble translates assembly source into a Program.
@@ -169,12 +145,6 @@ type UnknownBenchmarkError struct{ Name string }
 
 func (e *UnknownBenchmarkError) Error() string {
 	return "tea: unknown benchmark " + e.Name
-}
-
-// NewStrategy constructs a trace selector by name: "mret", "tt", "ctt" or
-// "mfet". It reports false for unknown names.
-func NewStrategy(name string, p *Program, c TraceConfig) (Strategy, bool) {
-	return trace.NewStrategy(name, p, c)
 }
 
 // RecordTraces executes the program under the StarDBT block discipline
@@ -385,8 +355,6 @@ type (
 	// as PipelineConfig.Obs. All hooks are disabled — and free —
 	// when no context is attached.
 	Obs = obs.Obs
-	// ObsRegistry is the metric registry behind an Obs context.
-	ObsRegistry = obs.Registry
 	// ObsEvent is one ring-buffer trace event.
 	ObsEvent = obs.Event
 	// FlightRecord is one post-mortem flight-recorder artifact: the event
@@ -409,12 +377,8 @@ func EncodeEvents(events []ObsEvent) []byte { return obs.EncodeEvents(events) }
 // DecodeEvents parses a binary event log produced by EncodeEvents.
 func DecodeEvents(data []byte) ([]ObsEvent, error) { return obs.DecodeEvents(data) }
 
-// EncodeFlight serializes one flight-recorder artifact into the binary form
-// served at /debug/flight/<seq> and decoded by `teadump -flight`.
-func EncodeFlight(rec FlightRecord) []byte { return obs.EncodeFlight(rec) }
-
-// DecodeFlight parses a flight artifact produced by EncodeFlight, fully
-// validating the embedded event log.
+// DecodeFlight parses a flight artifact (the binary form served at
+// /debug/flight/<seq>), fully validating the embedded event log.
 func DecodeFlight(data []byte) (FlightRecord, error) { return obs.DecodeFlight(data) }
 
 // RecordOnline runs the program under the Pin-like engine while building a
@@ -511,8 +475,6 @@ func RunDBT(p *Program, strategy string, c TraceConfig) (*TraceSet, uint64, floa
 type (
 	// VerifyReport is an ordered, diffable collection of rule findings.
 	VerifyReport = verify.Report
-	// VerifyFinding is one rule violation (rule ID, severity, locus).
-	VerifyFinding = verify.Finding
 )
 
 // Verify statically checks an automaton — and its compiled form — against
@@ -551,10 +513,9 @@ type (
 	// ServeQuota bounds one tenant's concurrency, steps and bytes.
 	ServeQuota = serve.Quota
 	// ServeError is the structured, wire-stable error every session
-	// failure surfaces as; Temporary() marks the retryable codes.
+	// failure surfaces as; its Code names the failure class and
+	// Temporary() marks the retryable ones.
 	ServeError = serve.Error
-	// ServeCode is the stable error taxonomy of the serving layer.
-	ServeCode = serve.Code
 	// ServeClient is the session client: idempotent resume over
 	// reconnects with jittered exponential backoff. One per session;
 	// not safe for concurrent use.
@@ -562,23 +523,6 @@ type (
 	// ServeClientConfig configures a ServeClient (tenant, dialer,
 	// retry budget, per-operation timeout).
 	ServeClientConfig = client.Config
-)
-
-// The wire-stable error codes of the serving layer (DESIGN.md §13).
-const (
-	ServeCodeOK             = serve.CodeOK
-	ServeCodeProto          = serve.CodeProto
-	ServeCodeUnknownImage   = serve.CodeUnknownImage
-	ServeCodeUnknownSession = serve.CodeUnknownSession
-	ServeCodeBackpressure   = serve.CodeBackpressure
-	ServeCodeQuotaSteps     = serve.CodeQuotaSteps
-	ServeCodeQuotaBytes     = serve.CodeQuotaBytes
-	ServeCodeDeadline       = serve.CodeDeadline
-	ServeCodeQuarantined    = serve.CodeQuarantined
-	ServeCodeBadImage       = serve.CodeBadImage
-	ServeCodeShutdown       = serve.CodeShutdown
-	ServeCodeInternal       = serve.CodeInternal
-	ServeCodeCorrupt        = serve.CodeCorrupt
 )
 
 // NewServer creates a replay server; Host images on it, then Serve a

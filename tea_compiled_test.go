@@ -44,7 +44,7 @@ func newCompiledFixture(t *testing.T, bench string) *compiledFixture {
 }
 
 // refStats replays a stream through the reference Replayer.
-func refStats(a *tea.Automaton, lc tea.LookupConfig, stream []tea.StreamEdge) (tea.ReplayStats, tea.StateID) {
+func refStats(a *tea.Automaton, lc tea.LookupConfig, stream []tea.StreamEdge) (tea.ReplayStats, core.StateID) {
 	r := tea.NewReplayer(a, lc)
 	for _, e := range stream {
 		r.Advance(e.Label, e.Instrs)
@@ -53,7 +53,7 @@ func refStats(a *tea.Automaton, lc tea.LookupConfig, stream []tea.StreamEdge) (t
 }
 
 // compiledStats replays a stream through the compiled batched replayer.
-func compiledStats(a *tea.Automaton, lc tea.LookupConfig, stream []tea.StreamEdge) (tea.ReplayStats, tea.StateID) {
+func compiledStats(a *tea.Automaton, lc tea.LookupConfig, stream []tea.StreamEdge) (tea.ReplayStats, core.StateID) {
 	r := tea.NewCompiledReplayer(tea.Compile(a, lc))
 	r.AdvanceBatch(stream)
 	return *r.Stats(), r.Cur()

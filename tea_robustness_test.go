@@ -17,6 +17,7 @@ import (
 	"github.com/lsc-tea/tea/internal/dbt"
 	"github.com/lsc-tea/tea/internal/faultinject"
 	"github.com/lsc-tea/tea/internal/pin"
+	"github.com/lsc-tea/tea/internal/serve"
 	"github.com/lsc-tea/tea/internal/trace"
 )
 
@@ -529,7 +530,7 @@ type serveFixtureImage struct {
 	auto  *tea.Automaton
 	edges []tea.StreamEdge
 	want  tea.ReplayStats
-	final tea.StateID
+	final core.StateID
 }
 
 // buildServeFixture records progA and progB as two distinct images — their
@@ -590,7 +591,7 @@ func startServeFixture(t *testing.T, cfg tea.ServeConfig) (*tea.Server, string, 
 func TestServeSessionStorm(t *testing.T) {
 	s, addr, images := startServeFixture(t, tea.ServeConfig{
 		IdleTimeout: 2 * time.Second,
-		Quota:       tea.ServeQuota{MaxConcurrent: 32, MaxParked: 64},
+		Quota:       serve.Quota{MaxConcurrent: 32, MaxParked: 64},
 	})
 	const (
 		tenants  = 4
@@ -629,7 +630,7 @@ func TestServeSessionStorm(t *testing.T) {
 					}
 					return
 				}
-				var serr *tea.ServeError
+				var serr *serve.Error
 				if errors.As(rerr, &serr) {
 					return
 				}
@@ -653,7 +654,7 @@ func TestServeSessionStorm(t *testing.T) {
 func TestServeQuotaExhaustion(t *testing.T) {
 	_, addr, images := startServeFixture(t, tea.ServeConfig{
 		IdleTimeout: 2 * time.Second,
-		Quota:       tea.ServeQuota{MaxSessionEdges: 16},
+		Quota:       serve.Quota{MaxSessionEdges: 16},
 	})
 	img := images[0]
 	if uint64(len(img.edges)) <= 16 {
@@ -667,12 +668,12 @@ func TestServeQuotaExhaustion(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, _, rerr := c.Replay(ctx, img.name, img.edges, 8)
-	var serr *tea.ServeError
+	var serr *serve.Error
 	if !errors.As(rerr, &serr) {
 		t.Fatalf("over-quota replay: err %v, want structured quota error", rerr)
 	}
-	if serr.Code != tea.ServeCodeQuotaSteps {
-		t.Fatalf("over-quota replay: code %v, want %v", serr.Code, tea.ServeCodeQuotaSteps)
+	if serr.Code != serve.CodeQuotaSteps {
+		t.Fatalf("over-quota replay: code %v, want %v", serr.Code, serve.CodeQuotaSteps)
 	}
 	if serr.Temporary() {
 		t.Fatal("quota exhaustion must not be marked retryable")
@@ -700,7 +701,7 @@ func TestServeQuotaExhaustion(t *testing.T) {
 func TestServeByteQuotaExhaustion(t *testing.T) {
 	_, addr, images := startServeFixture(t, tea.ServeConfig{
 		IdleTimeout: 2 * time.Second,
-		Quota:       tea.ServeQuota{MaxSessionBytes: 64},
+		Quota:       serve.Quota{MaxSessionBytes: 64},
 	})
 	img := images[0]
 	c, err := tea.DialServe(addr, tea.ServeClientConfig{Tenant: "wordy", Seed: 3, Timeout: 2 * time.Second})
@@ -711,8 +712,8 @@ func TestServeByteQuotaExhaustion(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, _, rerr := c.Replay(ctx, img.name, img.edges, 64)
-	var serr *tea.ServeError
-	if !errors.As(rerr, &serr) || serr.Code != tea.ServeCodeQuotaBytes {
+	var serr *serve.Error
+	if !errors.As(rerr, &serr) || serr.Code != serve.CodeQuotaBytes {
 		t.Fatalf("over-byte-quota replay: err %v, want CodeQuotaBytes", rerr)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"github.com/lsc-tea/tea/internal/core"
 )
 
 const copySrc = `
@@ -229,17 +231,10 @@ func TestPublicInstrReplayer(t *testing.T) {
 
 func TestPublicConstructors(t *testing.T) {
 	p := MustAssemble("copy", copySrc)
-	s, ok := NewStrategy("mret", p, TraceConfig{HotThreshold: 30})
-	if !ok {
-		t.Fatal("mret not found")
-	}
-	if s.Name() != "mret" {
-		t.Errorf("NewStrategy(mret) built %q", s.Name())
-	}
 	set, _ := RecordTraces(context.Background(), p, "mret", TraceConfig{HotThreshold: 30}, 0)
 	a := Build(set)
 	r := NewReplayer(a, ConfigGlobalNoLocal)
-	if r.Cur() != NTE {
+	if r.Cur() != core.NTE {
 		t.Error("fresh replayer not at NTE")
 	}
 	if _, _, err := ProfileReplay(p, a, ConfigGlobalLocal, nil); err != nil {
