@@ -133,70 +133,6 @@ func TestCompiledPlausibleMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompiledReplayerMatchesReference replays the program's own stream
-// through the reference replayer and the compiled one (one edge per batch
-// and the whole stream in one) and demands identical stats and cursors at
-// the end.
-func TestCompiledReplayerMatchesReference(t *testing.T) {
-	a, m := buildTestAutomaton(t)
-
-	// Regenerate the dynamic block stream directly from the machine.
-	var stream []Edge
-	r := cfg.NewRunner(m, cfg.StarDBT)
-	var prev uint64
-	for {
-		e, ok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		steps := r.Machine().Steps()
-		instrs := steps - prev
-		prev = steps
-		if e.To == nil {
-			break
-		}
-		stream = append(stream, Edge{Label: e.To.Head, Instrs: instrs})
-	}
-	if len(stream) < 20 {
-		t.Fatalf("stream too short: %d edges", len(stream))
-	}
-
-	for _, cfgCase := range []LookupConfig{
-		{Global: GlobalHash, Local: true},
-		{Global: GlobalBTree, Local: true, LocalSize: 2},
-		{Global: GlobalBTree, Local: false},
-		{Global: GlobalList, Local: true},
-	} {
-		ref := NewReplayer(a, cfgCase)
-		for _, e := range stream {
-			ref.Advance(e.Label, e.Instrs)
-		}
-
-		comp := NewCompiledReplayer(Compile(a, cfgCase))
-		for i := range stream {
-			comp.AdvanceBatch(stream[i : i+1])
-		}
-		if *ref.Stats() != *comp.Stats() {
-			t.Fatalf("%v: single-edge stats diverge:\nref  %+v\ncomp %+v", cfgCase, *ref.Stats(), *comp.Stats())
-		}
-		if ref.Cur() != comp.Cur() {
-			t.Fatalf("%v: cursor %d vs %d", cfgCase, ref.Cur(), comp.Cur())
-		}
-
-		batch := NewCompiledReplayer(Compile(a, cfgCase))
-		batch.AdvanceBatch(stream)
-		if *ref.Stats() != *batch.Stats() {
-			t.Fatalf("%v: batched stats diverge:\nref   %+v\nbatch %+v", cfgCase, *ref.Stats(), *batch.Stats())
-		}
-		if ref.Cur() != batch.Cur() {
-			t.Fatalf("%v: batched cursor %d vs %d", cfgCase, ref.Cur(), batch.Cur())
-		}
-	}
-}
-
 // TestAddEntryReusesCaches is the cache-invalidation satellite: AddEntry
 // must invalidate the local caches without dropping them for reallocation.
 // Under the generation scheme the flush is lazy — it happens in place the

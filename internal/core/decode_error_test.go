@@ -296,7 +296,7 @@ func TestEncodeDecodeCleanProperty(t *testing.T) {
 
 // TestEncodeRejectsForeignLink: an automaton whose set links outside
 // itself is reported as an encode error, not a panic (the former
-// EncodeWithProfile canon-miss panic).
+// canon-miss panic).
 func TestEncodeRejectsForeignLink(t *testing.T) {
 	p := progs.Figure1(10, 1)
 	cache := cfg.NewCache(p, cfg.StarDBT)

@@ -90,20 +90,10 @@ func termClass(in *isa.Instr) byte {
 	}
 }
 
-// Profiler supplies per-TBB execution counts for serialization; the
-// profile package implements it. A nil Profiler stores zero counts.
-type Profiler interface {
-	CountFor(tbb *trace.TBB) uint64
-}
-
-// Encode serializes the automaton's trace set without profile counts. It
-// returns an error when the set is malformed (a TBB links to a TBB that is
-// not part of the set).
-func Encode(a *Automaton) ([]byte, error) { return EncodeWithProfile(a, nil) }
-
-// EncodeWithProfile serializes the automaton along with per-TBB execution
-// counts from prof (zeros when prof is nil).
-func EncodeWithProfile(a *Automaton, prof Profiler) ([]byte, error) {
+// Encode serializes the automaton's trace set. Each TBB record keeps the
+// format's profile counter, written as zero. It returns an error when the
+// set is malformed (a TBB links to a TBB that is not part of the set).
+func Encode(a *Automaton) ([]byte, error) {
 	out := make([]byte, 0, 64+12*a.NumStates())
 	out = append(out, magic...)
 	set := a.set
@@ -132,11 +122,7 @@ func EncodeWithProfile(a *Automaton, prof Profiler) ([]byte, error) {
 			out = appendUvarint(out, uint64(tbb.Block.NumInstrs))
 			out = appendUvarint(out, tbb.Block.Bytes)
 			out = append(out, termClass(tbb.Block.Term))
-			var count uint64
-			if prof != nil {
-				count = prof.CountFor(tbb)
-			}
-			out = appendUvarint(out, count)
+			out = appendUvarint(out, 0) // profile counter
 		}
 		for _, tbb := range t.TBBs {
 			out = appendUvarint(out, uint64(len(tbb.Succs)))
@@ -165,25 +151,15 @@ func EncodedSize(a *Automaton) uint64 {
 	return uint64(len(data))
 }
 
-// DecodedProfile carries the profile counters read back by Decode, keyed
-// by state id.
-type DecodedProfile map[StateID]uint64
-
 // Decode reconstructs an automaton from Encode's output. Blocks are
 // re-discovered from the program through cache, which must use the block
-// discipline the traces were recorded under. Any rejection is reported as
-// a *DecodeError.
+// discipline the traces were recorded under. Each TBB's profile counter is
+// read and bounds-checked, then dropped. Any rejection is reported as a
+// *DecodeError.
 func Decode(data []byte, cache *cfg.Cache) (*Automaton, error) {
-	a, _, err := DecodeWithProfile(data, cache)
-	return a, err
-}
-
-// DecodeWithProfile additionally returns the stored per-state profile
-// counters.
-func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfile, error) {
 	d := &decoder{data: data}
 	if string(d.take(len(magic), "magic")) != magic {
-		return nil, nil, &DecodeError{Offset: 0, Field: "magic", Reason: "bad magic"}
+		return nil, &DecodeError{Offset: 0, Field: "magic", Reason: "bad magic"}
 	}
 	nameLen := d.uvarint("strategy length")
 	if d.err == nil && nameLen > uint64(d.remaining()) {
@@ -191,28 +167,27 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 			Reason: fmt.Sprintf("claims %d bytes, %d remain", nameLen, d.remaining())})
 	}
 	if d.err != nil {
-		return nil, nil, d.err
+		return nil, d.err
 	}
 	strategy := string(d.take(int(nameLen), "strategy name"))
 	set := trace.NewSet(strategy, cache.Program())
 	nTraces := d.uvarint("trace count")
 	nStates := d.uvarint("state count")
 	if d.err != nil {
-		return nil, nil, d.err
+		return nil, d.err
 	}
 	// Forged counts must not size allocations or drive long loops: every
 	// trace costs at least minTraceBytes on the wire and every state (TBB)
 	// at least minTBBBytes, so counts beyond what the remaining bytes can
 	// hold are rejected here.
 	if nTraces > uint64(d.remaining())/minTraceBytes {
-		return nil, nil, &DecodeError{Offset: d.pos, Field: "trace count",
+		return nil, &DecodeError{Offset: d.pos, Field: "trace count",
 			Reason: fmt.Sprintf("claims %d traces, only %d bytes remain", nTraces, d.remaining())}
 	}
 	if nStates == 0 || nStates-1 > uint64(d.remaining())/minTBBBytes {
-		return nil, nil, &DecodeError{Offset: d.pos, Field: "state count",
+		return nil, &DecodeError{Offset: d.pos, Field: "state count",
 			Reason: fmt.Sprintf("claims %d states, only %d bytes remain", nStates, d.remaining())}
 	}
-	prof := make(DecodedProfile)
 	prevAddr := uint64(0)
 	nextState := uint64(1) // state 0 is NTE
 	type pendingLink struct {
@@ -229,14 +204,14 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 		countOff := d.pos
 		nTBBs := d.uvarint("TBB count")
 		if d.err != nil {
-			return nil, nil, d.err
+			return nil, d.err
 		}
 		if nTBBs == 0 {
-			return nil, nil, &DecodeError{Offset: countOff, Field: "TBB count",
+			return nil, &DecodeError{Offset: countOff, Field: "TBB count",
 				Reason: fmt.Sprintf("trace %d has no TBBs", ti+1)}
 		}
 		if nTBBs > uint64(d.remaining())/minTBBBytes {
-			return nil, nil, &DecodeError{Offset: countOff, Field: "TBB count",
+			return nil, &DecodeError{Offset: countOff, Field: "TBB count",
 				Reason: fmt.Sprintf("trace %d claims %d TBBs, only %d bytes remain", ti+1, nTBBs, d.remaining())}
 		}
 		var tr *trace.Trace
@@ -249,23 +224,23 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 			nInstr := d.uvarint("instruction count")
 			nBytes := d.uvarint("block bytes")
 			tclass := d.take(1, "terminator class")
-			count := d.uvarint("profile counter")
+			d.uvarint("profile counter")
 			if d.err != nil {
-				return nil, nil, d.err
+				return nil, d.err
 			}
 			b, err := cache.BlockAt(head)
 			if err != nil {
-				return nil, nil, &DecodeError{Offset: recOff, Field: "block head",
+				return nil, &DecodeError{Offset: recOff, Field: "block head",
 					Reason: fmt.Sprintf("trace %d TBB %d: %v", ti+1, i, err)}
 			}
 			if uint64(b.NumInstrs) != nInstr || b.Bytes != nBytes || termClass(b.Term) != tclass[0] {
-				return nil, nil, &DecodeError{Offset: recOff, Field: "block identity",
+				return nil, &DecodeError{Offset: recOff, Field: "block identity",
 					Reason: fmt.Sprintf("trace %d TBB %d: block at 0x%x does not match recorded shape", ti+1, i, head)}
 			}
 			if i == 0 {
 				tr, err = set.NewTrace(b)
 				if err != nil {
-					return nil, nil, &DecodeError{Offset: recOff, Field: "trace entry",
+					return nil, &DecodeError{Offset: recOff, Field: "trace entry",
 						Reason: fmt.Sprintf("trace %d: %v", ti+1, err)}
 				}
 				tbbs[0] = tr.Head()
@@ -274,20 +249,17 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 			}
 			stateTBB[nextState] = tbbs[i]
 			tbbRecOff = append(tbbRecOff, recOff)
-			if count > 0 {
-				prof[StateID(nextState)] = count
-			}
 			nextState++
 		}
 		for i := uint64(0); i < nTBBs; i++ {
 			countOff := d.pos
 			nSucc := d.uvarint("successor count")
 			if d.err != nil {
-				return nil, nil, d.err
+				return nil, d.err
 			}
 			// One successor costs at least a label delta and a target id.
 			if nSucc > uint64(d.remaining())/2 {
-				return nil, nil, &DecodeError{Offset: countOff, Field: "successor count",
+				return nil, &DecodeError{Offset: countOff, Field: "successor count",
 					Reason: fmt.Sprintf("trace %d TBB %d claims %d successors, only %d bytes remain", ti+1, i, nSucc, d.remaining())}
 			}
 			for k := uint64(0); k < nSucc; k++ {
@@ -295,7 +267,7 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 				delta := d.zigzag("successor label delta")
 				target := d.uvarint("successor target")
 				if d.err != nil {
-					return nil, nil, d.err
+					return nil, d.err
 				}
 				label := uint64(int64(tbbs[i].Block.Head) + delta)
 				links = append(links, pendingLink{recOff, tbbs[i], label, target})
@@ -303,25 +275,25 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 		}
 	}
 	if nextState != nStates {
-		return nil, nil, &DecodeError{Offset: d.pos, Field: "state count",
+		return nil, &DecodeError{Offset: d.pos, Field: "state count",
 			Reason: fmt.Sprintf("header says %d states, stream has %d", nStates, nextState)}
 	}
 	for _, l := range links {
 		succ, ok := stateTBB[l.target]
 		if !ok {
-			return nil, nil, &DecodeError{Offset: l.off, Field: "transition",
+			return nil, &DecodeError{Offset: l.off, Field: "transition",
 				Reason: fmt.Sprintf("transition to unknown state %d", l.target)}
 		}
 		if succ.Trace != l.from.Trace {
-			return nil, nil, &DecodeError{Offset: l.off, Field: "transition",
+			return nil, &DecodeError{Offset: l.off, Field: "transition",
 				Reason: fmt.Sprintf("cross-trace transition %v -> %v", l.from, succ)}
 		}
 		if succ.Block.Head != l.label {
-			return nil, nil, &DecodeError{Offset: l.off, Field: "transition",
+			return nil, &DecodeError{Offset: l.off, Field: "transition",
 				Reason: fmt.Sprintf("label 0x%x does not match target head 0x%x", l.label, succ.Block.Head)}
 		}
 		if err := l.from.Link(succ); err != nil {
-			return nil, nil, &DecodeError{Offset: l.off, Field: "transition", Reason: err.Error()}
+			return nil, &DecodeError{Offset: l.off, Field: "transition", Reason: err.Error()}
 		}
 	}
 	// Every state must be reachable from NTE (the verifier's A-REACH). NTE
@@ -332,20 +304,20 @@ func DecodeWithProfile(data []byte, cache *cfg.Cache) (*Automaton, DecodedProfil
 	first := 0 // stream index of the trace's head
 	for ti, t := range set.Traces {
 		if i := unreachableTBB(t); i >= 0 {
-			return nil, nil, &DecodeError{Offset: tbbRecOff[first+i], Field: "state reachability",
+			return nil, &DecodeError{Offset: tbbRecOff[first+i], Field: "state reachability",
 				Reason: fmt.Sprintf("trace %d TBB %d is unreachable from NTE: no in-trace transition leads to it", ti+1, i)}
 		}
 		first += len(t.TBBs)
 	}
 	if d.pos != len(d.data) {
-		return nil, nil, &DecodeError{Offset: d.pos, Field: "trailing bytes",
+		return nil, &DecodeError{Offset: d.pos, Field: "trailing bytes",
 			Reason: fmt.Sprintf("%d trailing bytes", len(d.data)-d.pos)}
 	}
 	a := Build(set)
 	if err := a.Check(); err != nil {
-		return nil, nil, &DecodeError{Offset: len(d.data), Field: "automaton", Reason: err.Error()}
+		return nil, &DecodeError{Offset: len(d.data), Field: "automaton", Reason: err.Error()}
 	}
-	return a, prof, nil
+	return a, nil
 }
 
 // unreachableTBB returns the index of a TBB of t that no chain of in-trace

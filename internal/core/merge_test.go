@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,11 +15,13 @@ import (
 	"github.com/lsc-tea/tea/internal/trace"
 )
 
-// The lockstep junction tests: Merge and MergeRecord find the junction by
-// re-scanning the true and the speculative side together, and their results
+// The record-mode lockstep junction test: MergeRecord finds the junction by
+// re-scanning the true and the speculative side together, and its results
 // must equal a sequential pass — over whole streams cut at random points,
-// and over single segments entered from random true states, desynced ones
-// included — on clean, perturbed and fault-injected streams.
+// and over single chunks entered from random true states, desynced ones
+// included — on clean, perturbed and fault-injected streams. Merge, its
+// replay twin, is held by the differential oracle in internal/pipeline
+// (TestReferenceEventOracle, FuzzExecutors).
 
 // replayFrom is the sequential reference from an arbitrary entry state: the
 // memoryless transition function, edge by edge, as SequentialReplay runs it
@@ -119,107 +120,11 @@ func (lc *lockCase) recStreams() map[string]recStream {
 	return out
 }
 
-// labels lowers a record stream to the replay stream (nil-To edges carry no
-// label and only account, so the replay stream omits them).
-func labels(edges []cfg.Edge, instrs []uint64) []Edge {
-	var out []Edge
-	for i, e := range edges {
-		if e.To != nil {
-			out = append(out, Edge{Label: e.To.Head, Instrs: instrs[i]})
-		}
-	}
-	return out
-}
-
 // randomState is a random true entry state: any state, NTE included, with
 // the desync flag set one time in three (also off NTE, which step never
 // produces but a forced cursor can hold).
 func randomState(rng *rand.Rand, a *Automaton) (StateID, bool) {
 	return StateID(rng.Intn(a.NumStates())), rng.Intn(3) == 0
-}
-
-// TestMergeLockstepMatchesSequential: SpecReplay + Merge over random cuts
-// equals SequentialReplay of the whole stream, and Merge(Obs) of a single
-// segment from a random true entry state equals the sequential replay (and
-// its events) from that state, on plain and Specialize'd images.
-func TestMergeLockstepMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for _, lc := range lockCases(t) {
-		c := Compile(lc.a, ConfigGlobalNoLocal)
-		clean := labels(lc.edges, lc.instrs)
-		spec := Specialize(c, clean)
-		// The perturbed stream also carries zero-instruction edges, which
-		// count no block, in trace and cold code alike.
-		pert := perturb(clean, 7)
-		for i := 5; i < len(pert); i += 11 {
-			pert[i].Instrs = 0
-		}
-		streams := map[string][]Edge{"clean": clean, "perturbed": pert}
-		var fault []Edge
-		for _, k := range faultOrder(int64(len(clean)), len(clean)) {
-			fault = append(fault, clean[k])
-		}
-		streams["faultinject"] = fault
-		for sname, stream := range streams {
-			for _, img := range []struct {
-				kind string
-				c    *Compiled
-			}{{"plain", c}, {"specialized", spec}} {
-				name := fmt.Sprintf("%s/%s/%s", lc.name, sname, img.kind)
-				want, wcur := SequentialReplay(img.c, stream, nil)
-				if sname != "clean" && want.Desyncs == 0 {
-					t.Fatalf("%s: the stream never desyncs", name)
-				}
-				var rc Reconciler
-				var sr SpecResult
-				for trial := 0; trial < 8; trial++ {
-					var total Stats
-					cur, des := NTE, false
-					maxSeg := 1 + rng.Intn(len(stream)/2)
-					for i := 0; i < len(stream); {
-						seg := stream[i:min(i+1+rng.Intn(maxSeg), len(stream))]
-						img.c.SpecReplay(seg, &sr)
-						var d Stats
-						d, cur, des = rc.Merge(img.c, seg, 0, cur, des, &sr, nil)
-						total.Add(&d)
-						i += len(seg)
-					}
-					if total != want || cur != wcur {
-						t.Fatalf("%s trial %d: merged pieces %+v cur=%d, sequential %+v cur=%d", name, trial, total, cur, want, wcur)
-					}
-				}
-
-				var merged, wantEvs []obs.Event
-				for trial := 0; trial < 60; trial++ {
-					i := rng.Intn(len(stream))
-					seg := stream[i : i+1+rng.Intn(min(len(stream)-i, 400))]
-					cur, des := randomState(rng, lc.a)
-					ws, wcur, wdes := replayFrom(img.c, seg, cur, des)
-					img.c.SpecReplay(seg, &sr)
-					st, gcur, gdes := rc.Merge(img.c, seg, 0, cur, des, &sr, nil)
-					if st != ws || gcur != wcur || gdes != wdes {
-						t.Fatalf("%s: [%d,%d) from (%d,%v): Merge %+v exit=(%d,%v), sequential %+v exit=(%d,%v)",
-							name, i, i+len(seg), cur, des, st, gcur, gdes, ws, wcur, wdes)
-					}
-
-					ebase := uint64(i)
-					var wst Stats
-					wantEvs = wantEvs[:0]
-					tc, td := cur, des
-					for k, e := range seg {
-						tc, td = step[obsOn](img.c, tc, td, e.Label, e.Instrs, &wst, &wantEvs, ebase+uint64(k))
-					}
-					img.c.SpecReplayObs(seg, ebase, &sr)
-					merged = merged[:0]
-					st, gcur, gdes = rc.Merge(img.c, seg, ebase, cur, des, &sr, &merged)
-					if st != ws || gcur != wcur || gdes != wdes || !reflect.DeepEqual(merged, wantEvs) {
-						t.Fatalf("%s: [%d,%d) from (%d,%v): Merge %+v exit=(%d,%v) %d events, sequential %+v exit=(%d,%v) %d events",
-							name, i, i+len(seg), cur, des, st, gcur, gdes, len(merged), ws, wcur, wdes, len(wantEvs))
-					}
-				}
-			}
-		}
-	}
 }
 
 // recRun is a record-mode outcome, copied out of the Reconciler's scratch.

@@ -132,47 +132,6 @@ func TestSpecializeFindsCycles(t *testing.T) {
 	}
 }
 
-// TestSpecializedBatchMatchesUnspecialized replays the captured stream (in
-// one batch, and one edge per batch) through the specialized and plain
-// forms: identical Stats and cursor, and the stride path must actually fire.
-func TestSpecializedBatchMatchesUnspecialized(t *testing.T) {
-	a, stream := testStream(t)
-	for _, lk := range []LookupConfig{ConfigGlobalLocal, {Global: GlobalHash}} {
-		c := Compile(a, lk)
-		// Sample-selected is the production shape; the nil sample keeps every
-		// static candidate and must be just as exact (selection is a cost
-		// model, not a soundness condition).
-		for _, sample := range map[string][]Edge{"sampled": stream, "static": nil} {
-			spec := Specialize(c, sample)
-
-			plain := NewCompiledReplayer(c)
-			plain.AdvanceBatch(stream)
-
-			fused := NewCompiledReplayer(spec)
-			fused.AdvanceBatch(stream)
-
-			if *plain.Stats() != *fused.Stats() || plain.Cur() != fused.Cur() {
-				t.Fatalf("%+v: specialized batch diverges:\nplain %+v cur=%d\nfused %+v cur=%d",
-					lk, *plain.Stats(), plain.Cur(), *fused.Stats(), fused.Cur())
-			}
-			if sample != nil && fused.StrideEdges() == 0 {
-				t.Fatalf("%+v: stride path never fired on a loop-heavy stream", lk)
-			}
-			if plain.StrideEdges() != 0 {
-				t.Fatalf("%+v: unspecialized replayer reported stride hits", lk)
-			}
-
-			single := NewCompiledReplayer(spec)
-			for i := range stream {
-				single.AdvanceBatch(stream[i : i+1])
-			}
-			if *single.Stats() != *fused.Stats() || single.Cur() != fused.Cur() {
-				t.Fatalf("%+v: single-edge specialized replay diverges", lk)
-			}
-		}
-	}
-}
-
 // TestSpecializedMidCycleDesync corrupts labels inside the steady-state
 // cycle region and checks the specialized replayer against the reference —
 // Desyncs/Resyncs byte-exact even when the fault lands mid-traversal.

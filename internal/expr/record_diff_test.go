@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"bytes"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,17 +9,10 @@ import (
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/isa"
 	"github.com/lsc-tea/tea/internal/pin"
-	"github.com/lsc-tea/tea/internal/pipeline"
 	"github.com/lsc-tea/tea/internal/teatool"
 	"github.com/lsc-tea/tea/internal/trace"
 	"github.com/lsc-tea/tea/internal/workload"
 )
-
-// recordDiffStrategies are every selection strategy the recorder accepts:
-// mret, whose record pipeline accepts chunks on the quiet path once its
-// trace set saturates, and ctt, tt and mfet, whose pipelines run every chunk
-// through the sequential recorder.
-var recordDiffStrategies = []string{"mret", "ctt", "tt", "mfet"}
 
 // captureBench generates one calibrated benchmark and captures its dynamic
 // edge stream, the recording currency both recorder forms replay.
@@ -41,98 +32,15 @@ func captureBench(t *testing.T, spec workload.Spec, target uint64) (*isa.Program
 	return p, capt.Edges(), capt.Instrs()
 }
 
-// newDiffStrategy builds one selection strategy over the benchmark's
+// newDiffRecorder builds a recorder for one strategy over the benchmark's
 // program symbols.
-func newDiffStrategy(t *testing.T, stratName string, p *isa.Program, tc trace.Config) trace.Strategy {
+func newDiffRecorder(t *testing.T, stratName string, p *isa.Program, tc trace.Config) *core.Recorder {
 	t.Helper()
 	strat, ok := trace.NewStrategy(stratName, p, tc)
 	if !ok {
 		t.Fatalf("unknown strategy %q", stratName)
 	}
-	return strat
-}
-
-// newDiffRecorder builds a recorder for one strategy over the benchmark's
-// program symbols.
-func newDiffRecorder(t *testing.T, stratName string, p *isa.Program, tc trace.Config) *core.Recorder {
-	t.Helper()
-	return core.NewRecorder(newDiffStrategy(t, stratName, p, tc), core.ConfigGlobalLocal)
-}
-
-// TestBatchRecorderMatchesSequential differentially tests the batched
-// recorder — the record pipeline — against per-edge Observe over every
-// workload and every strategy: after each of two passes over the same
-// stream, the two must agree on every Stats counter, the recording state,
-// the trace set, and the byte-exact encoded automaton. An offline leg feeds
-// a third strategy the same edges through trace.Follower, which walks the
-// traces itself where the recorder reads the TEA transition; core.Build of
-// its set must encode to the same bytes, so the recorder's one cursor and
-// the offline drivers' walk agree beyond Figure 2. Pass 1 is
-// event-heavy (counters warm up, traces are created and extended
-// mid-stream); pass 2 is the warm steady state. Worker count and chunk size
-// vary with the workload, so chunk boundaries land at arbitrary stream
-// positions, mid-trace and mid-recording included.
-func TestBatchRecorderMatchesSequential(t *testing.T) {
-	specs := workload.Benchmarks()
-	if testing.Short() {
-		specs = nil
-		for _, name := range []string{"171.swim", "176.gcc", "181.mcf", "253.perlbmk"} {
-			s, _ := workload.ByName(name)
-			specs = append(specs, s)
-		}
-	}
-	const target = 150_000
-	tc := trace.Config{HotThreshold: DefaultHotThreshold}
-	for i, spec := range specs {
-		pc := pipeline.Config{Workers: 1 + i%3, ChunkEdges: []int{97, 256, 1024}[i%3], Depth: 8}
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			p, edges, instrs := captureBench(t, spec, target)
-			for _, strat := range recordDiffStrategies {
-				seq := core.NewRecorder(newDiffStrategy(t, strat, p, tc), core.ConfigGlobalNoLocal)
-				pl := pipeline.NewRecord(newDiffStrategy(t, strat, p, tc), pc)
-				off := trace.Follower{Strategy: newDiffStrategy(t, strat, p, tc)}
-				for pass := 1; pass <= 2; pass++ {
-					for k := range edges {
-						seq.Observe(edges[k], instrs[k])
-						off.Observe(edges[k])
-					}
-					pl.Feed(edges, instrs)
-					got := pl.Barrier()
-					label := fmt.Sprintf("%s/%s/pass%d", spec.Name, strat, pass)
-					if want := *seq.Replayer().Stats(); got != want {
-						t.Errorf("%s: stats diverge:\n  sequential: %+v\n  pipeline:   %+v", label, want, got)
-					}
-					rec := pl.Recorder()
-					if s, b := seq.State(), rec.State(); s != b {
-						t.Errorf("%s: recording state %v (sequential) vs %v (pipeline)", label, s, b)
-					}
-					if s, b := seq.Set().NumTBBs(), rec.Set().NumTBBs(); s != b {
-						t.Errorf("%s: trace set %d TBBs (sequential) vs %d (pipeline)", label, s, b)
-					}
-					se, err := core.Encode(seq.Automaton())
-					if err != nil {
-						t.Fatalf("%s: encode sequential: %v", label, err)
-					}
-					pe, err := core.Encode(rec.Automaton())
-					if err != nil {
-						t.Fatalf("%s: encode pipeline: %v", label, err)
-					}
-					if !bytes.Equal(se, pe) {
-						t.Errorf("%s: encoded automata differ (%d vs %d bytes)", label, len(se), len(pe))
-					}
-					oe, err := core.Encode(core.Build(off.Strategy.Set()))
-					if err != nil {
-						t.Fatalf("%s: encode offline: %v", label, err)
-					}
-					if !bytes.Equal(se, oe) {
-						t.Errorf("%s: offline build differs from the recorder (%d vs %d bytes)", label, len(se), len(oe))
-					}
-				}
-				pl.Close()
-			}
-		})
-	}
+	return core.NewRecorder(strat, core.ConfigGlobalLocal)
 }
 
 // TestRecorderReacquiresTraceAfterCreating pins down the Creating→Executing

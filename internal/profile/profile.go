@@ -33,8 +33,6 @@ type Profile struct {
 	edges  map[Edge]uint64
 }
 
-var _ core.Profiler = (*Profile)(nil)
-
 // New creates an empty profile over automaton a.
 func New(a *core.Automaton) *Profile {
 	return &Profile{
@@ -61,16 +59,6 @@ func (p *Profile) StateCount(id core.StateID) uint64 { return p.states[id] }
 
 // StateInstrs returns the dynamic instructions attributed to the state.
 func (p *Profile) StateInstrs(id core.StateID) uint64 { return p.instrs[id] }
-
-// CountFor implements core.Profiler, so profiles serialize with the TEA
-// (core.EncodeWithProfile).
-func (p *Profile) CountFor(tbb *trace.TBB) uint64 {
-	id, ok := p.a.StateFor(tbb)
-	if !ok {
-		return 0
-	}
-	return p.states[id]
-}
 
 // ExitRatio returns, for the trace, side exits divided by head entries: the
 // trace-stability measure phase detection keys on. A ratio near zero means

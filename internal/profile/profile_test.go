@@ -60,10 +60,6 @@ func TestProfileCountsMatchReplay(t *testing.T) {
 	if prof.StateInstrs(headID) == 0 {
 		t.Error("head state has no instructions attributed")
 	}
-	// CountFor agrees with StateCount.
-	if prof.CountFor(t1.Head()) != prof.StateCount(headID) {
-		t.Error("CountFor disagrees with StateCount")
-	}
 	// Edge counts: the head's in-trace successor edge must be hot.
 	hot := false
 	for _, tr := range a.FullTransitions(headID) {
@@ -105,28 +101,6 @@ func TestHottestTracesOrdered(t *testing.T) {
 	// Truncation works.
 	if len(prof.HottestTraces(1)) != 1 {
 		t.Error("truncation broken")
-	}
-}
-
-func TestSerializeProfileRoundTrip(t *testing.T) {
-	p := progs.Figure2(60, 300)
-	a, prof := buildAndProfile(t, p, 50)
-	data, err := core.EncodeWithProfile(a, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, decProf, err := core.DecodeWithProfile(data, cfg.NewCache(p, cfg.StarDBT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every state's stored count survives (state numbering is canonical on
-	// both sides because `a` was built offline).
-	for i := 1; i < b.NumStates(); i++ {
-		id := core.StateID(i)
-		want := prof.StateCount(id)
-		if got := decProf[id]; got != want {
-			t.Fatalf("state %d count = %d, want %d", i, got, want)
-		}
 	}
 }
 

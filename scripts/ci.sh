@@ -3,8 +3,10 @@
 # race detector (which covers the sharded replay-pipeline tests and the
 # zero-allocation tests of every compiled, batch, pipeline and recorder hot
 # path), a one-iteration smoke of every benchmark so the bench code cannot
-# rot silently, a short fuzz run over the wire-format decoder (the
-# robustness surface most exposed to hostile input), the teavet
+# rot silently, a short run of every fuzz target (the four decoders of
+# hostile input: TEA images, event logs, flight records and Edges frames;
+# the assembler; and FuzzExecutors, the differential oracle that holds
+# every replay, record and serve executor to the reference replayer), the teavet
 # typed-analysis suite (with a negative self-test proving the analyzers
 # still flag), the obs-off codegen check (scripts/obsasm, with its own
 # negative self-test), and the static-verifier gate: every checked-in valid
@@ -37,6 +39,8 @@ go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeEvents -fuzztime=10s ./internal/obs
 go test -run='^$' -fuzz=FuzzDecodeFlight -fuzztime=10s ./internal/obs
 go test -run='^$' -fuzz=FuzzParseEdges -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
+go test -run='^$' -fuzz=FuzzExecutors -fuzztime=10s ./internal/pipeline
 
 # Serving-layer gate: the wire/session/breaker suites and the chaos matrix
 # under the race detector — including the flight-recorder suffix check, which

@@ -32,7 +32,8 @@ benches=(
     ".:CompiledReplay/^901\.steady$/^compiled-(batch|stride|soa-stride)"
     "internal/serve:ServeSession"
     "internal/serve:^Benchmark(ParseEdges|AppendEdges)$"
-    "internal/pipeline:(Replay|Record)Pipeline"
+    "internal/pipeline:(Replay|Record)Pipeline/obs=/workers="
+    "internal/pipeline:(Replay|Record)Pipeline/obs=off/(scan|merge)"
 )
 
 for side in parent head; do
@@ -45,10 +46,11 @@ go build -o "$out/benchdiff" ./scripts/benchdiff
 
 # Each run is one process and one file. Inside it, -count=5 short
 # repetitions of every row: benchdiff takes their median as the run's
-# value, which damps host noise lasting under a second. Every row outside
-# internal/pipeline runs pinned to CPU 1, since unpinned single-threaded
-# rows spread wider than the effects they judge; the pipeline rows stay
-# unpinned because their workers=2/4 rows need more than one CPU.
+# value, which damps host noise lasting under a second. Every row runs
+# pinned to CPU 1, since unpinned single-threaded rows spread wider than
+# the effects they judge, except the pipelines' workers=N rows (the
+# patterns naming workers=), which need more than one CPU. The pipelines'
+# scan and merge rows are single-threaded and stay pinned.
 for pair in $(seq 1 10); do
     order="parent head"
     if [ $((pair % 2)) -eq 0 ]; then
@@ -57,9 +59,9 @@ for pair in $(seq 1 10); do
     for i in "${!benches[@]}"; do
         pkg=${benches[$i]%%:*}
         pin=(taskset -c 1)
-        if [ "$pkg" = internal/pipeline ]; then
-            pin=()
-        fi
+        case ${benches[$i]} in
+        *workers=*) pin=() ;;
+        esac
         for side in $order; do
             (cd "${tree[$side]}/$pkg" &&
                 "${pin[@]}" "$out/$side-${pkg//\//-}.test" -test.run='^$' -test.bench="${benches[$i]#*:}" \
